@@ -10,13 +10,12 @@ Usage:
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from szlenk.checks import SUITES, run_suite  # noqa: E402
-from szlenk.documents import SCHEMA_VERSION, dumps_canonical  # noqa: E402
+from szlenk.documents import dumps_canonical, suite_report_to_doc  # noqa: E402
 
 FULL_SAMPLES = {
     "unionlemma1": 200,
@@ -31,56 +30,28 @@ FULL_SAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    seed: int = 1
-    scale: float = 1.0
-    out_dir: Path | None = None
-
-    def samples_for(self, suite: str) -> int:
-        return max(1, int(FULL_SAMPLES[suite] * self.scale))
-
-
-def report_doc(rep, seed: int) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "command": "verify",
-        "suite": rep.suite,
-        "samples": rep.samples,
-        "seed": seed,
-        "passed": rep.passed,
-        "failed": rep.failed,
-        "cases": [
-            {"index": c.index, "passed": c.passed, "detail": c.detail}
-            | ({"counterexample": c.counterexample} if c.counterexample else {})
-            for c in rep.cases
-        ],
-    }
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--scale", type=float, default=1.0, help="sample-count multiplier")
     ap.add_argument("--out-dir", type=Path, default=None)
     ns = ap.parse_args()
-    cfg = SweepConfig(ns.seed, ns.scale, ns.out_dir)
 
-    if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if ns.out_dir is not None:
+        ns.out_dir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'suite':<18} {'samples':>7} {'passed':>7} {'failed':>7} {'secs':>7}")
     total_failed = 0
     for name in SUITES:
-        samples = cfg.samples_for(name)
+        samples = max(1, int(FULL_SAMPLES[name] * ns.scale))
         start = time.perf_counter()
-        rep = run_suite(name, samples, cfg.seed)
+        rep = run_suite(name, samples, ns.seed)
         secs = time.perf_counter() - start
         total_failed += rep.failed
         print(f"{name:<18} {samples:>7} {rep.passed:>7} {rep.failed:>7} {secs:>7.2f}")
-        if cfg.out_dir is not None:
-            path = cfg.out_dir / f"{name}.json"
-            path.write_text(dumps_canonical(report_doc(rep, cfg.seed)), encoding="utf-8")
+        if ns.out_dir is not None:
+            path = ns.out_dir / f"{name}.json"
+            path.write_text(dumps_canonical(suite_report_to_doc(rep, ns.seed)), encoding="utf-8")
     print(f"total failures: {total_failed}")
     return 0 if total_failed == 0 else 1
 

@@ -37,7 +37,6 @@ from .ordinal import (  # noqa: F401
 
 from .calculus import (  # noqa: F401
     Atom,
-    BoundParams,
     ConstNorms,
     ConstTail,
     Copies,
@@ -51,7 +50,6 @@ from .calculus import (  # noqa: F401
     LadderMembers,
     LadderTail,
     MalformedExpr,
-    NormsNotDecidable,
     ParamFamily,
     SpaceIndex,
     admissible_index_value,

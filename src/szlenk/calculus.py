@@ -15,7 +15,7 @@ every comparison is exact rational arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -41,10 +41,6 @@ class MalformedExpr(ValueError):
     """A space expression or profile violates a structural invariant."""
 
 
-class NormsNotDecidable(MalformedExpr):
-    """The norm sequence of a parametric family has no decidable c0 test."""
-
-
 class DepthCapExceeded(RuntimeError):
     """Space construction grew past the configured node budget."""
 
@@ -59,6 +55,17 @@ class ConstTail:
     """Below the last step threshold the profile is constantly `value`."""
 
     value: Ordinal
+
+
+def _rung(base_q: Fraction, ratio_q: Fraction, eps_q: Fraction) -> int:
+    """max{j >= 0 : base_q * ratio_q**j >= eps_q}, or 0 if even j = 0 fails."""
+    n, x = 0, base_q
+    if x < eps_q:
+        return 0
+    while x * ratio_q >= eps_q:
+        x *= ratio_q
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -87,17 +94,9 @@ class LadderTail:
         if not 0 < self.ratio_q < 1:
             raise MalformedExpr("ladder ratio_q must lie in (0, 1)")
 
-    def rung(self, eps_q: Fraction) -> int:
-        n, x = 0, self.base_q
-        if x < eps_q:
-            return 0
-        while x * self.ratio_q >= eps_q:
-            x *= self.ratio_q
-            n += 1
-        return n
-
     def value_at(self, eps_q: Fraction) -> Ordinal:
-        return add(mul(self.slope, Ordinal.from_int(self.rung(eps_q))), self.offset)
+        n = _rung(self.base_q, self.ratio_q, eps_q)
+        return add(mul(self.slope, Ordinal.from_int(n)), self.offset)
 
 
 ProfileTail = Union[ConstTail, LadderTail]
@@ -180,11 +179,6 @@ def profile_total_sup(profile: EpsProfile) -> Ordinal:
 def _lopa_weak(x: Ordinal) -> Ordinal:
     """Least power of w that is >= x."""
     return x if is_power_of_omega(x) else least_omega_power_above(x)
-
-
-def profile_sup_attained(profile: EpsProfile) -> bool:
-    """Whether the profile's supremum is reached at some positive eps."""
-    return profile_total_sup(profile).is_successor()
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +278,10 @@ def family_sup_at(fam: ParamFamily, eps_q: Fraction) -> Ordinal:
     m = fam.members
     if isinstance(m, Copies):
         return profile_eval(m.profile, eps_q)
-    top = None
-    n, x = 0, m.base_q
-    if x >= eps_q:
-        while x * m.ratio_q >= eps_q:
-            x *= m.ratio_q
-            n += 1
-        top = add(mul(m.slope, Ordinal.from_int(n)), m.offset)
-    return m.low if top is None else max(m.low, top)
+    if m.base_q < eps_q:
+        return m.low
+    n = _rung(m.base_q, m.ratio_q, eps_q)
+    return max(m.low, add(mul(m.slope, Ordinal.from_int(n)), m.offset))
 
 
 def family_index_sup(fam: ParamFamily) -> Ordinal:
@@ -536,20 +526,6 @@ def admissible_index_value(x: Ordinal) -> str:
 # ---------------------------------------------------------------------------
 # quantitative bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameter bag for the quantitative bounds (CLI convenience)."""
-
-    d: Fraction = Fraction(1)
-    eps_q: Fraction = Fraction(1)
-    delta_q: Fraction = Fraction(0)
-    q: Fraction = Fraction(1)
-    m: int = 2
-    M: int = 2
-    eta: Ordinal = ONE
-    k_abs: Fraction = Fraction(1)
 
 
 def sigma(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> int:

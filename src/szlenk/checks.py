@@ -27,7 +27,6 @@ from .fansets import (
     diam_q,
     project,
     radius_q,
-    scaled,
 )
 from .generators import (
     case_rng,
@@ -50,7 +49,16 @@ from .pointmodel import (
     sz_product_set,
     sz_set,
 )
-from .products import AEpsGrid, a_eps_grid, bound_product_derivation, bq_cover, bq_member, BqPoint, derive_product_step
+from .products import (
+    AEpsGrid,
+    BqPoint,
+    _as_factor,
+    a_eps_grid,
+    bound_product_derivation,
+    bq_cover,
+    bq_member,
+    derive_product_step,
+)
 
 
 class UnknownSuite(ValueError):
@@ -460,7 +468,7 @@ def _suite_techlem2(samples: int, seed: int) -> SuiteReport:
         iq = int(q)
         eps_q = eps**iq
         m = rng.randint(1, 3)
-        model = ProductModel.of([_scale_body(a, K) for a, K in factors])
+        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
         lhs = iterate_product_set(model.tuples(), model, eps_q, m)
         detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={len(lhs)}"
         if not lhs:
@@ -509,12 +517,6 @@ def _suite_techlem2(samples: int, seed: int) -> SuiteReport:
     return _collect("techlem2", samples, run)
 
 
-def _scale_body(a_q: Fraction, K: FanSet) -> FanSet:
-    out = scaled(a_q, K)
-    assert out is not None
-    return out
-
-
 def _suite_techlema(samples: int, seed: int) -> SuiteReport:
     def run(i: int) -> CaseResult:
         rng = case_rng(seed, i)
@@ -526,7 +528,7 @@ def _suite_techlema(samples: int, seed: int) -> SuiteReport:
         detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} -> {out.verdict} M={out.M}"
         if out.verdict != "empty":
             return CaseResult(i, True, detail)
-        model = ProductModel.of([_scale_body(a, K) for a, K in factors])
+        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
         sz = sz_product_set(model.tuples(), model, eps_q)
         return CaseResult(
             i,
@@ -648,7 +650,7 @@ def _suite_punibound_finite(samples: int, seed: int) -> SuiteReport:
         m = max(2, max(_sz_int(K, eps8_q) for _, K in factors))
         d_q = max(diam_q(K) for _, K in factors)
         M = frount_M_qpow(d_q, eps_q, q, m)
-        model = ProductModel.of([_scale_body(a, K) for a, K in factors])
+        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
         sz = sz_product_set(model.tuples(), model, eps_q)
         passed = sz <= M
         detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} M={M} sz={sz}"

@@ -8,13 +8,18 @@ Subcommands
     Index of a direct-sum space document, with the rule that produced it.
 ``set derive FILE --eps-q P/Q [--steps N]``
     Iterated eps-derivation of a set document, with a step-by-step trace.
-    Product documents route through the union-of-products iterator.
+    Product documents route through the certified union-of-products
+    iterator; a failed certification is reported and exits 1.
 ``verify SUITE [--samples N] [--seed N]``
     Run a randomized containment-check suite; exit 1 on any failing case.
 ``sigma A B C D`` / ``frount D EPS Q M``
     The quantitative stage bounds, echoing their inputs.
 ``cover L FILE...``
     Integer-tuple cover of the q-ball spanned by factor set documents.
+
+Each subcommand has one handler (``cmd_*``), which reads the parsed
+arguments directly and returns the report document and the exit code;
+``main`` only sets up logging, calls the handler and writes the report.
 
 Reports are canonical JSON (sorted keys, fixed separators, LF) so a fixed
 invocation is byte-identical across runs; anything time-dependent goes to
@@ -33,7 +38,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,13 +54,20 @@ from .documents import (
     loads,
     space_from_doc,
     space_index_to_doc,
+    suite_report_to_doc,
     trace_to_doc,
 )
 from .exactmath import pow_bounds
 from .fansets import ProdQ, derive_steps
 from .ordinal import frac_from_str, frac_to_str
 from .pointmodel import ProductModel
-from .products import ChainNestingViolated, bq_cover, derive_product_step, product_union_derive
+from .products import (
+    ChainNestingViolated,
+    ProductUnion,
+    bq_cover,
+    derive_product_step,
+    product_union_derive,
+)
 
 LOG = logging.getLogger("szlenk.cli")
 
@@ -65,29 +76,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; fixed config (incl. seed) means a
-    byte-identical report."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    eps_q: tuple[Fraction, ...] = ()
-    steps: tuple[int, ...] = ()
-    samples: Optional[int] = None
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "json"
-    log_level: Optional[str] = None
-    params: tuple[str, ...] = field(default=(), repr=False)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand sets ``cmd`` (its full name, as reports
+    carry it) and ``handler`` (the function that runs it)."""
     parser = argparse.ArgumentParser(
         prog="szlenk",
         description="exact Szlenk-style index computations on documents",
@@ -100,96 +96,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output_flags(p: argparse.ArgumentParser) -> None:
+    def command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = group.add_parser(name.split()[-1], help=help)
+        p.set_defaults(cmd=name, handler=handler)
         p.add_argument("--out", metavar="FILE", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json", help="report format (default json)")
+        return p
 
-    p = sub.add_parser("ord", help="evaluate an ordinal expression to CNF")
+    p = command(sub, "ord", cmd_ord, "evaluate an ordinal expression to CNF")
     p.add_argument("expr", help="expression over w, ^, *, +, integers")
-    output_flags(p)
 
     p_space = sub.add_parser("space", help="space-document commands")
     space_sub = p_space.add_subparsers(dest="space_command", required=True)
-    p = space_sub.add_parser("eval", help="compute the index of a space document")
+    p = command(space_sub, "space eval", cmd_space_eval, "compute the index of a space document")
     p.add_argument("file", help="space document (JSON), or - for stdin")
-    output_flags(p)
 
     p_set = sub.add_parser("set", help="set-document commands")
     set_sub = p_set.add_subparsers(dest="set_command", required=True)
-    p = set_sub.add_parser("derive", help="iterate the eps-derivation of a set document")
+    p = command(set_sub, "set derive", cmd_set_derive, "iterate the eps-derivation of a set document")
     p.add_argument("file", help="set document (JSON), or - for stdin")
     p.add_argument("--eps-q", required=True, metavar="P/Q", help="eps^q as a fraction, e.g. 1/2")
     p.add_argument("--steps", type=int, default=32, metavar="N", help="maximum steps (default 32)")
-    output_flags(p)
 
-    p = sub.add_parser("verify", help="run a randomized containment-check suite")
+    p = command(sub, "verify", cmd_verify, "run a randomized containment-check suite")
     p.add_argument("suite", help="suite name (see the checks module)")
     p.add_argument("--samples", type=int, default=100, metavar="N", help="number of cases (default 100)")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="generator seed (default 0)")
-    output_flags(p)
 
-    p = sub.add_parser("sigma", help="stage bound: least n with n >= (2a/(b-c))^d - (b/(b-c))^d + 1")
+    p = command(sub, "sigma", cmd_sigma, "stage bound: least n with n >= (2a/(b-c))^d - (b/(b-c))^d + 1")
     for name in ("a", "b", "c", "d"):
         p.add_argument(name, help=f"parameter {name} as a fraction")
-    output_flags(p)
 
-    p = sub.add_parser("frount", help="product emptiness bound M for m-fold derivations")
+    p = command(sub, "frount", cmd_frount, "product emptiness bound M for m-fold derivations")
     p.add_argument("d", help="diameter bound as a fraction")
     p.add_argument("eps", help="eps as a fraction")
     p.add_argument("q", help="norm exponent q >= 1 as a fraction")
     p.add_argument("m", type=int, help="derivation depth m >= 2")
-    output_flags(p)
 
-    p = sub.add_parser("cover", help="integer-tuple cover of the q-ball of scaled factors")
+    p = command(sub, "cover", cmd_cover, "integer-tuple cover of the q-ball of scaled factors")
     p.add_argument("l", type=int, help="grid resolution l >= 1")
     p.add_argument("files", nargs="+", metavar="FILE", help="factor set documents (same q)")
-    output_flags(p)
 
     return parser
-
-
-def command_name(args: argparse.Namespace) -> str:
-    if args.command == "space":
-        return f"space {args.space_command}"
-    if args.command == "set":
-        return f"set {args.set_command}"
-    return args.command
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    name = command_name(args)
-    inputs: tuple[str, ...] = ()
-    if hasattr(args, "file"):
-        inputs = (args.file,)
-    elif hasattr(args, "files"):
-        inputs = tuple(args.files)
-    eps_q: tuple[Fraction, ...] = ()
-    if getattr(args, "eps_q", None) is not None:
-        eps_q = (_parse_frac(args.eps_q, "--eps-q"),)
-    steps = (args.steps,) if hasattr(args, "steps") else ()
-    params: tuple[str, ...] = ()
-    if name == "ord":
-        params = (args.expr,)
-    elif name == "verify":
-        params = (args.suite,)
-    elif name == "sigma":
-        params = (args.a, args.b, args.c, args.d)
-    elif name == "frount":
-        params = (args.d, args.eps, args.q, str(args.m))
-    elif name == "cover":
-        params = (str(args.l),)
-    return RunConfig(
-        command=name,
-        inputs=inputs,
-        eps_q=eps_q,
-        steps=steps,
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        format=args.format,
-        log_level=args.log,
-        params=params,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,53 +173,53 @@ def _setup_logging(flag: Optional[str]) -> None:
     logging.getLogger("szlenk").setLevel(level)
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def _emit(doc: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         text = dumps_canonical(doc)
     else:
-        text = _render_text(cfg.command, doc)
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+        text = _render_text(args.cmd, doc)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report document, exit code)
+# command handlers: each takes the parsed arguments and returns
+# (report document, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_ord(cfg: RunConfig) -> tuple[dict, int]:
-    value = ordinal.parse(cfg.params[0])
+def cmd_ord(args: argparse.Namespace) -> tuple[dict, int]:
+    value = ordinal.parse(args.expr)
     return ordinal.to_json(value), EXIT_OK
 
 
-def cmd_space_eval(cfg: RunConfig) -> tuple[dict, int]:
-    expr = space_from_doc(_read_json(cfg.inputs[0]))
+def cmd_space_eval(args: argparse.Namespace) -> tuple[dict, int]:
+    expr = space_from_doc(_read_json(args.file))
     result = direct_sum_index(expr)
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "result": space_index_to_doc(result),
     }
     return doc, EXIT_OK
 
 
-def cmd_set_derive(cfg: RunConfig) -> tuple[dict, int]:
-    F, q = fanset_from_doc(_read_json(cfg.inputs[0]))
-    (eps_q,) = cfg.eps_q
-    (steps,) = cfg.steps
+def cmd_set_derive(args: argparse.Namespace) -> tuple[dict, int]:
+    eps_q = _parse_frac(args.eps_q, "--eps-q")
+    F, q = fanset_from_doc(_read_json(args.file))
     if eps_q <= 0:
         raise InvalidParams("--eps-q must be positive")
-    if steps < 0:
+    if args.steps < 0:
         raise InvalidParams("--steps must be >= 0")
     if isinstance(F, ProdQ):
-        return _derive_product(F, q, eps_q, steps, cfg)
-    _, trace = derive_steps(F, eps_q, steps)
+        return _derive_product(F, q, eps_q, args)
+    _, trace = derive_steps(F, eps_q, args.steps)
     settled = next((s.step for s in trace.steps if s.snapshot is None), None)
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "eps_q": frac_to_str(eps_q),
         "trace": trace_to_doc(trace, q, settled),
     }
@@ -279,45 +227,41 @@ def cmd_set_derive(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _derive_product(
-    F: ProdQ, q: Fraction, eps_q: Fraction, steps: int, cfg: RunConfig
+    F: ProdQ, q: Fraction, eps_q: Fraction, args: argparse.Namespace
 ) -> tuple[dict, int]:
     """Product documents: iterate the certified union-of-products form.
 
     The trace records term/point counts per step rather than snapshots
     (derived products need not stay products)."""
-    model = ProductModel.of(list(F.factors))
-    entries = [
-        {
-            "step": 0,
-            "terms": 1,
-            "points": math.prod(len(p) for p in model.factor_points),
-        }
-    ]
+    factors = [(Fraction(1), f) for f in F.factors]
+    pu: Optional[ProductUnion] = None
+    entries: list[dict] = []
     settled: Optional[int] = None
     violation: Optional[dict] = None
-    if steps >= 1:
-        pu = derive_product_step([(Fraction(1), f) for f in F.factors], eps_q)
-        entries.append({"step": 1, "terms": len(pu.terms), "points": len(pu.points())})
-        if pu.is_empty():
-            settled = 1
-        k = 1
-        while settled is None and k < steps:
-            k += 1
-            try:
+    for k in range(1, args.steps + 1):
+        try:
+            if pu is None:
+                pu = derive_product_step(factors, eps_q)
+            else:
                 pu = product_union_derive(pu, eps_q)
-            except ChainNestingViolated as exc:
-                violation = {"step": k, "message": str(exc)}
-                break
-            entries.append({"step": k, "terms": len(pu.terms), "points": len(pu.points())})
-            if pu.is_empty():
-                settled = k
+        except ChainNestingViolated as exc:
+            violation = {"step": k, "message": str(exc)}
+            break
+        entries.append({"step": k, "terms": len(pu.terms), "points": len(pu.points())})
+        if pu.is_empty():
+            settled = k
+            break
+    # the first step's model holds the undivided product; build it only
+    # when that step did not run
+    model = ProductModel.of(F.factors) if pu is None else pu.model
+    points = math.prod(len(p) for p in model.factor_points)
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "eps_q": frac_to_str(eps_q),
         "q": frac_to_str(q),
         "product": True,
-        "steps": entries,
+        "steps": [{"step": 0, "terms": 1, "points": points}] + entries,
         "sz_eps": settled,
     }
     if violation is not None:
@@ -326,33 +270,17 @@ def _derive_product(
     return doc, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    report = run_suite(cfg.params[0], cfg.samples, cfg.seed)
-    cases = []
-    for c in report.cases:
-        entry: dict = {"index": c.index, "passed": c.passed, "detail": c.detail}
-        if c.counterexample:
-            entry["counterexample"] = c.counterexample
-        cases.append(entry)
-    doc = {
-        "v": SCHEMA_VERSION,
-        "command": cfg.command,
-        "suite": report.suite,
-        "samples": report.samples,
-        "seed": cfg.seed,
-        "passed": report.passed,
-        "failed": report.failed,
-        "cases": cases,
-    }
-    return doc, (EXIT_OK if report.failed == 0 else EXIT_FAIL)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    report = run_suite(args.suite, args.samples, args.seed)
+    return suite_report_to_doc(report, args.seed), (EXIT_OK if report.failed == 0 else EXIT_FAIL)
 
 
-def cmd_sigma(cfg: RunConfig) -> tuple[dict, int]:
-    a, b, c, d = (_parse_frac(s, n) for s, n in zip(cfg.params, "abcd"))
+def cmd_sigma(args: argparse.Namespace) -> tuple[dict, int]:
+    a, b, c, d = (_parse_frac(getattr(args, n), n) for n in "abcd")
     value = sigma(a, b, c, d)
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "params": {
             "a": frac_to_str(a),
             "b": frac_to_str(b),
@@ -364,11 +292,11 @@ def cmd_sigma(cfg: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_frount(cfg: RunConfig) -> tuple[dict, int]:
-    d = _parse_frac(cfg.params[0], "d")
-    eps = _parse_frac(cfg.params[1], "eps")
-    qv = _parse_frac(cfg.params[2], "q")
-    m = int(cfg.params[3])
+def cmd_frount(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _parse_frac(args.d, "d")
+    eps = _parse_frac(args.eps, "eps")
+    qv = _parse_frac(args.q, "q")
+    m = args.m
     if eps <= 0 or qv < 1:
         raise InvalidParams("frount needs eps > 0 and q >= 1")
     # eps enters through its q-th power; round it down so the reported M
@@ -377,7 +305,7 @@ def cmd_frount(cfg: RunConfig) -> tuple[dict, int]:
     value = frount_M(d, eps_q, qv, m)
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "params": {
             "d": frac_to_str(d),
             "eps": frac_to_str(eps),
@@ -389,20 +317,19 @@ def cmd_frount(cfg: RunConfig) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_cover(cfg: RunConfig) -> tuple[dict, int]:
-    l = int(cfg.params[0])
+def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
     factors = []
     qs = []
-    for path in cfg.inputs:
+    for path in args.files:
         F, q = fanset_from_doc(_read_json(path))
         factors.append(F)
         qs.append(q)
     if len(set(qs)) != 1:
         raise DocumentError("all factor documents must share the same q")
-    cover = bq_cover(factors, l, qs[0])
+    cover = bq_cover(factors, args.l, qs[0])
     doc = {
         "v": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.cmd,
         "l": cover.l,
         "q": frac_to_str(cover.q),
         "n": cover.n,
@@ -410,17 +337,6 @@ def cmd_cover(cfg: RunConfig) -> tuple[dict, int]:
         "products": [[fan_node_to_doc(f) for f in prod] for prod in cover.products],
     }
     return doc, EXIT_OK
-
-
-_HANDLERS = {
-    "ord": cmd_ord,
-    "space eval": cmd_space_eval,
-    "set derive": cmd_set_derive,
-    "verify": cmd_verify,
-    "sigma": cmd_sigma,
-    "frount": cmd_frount,
-    "cover": cmd_cover,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +422,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = config_from_args(args)
-        _setup_logging(cfg.log_level)
-        handler = _HANDLERS[cfg.command]
+        _setup_logging(args.log)
         start = time.perf_counter()
-        doc, code = handler(cfg)
-        LOG.info("%s finished in %.3f s", cfg.command, time.perf_counter() - start)
-        _emit(doc, cfg)
+        doc, code = args.handler(args)
+        LOG.info("%s finished in %.3f s", args.cmd, time.perf_counter() - start)
+        _emit(doc, args)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

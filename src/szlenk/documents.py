@@ -30,6 +30,7 @@ from .calculus import (
     SpaceExpr,
     SpaceIndex,
 )
+from .checks import SuiteReport
 from .fansets import (
     DerivationTrace,
     DisjUnion,
@@ -376,6 +377,26 @@ def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> 
             for s in trace.steps
         ],
         "sz_eps": sz_eps,
+    }
+
+
+def suite_report_to_doc(report: SuiteReport, seed: int) -> dict:
+    """The ``verify`` report of one suite run."""
+    cases = []
+    for c in report.cases:
+        entry: dict = {"index": c.index, "passed": c.passed, "detail": c.detail}
+        if c.counterexample:
+            entry["counterexample"] = c.counterexample
+        cases.append(entry)
+    return {
+        "v": SCHEMA_VERSION,
+        "command": "verify",
+        "suite": report.suite,
+        "samples": report.samples,
+        "seed": seed,
+        "passed": report.passed,
+        "failed": report.failed,
+        "cases": cases,
     }
 
 

@@ -69,8 +69,3 @@ def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     y = x**e.numerator
     return nth_root_bounds(y, e.denominator)
-
-
-def pow_exact_or_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
-    """Alias of pow_bounds kept for call-site readability (lo == hi iff exact)."""
-    return pow_bounds(x, e)

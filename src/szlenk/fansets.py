@@ -45,14 +45,6 @@ class MalformedFanSet(ValueError):
     """A fan-set value violates a structural invariant."""
 
 
-class Unbounded(ValueError):
-    """Radius computation met an unbounded set.
-
-    Kept for API completeness: the grammar only admits bounded sets, so a
-    well-formed value never raises this.
-    """
-
-
 class OutsideExactFragment(ValueError):
     """The operation is exact only on the non-product fragment."""
 

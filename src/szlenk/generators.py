@@ -75,10 +75,3 @@ def rand_factors(
             a_q = rand_frac(rng, max_num=2, max_den=4)
         out.append((a_q, rand_fan_set(rng, depth)))
     return out
-
-
-def rand_eps_delta(rng: random.Random) -> tuple[Fraction, Fraction]:
-    """Plain thresholds 0 < delta < eps with small denominators."""
-    eps = rand_frac(rng, max_num=4, max_den=8)
-    delta = eps * Fraction(rng.randint(1, 7), 8)
-    return eps, delta

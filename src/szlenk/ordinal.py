@@ -461,7 +461,8 @@ def from_json(doc: object) -> Ordinal:
         raise ValueError(f"not an ordinal document: {doc!r}")
     terms = []
     for item in doc["cnf"]:
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[1], int):
+        # type(...) is int: JSON true/false load as bool, an int subclass
+        if not isinstance(item, list) or len(item) != 2 or type(item[1]) is not int:
             raise ValueError(f"malformed cnf term: {item!r}")
         terms.append((from_json(item[0]), item[1]))
     return Ordinal(tuple(terms))
@@ -476,7 +477,7 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s: object) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:  # not bool: JSON true/false are not numbers
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")

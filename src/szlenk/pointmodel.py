@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .fansets import (
     DisjUnion,
@@ -239,14 +239,6 @@ def sz_product_set(
         alive = derive_product_set(alive, model, eps_q)
         count += 1
     return max(count, 1)
-
-
-def project_tuples(
-    alive: Iterable[PPoint], keep: Sequence[int]
-) -> frozenset[PPoint]:
-    """Drop the factors outside `keep`; distinct tuples may collapse."""
-    sel = tuple(sorted(set(keep)))
-    return frozenset(tuple(x[i] for i in sel) for x in alive)
 
 
 def restrict_model(model: ProductModel, keep: Sequence[int]) -> ProductModel:

@@ -7,13 +7,13 @@ region {x : sum_i lam_i(x_i) > eps_q}, which decomposes exactly into a
 finite union of products of per-factor super-level sets indexed by the
 minimal value tuples of the (finitely-valued) factor functions lam_i.
 
-Iterating keeps the union-of-products representation optimistically: each
-term is a full product, so its derived set splits by the same staircase;
-the union of the per-term results is certified against the exact point-set
-derivation of the whole union, and `ChainNestingViolated` is raised the
-moment the representation can no longer be certified exact (points of one
-term can in principle lend reach to points of another when the terms
-interleave).  Callers then fall back to `bound_product_derivation`.
+The undivided product is a one-term union, and every step derives a union
+the same way: each term is a full product, so its derived set splits by the
+same staircase; the union of the per-term results is certified against the
+exact point-set derivation of the whole union, and `ChainNestingViolated` is
+raised the moment the representation can no longer be certified exact
+(points of one term can in principle lend reach to points of another when
+the terms interleave).  Callers then fall back to `bound_product_derivation`.
 """
 from __future__ import annotations
 
@@ -25,13 +25,7 @@ from typing import Optional, Sequence
 from .calculus import InvalidParams, frount_M_qpow
 from .exactmath import pow_bounds
 from .fansets import FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
-from .pointmodel import (
-    Point,
-    PPoint,
-    ProductModel,
-    derive_product_set,
-    dist_q,
-)
+from .pointmodel import PPoint, ProductModel, derive_product_set, reach_q
 
 
 class ChainNestingViolated(ValueError):
@@ -127,33 +121,18 @@ def a_eps_grid(g: AEpsGrid, max_size: int = 200_000) -> list[tuple[Fraction, ...
 
 @dataclass(frozen=True, eq=False)
 class ProductUnion:
-    """A union of products of per-factor point subsets, plus the model."""
+    """A union of products of per-factor point subsets, plus the model and
+    the union's point set (the one its certification computed)."""
 
     model: ProductModel
     terms: tuple[tuple[frozenset, ...], ...]
+    alive: frozenset[PPoint]
 
     def points(self) -> frozenset[PPoint]:
-        out: set[PPoint] = set()
-        for term in self.terms:
-            out.update(itertools.product(*term))
-        return frozenset(out)
+        return self.alive
 
     def is_empty(self) -> bool:
         return not self.terms
-
-
-def _lam_in(G: frozenset, cmap) -> dict[Point, Fraction]:
-    """Local diameter^q of each point of G inside G (2 * max reach)."""
-    out: dict[Point, Fraction] = {}
-    for x in G:
-        best = Fraction(0)
-        for y in cmap[x]:
-            if y in G:
-                d = dist_q(x, y)
-                if d > best:
-                    best = d
-        out[x] = 2 * best
-    return out
 
 
 def _prune(terms: list[tuple[frozenset, ...]]) -> tuple[tuple[frozenset, ...], ...]:
@@ -171,7 +150,10 @@ def _staircase(
     model: ProductModel, Gs: Sequence[frozenset], eps_q: Fraction
 ) -> list[tuple[frozenset, ...]]:
     """Exact one-step derivation of the full product of the Gs."""
-    lams = [_lam_in(G, model.cmaps[i]) for i, G in enumerate(Gs)]
+    # local diameter^q of each point of G inside G
+    lams = [
+        {x: 2 * reach_q(x, G, model.cmaps[i]) for x in G} for i, G in enumerate(Gs)
+    ]
     values = [sorted(set(lam.values())) for lam in lams]
     if any(not v for v in values):
         return []
@@ -207,23 +189,21 @@ def _as_factor(a_q: Fraction, K: FanSet) -> FanSet:
     return out
 
 
+def _whole(factors: Sequence[tuple[Fraction, FanSet]]) -> ProductUnion:
+    """prod_i a_i K_i as a one-term union."""
+    if not factors:
+        raise InvalidParams("need at least one factor")
+    model = ProductModel.of([_as_factor(a_q, K) for a_q, K in factors])
+    term = tuple(frozenset(pts) for pts in model.factor_points)
+    return ProductUnion(model, (term,), model.tuples())
+
+
 def derive_product_step(
     factors: Sequence[tuple[Fraction, FanSet]], eps_q: Fraction
 ) -> ProductUnion:
     """Exact s_eps of prod_i a_i K_i as a union of products of super-level
     subsets of the factors (one product per minimal threshold tuple)."""
-    eps_q = Fraction(eps_q)
-    if not factors:
-        raise InvalidParams("need at least one factor")
-    if eps_q <= 0:
-        raise InvalidParams("eps_q must be positive")
-    bodies = [_as_factor(a_q, K) for a_q, K in factors]
-    model = ProductModel.of(bodies)
-    full = [frozenset(pts) for pts in model.factor_points]
-    terms = _prune(_staircase(model, full, eps_q))
-    pu = ProductUnion(model, terms)
-    assert pu.points() == derive_product_set(model.tuples(), model, eps_q)
-    return pu
+    return product_union_derive(_whole(factors), eps_q)
 
 
 def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
@@ -236,17 +216,17 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     eps_q = Fraction(eps_q)
     if eps_q <= 0:
         raise InvalidParams("eps_q must be positive")
-    truth = derive_product_set(pu.points(), pu.model, eps_q)
-    new_terms: list[tuple[frozenset, ...]] = []
-    for term in pu.terms:
-        new_terms.extend(_staircase(pu.model, term, eps_q))
-    out = ProductUnion(pu.model, _prune(new_terms))
-    if out.points() != truth:
+    truth = derive_product_set(pu.alive, pu.model, eps_q)
+    terms = _prune([t for term in pu.terms for t in _staircase(pu.model, term, eps_q)])
+    covered: set[PPoint] = set()
+    for term in terms:
+        covered.update(itertools.product(*term))
+    if covered != truth:
         raise ChainNestingViolated(
             "per-term staircases no longer cover the exact derived set; "
             "fall back to bound_product_derivation"
         )
-    return out
+    return ProductUnion(pu.model, terms, truth)
 
 
 def product_union_sz(pu: ProductUnion, eps_q: Fraction) -> int:
@@ -264,8 +244,7 @@ def product_sz(
     """Least m with the m-fold derivation of prod_i a_i K_i empty, via the
     certified union-of-products iteration (products are never empty, so
     this is always >= 1)."""
-    pu = derive_product_step(factors, eps_q)
-    return 1 + product_union_sz(pu, eps_q)
+    return product_union_sz(_whole(factors), eps_q)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from szlenk.calculus import (
     Atom,
-    BoundParams,
     ConstNorms,
     ConstTail,
     Copies,
@@ -569,9 +568,3 @@ class TestAdmissibleIndexValue:
         assert admissible_index_value(omega_pow(W)) == "attained"
         assert admissible_index_value(ONE) == "attained"
         assert admissible_index_value(add(W, ONE)) == "not_power_of_omega"
-
-
-class TestBoundParams:
-    def test_defaults_are_consistent(self):
-        bp = BoundParams()
-        assert bp.m == 2 and bp.M >= bp.m and bp.eta == ONE

@@ -2,6 +2,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from szlenk import ordinal
 from szlenk.calculus import (
     Atom,
@@ -14,7 +16,8 @@ from szlenk.calculus import (
     LadderMembers,
     ParamFamily,
 )
-from szlenk.cli import EXIT_OK, EXIT_USAGE, main
+from szlenk import products
+from szlenk.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from szlenk.documents import dumps_canonical, fanset_to_doc, space_to_doc
 from szlenk.fansets import Fan, ProdQ, Sing, depth_fan
 from szlenk.ordinal import Ordinal
@@ -99,6 +102,17 @@ class TestSpaceEval:
         assert doc["result"]["kind"] == "not_asplund"
         assert doc["result"]["rule"] == "nonascase"
 
+    def test_boolean_cnf_coefficient_exits_2(self, capsys, tmp_path):
+        atom = Atom("E", F(1), EpsProfile((), ConstTail(Ordinal.from_int(2))))
+        doc = space_to_doc(atom)
+        doc["space"]["atom"]["profile"]["tail"]["const"]["cnf"][0][1] = True
+        path = write_doc(tmp_path, "bool.json", doc)
+        code, out, err = run(capsys, "space", "eval", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cnf term" in err
+
     def test_bad_document_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"v\": 1}", encoding="utf-8")
@@ -153,6 +167,32 @@ class TestSetDerive:
         assert doc["steps"][0] == {"step": 0, "terms": 1, "points": 9}
         assert doc["sz_eps"] == 3
         assert doc["steps"][-1]["points"] == 0
+
+    def test_step_one_certification_failure_is_reported(self, capsys, tmp_path, monkeypatch):
+        staircase = products._staircase
+        monkeypatch.setattr(products, "_staircase", lambda *a: staircase(*a)[1:])
+        path = write_doc(tmp_path, "p.json", fanset_to_doc(ProdQ((F1, F1)), F(2)))
+        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "3/2")
+        assert code == EXIT_FAIL
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["chain_nesting_violated"]["step"] == 1
+        assert doc["steps"] == [{"step": 0, "terms": 1, "points": 9}]
+        assert doc["sz_eps"] is None
+
+    @pytest.mark.parametrize("field", ["q", "w_q"])
+    def test_boolean_fraction_exits_2(self, capsys, tmp_path, field):
+        doc = fanset_to_doc(F1, F(2))
+        if field == "q":
+            doc["q"] = True
+        else:
+            doc["set"]["fan"]["w_q"] = True
+        path = write_doc(tmp_path, "bool.json", doc)
+        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "rational string" in err
 
     def test_bad_eps_exits_2(self, capsys, tmp_path):
         path = write_doc(tmp_path, "s.json", fanset_to_doc(Sing(), F(1)))

@@ -20,7 +20,6 @@ from szlenk.fansets import (
     ProdQ,
     Scale,
     Sing,
-    Unbounded,
     UnionApex,
     UnknownPath,
     contains_origin,
@@ -104,9 +103,6 @@ class TestValidation:
             Scale(F(1, 2), inner)
         with pytest.raises(MalformedFanSet):
             DisjUnion(((F(0), inner),))
-
-    def test_unbounded_is_declared(self):
-        assert issubclass(Unbounded, ValueError)
 
 
 class TestSmartConstructors:

@@ -21,6 +21,7 @@ from szlenk.fansets import (
     diam_q,
     scaled,
 )
+from szlenk import products
 from szlenk.pointmodel import ProductModel, sz_product_set
 from szlenk.products import (
     AEpsGrid,
@@ -129,6 +130,12 @@ class TestDeriveProductStep:
         assert len(pts) == 1
         (pt,) = pts
         assert pt[0].norm_q() == 0 and pt[1].norm_q() == 0
+
+    def test_certification_failure_raises(self, monkeypatch):
+        staircase = products._staircase
+        monkeypatch.setattr(products, "_staircase", lambda *a: staircase(*a)[1:])
+        with pytest.raises(ChainNestingViolated):
+            derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
