@@ -27,7 +27,7 @@ stderr through logging only.  Set ``SZLENK_LOG=info`` (or pass ``--log
 info``; the flag wins) to see wall-clock timings.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage,
-parse, or document errors.
+parse, or document errors (input nested past the recursion limit included).
 """
 
 from __future__ import annotations
@@ -430,6 +430,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # parsers and the symbolic engine recurse once per nesting level
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return EXIT_USAGE
 
 

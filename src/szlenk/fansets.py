@@ -204,23 +204,37 @@ def depth_fan(n: int, w_q: Fraction) -> FanSet:
 
 
 def radius_q(F: FanSet) -> Fraction:
-    """max ||x||^q over the set (exact)."""
+    """max ||x||^q over the set (exact).
+
+    Each node computes its radius once and keeps it as the instance
+    attribute ``_radius_q``.  That attribute is not a dataclass field, so
+    equality, hashing and repr never see it.  A derivation step builds new
+    nodes over old children, so radii cost O(size) per step instead of
+    O(size * depth).  Nodes are never keyed into a dict here: hashing a deep
+    frozen dataclass is itself O(size).
+    """
+    r = getattr(F, "_radius_q", None)
+    if r is not None:
+        return r
     if isinstance(F, Sing):
-        return Fraction(0)
-    if isinstance(F, Fan):
+        r = Fraction(0)
+    elif isinstance(F, Fan):
         best = Fraction(0)
         for c in F.prefix + (F.tail,):
             best = max(best, radius_q(c))
-        return F.w_q + best
-    if isinstance(F, UnionApex):
-        return max(radius_q(f) for f in F.fans)
-    if isinstance(F, Scale):
-        return F.a_q * radius_q(F.body)
-    if isinstance(F, ProdQ):
-        return sum((radius_q(f) for f in F.factors), Fraction(0))
-    if isinstance(F, DisjUnion):
-        return max(off + radius_q(b) for off, b in F.components)
-    raise MalformedFanSet(f"not a fan set: {F!r}")
+        r = F.w_q + best
+    elif isinstance(F, UnionApex):
+        r = max(radius_q(f) for f in F.fans)
+    elif isinstance(F, Scale):
+        r = F.a_q * radius_q(F.body)
+    elif isinstance(F, ProdQ):
+        r = sum((radius_q(f) for f in F.factors), Fraction(0))
+    elif isinstance(F, DisjUnion):
+        r = max(off + radius_q(b) for off, b in F.components)
+    else:
+        raise MalformedFanSet(f"not a fan set: {F!r}")
+    object.__setattr__(F, "_radius_q", r)  # frozen: set outside the fields
+    return r
 
 
 def diam_q(F: FanSet) -> Fraction:
@@ -444,12 +458,18 @@ class DerivationTrace:
 
 
 def count_apexes(F: Optional[FanSet]) -> int:
-    """Number of cluster points (positive local diameter) — diagnostic."""
+    """Number of cluster points (positive local diameter) — diagnostic.
+
+    The count is that of the two-copy point model (``pointmodel.materialize``
+    keeps two copies of every omega-tail): a fan counts its apex, once each
+    prefix copy and twice its tail, 1 + sum(prefix) + 2 * count(tail).  The
+    tail is visited once, so the work is linear in the node count while the
+    result may be exponential in depth (2**n - 1 for a chain of depth n).
+    """
     if F is None or isinstance(F, Sing):
         return 0
     if isinstance(F, Fan):
-        inner = sum(count_apexes(c) for c in F.prefix + (F.tail, F.tail))
-        return 1 + inner
+        return 1 + sum(count_apexes(c) for c in F.prefix) + 2 * count_apexes(F.tail)
     if isinstance(F, UnionApex):
         return 1 + sum(count_apexes(f) - 1 for f in F.fans)
     if isinstance(F, Scale):

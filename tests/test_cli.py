@@ -58,6 +58,12 @@ class TestOrd:
         assert out == ""
         assert "position" in err
 
+    def test_deeply_nested_expression_exits_2(self, capsys):
+        code, out, err = run(capsys, "ord", "w^(" * 400 + "1" + ")" * 400)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "ord", "w^2*3 + w", "--format", "text")
         assert code == EXIT_OK
@@ -139,6 +145,27 @@ class TestSetDerive:
         assert [s["step"] for s in steps] == [0, 1, 2, 3]
         assert steps[3]["set"] is None
         assert steps[0]["apexes"] == 3
+
+    def test_depth_60_chain(self, capsys, tmp_path):
+        path = write_doc(
+            tmp_path, "d60.json", fanset_to_doc(depth_fan(60, F(1, 2)), F(2))
+        )
+        code, out, _ = run(capsys, "set", "derive", path, "--eps-q", "1/2", "--steps", "80")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["trace"]["sz_eps"] == 61
+        assert doc["trace"]["steps"][0]["apexes"] == 2**60 - 1
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        n = 3000
+        text = '{"v":1,"q":"2","set":' + '{"fan":{"w_q":"1/2","tail":' * n
+        text += '{"sing":{}}' + "}}" * n + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "set", "derive", str(path), "--eps-q", "1/2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_sing_empties_at_one(self, capsys, tmp_path):
         path = write_doc(tmp_path, "s.json", fanset_to_doc(Sing(), F(1)))

@@ -1,14 +1,14 @@
 """Structural fan-set engine: frozen cases plus model/oracle cross-checks."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import assume, given, settings
 
-from oracle import oracle_derive, oracle_sz
+from oracle import oracle_derive, oracle_local_diam_q, oracle_sz
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -44,7 +44,6 @@ from szlenk.pointmodel import (
     in_cluster,
     materialize,
     model_sz,
-    sz_set,
 )
 
 F1 = Fan(F(1, 2), (), Sing())
@@ -332,6 +331,57 @@ class TestTrace:
         assert count_apexes(F1) == 1
         assert count_apexes(depth_fan(2, F(1, 2))) == 3
         assert count_apexes(UnionApex((F1, Fan(F(1, 3))))) == 1
+
+    def test_closed_forms_at_depth_300(self):
+        d = depth_fan(300, F(1, 2))
+        assert count_apexes(d) == 2**300 - 1
+        assert radius_q(d) == 150
+        assert diam_q(d) == 300
+
+    @settings(max_examples=200, deadline=None)
+    @given(fan_sets(3))
+    def test_count_apexes_matches_oracle(self, f):
+        pts = materialize(f)
+        assume(len(pts) <= 60)
+        alive = frozenset(pts)
+        clustered = sum(1 for x in pts if oracle_local_diam_q(x, alive) > 0)
+        assert count_apexes(f) == clustered
+
+
+class TestRadiusCache:
+    FIELDS = {
+        Sing: (),
+        Fan: ("w_q", "prefix", "tail"),
+        UnionApex: ("fans",),
+        Scale: ("a_q", "body"),
+        ProdQ: ("factors",),
+        DisjUnion: ("components",),
+    }
+
+    @staticmethod
+    def nodes():
+        return [
+            Sing(),
+            depth_fan(3, F(1, 2)),
+            UnionApex((F1, Fan(F(1, 3), (F1,), F1))),
+            Scale(F(1, 4), depth_fan(2, F(1, 2))),
+            ProdQ((F1, depth_fan(2, F(1, 3)))),
+            DisjUnion(((F(0), F1), (F(1), Sing()))),
+        ]
+
+    def test_cache_is_invisible(self):
+        for a, b in zip(self.nodes(), self.nodes()):
+            radius_q(a)
+            diam_q(a)
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+
+    def test_node_fields_unchanged(self):
+        for node in self.nodes():
+            radius_q(node)
+            names = tuple(f.name for f in dataclasses.fields(node))
+            assert names == self.FIELDS[type(node)]
 
 
 class TestProject:

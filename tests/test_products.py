@@ -1,7 +1,6 @@
 """Product grids, staircase derivations, bounds, covers."""
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -18,25 +17,21 @@ from szlenk.fansets import (
     Scale,
     Sing,
     depth_fan,
-    diam_q,
     scaled,
 )
 from szlenk import products
 from szlenk.pointmodel import ProductModel, sz_product_set
 from szlenk.products import (
     AEpsGrid,
-    BqCover,
     BqPoint,
     ChainNestingViolated,
     ProductBound,
-    ProductUnion,
     a_eps_grid,
     bound_product_derivation,
     bq_cover,
     bq_member,
     derive_product_step,
     product_sz,
-    product_union_derive,
     product_union_sz,
 )
 
