@@ -9,6 +9,7 @@ containments hold unconditionally on this class of sets.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -251,36 +252,28 @@ def tvl_check(
     eps_q, delta_q = eps**iq, delta**iq
     cut_q = ((eps - delta) / 2) ** iq
     rad_q = radius_q(K)
-    violations: list[str] = []
+    if isinstance(K, ProdQ):
+        kind, pool = "factor", K.factors
+    elif isinstance(K, DisjUnion):
+        kind, pool = "component", K.components
+    else:
+        raise GroupNotFound("only products and disjoint unions carry axis groups")
+    sel = sorted(set(groups))
+    if not sel or any(not 0 <= g < len(pool) for g in sel):
+        raise GroupNotFound(f"{kind} indices must be within 0..{len(pool) - 1}")
 
     if isinstance(K, ProdQ):
-        sel = sorted(set(groups))
-        if not sel or any(not 0 <= g < len(K.factors) for g in sel):
-            raise GroupNotFound(
-                f"factor indices must be within 0..{len(K.factors) - 1}"
-            )
         model = ProductModel.of(K.factors)
         A = iterate_product_set(model.tuples(), model, eps_q, alpha)
         sub = restrict_model(model, sel)
         B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
-        filtered = 0
-        for x in A:
-            px = tuple(x[i] for i in sel)
-            if product_norm_q(px) > rad_q - cut_q:
-                filtered += 1
-                if px not in B:
-                    violations.append(
-                        f"survivor with projected norm_q={product_norm_q(px)}"
-                        " escapes the projected derivation"
-                    )
-        return TvlReport(len(A), filtered, not violations, tuple(violations))
 
-    if isinstance(K, DisjUnion):
-        sel = sorted(set(groups))
-        if not sel or any(not 0 <= g < len(K.components) for g in sel):
-            raise GroupNotFound(
-                f"component indices must be within 0..{len(K.components) - 1}"
-            )
+        def proj(x):
+            return tuple(x[i] for i in sel)
+
+        norm_q = product_norm_q
+        in_b = B.__contains__
+    else:
         model = SetModel.of(K)
         keep = set(sel)
 
@@ -299,23 +292,29 @@ def tvl_check(
         A = iterate_set(model.alive(), model.cmap, eps_q, alpha)
         B = iterate_set(frozenset(proj_points), pmap, delta_q, alpha)
         b_coords = {p.coords for p in B}
-        filtered = 0
-        for x in A:
-            px = proj(x)
-            if px.norm_q() > rad_q - cut_q:
-                filtered += 1
-                if px.coords not in b_coords:
-                    violations.append(
-                        f"survivor with projected norm_q={px.norm_q()}"
-                        " escapes the projected derivation"
-                    )
-        return TvlReport(len(A), filtered, not violations, tuple(violations))
+        norm_q = Point.norm_q
 
-    raise GroupNotFound("only products and disjoint unions carry axis groups")
+        def in_b(p: Point) -> bool:
+            return p.coords in b_coords
+
+    filtered = 0
+    violations: list[str] = []
+    for x in A:
+        px = proj(x)
+        px_q = norm_q(px)
+        if px_q > rad_q - cut_q:
+            filtered += 1
+            if not in_b(px):
+                violations.append(
+                    f"survivor with projected norm_q={px_q}"
+                    " escapes the projected derivation"
+                )
+    return TvlReport(len(A), filtered, not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
-# suite harness
+# suite harness: a suite maps the random.Random of one case to
+# (passed, detail[, counterexample]); run_suite builds the report
 # ---------------------------------------------------------------------------
 
 
@@ -340,14 +339,6 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _collect(suite: str, samples: int, runner) -> SuiteReport:
-    cases = []
-    for i in range(samples):
-        cases.append(runner(i))
-    failed = sum(1 for c in cases if not c.passed)
-    return SuiteReport(suite, samples, samples - failed, failed, tuple(cases))
-
-
 def _union_instance(rng):
     mode = rng.choice(["apex", "disjoint"])
     n = rng.randint(2, 3)
@@ -361,27 +352,19 @@ def _union_instance(rng):
     return Ks, eps_q, m, n, q, mode
 
 
-def _suite_unionlemma1(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        Ks, eps_q, m, n, q, mode = _union_instance(rng)
-        rep = union_lemma_check(Ks, eps_q, m, n, q, mode)
-        detail = f"mode={mode} n={n} q={q} eps_q={eps_q} alphas={rep.half_alphas}"
-        return CaseResult(i, rep.half_ok, detail, "; ".join(rep.violations))
-
-    return _collect("unionlemma1", samples, run)
+def _suite_unionlemma1(rng: random.Random) -> tuple:
+    Ks, eps_q, m, n, q, mode = _union_instance(rng)
+    rep = union_lemma_check(Ks, eps_q, m, n, q, mode)
+    detail = f"mode={mode} n={n} q={q} eps_q={eps_q} alphas={rep.half_alphas}"
+    return rep.half_ok, detail, "; ".join(rep.violations)
 
 
-def _suite_unionlemma2(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        Ks, eps_q, m, n, q, mode = _union_instance(rng)
-        rep = union_lemma_check(Ks, eps_q, m, n, q, mode)
-        passed = rep.mn_ok and rep.componentwise_equal is not False
-        detail = f"mode={mode} n={n} m={m} eps_q={eps_q}"
-        return CaseResult(i, passed, detail, "; ".join(rep.violations))
-
-    return _collect("unionlemma2", samples, run)
+def _suite_unionlemma2(rng: random.Random) -> tuple:
+    Ks, eps_q, m, n, q, mode = _union_instance(rng)
+    rep = union_lemma_check(Ks, eps_q, m, n, q, mode)
+    passed = rep.mn_ok and rep.componentwise_equal is not False
+    detail = f"mode={mode} n={n} m={m} eps_q={eps_q}"
+    return passed, detail, "; ".join(rep.violations)
 
 
 def _grid_instance(rng):
@@ -398,270 +381,206 @@ def _grid_instance(rng):
     return factors, eps, delta, q
 
 
-def _factor_filtrations(
-    model: ProductModel, factors, iq: int, m: int
-) -> Callable[[int, Fraction], frozenset]:
-    """Memoized m-fold derivations of each scaled factor at threshold
-    (a_i * eps_bar)^q = a_q_i * eps_bar^q; eps_bar = 0 keeps the full set."""
-    memo: dict = {}
-
-    def surv(i: int, v: Fraction) -> frozenset:
-        key = (i, v)
-        if key not in memo:
-            full = frozenset(model.factor_points[i])
-            if v == 0:
-                memo[key] = full
-            else:
-                t_q = factors[i][0] * v**iq
-                memo[key] = iterate_set(full, model.cmaps[i], t_q, m)
-        return memo[key]
-
-    return surv
-
-
-def _covered(x, grid, surv) -> bool:
-    return any(
-        all(x[i] in surv(i, v) for i, v in enumerate(tup)) for tup in grid
-    )
-
-
-def _suite_techlem1(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        factors, eps, delta, q = _grid_instance(rng)
-        iq = int(q)
-        eps_q = eps**iq
-        pu = derive_product_step(factors, eps_q)
-        lhs = pu.points()
-        detail = f"n={len(factors)} q={q} eps={eps} lhs={len(lhs)}"
-        if not lhs:
-            return CaseResult(i, True, detail + " (empty)")
-        g = AEpsGrid(
+def _grid_steps(
+    model: ProductModel, factors, eps: Fraction, delta: Fraction, q: Fraction
+):
+    """The A-grid of the factors, the memoized per-factor step
+    (i, state, v) -> one derivation of factor i's `state` at threshold
+    (a_i * v)^q = a_q_i * v^q (v = 0 keeps the state), and the tuple of
+    full factor states."""
+    iq = int(q)
+    grid = a_eps_grid(
+        AEpsGrid(
             tuple(a for a, _ in factors),
             tuple(diam_q(K) for _, K in factors),
             eps,
             delta,
             q,
         )
-        grid = a_eps_grid(g)
-        surv = _factor_filtrations(pu.model, factors, iq, 1)
-        bad = [x for x in lhs if not _covered(x, grid, surv)]
-        return CaseResult(
-            i,
-            not bad,
-            detail + f" grid={len(grid)}",
-            f"{len(bad)} survivors uncovered" if bad else "",
+    )
+    memo: dict = {}
+
+    def step(i: int, state: frozenset, v: Fraction) -> frozenset:
+        key = (i, state, v)
+        if key not in memo:
+            if v == 0:
+                memo[key] = state
+            else:
+                memo[key] = derive_set(state, model.cmaps[i], factors[i][0] * v**iq)
+        return memo[key]
+
+    return grid, step, tuple(frozenset(p) for p in model.factor_points)
+
+
+def _suite_techlem1(rng: random.Random) -> tuple:
+    factors, eps, delta, q = _grid_instance(rng)
+    pu = derive_product_step(factors, eps ** int(q))
+    lhs = pu.points()
+    detail = f"n={len(factors)} q={q} eps={eps} lhs={len(lhs)}"
+    if not lhs:
+        return True, detail + " (empty)"
+    grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
+    bad = sum(
+        1
+        for x in lhs
+        if not any(
+            all(c in step(i, full[i], v) for i, (c, v) in enumerate(zip(x, col)))
+            for col in grid
         )
+    )
+    return (
+        not bad,
+        detail + f" grid={len(grid)}",
+        f"{bad} survivors uncovered" if bad else "",
+    )
 
-    return _collect("techlem1", samples, run)
 
-
-def _suite_techlem2(samples: int, seed: int) -> SuiteReport:
+def _suite_techlem2(rng: random.Random) -> tuple:
     """m-fold product derivation vs. the union over all m-tuples of grid
     columns of products of composed per-factor derivations (each stage may
     use its own grid column; reusing one column for every stage is provably
     too small — a product tuple can outlive its coordinates' solo runs)."""
-
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        factors, eps, delta, q = _grid_instance(rng)
-        iq = int(q)
-        eps_q = eps**iq
-        m = rng.randint(1, 3)
-        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
-        lhs = iterate_product_set(model.tuples(), model, eps_q, m)
-        detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={len(lhs)}"
-        if not lhs:
-            return CaseResult(i, True, detail + " (empty)")
-        g = AEpsGrid(
-            tuple(a for a, _ in factors),
-            tuple(diam_q(K) for _, K in factors),
-            eps,
-            delta,
-            q,
-        )
-        grid = a_eps_grid(g)
-        memo: dict = {}
-
-        def dstep(fi: int, state: frozenset, v: Fraction) -> frozenset:
-            key = (fi, state, v)
-            if key not in memo:
-                if v == 0:
-                    memo[key] = state
-                else:
-                    t_q = factors[fi][0] * v**iq
-                    memo[key] = derive_set(state, model.cmaps[fi], t_q)
-            return memo[key]
-
-        states = {tuple(frozenset(p) for p in model.factor_points)}
-        for _ in range(m):
-            states = {
-                tuple(dstep(fi, st[fi], v) for fi, v in enumerate(col))
-                for st in states
-                for col in grid
-            }
-        bad = [
-            x
-            for x in lhs
-            if not any(
-                all(x[fi] in st[fi] for fi in range(len(x))) for st in states
-            )
-        ]
-        return CaseResult(
-            i,
-            not bad,
-            detail + f" grid={len(grid)} states={len(states)}",
-            f"{len(bad)} survivors uncovered" if bad else "",
-        )
-
-    return _collect("techlem2", samples, run)
+    factors, eps, delta, q = _grid_instance(rng)
+    m = rng.randint(1, 3)
+    model = ProductModel.of([_as_factor(a, K) for a, K in factors])
+    lhs = iterate_product_set(model.tuples(), model, eps ** int(q), m)
+    detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={len(lhs)}"
+    if not lhs:
+        return True, detail + " (empty)"
+    grid, step, full = _grid_steps(model, factors, eps, delta, q)
+    states = {full}
+    for _ in range(m):
+        states = {
+            tuple(step(i, st[i], v) for i, v in enumerate(col))
+            for st in states
+            for col in grid
+        }
+    bad = sum(
+        1
+        for x in lhs
+        if not any(all(c in s for c, s in zip(x, st)) for st in states)
+    )
+    return (
+        not bad,
+        detail + f" grid={len(grid)} states={len(states)}",
+        f"{bad} survivors uncovered" if bad else "",
+    )
 
 
-def _suite_techlema(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
-        q = rand_q(rng)
-        eps_q = rand_frac(rng, max_num=2)
-        m = rng.randint(2, 3)
-        out = bound_product_derivation(factors, eps_q, q, m)
-        detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} -> {out.verdict} M={out.M}"
-        if out.verdict != "empty":
-            return CaseResult(i, True, detail)
-        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
-        sz = sz_product_set(model.tuples(), model, eps_q)
-        return CaseResult(
-            i,
-            sz <= out.M,
-            detail + f" sz={sz}",
-            "" if sz <= out.M else f"exact sz {sz} exceeds M={out.M}",
-        )
-
-    return _collect("techlema", samples, run)
+def _suite_techlema(rng: random.Random) -> tuple:
+    factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
+    q = rand_q(rng)
+    eps_q = rand_frac(rng, max_num=2)
+    m = rng.randint(2, 3)
+    out = bound_product_derivation(factors, eps_q, q, m)
+    detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} -> {out.verdict} M={out.M}"
+    if out.verdict != "empty":
+        return True, detail
+    model = ProductModel.of([_as_factor(a, K) for a, K in factors])
+    sz = sz_product_set(model.tuples(), model, eps_q)
+    return (
+        sz <= out.M,
+        detail + f" sz={sz}",
+        "" if sz <= out.M else f"exact sz {sz} exceeds M={out.M}",
+    )
 
 
-def _suite_tvl(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        q = rand_q(rng)
-        eps = rand_frac(rng, max_num=2, max_den=4)
-        delta = eps * Fraction(rng.randint(1, 3), 4)
-        alpha = rng.randint(0, 2)
-        if rng.random() < 0.5:
-            K: FanSet = ProdQ(tuple(rand_fan_set(rng, 1) for _ in range(2)))
-            pool_n = 2
-        else:
-            comps = []
-            for j in range(rng.randint(2, 3)):
-                off = Fraction(0) if j == 0 else rand_frac(rng, max_num=2)
-                comps.append((off, rand_fan_set(rng, 1)))
-            K = DisjUnion(tuple(comps))
-            pool_n = len(comps)
-        groups = sorted(rng.sample(range(pool_n), rng.randint(1, pool_n)))
-        rep = tvl_check(K, groups, eps, delta, q, alpha)
-        detail = (
-            f"kind={'prod' if isinstance(K, ProdQ) else 'disj'} q={q} "
-            f"eps={eps} delta={delta} alpha={alpha} groups={groups} "
-            f"checked={rep.checked} filtered={rep.filtered}"
-        )
-        return CaseResult(i, rep.ok, detail, "; ".join(rep.violations[:2]))
-
-    return _collect("tvl", samples, run)
-
-
-def _suite_postdoc2(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        q = rand_q(rng)
-        iq = int(q)
-        eps = rand_frac(rng, max_num=2, max_den=4)
-        delta = eps * Fraction(rng.randint(1, 7), 8)
+def _suite_tvl(rng: random.Random) -> tuple:
+    q = rand_q(rng)
+    eps = rand_frac(rng, max_num=2, max_den=4)
+    delta = eps * Fraction(rng.randint(1, 3), 4)
+    alpha = rng.randint(0, 2)
+    if rng.random() < 0.5:
+        K: FanSet = ProdQ(tuple(rand_fan_set(rng, 1) for _ in range(2)))
+        pool_n = 2
+    else:
         comps = []
         for j in range(rng.randint(2, 3)):
-            off = Fraction(0) if j == 0 and rng.random() < 0.5 else rand_frac(rng, max_num=2)
-            comps.append((off, rand_fan_set(rng, 2)))
+            off = Fraction(0) if j == 0 else rand_frac(rng, max_num=2)
+            comps.append((off, rand_fan_set(rng, 1)))
         K = DisjUnion(tuple(comps))
-        idx = range(len(comps))
-        eta = 0
-        for r in range(1, len(comps) + 1):
-            for G in itertools.combinations(idx, r):
-                sub = project(K, G)
-                m = SetModel.of(sub)
-                eta = max(eta, sz_set(m.alive(), m.cmap, delta**iq))
-        sig = sigma_qpow(radius_q(K), eps, delta, q)
-        whole = SetModel.of(K)
-        sz = sz_set(whole.alive(), whole.cmap, eps**iq)
-        passed = sz <= eta * sig
-        detail = (
-            f"n={len(comps)} q={q} eps={eps} delta={delta} "
-            f"eta={eta} sigma={sig} sz={sz}"
-        )
-        return CaseResult(
-            i,
-            passed,
-            detail,
-            "" if passed else f"sz {sz} exceeds eta*sigma = {eta * sig}",
-        )
-
-    return _collect("postdoc2", samples, run)
+        pool_n = len(comps)
+    groups = sorted(rng.sample(range(pool_n), rng.randint(1, pool_n)))
+    rep = tvl_check(K, groups, eps, delta, q, alpha)
+    detail = (
+        f"kind={'prod' if isinstance(K, ProdQ) else 'disj'} q={q} "
+        f"eps={eps} delta={delta} alpha={alpha} groups={groups} "
+        f"checked={rep.checked} filtered={rep.filtered}"
+    )
+    return rep.ok, detail, "; ".join(rep.violations[:2])
 
 
-def _suite_lecondsast(
-    samples: int, seed: int, points_per_case: int = 500
-) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        n = rng.randint(1, 3)
-        l = rng.randint(1, 8)
-        q = rand_q(rng)
-        iq = int(q)
-        factors = [rand_fan_set(rng, 1) for _ in range(n)]
-        cover = bq_cover(factors, l, q)
-        bad = 0
-        for _ in range(points_per_case):
-            while True:
-                scales = tuple(
-                    Fraction(rng.randint(0, 16), 16) for _ in range(n)
-                )
-                if sum(a**iq for a in scales) <= 1:
-                    break
-            nonzero = tuple(rng.random() < 0.7 for _ in range(n))
-            if not bq_member(BqPoint(scales, nonzero), cover):
-                bad += 1
-        detail = (
-            f"n={n} l={l} q={q} cover={len(cover.tuples)} "
-            f"points={points_per_case}"
-        )
-        return CaseResult(
-            i, bad == 0, detail, f"{bad} sampled points uncovered" if bad else ""
-        )
-
-    return _collect("lecondsast", samples, run)
+def _suite_postdoc2(rng: random.Random) -> tuple:
+    q = rand_q(rng)
+    iq = int(q)
+    eps = rand_frac(rng, max_num=2, max_den=4)
+    delta = eps * Fraction(rng.randint(1, 7), 8)
+    comps = []
+    for j in range(rng.randint(2, 3)):
+        off = Fraction(0) if j == 0 and rng.random() < 0.5 else rand_frac(rng, max_num=2)
+        comps.append((off, rand_fan_set(rng, 2)))
+    K = DisjUnion(tuple(comps))
+    idx = range(len(comps))
+    eta = 0
+    for r in range(1, len(comps) + 1):
+        for G in itertools.combinations(idx, r):
+            sub = project(K, G)
+            m = SetModel.of(sub)
+            eta = max(eta, sz_set(m.alive(), m.cmap, delta**iq))
+    sig = sigma_qpow(radius_q(K), eps, delta, q)
+    whole = SetModel.of(K)
+    sz = sz_set(whole.alive(), whole.cmap, eps**iq)
+    passed = sz <= eta * sig
+    detail = (
+        f"n={len(comps)} q={q} eps={eps} delta={delta} "
+        f"eta={eta} sigma={sig} sz={sz}"
+    )
+    return passed, detail, "" if passed else f"sz {sz} exceeds eta*sigma = {eta * sig}"
 
 
-def _suite_punibound_finite(samples: int, seed: int) -> SuiteReport:
-    def run(i: int) -> CaseResult:
-        rng = case_rng(seed, i)
-        factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
-        q = rand_q(rng)
-        iq = int(q)
-        eps_q = rand_frac(rng, max_num=2)
-        eps8_q = eps_q / 8**iq
-        m = max(2, max(_sz_int(K, eps8_q) for _, K in factors))
-        d_q = max(diam_q(K) for _, K in factors)
-        M = frount_M_qpow(d_q, eps_q, q, m)
-        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
-        sz = sz_product_set(model.tuples(), model, eps_q)
-        passed = sz <= M
-        detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} M={M} sz={sz}"
-        return CaseResult(
-            i, passed, detail, "" if passed else f"sz {sz} exceeds M={M}"
-        )
-
-    return _collect("punibound_finite", samples, run)
+_LECONDSAST_POINTS = 500
 
 
-SUITES: dict[str, Callable[[int, int], SuiteReport]] = {
+def _suite_lecondsast(rng: random.Random) -> tuple:
+    n = rng.randint(1, 3)
+    l = rng.randint(1, 8)
+    q = rand_q(rng)
+    iq = int(q)
+    factors = [rand_fan_set(rng, 1) for _ in range(n)]
+    cover = bq_cover(factors, l, q)
+    bad = 0
+    for _ in range(_LECONDSAST_POINTS):
+        while True:
+            scales = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(n))
+            if sum(a**iq for a in scales) <= 1:
+                break
+        nonzero = tuple(rng.random() < 0.7 for _ in range(n))
+        if not bq_member(BqPoint(scales, nonzero), cover):
+            bad += 1
+    detail = (
+        f"n={n} l={l} q={q} cover={len(cover.tuples)} "
+        f"points={_LECONDSAST_POINTS}"
+    )
+    return bad == 0, detail, f"{bad} sampled points uncovered" if bad else ""
+
+
+def _suite_punibound_finite(rng: random.Random) -> tuple:
+    factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
+    q = rand_q(rng)
+    iq = int(q)
+    eps_q = rand_frac(rng, max_num=2)
+    eps8_q = eps_q / 8**iq
+    m = max(2, max(_sz_int(K, eps8_q) for _, K in factors))
+    d_q = max(diam_q(K) for _, K in factors)
+    M = frount_M_qpow(d_q, eps_q, q, m)
+    model = ProductModel.of([_as_factor(a, K) for a, K in factors])
+    sz = sz_product_set(model.tuples(), model, eps_q)
+    passed = sz <= M
+    detail = f"n={len(factors)} q={q} eps_q={eps_q} m={m} M={M} sz={sz}"
+    return passed, detail, "" if passed else f"sz {sz} exceeds M={M}"
+
+
+SUITES: dict[str, Callable[[random.Random], tuple]] = {
     "unionlemma1": _suite_unionlemma1,
     "unionlemma2": _suite_unionlemma2,
     "techlem1": _suite_techlem1,
@@ -675,10 +594,16 @@ SUITES: dict[str, Callable[[int, int], SuiteReport]] = {
 
 
 def run_suite(name: str, samples: int, seed: int) -> SuiteReport:
+    """Cases 0..samples-1 of a suite, case i drawing from its own generator
+    (`case_rng` of the seed and i)."""
     if name not in SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
         )
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
-    return SUITES[name](samples, seed)
+    cases = tuple(
+        CaseResult(i, *SUITES[name](case_rng(seed, i))) for i in range(samples)
+    )
+    failed = sum(1 for c in cases if not c.passed)
+    return SuiteReport(name, samples, samples - failed, failed, cases)

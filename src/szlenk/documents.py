@@ -86,30 +86,31 @@ def _ord(doc: object, what: str) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
-def _fan_node_to_doc(F: FanSet) -> dict:
+def fan_node_to_doc(F: FanSet) -> dict:
+    """Serialize a bare set node (no version/q header)."""
     if isinstance(F, Sing):
         return {"sing": {}}
     if isinstance(F, Fan):
         return {
             "fan": {
                 "w_q": frac_to_str(F.w_q),
-                "prefix": [_fan_node_to_doc(c) for c in F.prefix],
-                "tail": _fan_node_to_doc(F.tail),
+                "prefix": [fan_node_to_doc(c) for c in F.prefix],
+                "tail": fan_node_to_doc(F.tail),
             }
         }
     if isinstance(F, UnionApex):
-        return {"apex": {"fans": [_fan_node_to_doc(f) for f in F.fans]}}
+        return {"apex": {"fans": [fan_node_to_doc(f) for f in F.fans]}}
     if isinstance(F, Scale):
         return {
-            "scale": {"a_q": frac_to_str(F.a_q), "body": _fan_node_to_doc(F.body)}
+            "scale": {"a_q": frac_to_str(F.a_q), "body": fan_node_to_doc(F.body)}
         }
     if isinstance(F, ProdQ):
-        return {"prod": {"factors": [_fan_node_to_doc(f) for f in F.factors]}}
+        return {"prod": {"factors": [fan_node_to_doc(f) for f in F.factors]}}
     if isinstance(F, DisjUnion):
         return {
             "disj": {
                 "components": [
-                    [frac_to_str(off), _fan_node_to_doc(b)]
+                    [frac_to_str(off), fan_node_to_doc(b)]
                     for off, b in F.components
                 ]
             }
@@ -151,13 +152,8 @@ def _fan_node_from_doc(doc: object) -> FanSet:
     raise DocumentError(f"unknown set node kind {kind!r}")
 
 
-def fan_node_to_doc(F: FanSet) -> dict:
-    """Serialize a bare set node (no version/q header)."""
-    return _fan_node_to_doc(F)
-
-
 def fanset_to_doc(F: FanSet, q: Fraction) -> dict:
-    return {"v": SCHEMA_VERSION, "q": frac_to_str(Fraction(q)), "set": _fan_node_to_doc(F)}
+    return {"v": SCHEMA_VERSION, "q": frac_to_str(Fraction(q)), "set": fan_node_to_doc(F)}
 
 
 def fanset_from_doc(doc: object) -> tuple[FanSet, Fraction]:
@@ -370,7 +366,7 @@ def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> 
         "steps": [
             {
                 "step": s.step,
-                "set": None if s.snapshot is None else _fan_node_to_doc(s.snapshot),
+                "set": None if s.snapshot is None else fan_node_to_doc(s.snapshot),
                 "apexes": s.apex_count,
                 "diam_q": frac_to_str(s.diam_q),
             }

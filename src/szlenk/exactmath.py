@@ -19,11 +19,6 @@ def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def floor_frac(x: Fraction) -> int:
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
 def int_nth_root_floor(n: int, m: int) -> int:
     """floor(n ** (1/m)) for integers n >= 0, m >= 1, by Newton iteration."""
     if n < 0 or m < 1:

@@ -57,13 +57,6 @@ class GroupNotFound(ValueError):
     """An axis-group selector does not match the set's group structure."""
 
 
-def _q(x) -> Fraction:
-    x = Fraction(x)
-    if x < 0:
-        raise MalformedFanSet("q-power magnitudes must be >= 0")
-    return x
-
-
 def _no_prod(child: "FanSet", where: str) -> None:
     if isinstance(child, ProdQ):
         raise MalformedFanSet(f"ProdQ may only appear at the top level, not inside {where}")

@@ -48,7 +48,6 @@ from .fansets import (
     UnionApex,
 )
 
-Axis = tuple
 Coords = frozenset
 
 

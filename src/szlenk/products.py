@@ -13,23 +13,30 @@ same staircase; the union of the per-term results is certified against the
 exact point-set derivation of the whole union, and `ChainNestingViolated` is
 raised the moment the representation can no longer be certified exact
 (points of one term can in principle lend reach to points of another when
-the terms interleave).  Callers then fall back to `bound_product_derivation`.
+the terms interleave).  The `set derive` command reports that step as
+`chain_nesting_violated` and exits 1; `bound_product_derivation` is the
+separate finite emptiness bound, not a fallback taken automatically.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow
-from .exactmath import pow_bounds
+from .exactmath import ceil_frac, pow_bounds
 from .fansets import FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
 from .pointmodel import PPoint, ProductModel, derive_product_set, reach_q
 
 
 class ChainNestingViolated(ValueError):
     """The union-of-products representation is no longer certified exact."""
+
+
+# Largest tuple enumeration a grid or a cover may start (InvalidParams beyond).
+ENUMERATION_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,7 @@ class AEpsGrid:
         return (self.eps - self.delta) / 4
 
 
-def a_eps_grid(g: AEpsGrid, max_size: int = 200_000) -> list[tuple[Fraction, ...]]:
+def a_eps_grid(g: AEpsGrid) -> list[tuple[Fraction, ...]]:
     """All tuples (eps_bar_i) of multiples of (eps-delta)/4 with
     eps_bar_i <= diam_i and sum_i a_q_i * eps_bar_i^q >= (delta/2)^q.
 
@@ -88,6 +95,7 @@ def a_eps_grid(g: AEpsGrid, max_size: int = 200_000) -> list[tuple[Fraction, ...
     """
     s = g.step
     per_factor: list[list[tuple[Fraction, Fraction]]] = []
+    total = 1  # tuples over the factors listed so far
     for d_q in g.diam_q:
         vals: list[tuple[Fraction, Fraction]] = []
         j = 0
@@ -97,12 +105,10 @@ def a_eps_grid(g: AEpsGrid, max_size: int = 200_000) -> list[tuple[Fraction, ...
                 break
             vals.append((j * s, hi))
             j += 1
+            if total * j > ENUMERATION_LIMIT:
+                raise InvalidParams("grid enumeration too large")
+        total *= j
         per_factor.append(vals)
-    total = 1
-    for vals in per_factor:
-        total *= len(vals)
-        if total > max_size:
-            raise InvalidParams("grid enumeration too large")
     cut_lo, _ = pow_bounds(g.delta / 2, g.q)
     out: list[tuple[Fraction, ...]] = []
     for combo in itertools.product(*per_factor):
@@ -323,6 +329,10 @@ class BqCover:
     tuples: tuple[tuple[int, ...], ...]
     products: tuple[tuple[FanSet, ...], ...]
 
+    @cached_property
+    def tuple_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.tuples)
+
 
 @dataclass(frozen=True)
 class BqPoint:
@@ -361,8 +371,13 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     n = len(factors)
     _, root_hi = pow_bounds(Fraction(n), 1 / q)
     _, bound_hi = pow_bounds(l + root_hi, q)
-    k_max = 1
-    while pow_bounds(Fraction(k_max + 1), q)[0] <= bound_hi:
+    # k^q <= l^q <= the bound for every k <= l, so the search starts at l
+    k_max = l
+    while True:
+        if k_max**n > ENUMERATION_LIMIT:
+            raise InvalidParams("cover enumeration too large")
+        if pow_bounds(Fraction(k_max + 1), q)[0] > bound_hi:
+            break
         k_max += 1
     tuples: list[tuple[int, ...]] = []
     for k in itertools.product(range(1, k_max + 1), repeat=n):
@@ -384,13 +399,14 @@ def bq_member(point: BqPoint, cover: BqCover) -> bool:
 
     A scaled factor (k_i/l) K_i absorbs a_i x_i whenever a_i <= k_i/l (the
     factor sets are star-shaped about 0: they contain every down-scaling of
-    their points), and absorbs it trivially when x_i = 0."""
+    their points), and absorbs it trivially when x_i = 0.  The least
+    absorbing tuple is k_i = max(1, ceil(a_i * l)) for nonzero x_i and 1
+    otherwise; a cover from `bq_cover` is down-closed (its lower power
+    bounds grow with k_i), so the point is covered iff that tuple is in it."""
     if len(point.scales) != cover.n:
         raise InvalidParams("point arity does not match the cover")
-    for k in cover.tuples:
-        if all(
-            (not nz) or a <= Fraction(ki, cover.l)
-            for a, nz, ki in zip(point.scales, point.nonzero, k)
-        ):
-            return True
-    return False
+    least = tuple(
+        max(1, ceil_frac(a * cover.l)) if nz else 1
+        for a, nz in zip(point.scales, point.nonzero)
+    )
+    return least in cover.tuple_set

@@ -320,6 +320,14 @@ class TestCover:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("l", ["400", "1000000000"])
+    def test_oversized_cover_exits_2(self, capsys, tmp_path, l):
+        path = write_doc(tmp_path, "s.json", fanset_to_doc(Sing(), F(1)))
+        code, out, err = run(capsys, "cover", l, path, path, path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == ["error: cover enumeration too large"]
+
 
 class TestPlumbing:
     def test_no_args_exits_2(self, capsys):

@@ -71,9 +71,11 @@ class TestAEpsGrid:
             assert (v1 + v2) / 2 >= F(1, 4)
 
     def test_size_guard(self):
-        g = AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(1))
-        with pytest.raises(InvalidParams):
-            a_eps_grid(g, max_size=3)
+        # step (1 - 399/400) / 4 = 1/1600: 1601 values per factor, 1601**3 tuples
+        g = AEpsGrid((F(1),) * 3, (F(1),) * 3, F(1), F(399, 400), F(1))
+        assert 1601**2 > products.ENUMERATION_LIMIT
+        with pytest.raises(InvalidParams, match="grid enumeration too large"):
+            a_eps_grid(g)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,6 +259,42 @@ class TestBqCover:
         assert not bq_member(
             BqPoint((F(1), F(1), F(1)), (True, True, True)), cover
         )
+
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(3, 2)])
+    def test_cover_is_down_closed(self, q):
+        """bq_member relies on this: lowering any k_i > 1 stays in the cover."""
+        for n in (1, 2, 3):
+            for l in range(1, 9):
+                tuples = set(bq_cover([F1] * n, l, q).tuples)
+                assert (l,) + (1,) * (n - 1) in tuples
+                for k in tuples:
+                    for i in range(n):
+                        if k[i] > 1:
+                            assert k[:i] + (k[i] - 1,) + k[i + 1:] in tuples
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.sampled_from([F(1), F(2), F(3)]),
+        st.data(),
+    )
+    def test_member_matches_any_tuple_scan(self, n, l, q, data):
+        """The least-tuple lookup against the definition (some tuple of the
+        cover absorbs every nonzero coordinate); no ball assumption, so
+        both answers occur."""
+        cover = bq_cover([F1] * n, l, q)
+        scales = tuple(
+            data.draw(st.builds(F, st.integers(0, 16), st.just(16)), label=f"a{i}")
+            for i in range(n)
+        )
+        nonzero = tuple(data.draw(st.booleans(), label=f"nz{i}") for i in range(n))
+        scan = any(
+            all(not nz or a <= F(k, l) for a, nz, k in zip(scales, nonzero, ks))
+            for ks in cover.tuples
+        )
+        event(f"covered={scan}")
+        assert bq_member(BqPoint(scales, nonzero), cover) == scan
 
     def test_member_arity(self):
         cover = bq_cover([F1], 2, F(1))
