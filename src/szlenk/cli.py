@@ -327,6 +327,12 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
     if len(set(qs)) != 1:
         raise DocumentError("all factor documents must share the same q")
     cover = bq_cover(factors, args.l, qs[0])
+    # the products share one scaled copy per (factor, k): serialize each once
+    node_docs: dict[int, dict] = {}
+    for prod in cover.products:
+        for f in prod:
+            if id(f) not in node_docs:
+                node_docs[id(f)] = fan_node_to_doc(f)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
@@ -334,7 +340,7 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
         "q": frac_to_str(cover.q),
         "n": cover.n,
         "tuples": [list(k) for k in cover.tuples],
-        "products": [[fan_node_to_doc(f) for f in prod] for prod in cover.products],
+        "products": [[node_docs[id(f)] for f in prod] for prod in cover.products],
     }
     return doc, EXIT_OK
 

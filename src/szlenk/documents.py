@@ -74,6 +74,12 @@ def _frac(doc: object, what: str) -> Fraction:
         raise DocumentError(f"{what}: {exc}") from None
 
 
+def _bool(doc: object, what: str) -> bool:
+    if type(doc) is not bool:  # "false" or 0 must not read as a flag value
+        raise DocumentError(f"{what}: expected true or false, got {doc!r}")
+    return doc
+
+
 def _ord(doc: object, what: str) -> Ordinal:
     try:
         return ordinal.from_json(doc)
@@ -257,7 +263,8 @@ def _members_from_doc(doc: object):
     body = _expect_dict(node[kind], f"{kind} members")
     if kind == "copies":
         return Copies(
-            profile_from_doc(body.get("profile")), bool(body.get("compact", False))
+            profile_from_doc(body.get("profile")),
+            _bool(body.get("compact", False), "copies compact"),
         )
     if kind == "ladder":
         return LadderMembers(
@@ -315,7 +322,7 @@ def _space_node_from_doc(doc: object) -> SpaceExpr:
             str(body["name"]),
             _frac(body.get("norm", "1"), "atom norm"),
             profile_from_doc(body["profile"]),
-            bool(body.get("compact", False)),
+            _bool(body.get("compact", False), "atom compact"),
         )
     if kind == "cspace":
         return CSpace(_ord(body.get("gamma"), "cspace gamma"))

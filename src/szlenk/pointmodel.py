@@ -26,14 +26,26 @@ x: those whose path extends x's and whose first non-transparent step beyond
 x is a tail step.  The local diameter^q at x inside an alive subset S is
 2 * max distance^q from x to its alive cluster — see fansets for why.
 
+Every y in C(x) extends x's coordinates, so dist^q(x, y) = N(y) - N(x)
+with N the norm^q: the reach of x is the largest N over its alive cluster,
+minus N(x).
+
 Products are tuples of factor points; clusters multiply componentwise and
-distances^q add across the disjoint factor groups.
+distances^q add across the disjoint factor groups.  So the largest N over
+the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
+time: each axis pushes every value to the points whose cluster on that
+axis holds it (the inverse cluster map).  A derivation step costs
+O(n * |product| * max |C^-1|) dict updates on integer norms over one
+common denominator, instead of a scan of the whole product cluster of
+every alive point.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .fansets import (
@@ -55,6 +67,10 @@ Coords = frozenset
 class Point:
     path: tuple
     coords: Coords
+
+    def __hash__(self) -> int:
+        # equal points have equal coords, and a frozenset keeps its hash
+        return hash(self.coords)
 
     def norm_q(self) -> Fraction:
         return sum((v for _, v in self.coords), Fraction(0))
@@ -194,29 +210,67 @@ class ProductModel:
     def tuples(self) -> frozenset[PPoint]:
         return frozenset(itertools.product(*self.factor_points))
 
+    @cached_property
+    def positions(self) -> tuple[dict[Point, int], ...]:
+        """Per factor, each point's position in `factor_points`."""
+        return tuple({p: j for j, p in enumerate(pts)} for pts in self.factor_points)
+
+    @cached_property
+    def inverse_cmaps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per factor, by position: the positions of the points x with y in
+        C(x) (y itself among them)."""
+        out = []
+        for pos, cmap in zip(self.positions, self.cmaps):
+            inv: list[list[int]] = [[] for _ in pos]
+            for x, cluster in cmap.items():
+                for y in cluster:
+                    inv[pos[y]].append(pos[x])
+            out.append(tuple(map(tuple, inv)))
+        return tuple(out)
+
+    @cached_property
+    def scaled_norms(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """A common denominator D of the factor points' norms^q, and per
+        factor, by position, each point's norm^q times D (an integer)."""
+        norms = [[p.norm_q() for p in pts] for pts in self.factor_points]
+        D = math.lcm(*(v.denominator for vs in norms for v in vs))
+        return D, tuple(tuple(int(v * D) for v in vs) for vs in norms)
+
 
 def product_norm_q(x: PPoint) -> Fraction:
     return sum((p.norm_q() for p in x), Fraction(0))
 
 
-def product_reach_q(
-    x: PPoint, alive: frozenset[PPoint], model: ProductModel
-) -> Fraction:
-    """max over alive y in C(x) of dist^q(x, y); clusters multiply."""
-    best = Fraction(0)
-    for y in itertools.product(*(model.cmaps[i][x[i]] for i in range(len(x)))):
-        if y in alive:
-            d = sum((dist_q(a, b) for a, b in zip(x, y)), Fraction(0))
-            if d > best:
-                best = d
-    return best
-
-
 def derive_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> frozenset[PPoint]:
+    """One exact derivation step on an alive subset of the product.
+
+    With N the norm^q, x survives iff 2 * (max N over alive y in C(x)
+    minus N(x)) > eps_q.  The max is pushed one axis at a time: starting
+    from N on `alive`, axis i sends each value from y to every point that
+    differs from y only in coordinate i, at some z with y_i in C(z),
+    keeping the largest value per point; after the last axis each point
+    holds the max over its whole product cluster.
+    """
+    eps_q = Fraction(eps_q)
+    D, norms = model.scaled_norms
+    pos = model.positions
+    keys = {x: tuple(pos[i][p] for i, p in enumerate(x)) for x in alive}
+    own = {k: sum(norms[i][j] for i, j in enumerate(k)) for k in keys.values()}
+    best = own
+    for i, inv in enumerate(model.inverse_cmaps):
+        pushed: dict[tuple[int, ...], int] = {}
+        for y, v in best.items():
+            head, tail = y[:i], y[i + 1 :]
+            for z in inv[y[i]]:
+                key = head + (z,) + tail
+                if pushed.get(key, -1) < v:
+                    pushed[key] = v
+        best = pushed
+    bar = eps_q.numerator * D
     return frozenset(
-        x for x in alive if 2 * product_reach_q(x, alive, model) > eps_q
+        x for x, k in keys.items() if 2 * (best[k] - own[k]) * eps_q.denominator > bar
     )
 
 

@@ -13,13 +13,17 @@ same staircase; the union of the per-term results is certified against the
 exact point-set derivation of the whole union, and `ChainNestingViolated` is
 raised the moment the representation can no longer be certified exact
 (points of one term can in principle lend reach to points of another when
-the terms interleave).  The `set derive` command reports that step as
-`chain_nesting_violated` and exits 1; `bound_product_derivation` is the
+the terms interleave).  The certificate is `pointmodel.derive_product_set`,
+whose per-axis cluster max costs time linear in the number of product
+points (times the factor count and the largest inverse cluster), not a
+scan of every point's whole product cluster.  The `set derive` command
+reports that step as `chain_nesting_violated` and exits 1; `bound_product_derivation` is the
 separate finite emptiness bound, not a fallback taken automatically.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -379,17 +383,27 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
         if pow_bounds(Fraction(k_max + 1), q)[0] > bound_hi:
             break
         k_max += 1
-    tuples: list[tuple[int, ...]] = []
-    for k in itertools.product(range(1, k_max + 1), repeat=n):
-        acc = sum((pow_bounds(Fraction(ki), q)[0] for ki in k), Fraction(0))
-        if acc <= bound_hi:
-            tuples.append(k)
-    products = tuple(
-        tuple(
-            _as_factor(pow_bounds(Fraction(ki, l), q)[1], K)
-            for ki, K in zip(k, factors)
+    # lower bounds of k^q for k = 1..k_max, summed as integers over one
+    # common denominator
+    lo = [pow_bounds(Fraction(k), q)[0] for k in range(1, k_max + 1)]
+    D = math.lcm(bound_hi.denominator, *(v.denominator for v in lo))
+    cap = bound_hi.numerator * (D // bound_hi.denominator)
+    lo_d = [v.numerator * (D // v.denominator) for v in lo]
+    tuples = [
+        k
+        for k, vals in zip(
+            itertools.product(range(1, k_max + 1), repeat=n),
+            itertools.product(lo_d, repeat=n),
         )
-        for k in tuples
+        if sum(vals) <= cap
+    ]
+    # (k/l)-scaled copies of each factor, built once per (factor, k)
+    copies = [
+        [_as_factor(pow_bounds(Fraction(k, l), q)[1], K) for k in range(1, k_max + 1)]
+        for K in factors
+    ]
+    products = tuple(
+        tuple(copies[i][ki - 1] for i, ki in enumerate(k)) for k in tuples
     )
     return BqCover(l, q, n, tuple(tuples), products)
 

@@ -119,6 +119,33 @@ class TestSpaceEval:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cnf term" in err
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, None])
+    def test_non_boolean_atom_compact_exits_2(self, capsys, tmp_path, flag):
+        doc = space_to_doc(Atom("T", F(1), EpsProfile((), ConstTail(Ordinal.from_int(3)))))
+        doc["space"]["atom"]["compact"] = False
+        code, out, _ = run(capsys, "space", "eval", write_doc(tmp_path, "ok.json", doc))
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["index_text"] == "3"
+        doc["space"]["atom"]["compact"] = flag
+        code, out, err = run(capsys, "space", "eval", write_doc(tmp_path, "bad.json", doc))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "atom compact" in err
+
+    @pytest.mark.parametrize("flag", ["false", "true", 1])
+    def test_non_boolean_copies_compact_exits_2(self, capsys, tmp_path, flag):
+        fam = ParamFamily(ConstNorms(F(1)), Copies(EpsProfile(), compact=False))
+        doc = space_to_doc(DirectSum("inf", fam))
+        members = doc["space"]["sum"]["family"]["members"]["copies"]
+        assert members["compact"] is False
+        members["compact"] = flag
+        code, out, err = run(capsys, "space", "eval", write_doc(tmp_path, "bad.json", doc))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "copies compact" in err
+
     def test_bad_document_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"v\": 1}", encoding="utf-8")

@@ -1,13 +1,14 @@
 """Product grids, staircase derivations, bounds, covers."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_p_sz
+from oracle import oracle_p_derive, oracle_p_sz
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -20,7 +21,16 @@ from szlenk.fansets import (
     scaled,
 )
 from szlenk import products
-from szlenk.pointmodel import ProductModel, sz_product_set
+from szlenk.exactmath import pow_bounds
+from szlenk.pointmodel import (
+    ProductModel,
+    cluster_map,
+    derive_product_set,
+    dist_q,
+    materialize,
+    product_norm_q,
+    sz_product_set,
+)
 from szlenk.products import (
     AEpsGrid,
     BqPoint,
@@ -156,6 +166,103 @@ class TestDeriveProductStep:
         )
 
 
+def mirror_orbit(p, by_path):
+    """p and its images under swapping the two copies of any of its tails."""
+    flips = [k for k, step in enumerate(p.path) if step[0] == "t"]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(flips)):
+        path = list(p.path)
+        for k, b in zip(flips, bits):
+            path[k] = ("t", b)
+        out.append(by_path[tuple(path)])
+    return out
+
+
+def scan_reach_q(x, alive, model):
+    """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
+    whole product cluster of x."""
+    best = F(0)
+    for y in itertools.product(*(model.cmaps[i][p] for i, p in enumerate(x))):
+        if y in alive:
+            best = max(best, sum((dist_q(a, b) for a, b in zip(x, y)), F(0)))
+    return best
+
+
+def draw_subset(data, model):
+    """An arbitrary subset of the product (not a union of terms)."""
+    everything = list(itertools.product(*model.factor_points))
+    assume(len(everything) <= 150)
+    keep = data.draw(
+        st.lists(st.booleans(), min_size=len(everything), max_size=len(everything)),
+        label="keep",
+    )
+    return frozenset(x for x, k in zip(everything, keep) if k)
+
+
+def draw_eps_q(data, alive):
+    """Small fractions, or a threshold at an attained 2 * distance^q (which
+    tests the strict inequality)."""
+    norms = {product_norm_q(x) for x in alive}
+    gaps = sorted({2 * (b - a) for a in norms for b in norms if b > a})
+    pick = st.one_of(fracs(max_den=4), st.sampled_from(gaps)) if gaps else fracs(max_den=4)
+    return data.draw(pick, label="eps_q")
+
+
+class TestDeriveProductSet:
+    """The per-axis cluster max against the oracle's pairwise diameters."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fan_sets(2))
+    def test_distance_is_norm_difference(self, K):
+        pts = materialize(K)
+        for x, cluster in cluster_map(pts).items():
+            for y in cluster:
+                assert dist_q(x, y) == y.norm_q() - x.norm_q()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
+    def test_matches_oracle_on_mirror_closed_subsets(self, bodies, data):
+        """Any subset closed under swapping tail copies, as every stage of
+        a derivation from the whole product is.  (Without that symmetry
+        the local diameter can be less than 2 * reach, and the point model
+        does not claim it.)"""
+        model = ProductModel.of(bodies)
+        by_path = [{p.path: p for p in pts} for pts in model.factor_points]
+        alive = frozenset(
+            y
+            for x in draw_subset(data, model)
+            for y in itertools.product(
+                *(mirror_orbit(p, by_path[i]) for i, p in enumerate(x))
+            )
+        )
+        eps_q = draw_eps_q(data, alive)
+        got = derive_product_set(alive, model, eps_q)
+        event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
+        assert got == oracle_p_derive(alive, eps_q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
+    def test_matches_cluster_scan_on_any_subset(self, bodies, data):
+        model = ProductModel.of(bodies)
+        alive = draw_subset(data, model)
+        eps_q = draw_eps_q(data, alive)
+        want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, model) > eps_q)
+        event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
+        assert derive_product_set(alive, model, eps_q) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_axis_lends_reach(self, n):
+        """With one tail step per factor, a point survives eps_q = 1/2 iff
+        it sits at the apex on some axis: its reach lies along those axes
+        alone."""
+        model = ProductModel.of([F1] * n)
+        apex = next(p for p in model.factor_points[0] if p.norm_q() == 0)
+        alive = model.tuples()
+        want = frozenset(x for x in alive if apex in x)
+        assert derive_product_set(alive, model, F(1, 2)) == want
+        assert oracle_p_derive(alive, F(1, 2)) == want
+
+
 class TestProductIterationAgainstModel:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -271,6 +378,29 @@ class TestBqCover:
                     for i in range(n):
                         if k[i] > 1:
                             assert k[:i] + (k[i] - 1,) + k[i + 1:] in tuples
+
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3, 2), F(5, 3)])
+    def test_cover_matches_definition(self, q):
+        """Every tuple with sum_i lo(k_i^q) <= the outward bound, in
+        lexicographic order, each coordinate scaled by hi((k_i/l)^q)."""
+        def lo(k):
+            return pow_bounds(F(k), q)[0]
+
+        factors = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1)]
+        for n in (1, 2, 3):
+            for l in (1, 2, 5):
+                cover = bq_cover(factors[:n], l, q)
+                bound = pow_bounds(l + pow_bounds(F(n), 1 / q)[1], q)[1]
+                k_max = max(k for k in range(1, 4 * l + 4) if lo(k) <= bound)
+                tuples = tuple(
+                    k for k in itertools.product(range(1, k_max + 1), repeat=n)
+                    if sum(lo(ki) for ki in k) <= bound
+                )
+                assert cover.tuples == tuples
+                assert cover.products == tuple(
+                    tuple(scaled(pow_bounds(F(ki, l), q)[1], K) for ki, K in zip(k, factors))
+                    for k in tuples
+                )
 
     @settings(max_examples=150, deadline=None)
     @given(
