@@ -97,7 +97,6 @@ from .fansets import (  # noqa: F401
 from .pointmodel import (  # noqa: F401
     Point,
     ProductModel,
-    SetModel,
     model_sz,
 )
 

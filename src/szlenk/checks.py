@@ -40,15 +40,12 @@ from .generators import (
 from .pointmodel import (
     Point,
     ProductModel,
-    SetModel,
     cluster_map,
     derive_set,
     iterate_product_set,
-    iterate_set,
     product_norm_q,
     restrict_model,
     sz_product_set,
-    sz_set,
 )
 from .products import (
     AEpsGrid,
@@ -140,33 +137,32 @@ def union_lemma_check(
                 "an apex-glued union needs Fan pieces (they must share the apex)"
             )
         U: FanSet = UnionApex(tuple(Ks))
-        model = SetModel.of(U)
+        model = ProductModel.of([U])
+        whole = model.tuples()
         pieces = [
             frozenset(
-                p
-                for p in model.points
-                if p.path[:1] == (("f", ("fan", i)),) or p.path == ()
+                x
+                for x in whole
+                if x[0].path[:1] == (("f", ("fan", i)),) or x[0].path == ()
             )
             for i in range(n)
         ]
     elif mode == "disjoint":
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
-        model = SetModel.of(U)
+        model = ProductModel.of([U])
+        whole = model.tuples()
         pieces = [
-            frozenset(
-                p for p in model.points if p.path[:1] == (("p", ("comp", i)),)
-            )
+            frozenset(x for x in whole if x[0].path[:1] == (("p", ("comp", i)),))
             for i in range(n)
         ]
     else:
         raise InvalidParams("mode must be auto, apex, or disjoint")
 
-    cmap = model.cmap
     _, hi2 = pow_bounds(Fraction(2), q)
     half_q = eps_q / hi2
     violations: list[str] = []
 
-    lhs = model.alive()
+    lhs = whole
     rhs = list(pieces)
     half_ok = True
     alphas = 0
@@ -181,13 +177,13 @@ def union_lemma_check(
             break
         if not lhs:
             break
-        lhs = derive_set(lhs, cmap, eps_q)
-        rhs = [derive_set(r, cmap, half_q) for r in rhs]
+        lhs = iterate_product_set(lhs, model, eps_q, 1)
+        rhs = [iterate_product_set(r, model, half_q, 1) for r in rhs]
         alphas += 1
 
-    lhs2 = iterate_set(model.alive(), cmap, eps_q, m * n)
+    lhs2 = iterate_product_set(whole, model, eps_q, m * n)
     rhs2 = frozenset().union(
-        *[iterate_set(p, cmap, eps_q, m) for p in pieces]
+        *[iterate_product_set(p, model, eps_q, m) for p in pieces]
     )
     mn_ok = lhs2 <= rhs2
     if not mn_ok:
@@ -197,9 +193,9 @@ def union_lemma_check(
 
     comp_eq: Optional[bool] = None
     if mode == "disjoint":
-        one = derive_set(model.alive(), cmap, eps_q)
+        one = iterate_product_set(whole, model, eps_q, 1)
         split = frozenset().union(
-            *[derive_set(p, cmap, eps_q) for p in pieces]
+            *[iterate_product_set(p, model, eps_q, 1) for p in pieces]
         )
         comp_eq = one == split
         if not comp_eq:
@@ -262,49 +258,44 @@ def tvl_check(
     if not sel or any(not 0 <= g < len(pool) for g in sel):
         raise GroupNotFound(f"{kind} indices must be within 0..{len(pool) - 1}")
 
+    # the model, the model of the projected set, and the projection
     if isinstance(K, ProdQ):
         model = ProductModel.of(K.factors)
-        A = iterate_product_set(model.tuples(), model, eps_q, alpha)
         sub = restrict_model(model, sel)
-        B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
 
         def proj(x):
             return tuple(x[i] for i in sel)
 
-        norm_q = product_norm_q
-        in_b = B.__contains__
     else:
-        model = SetModel.of(K)
+        model = ProductModel.of([K])
         keep = set(sel)
 
-        def proj(p: Point) -> Point:
-            comp = p.path[0][1][1]
-            return p if comp in keep else _ORIGIN
+        def image(p: Point) -> Point:
+            return p if p.path[0][1][1] in keep else _ORIGIN
 
+        # one projected point per coordinate set, the one with the shortest path
         canon: dict = {}
-        for p in model.points:
-            img = proj(p)
+        for p in model.factor_points[0]:
+            img = image(p)
             cur = canon.get(img.coords)
             if cur is None or len(img.path) < len(cur.path):
                 canon[img.coords] = img
-        proj_points = list(canon.values())
-        pmap = cluster_map(proj_points)
-        A = iterate_set(model.alive(), model.cmap, eps_q, alpha)
-        B = iterate_set(frozenset(proj_points), pmap, delta_q, alpha)
-        b_coords = {p.coords for p in B}
-        norm_q = Point.norm_q
+        proj_points = tuple(canon.values())
+        sub = ProductModel((proj_points,), (cluster_map(proj_points),))
 
-        def in_b(p: Point) -> bool:
-            return p.coords in b_coords
+        def proj(x):
+            return (canon[image(x[0]).coords],)
 
+    A = iterate_product_set(model.tuples(), model, eps_q, alpha)
+    B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
     filtered = 0
     violations: list[str] = []
     for x in A:
         px = proj(x)
-        px_q = norm_q(px)
+        px_q = product_norm_q(px)
         if px_q > rad_q - cut_q:
             filtered += 1
-            if not in_b(px):
+            if px not in B:
                 violations.append(
                     f"survivor with projected norm_q={px_q}"
                     " escapes the projected derivation"
@@ -406,7 +397,7 @@ def _grid_steps(
             if v == 0:
                 memo[key] = state
             else:
-                memo[key] = derive_set(state, model.cmaps[i], factors[i][0] * v**iq)
+                memo[key] = derive_set(state, model, i, factors[i][0] * v**iq)
         return memo[key]
 
     return grid, step, tuple(frozenset(p) for p in model.factor_points)
@@ -415,7 +406,7 @@ def _grid_steps(
 def _suite_techlem1(rng: random.Random) -> tuple:
     factors, eps, delta, q = _grid_instance(rng)
     pu = derive_product_step(factors, eps ** int(q))
-    lhs = pu.points()
+    lhs = pu.alive
     detail = f"n={len(factors)} q={q} eps={eps} lhs={len(lhs)}"
     if not lhs:
         return True, detail + " (empty)"
@@ -525,11 +516,11 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
     for r in range(1, len(comps) + 1):
         for G in itertools.combinations(idx, r):
             sub = project(K, G)
-            m = SetModel.of(sub)
-            eta = max(eta, sz_set(m.alive(), m.cmap, delta**iq))
+            m = ProductModel.of([sub])
+            eta = max(eta, sz_product_set(m.tuples(), m, delta**iq))
     sig = sigma_qpow(radius_q(K), eps, delta, q)
-    whole = SetModel.of(K)
-    sz = sz_set(whole.alive(), whole.cmap, eps**iq)
+    whole = ProductModel.of([K])
+    sz = sz_product_set(whole.tuples(), whole, eps**iq)
     passed = sz <= eta * sig
     detail = (
         f"n={len(comps)} q={q} eps={eps} delta={delta} "

@@ -247,7 +247,7 @@ def _derive_product(
         except ChainNestingViolated as exc:
             violation = {"step": k, "message": str(exc)}
             break
-        entries.append({"step": k, "terms": len(pu.terms), "points": len(pu.points())})
+        entries.append({"step": k, "terms": len(pu.terms), "points": len(pu.alive)})
         if pu.is_empty():
             settled = k
             break

@@ -1,4 +1,4 @@
-"""Finite point materialization of fan sets.
+"""Finite point materialization of fan sets, and exact derivation on it.
 
 A fan set's derivation behavior is fully captured by a finite labeled point
 set: each omega-repeated tail is materialized as two copies.  Two copies
@@ -24,20 +24,26 @@ distance^q is the plain sum over the symmetric difference of coords.
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
 x is a tail step.  The local diameter^q at x inside an alive subset S is
-2 * max distance^q from x to its alive cluster — see fansets for why.
+2 * max distance^q from x to its alive cluster (see fansets for why),
+provided S is closed under swapping the two copies of any tail, as every
+stage of a derivation from the whole materialization is.
 
 Every y in C(x) extends x's coordinates, so dist^q(x, y) = N(y) - N(x)
 with N the norm^q: the reach of x is the largest N over its alive cluster,
 minus N(x).
 
-Products are tuples of factor points; clusters multiply componentwise and
-distances^q add across the disjoint factor groups.  So the largest N over
-the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
-time: each axis pushes every value to the points whose cluster on that
-axis holds it (the inverse cluster map).  A derivation step costs
-O(n * |product| * max |C^-1|) dict updates on integer norms over one
-common denominator, instead of a scan of the whole product cluster of
-every alive point.
+One model serves sets and products: a set is the one-factor product
+``ProductModel.of([F])``, whose points are 1-tuples.  Product points are
+tuples of factor points; clusters multiply componentwise and distances^q
+add across the disjoint factor groups.  So the largest N over the product
+cluster C(x_1) x ... x C(x_n) is a max taken one axis at a time: each axis
+pushes every value to the points whose cluster on that axis holds it (the
+inverse cluster map).  One kernel, `_local_diams`, does that push on
+integer norms over the model's common denominator, in O(n * |alive| *
+max |C^-1|) dict updates; it derives subsets of the product
+(`derive_product_set`, every axis) and of one factor's points
+(`derive_set`, one axis), and gives `products` its per-factor local
+diameters.
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from .calculus import InvalidParams
 from .fansets import (
     DisjUnion,
     Fan,
@@ -142,6 +149,10 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
 
 ClusterMap = dict[Point, tuple[Point, ...]]
 
+# Largest number of tuples a product model, a grid or a cover may enumerate
+# (InvalidParams beyond).
+ENUMERATION_LIMIT = 200_000
+
 
 def cluster_map(points: Sequence[Point]) -> ClusterMap:
     """For each point, its full cluster within the materialization.
@@ -152,52 +163,13 @@ def cluster_map(points: Sequence[Point]) -> ClusterMap:
     return {x: tuple(y for y in points if in_cluster(x, y)) for x in points}
 
 
-def reach_q(x: Point, alive: frozenset[Point], cmap: ClusterMap) -> Fraction:
-    best = Fraction(0)
-    for y in cmap[x]:
-        if y in alive:
-            d = dist_q(x, y)
-            if d > best:
-                best = d
-    return best
-
-
-def derive_set(
-    alive: frozenset[Point], cmap: ClusterMap, eps_q: Fraction
-) -> frozenset[Point]:
-    """One exact derivation step on an alive subset."""
-    return frozenset(x for x in alive if 2 * reach_q(x, alive, cmap) > eps_q)
-
-
-def iterate_set(
-    alive: frozenset[Point], cmap: ClusterMap, eps_q: Fraction, m: int
-) -> frozenset[Point]:
-    for _ in range(m):
-        if not alive:
-            break
-        alive = derive_set(alive, cmap, eps_q)
-    return alive
-
-
-def sz_set(alive: frozenset[Point], cmap: ClusterMap, eps_q: Fraction) -> int:
-    """Least m with the m-fold derivation empty (1 for a nonempty dead set)."""
-    count = 0
-    while alive:
-        alive = derive_set(alive, cmap, eps_q)
-        count += 1
-    return max(count, 1)
-
-
-# ---------------------------------------------------------------------------
-# products
-# ---------------------------------------------------------------------------
-
 PPoint = tuple[Point, ...]
 
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Materialized factors of a product plus their cluster maps."""
+    """Materialized factors of a product plus their cluster maps; a set is
+    the one-factor product."""
 
     factor_points: tuple[tuple[Point, ...], ...]
     cmaps: tuple[ClusterMap, ...]
@@ -205,6 +177,11 @@ class ProductModel:
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
         pts = tuple(materialize(f) for f in factors)
+        size = math.prod(len(p) for p in pts)
+        if size > ENUMERATION_LIMIT:
+            raise InvalidParams(
+                f"product enumeration too large ({size} points, limit {ENUMERATION_LIMIT})"
+            )
         return ProductModel(pts, tuple(cluster_map(p) for p in pts))
 
     def tuples(self) -> frozenset[PPoint]:
@@ -236,6 +213,44 @@ class ProductModel:
         D = math.lcm(*(v.denominator for vs in norms for v in vs))
         return D, tuple(tuple(int(v * D) for v in vs) for vs in norms)
 
+    def scaled_bar(self, eps_q: Fraction) -> int:
+        """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
+        exceeds this."""
+        eps_q = Fraction(eps_q)
+        return eps_q.numerator * self.scaled_norms[0] // eps_q.denominator
+
+
+def _local_diams(model: ProductModel, axes: Sequence[int], keys: dict) -> dict:
+    """D times the local diameter^q of every point of an alive set.
+
+    `keys` maps each alive point to its positions on the factors `axes`;
+    the result maps it to 2 * (max N over its alive cluster - its own N),
+    with N the norm^q times D.  That equals the local diameter only when the
+    alive set is closed under swapping the two copies of any tail: every
+    stage of a derivation from `model.tuples()` is, and on other sets 2 *
+    reach can exceed the pairwise diameter.
+
+    The max is pushed one axis at a time: starting from N on the alive set,
+    axis a sends each value from y to every point that differs from y only
+    on axis a, at some z with y_a in C(z), keeping the largest value per
+    point; after the last axis each point holds the max over its whole
+    product cluster.
+    """
+    _, norms = model.scaled_norms
+    own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in keys.values()}
+    best = own
+    for n, a in enumerate(axes):
+        inv = model.inverse_cmaps[a]
+        pushed: dict[tuple[int, ...], int] = {}
+        for y, v in best.items():
+            head, tail = y[:n], y[n + 1 :]
+            for z in inv[y[n]]:
+                key = head + (z,) + tail
+                if pushed.get(key, -1) < v:
+                    pushed[key] = v
+        best = pushed
+    return {x: 2 * (best[k] - own[k]) for x, k in keys.items()}
+
 
 def product_norm_q(x: PPoint) -> Fraction:
     return sum((p.norm_q() for p in x), Fraction(0))
@@ -244,34 +259,25 @@ def product_norm_q(x: PPoint) -> Fraction:
 def derive_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> frozenset[PPoint]:
-    """One exact derivation step on an alive subset of the product.
-
-    With N the norm^q, x survives iff 2 * (max N over alive y in C(x)
-    minus N(x)) > eps_q.  The max is pushed one axis at a time: starting
-    from N on `alive`, axis i sends each value from y to every point that
-    differs from y only in coordinate i, at some z with y_i in C(z),
-    keeping the largest value per point; after the last axis each point
-    holds the max over its whole product cluster.
-    """
-    eps_q = Fraction(eps_q)
-    D, norms = model.scaled_norms
+    """One exact derivation step on an alive subset of the product: x
+    survives iff its local diameter^q exceeds eps_q (`_local_diams` on
+    every axis)."""
     pos = model.positions
     keys = {x: tuple(pos[i][p] for i, p in enumerate(x)) for x in alive}
-    own = {k: sum(norms[i][j] for i, j in enumerate(k)) for k in keys.values()}
-    best = own
-    for i, inv in enumerate(model.inverse_cmaps):
-        pushed: dict[tuple[int, ...], int] = {}
-        for y, v in best.items():
-            head, tail = y[:i], y[i + 1 :]
-            for z in inv[y[i]]:
-                key = head + (z,) + tail
-                if pushed.get(key, -1) < v:
-                    pushed[key] = v
-        best = pushed
-    bar = eps_q.numerator * D
+    bar = model.scaled_bar(eps_q)
     return frozenset(
-        x for x, k in keys.items() if 2 * (best[k] - own[k]) * eps_q.denominator > bar
+        x for x, d in _local_diams(model, range(len(pos)), keys).items() if d > bar
     )
+
+
+def derive_set(
+    alive: frozenset[Point], model: ProductModel, i: int, eps_q: Fraction
+) -> frozenset[Point]:
+    """One exact derivation step on a subset of factor i's points."""
+    pos = model.positions[i]
+    bar = model.scaled_bar(eps_q)
+    diams = _local_diams(model, (i,), {p: (pos[p],) for p in alive})
+    return frozenset(p for p, d in diams.items() if d > bar)
 
 
 def iterate_product_set(
@@ -287,6 +293,7 @@ def iterate_product_set(
 def sz_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> int:
+    """Least m with the m-fold derivation empty (1 for a nonempty dead set)."""
     count = 0
     while alive:
         alive = derive_product_set(alive, model, eps_q)
@@ -302,25 +309,7 @@ def restrict_model(model: ProductModel, keep: Sequence[int]) -> ProductModel:
     )
 
 
-# ---------------------------------------------------------------------------
-# single-set convenience wrappers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetModel:
-    points: tuple[Point, ...]
-    cmap: ClusterMap  # type: ignore[type-arg]
-
-    @staticmethod
-    def of(F: FanSet) -> "SetModel":
-        pts = materialize(F)
-        return SetModel(pts, cluster_map(pts))
-
-    def alive(self) -> frozenset[Point]:
-        return frozenset(self.points)
-
-
 def model_sz(F: FanSet, eps_q: Fraction) -> int:
-    m = SetModel.of(F)
-    return sz_set(m.alive(), m.cmap, eps_q)
+    """sz_eps of a non-product fan set on its one-factor model."""
+    model = ProductModel.of([F])
+    return sz_product_set(model.tuples(), model, eps_q)

@@ -16,7 +16,9 @@ raised the moment the representation can no longer be certified exact
 the terms interleave).  The certificate is `pointmodel.derive_product_set`,
 whose per-axis cluster max costs time linear in the number of product
 points (times the factor count and the largest inverse cluster), not a
-scan of every point's whole product cluster.  The `set derive` command
+scan of every point's whole product cluster.  The staircase's per-factor
+local diameters come from the same kernel, one axis at a time, as integers
+over the model's common denominator.  The `set derive` command
 reports that step as `chain_nesting_violated` and exits 1; `bound_product_derivation` is the
 separate finite emptiness bound, not a fallback taken automatically.
 """
@@ -32,15 +34,17 @@ from typing import Optional, Sequence
 from .calculus import InvalidParams, frount_M_qpow
 from .exactmath import ceil_frac, pow_bounds
 from .fansets import FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
-from .pointmodel import PPoint, ProductModel, derive_product_set, reach_q
+from .pointmodel import (
+    ENUMERATION_LIMIT,
+    PPoint,
+    ProductModel,
+    _local_diams,
+    derive_product_set,
+)
 
 
 class ChainNestingViolated(ValueError):
     """The union-of-products representation is no longer certified exact."""
-
-
-# Largest tuple enumeration a grid or a cover may start (InvalidParams beyond).
-ENUMERATION_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +142,6 @@ class ProductUnion:
     terms: tuple[tuple[frozenset, ...], ...]
     alive: frozenset[PPoint]
 
-    def points(self) -> frozenset[PPoint]:
-        return self.alive
-
     def is_empty(self) -> bool:
         return not self.terms
 
@@ -160,16 +161,16 @@ def _staircase(
     model: ProductModel, Gs: Sequence[frozenset], eps_q: Fraction
 ) -> list[tuple[frozenset, ...]]:
     """Exact one-step derivation of the full product of the Gs."""
-    # local diameter^q of each point of G inside G
+    # local diameter^q of each point of G inside G, times the model's D
     lams = [
-        {x: 2 * reach_q(x, G, model.cmaps[i]) for x in G} for i, G in enumerate(Gs)
+        _local_diams(model, (i,), {x: (model.positions[i][x],) for x in G})
+        for i, G in enumerate(Gs)
     ]
     values = [sorted(set(lam.values())) for lam in lams]
     if any(not v for v in values):
         return []
-    combos = [
-        v for v in itertools.product(*values) if sum(v) > eps_q
-    ]
+    bar = model.scaled_bar(eps_q)
+    combos = [v for v in itertools.product(*values) if sum(v) > bar]
     minimal = [
         v
         for v in combos

@@ -16,7 +16,7 @@ from szlenk.calculus import (
     LadderMembers,
     ParamFamily,
 )
-from szlenk import products
+from szlenk import pointmodel, products
 from szlenk.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from szlenk.documents import dumps_canonical, fanset_to_doc, space_to_doc
 from szlenk.fansets import Fan, ProdQ, Sing, depth_fan
@@ -233,6 +233,22 @@ class TestSetDerive:
         assert doc["chain_nesting_violated"]["step"] == 1
         assert doc["steps"] == [{"step": 0, "terms": 1, "points": 9}]
         assert doc["sz_eps"] is None
+
+    def test_oversized_product_exits_2(self, capsys, tmp_path, monkeypatch):
+        """Four depth-4 chains span 31^4 = 923 521 product points; the model
+        refuses them before it builds any cluster map."""
+        def no_clusters(points):
+            raise AssertionError("cluster_map ran")
+
+        monkeypatch.setattr(pointmodel, "cluster_map", no_clusters)
+        chain = depth_fan(4, F(1, 2))
+        path = write_doc(tmp_path, "p4.json", fanset_to_doc(ProdQ((chain,) * 4), F(2)))
+        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [
+            "error: product enumeration too large (923521 points, limit 200000)"
+        ]
 
     @pytest.mark.parametrize("field", ["q", "w_q"])
     def test_boolean_fraction_exits_2(self, capsys, tmp_path, field):

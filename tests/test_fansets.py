@@ -38,7 +38,8 @@ from szlenk.fansets import (
 )
 from szlenk.ordinal import Ordinal
 from szlenk.pointmodel import (
-    SetModel,
+    ProductModel,
+    derive_product_set,
     derive_set,
     dist_q,
     in_cluster,
@@ -439,24 +440,35 @@ def engine_chain(F0, eps_q):
     return chain
 
 
-def model_chain(model: SetModel, eps_q, via):
-    chain = [model.alive()]
+def model_chain(alive, eps_q, via):
+    chain = [alive]
     while chain[-1]:
         chain.append(via(chain[-1], eps_q))
     return chain
+
+
+def unwrap(alive) -> frozenset:
+    """The points of a one-factor model's alive set of 1-tuples."""
+    return frozenset(p for (p,) in alive)
 
 
 class TestEngineVsModel:
     @settings(max_examples=80, deadline=None)
     @given(fan_sets(2), fracs())
     def test_chains_agree(self, f, eps_q):
-        model = SetModel.of(f)
+        model = ProductModel.of([f])
+        points = frozenset(model.factor_points[0])
         echain = engine_chain(f, eps_q)
-        mchain = model_chain(
-            model, eps_q, lambda a, e: derive_set(a, model.cmap, e)
-        )
-        ochain = model_chain(model, eps_q, oracle_derive)
+        mchain = [
+            unwrap(a)
+            for a in model_chain(
+                model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
+            )
+        ]
+        schain = model_chain(points, eps_q, lambda a, e: derive_set(a, model, 0, e))
+        ochain = model_chain(points, eps_q, oracle_derive)
         assert mchain == ochain
+        assert schain == ochain
         assert len(echain) == len(mchain)
         for snap, alive in zip(echain, mchain):
             pts = materialize(snap) if snap is not None else ()
@@ -465,7 +477,7 @@ class TestEngineVsModel:
             assert dists_sorted(pts) == dists_sorted(alive)
         n = len(echain) - 1
         assert sz_eps(f, eps_q) == fin(max(n, 1))
-        assert oracle_sz(model.alive(), eps_q) == max(n, 1)
+        assert oracle_sz(points, eps_q) == max(n, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(fan_sets(2), fracs(), fracs(max_num=4))
@@ -479,9 +491,9 @@ class TestEngineVsModel:
     def test_monotone_in_eps(self, f, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
         assert sz_eps(f, lo) >= sz_eps(f, hi)
-        model = SetModel.of(f)
-        s_lo = derive_set(model.alive(), model.cmap, lo)
-        s_hi = derive_set(model.alive(), model.cmap, hi)
+        model = ProductModel.of([f])
+        s_lo = derive_product_set(model.tuples(), model, lo)
+        s_hi = derive_product_set(model.tuples(), model, hi)
         assert s_hi <= s_lo
 
     @settings(max_examples=60, deadline=None)

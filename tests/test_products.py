@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_p_derive, oracle_p_sz
+from oracle import oracle_derive, oracle_p_derive, oracle_p_sz
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -26,7 +26,9 @@ from szlenk.pointmodel import (
     ProductModel,
     cluster_map,
     derive_product_set,
+    derive_set,
     dist_q,
+    iterate_product_set,
     materialize,
     product_norm_q,
     sz_product_set,
@@ -121,11 +123,11 @@ class TestDeriveProductStep:
     def test_scaled_pair_empty(self):
         pu = derive_product_step([(F(1, 2), F1), (F(1, 2), F1)], F(3, 2))
         assert pu.is_empty()
-        assert pu.points() == frozenset()
+        assert pu.alive == frozenset()
 
     def test_unscaled_pair_origin(self):
         pu = derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
-        pts = pu.points()
+        pts = pu.alive
         assert len(pts) == 1
         (pt,) = pts
         assert all(p.norm_q() == 0 for p in pt)
@@ -133,7 +135,7 @@ class TestDeriveProductStep:
 
     def test_sing_factor_degenerates(self):
         pu = derive_product_step([(F(1), F1), (F(1), Sing())], F(1, 2))
-        pts = pu.points()
+        pts = pu.alive
         assert len(pts) == 1
         (pt,) = pts
         assert pt[0].norm_q() == 0 and pt[1].norm_q() == 0
@@ -239,6 +241,8 @@ class TestDeriveProductSet:
         got = derive_product_set(alive, model, eps_q)
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
         assert got == oracle_p_derive(alive, eps_q)
+        first = frozenset(x[0] for x in alive)
+        assert derive_set(first, model, 0, eps_q) == oracle_derive(first, eps_q)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
@@ -249,6 +253,28 @@ class TestDeriveProductSet:
         want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, model) > eps_q)
         event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
         assert derive_product_set(alive, model, eps_q) == want
+        first = frozenset((x[0],) for x in alive)
+        want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, model) > eps_q)
+        assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(fan_sets(1), min_size=1, max_size=3), fracs(max_den=4))
+    def test_stages_stay_mirror_closed(self, bodies, eps_q):
+        """The precondition of the 2 * reach shortcut holds on every stage
+        of a derivation from the whole product."""
+        model = ProductModel.of(bodies)
+        assume(len(model.tuples()) <= 400)
+        by_path = [{p.path: p for p in pts} for pts in model.factor_points]
+        alive, stages = model.tuples(), 0
+        while alive:
+            for x in alive:
+                orbit = itertools.product(
+                    *(mirror_orbit(p, by_path[i]) for i, p in enumerate(x))
+                )
+                assert all(y in alive for y in orbit)
+            alive = iterate_product_set(alive, model, eps_q, 1)
+            stages += 1
+        event(f"{len(bodies)} factors, {stages} stages")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_axis_lends_reach(self, n):
