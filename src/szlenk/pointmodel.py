@@ -23,7 +23,10 @@ distance^q is the plain sum over the symmetric difference of coords.
 
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
-x is a tail step.  The local diameter^q at x inside an alive subset S is
+x is a tail step.  So `cluster_map` reads the relation off the paths: one
+walk back along each point's path, looking its prefixes up by path, finds
+every x whose cluster holds it, in O(P * depth) lookups for P points.  The
+local diameter^q at x inside an alive subset S is
 2 * max distance^q from x to its alive cluster (see fansets for why),
 provided S is closed under swapping the two copies of any tail, as every
 stage of a derivation from the whole materialization is.
@@ -37,8 +40,8 @@ One model serves sets and products: a set is the one-factor product
 tuples of factor points; clusters multiply componentwise and distances^q
 add across the disjoint factor groups.  So the largest N over the product
 cluster C(x_1) x ... x C(x_n) is a max taken one axis at a time: each axis
-pushes every value to the points whose cluster on that axis holds it (the
-inverse cluster map).  One kernel, `_local_diams`, does that push on
+pushes every value to the points whose cluster on that axis holds it
+(`cluster_map`).  One kernel, `_local_diams`, does that push on
 integer norms over the model's common denominator, in O(n * |alive| *
 max |C^-1|) dict updates; it derives subsets of the product
 (`derive_product_set`, every axis) and of one factor's points
@@ -67,13 +70,10 @@ from .fansets import (
     UnionApex,
 )
 
-Coords = frozenset
-
-
 @dataclass(frozen=True)
 class Point:
     path: tuple
-    coords: Coords
+    coords: frozenset
 
     def __hash__(self) -> int:
         # equal points have equal coords, and a frozenset keeps its hash
@@ -86,20 +86,6 @@ class Point:
 def dist_q(x: Point, y: Point) -> Fraction:
     """||x - y||^q: the coords they do not share, summed."""
     return sum((v for _, v in x.coords ^ y.coords), Fraction(0))
-
-
-def in_cluster(x: Point, y: Point) -> bool:
-    """Whether y lies in every w*-neighborhood of x (y in C(x)); x in C(x)."""
-    px, py = x.path, y.path
-    if px == py:
-        return x == y
-    if len(py) <= len(px) or py[: len(px)] != px:
-        return False
-    for step in py[len(px):]:
-        if step[0] == "f":
-            continue
-        return step[0] == "t"
-    return False
 
 
 def materialize(F: FanSet) -> tuple[Point, ...]:
@@ -147,20 +133,44 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
     return tuple(out)
 
 
-ClusterMap = dict[Point, tuple[Point, ...]]
-
 # Largest number of tuples a product model, a grid or a cover may enumerate
 # (InvalidParams beyond).
 ENUMERATION_LIMIT = 200_000
 
 
-def cluster_map(points: Sequence[Point]) -> ClusterMap:
-    """For each point, its full cluster within the materialization.
+def count_points(F: FanSet) -> int:
+    """len(materialize(F)), by the same recursion without building points."""
+    if isinstance(F, Sing):
+        return 1
+    if isinstance(F, Fan):
+        return 1 + sum(map(count_points, F.prefix)) + 2 * count_points(F.tail)
+    if isinstance(F, UnionApex):
+        return 1 + sum(count_points(f) - 1 for f in F.fans)
+    if isinstance(F, Scale):
+        return count_points(F.body)
+    if isinstance(F, DisjUnion):
+        return sum(count_points(b) for _, b in F.components)
+    if isinstance(F, ProdQ):
+        raise OutsideExactFragment("materialize products factor by factor")
+    raise MalformedFanSet(f"not a fan set: {F!r}")
 
-    The cluster relation is purely structural (path-based), so the map for
-    any alive subset is obtained by intersecting these tuples with it.
-    """
-    return {x: tuple(y for y in points if in_cluster(x, y)) for x in points}
+
+def cluster_map(points: Sequence[Point]) -> dict[int, tuple[int, ...]]:
+    """By position j: j, then the positions of every x with points[j] in C(x)
+    (y is in C(x) iff x's path is a proper prefix of y's and the first
+    non-"f" step of y's beyond it is a "t" step).  Paths must be unique."""
+    at = {p.path: j for j, p in enumerate(points)}
+    assert len(at) == len(points), "cluster_map needs unique paths"
+    out = {}
+    for j, y in enumerate(points):
+        path, inv, kind = y.path, [j], None
+        for k in range(len(path) - 1, -1, -1):
+            if path[k][0] != "f":
+                kind = path[k][0]
+            if kind == "t" and (x := at.get(path[:k])) is not None:
+                inv.append(x)
+        out[j] = tuple(inv)
+    return out
 
 
 PPoint = tuple[Point, ...]
@@ -172,16 +182,17 @@ class ProductModel:
     the one-factor product."""
 
     factor_points: tuple[tuple[Point, ...], ...]
-    cmaps: tuple[ClusterMap, ...]
+    # per factor, `cluster_map` of its points
+    cmaps: tuple[dict[int, tuple[int, ...]], ...]
 
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
-        pts = tuple(materialize(f) for f in factors)
-        size = math.prod(len(p) for p in pts)
+        size = math.prod(count_points(f) for f in factors)
         if size > ENUMERATION_LIMIT:
             raise InvalidParams(
                 f"product enumeration too large ({size} points, limit {ENUMERATION_LIMIT})"
             )
+        pts = tuple(materialize(f) for f in factors)
         return ProductModel(pts, tuple(cluster_map(p) for p in pts))
 
     def tuples(self) -> frozenset[PPoint]:
@@ -191,19 +202,6 @@ class ProductModel:
     def positions(self) -> tuple[dict[Point, int], ...]:
         """Per factor, each point's position in `factor_points`."""
         return tuple({p: j for j, p in enumerate(pts)} for pts in self.factor_points)
-
-    @cached_property
-    def inverse_cmaps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per factor, by position: the positions of the points x with y in
-        C(x) (y itself among them)."""
-        out = []
-        for pos, cmap in zip(self.positions, self.cmaps):
-            inv: list[list[int]] = [[] for _ in pos]
-            for x, cluster in cmap.items():
-                for y in cluster:
-                    inv[pos[y]].append(pos[x])
-            out.append(tuple(map(tuple, inv)))
-        return tuple(out)
 
     @cached_property
     def scaled_norms(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -240,7 +238,7 @@ def _local_diams(model: ProductModel, axes: Sequence[int], keys: dict) -> dict:
     own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in keys.values()}
     best = own
     for n, a in enumerate(axes):
-        inv = model.inverse_cmaps[a]
+        inv = model.cmaps[a]
         pushed: dict[tuple[int, ...], int] = {}
         for y, v in best.items():
             head, tail = y[:n], y[n + 1 :]

@@ -235,20 +235,24 @@ class TestSetDerive:
         assert doc["sz_eps"] is None
 
     def test_oversized_product_exits_2(self, capsys, tmp_path, monkeypatch):
-        """Four depth-4 chains span 31^4 = 923 521 product points; the model
-        refuses them before it builds any cluster map."""
-        def no_clusters(points):
-            raise AssertionError("cluster_map ran")
+        """Four depth-4 chains span 31^4 = 923 521 product points, and a
+        depth-17 chain times a singleton 2^18 - 1 = 262 143; the model counts
+        them and refuses before it materializes any factor."""
+        def fail(*args):
+            raise AssertionError("the model was built")
 
-        monkeypatch.setattr(pointmodel, "cluster_map", no_clusters)
+        monkeypatch.setattr(pointmodel, "materialize", fail)
+        monkeypatch.setattr(pointmodel, "cluster_map", fail)
         chain = depth_fan(4, F(1, 2))
-        path = write_doc(tmp_path, "p4.json", fanset_to_doc(ProdQ((chain,) * 4), F(2)))
-        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.splitlines() == [
-            "error: product enumeration too large (923521 points, limit 200000)"
-        ]
+        cases = [((chain,) * 4, 923521), ((depth_fan(17, F(1, 2)), Sing()), 262143)]
+        for factors, size in cases:
+            path = write_doc(tmp_path, "p.json", fanset_to_doc(ProdQ(factors), F(2)))
+            code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.splitlines() == [
+                f"error: product enumeration too large ({size} points, limit 200000)"
+            ]
 
     @pytest.mark.parametrize("field", ["q", "w_q"])
     def test_boolean_fraction_exits_2(self, capsys, tmp_path, field):

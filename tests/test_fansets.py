@@ -4,13 +4,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracle import oracle_derive, oracle_local_diam_q, oracle_sz
+from oracle import oracle_derive, oracle_in_cluster, oracle_local_diam_q, oracle_sz
 from strategies import fan_sets, fracs
+from szlenk import checks
 from szlenk.calculus import InvalidParams
+from szlenk.checks import tvl_check
 from szlenk.fansets import (
     DisjUnion,
     Fan,
@@ -39,10 +43,11 @@ from szlenk.fansets import (
 from szlenk.ordinal import Ordinal
 from szlenk.pointmodel import (
     ProductModel,
+    cluster_map,
+    count_points,
     derive_product_set,
     derive_set,
     dist_q,
-    in_cluster,
     materialize,
     model_sz,
 )
@@ -417,8 +422,8 @@ class TestModelFrozen:
         assert dists_sorted(pts) == [F(1, 2), F(1, 2), F(1)]
         apex = next(p for p in pts if p.norm_q() == 0)
         leaves = [p for p in pts if p is not apex]
-        assert all(in_cluster(apex, y) for y in leaves)
-        assert not any(in_cluster(y, apex) for y in leaves)
+        assert all(oracle_in_cluster(apex, y) for y in leaves)
+        assert not any(oracle_in_cluster(y, apex) for y in leaves)
         assert model_sz(F1, F(1, 2)) == 2
 
     def test_union_apex_share(self):
@@ -426,11 +431,81 @@ class TestModelFrozen:
         pts = materialize(ua)
         assert len(pts) == 5
         apex = next(p for p in pts if p.norm_q() == 0)
-        assert all(in_cluster(apex, y) for y in pts)
+        assert all(oracle_in_cluster(apex, y) for y in pts)
 
     def test_product_model_rejected(self):
         with pytest.raises(OutsideExactFragment):
             materialize(ProdQ((F1,)))
+        with pytest.raises(OutsideExactFragment):
+            count_points(ProdQ((F1,)))
+
+    def test_depth_twelve_chain(self):
+        """8191 points: guards the cost of `cluster_map`, O(points x depth)
+        here, where an all-pairs map takes tens of seconds."""
+        assert model_sz(depth_fan(12, F(1, 2)), F(1, 2)) == 13
+
+
+def oracle_cluster_map(points) -> dict:
+    """cluster_map's relation by the oracle: y's position to the set of
+    positions of every x with y in C(x)."""
+    return {
+        j: {i for i, x in enumerate(points) if oracle_in_cluster(x, y)}
+        for j, y in enumerate(points)
+    }
+
+
+def assert_cluster_map_is_oracle(points) -> None:
+    cmap = cluster_map(points)
+    assert list(cmap) == list(range(len(points)))
+    assert all(cmap[j][0] == j and len(set(v)) == len(v) for j, v in cmap.items())
+    assert {j: set(v) for j, v in cmap.items()} == oracle_cluster_map(points)
+
+
+class TestClusterMap:
+    @settings(max_examples=300, deadline=None)
+    @given(fan_sets(3))
+    def test_matches_oracle(self, K):
+        assert_cluster_map_is_oracle(materialize(K))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(fan_sets(2), min_size=2, max_size=3),
+        st.lists(fracs(), min_size=2, max_size=3),
+        st.data(),
+    )
+    def test_matches_oracle_on_tvl_projection(self, bodies, offs, data):
+        """The disjoint branch of tvl_check sends every dropped component
+        to the origin at path () and keeps zero-offset components behind
+        "f" steps."""
+        comps = [(F(0) if i == 0 else o, b) for i, (o, b) in enumerate(zip(offs, bodies))]
+        K = DisjUnion(tuple(comps))
+        groups = data.draw(
+            st.sets(
+                st.integers(0, len(comps) - 1), min_size=1, max_size=len(comps) - 1
+            ),
+            label="groups",
+        )
+        seen = []
+
+        def spy(points):
+            seen.append(points)
+            return cluster_map(points)
+
+        with mock.patch.object(checks, "cluster_map", spy):
+            tvl_check(K, sorted(groups), F(1), F(1, 2), F(1), alpha=0)
+        (points,) = seen
+        assert any(p.path == () for p in points)
+        assert_cluster_map_is_oracle(points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fan_sets(3))
+    def test_count_points_is_materialized_size(self, K):
+        assert count_points(K) == len(materialize(K))
+
+    def test_duplicate_paths_rejected(self):
+        p = materialize(F1)[0]
+        with pytest.raises(AssertionError):
+            cluster_map((p, p))
 
 
 def engine_chain(F0, eps_q):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_derive, oracle_p_derive, oracle_p_sz
+from oracle import oracle_derive, oracle_in_cluster, oracle_p_derive, oracle_p_sz
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -182,9 +182,13 @@ def mirror_orbit(p, by_path):
 
 def scan_reach_q(x, alive, model):
     """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
-    whole product cluster of x."""
+    whole product cluster of x (each C(x_i) by the oracle's predicate)."""
+    clusters = [
+        [y for y in model.factor_points[i] if oracle_in_cluster(p, y)]
+        for i, p in enumerate(x)
+    ]
     best = F(0)
-    for y in itertools.product(*(model.cmaps[i][p] for i, p in enumerate(x))):
+    for y in itertools.product(*clusters):
         if y in alive:
             best = max(best, sum((dist_q(a, b) for a, b in zip(x, y)), F(0)))
     return best
@@ -217,9 +221,9 @@ class TestDeriveProductSet:
     @given(fan_sets(2))
     def test_distance_is_norm_difference(self, K):
         pts = materialize(K)
-        for x, cluster in cluster_map(pts).items():
-            for y in cluster:
-                assert dist_q(x, y) == y.norm_q() - x.norm_q()
+        for j, inv in cluster_map(pts).items():
+            for i in inv:
+                assert dist_q(pts[i], pts[j]) == pts[j].norm_q() - pts[i].norm_q()
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
