@@ -43,7 +43,6 @@ from .pointmodel import (
     cluster_map,
     derive_set,
     iterate_product_set,
-    product_norm_q,
     restrict_model,
     sz_product_set,
 )
@@ -137,26 +136,24 @@ def union_lemma_check(
                 "an apex-glued union needs Fan pieces (they must share the apex)"
             )
         U: FanSet = UnionApex(tuple(Ks))
-        model = ProductModel.of([U])
-        whole = model.tuples()
-        pieces = [
-            frozenset(
-                x
-                for x in whole
-                if x[0].path[:1] == (("f", ("fan", i)),) or x[0].path == ()
-            )
-            for i in range(n)
-        ]
+
+        def in_piece(path: tuple, i: int) -> bool:
+            return path[:1] == (("f", ("fan", i)),) or path == ()
+
     elif mode == "disjoint":
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
-        model = ProductModel.of([U])
-        whole = model.tuples()
-        pieces = [
-            frozenset(x for x in whole if x[0].path[:1] == (("p", ("comp", i)),))
-            for i in range(n)
-        ]
+
+        def in_piece(path: tuple, i: int) -> bool:
+            return path[:1] == (("p", ("comp", i)),)
+
     else:
         raise InvalidParams("mode must be auto, apex, or disjoint")
+    model = ProductModel.of([U])
+    whole = model.tuples()
+    points = model.factor_points[0]
+    pieces = [
+        frozenset(x for x in whole if in_piece(points[x[0]].path, i)) for i in range(n)
+    ]
 
     _, hi2 = pow_bounds(Fraction(2), q)
     half_q = eps_q / hi2
@@ -219,7 +216,7 @@ class TvlReport:
     violations: tuple[str, ...]
 
 
-_ORIGIN = Point((), frozenset())
+_ORIGIN = Point((), frozenset(), Fraction(0))
 
 
 def tvl_check(
@@ -282,9 +279,11 @@ def tvl_check(
                 canon[img.coords] = img
         proj_points = tuple(canon.values())
         sub = ProductModel((proj_points,), (cluster_map(proj_points),))
+        at = {p.coords: k for k, p in enumerate(proj_points)}
+        points = model.factor_points[0]
 
         def proj(x):
-            return (canon[image(x[0]).coords],)
+            return (at[image(points[x[0]]).coords],)
 
     A = iterate_product_set(model.tuples(), model, eps_q, alpha)
     B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
@@ -292,7 +291,7 @@ def tvl_check(
     violations: list[str] = []
     for x in A:
         px = proj(x)
-        px_q = product_norm_q(px)
+        px_q = sub.norm_q(px)
         if px_q > rad_q - cut_q:
             filtered += 1
             if px not in B:
@@ -400,7 +399,7 @@ def _grid_steps(
                 memo[key] = derive_set(state, model, i, factors[i][0] * v**iq)
         return memo[key]
 
-    return grid, step, tuple(frozenset(p) for p in model.factor_points)
+    return grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
 
 
 def _suite_techlem1(rng: random.Random) -> tuple:

@@ -13,9 +13,11 @@ Points carry
 * ``path`` — the structural branch steps with kinds "t" (tail copy:
   cluster-continuing), "p" (prefix copy or positively offset component:
   excludable by a neighborhood), "f" (transparent: a fan selector inside a
-  shared apex, or a zero-offset component), and
+  shared apex, or a zero-offset component),
 * ``coords`` — a frozenset of (axis, value_q) pairs, where each copy step
-  contributes the copy shift on a fresh axis named by the path prefix.
+  contributes the copy shift on a fresh axis named by the path prefix, and
+* ``norm_q`` — the sum of the coords' values, carried down the walk: each
+  copy step adds its weight to the parent's norm.
 
 Two distinct points never share an axis with different values (coordinates
 on the common path prefix agree; beyond it the supports are disjoint), so
@@ -36,13 +38,16 @@ with N the norm^q: the reach of x is the largest N over its alive cluster,
 minus N(x).
 
 One model serves sets and products: a set is the one-factor product
-``ProductModel.of([F])``, whose points are 1-tuples.  Product points are
-tuples of factor points; clusters multiply componentwise and distances^q
-add across the disjoint factor groups.  So the largest N over the product
-cluster C(x_1) x ... x C(x_n) is a max taken one axis at a time: each axis
-pushes every value to the points whose cluster on that axis holds it
-(`cluster_map`).  One kernel, `_local_diams`, does that push on
-integer norms over the model's common denominator, in O(n * |alive| *
+``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
+tuple of positions, one per factor, into that factor's `factor_points`;
+alive sets, staircase terms and factor states all hold positions, and
+`Point` exists only at the boundary (`materialize` builds it,
+`cluster_map` reads its path).  Clusters multiply componentwise and
+distances^q add across the disjoint factor groups.  So the largest N over
+the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
+time: each axis pushes every value to the points whose cluster on that
+axis holds it (`cluster_map`).  One kernel, `_local_diams`, does that push
+on integer norms over the model's common denominator, in O(n * |alive| *
 max |C^-1|) dict updates; it derives subsets of the product
 (`derive_product_set`, every axis) and of one factor's points
 (`derive_set`, one axis), and gives `products` its per-factor local
@@ -55,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .calculus import InvalidParams
 from .fansets import (
@@ -74,13 +79,7 @@ from .fansets import (
 class Point:
     path: tuple
     coords: frozenset
-
-    def __hash__(self) -> int:
-        # equal points have equal coords, and a frozenset keeps its hash
-        return hash(self.coords)
-
-    def norm_q(self) -> Fraction:
-        return sum((v for _, v in self.coords), Fraction(0))
+    norm_q: Fraction
 
 
 def dist_q(x: Point, y: Point) -> Fraction:
@@ -94,40 +93,41 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
         raise OutsideExactFragment("materialize products factor by factor")
     out: list[Point] = []
 
-    def emit(path: tuple, coords: list) -> None:
-        out.append(Point(path, frozenset(coords)))
+    def emit(path: tuple, coords: list, norm: Fraction) -> None:
+        out.append(Point(path, frozenset(coords), norm))
 
-    def copies(f: Fan, path: tuple, coords: list, s: Fraction) -> None:
+    def copies(f: Fan, path: tuple, coords: list, norm: Fraction, s: Fraction) -> None:
+        w = f.w_q * s
         for i, c in enumerate(f.prefix):
-            st = ("p", ("pre", i))
-            go(c, path + (st,), coords + [(path + (st,), f.w_q * s)], s)
+            ax = path + (("p", ("pre", i)),)
+            go(c, ax, coords + [(ax, w)], norm + w, s)
         for j in (0, 1):
-            st = ("t", j)
-            go(f.tail, path + (st,), coords + [(path + (st,), f.w_q * s)], s)
+            ax = path + (("t", j),)
+            go(f.tail, ax, coords + [(ax, w)], norm + w, s)
 
-    def go(node: FanSet, path: tuple, coords: list, s: Fraction) -> None:
+    def go(node: FanSet, path: tuple, coords: list, norm: Fraction, s: Fraction) -> None:
         if isinstance(node, Sing):
-            emit(path, coords)
+            emit(path, coords, norm)
         elif isinstance(node, Fan):
-            emit(path, coords)
-            copies(node, path, coords, s)
+            emit(path, coords, norm)
+            copies(node, path, coords, norm, s)
         elif isinstance(node, UnionApex):
-            emit(path, coords)
+            emit(path, coords, norm)
             for i, f in enumerate(node.fans):
-                copies(f, path + (("f", ("fan", i)),), coords, s)
+                copies(f, path + (("f", ("fan", i)),), coords, norm, s)
         elif isinstance(node, Scale):
-            go(node.body, path, coords, s * node.a_q)
+            go(node.body, path, coords, norm, s * node.a_q)
         elif isinstance(node, DisjUnion):
             for i, (off, b) in enumerate(node.components):
                 if off > 0:
-                    st = ("p", ("comp", i))
-                    go(b, path + (st,), coords + [(path + (st,), off * s)], s)
+                    ax, w = path + (("p", ("comp", i)),), off * s
+                    go(b, ax, coords + [(ax, w)], norm + w, s)
                 else:
-                    go(b, path + (("f", ("comp", i)),), coords, s)
+                    go(b, path + (("f", ("comp", i)),), coords, norm, s)
         else:
             raise MalformedFanSet(f"not a fan set: {node!r}")
 
-    go(F, (), [], Fraction(1))
+    go(F, (), [], Fraction(0), Fraction(1))
     seen = {p.coords for p in out}
     assert len(seen) == len(out), "materialization produced coordinate collisions"
     return tuple(out)
@@ -173,7 +173,8 @@ def cluster_map(points: Sequence[Point]) -> dict[int, tuple[int, ...]]:
     return out
 
 
-PPoint = tuple[Point, ...]
+# a product point: its position in each factor's `factor_points`
+PPoint = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -196,33 +197,38 @@ class ProductModel:
         return ProductModel(pts, tuple(cluster_map(p) for p in pts))
 
     def tuples(self) -> frozenset[PPoint]:
-        return frozenset(itertools.product(*self.factor_points))
+        return frozenset(itertools.product(*(range(len(p)) for p in self.factor_points)))
 
-    @cached_property
-    def positions(self) -> tuple[dict[Point, int], ...]:
-        """Per factor, each point's position in `factor_points`."""
-        return tuple({p: j for j, p in enumerate(pts)} for pts in self.factor_points)
+    def norm_q(self, x: PPoint) -> Fraction:
+        return sum((pts[j].norm_q for pts, j in zip(self.factor_points, x)), Fraction(0))
 
     @cached_property
     def scaled_norms(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """A common denominator D of the factor points' norms^q, and per
         factor, by position, each point's norm^q times D (an integer)."""
-        norms = [[p.norm_q() for p in pts] for pts in self.factor_points]
-        D = math.lcm(*(v.denominator for vs in norms for v in vs))
-        return D, tuple(tuple(int(v * D) for v in vs) for vs in norms)
+        D = math.lcm(*(p.norm_q.denominator for pts in self.factor_points for p in pts))
+        return D, tuple(
+            tuple(p.norm_q.numerator * (D // p.norm_q.denominator) for p in pts)
+            for pts in self.factor_points
+        )
 
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
-        exceeds this."""
+        exceeds this.  Every derivation turns its threshold into a bar
+        here, so a non-positive one (no point would ever die) stops here."""
         eps_q = Fraction(eps_q)
+        if eps_q <= 0:
+            raise InvalidParams("eps_q must be positive")
         return eps_q.numerator * self.scaled_norms[0] // eps_q.denominator
 
 
-def _local_diams(model: ProductModel, axes: Sequence[int], keys: dict) -> dict:
+def _local_diams(
+    model: ProductModel, axes: Sequence[int], alive: Iterable[PPoint]
+) -> dict[PPoint, int]:
     """D times the local diameter^q of every point of an alive set.
 
-    `keys` maps each alive point to its positions on the factors `axes`;
-    the result maps it to 2 * (max N over its alive cluster - its own N),
+    Each alive point is its tuple of positions on the factors `axes`; the
+    result maps it to 2 * (max N over its alive cluster - its own N),
     with N the norm^q times D.  That equals the local diameter only when the
     alive set is closed under swapping the two copies of any tail: every
     stage of a derivation from `model.tuples()` is, and on other sets 2 *
@@ -235,7 +241,7 @@ def _local_diams(model: ProductModel, axes: Sequence[int], keys: dict) -> dict:
     product cluster.
     """
     _, norms = model.scaled_norms
-    own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in keys.values()}
+    own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in alive}
     best = own
     for n, a in enumerate(axes):
         inv = model.cmaps[a]
@@ -247,11 +253,7 @@ def _local_diams(model: ProductModel, axes: Sequence[int], keys: dict) -> dict:
                 if pushed.get(key, -1) < v:
                     pushed[key] = v
         best = pushed
-    return {x: 2 * (best[k] - own[k]) for x, k in keys.items()}
-
-
-def product_norm_q(x: PPoint) -> Fraction:
-    return sum((p.norm_q() for p in x), Fraction(0))
+    return {k: 2 * (best[k] - v) for k, v in own.items()}
 
 
 def derive_product_set(
@@ -260,22 +262,18 @@ def derive_product_set(
     """One exact derivation step on an alive subset of the product: x
     survives iff its local diameter^q exceeds eps_q (`_local_diams` on
     every axis)."""
-    pos = model.positions
-    keys = {x: tuple(pos[i][p] for i, p in enumerate(x)) for x in alive}
     bar = model.scaled_bar(eps_q)
-    return frozenset(
-        x for x, d in _local_diams(model, range(len(pos)), keys).items() if d > bar
-    )
+    axes = range(len(model.factor_points))
+    return frozenset(x for x, d in _local_diams(model, axes, alive).items() if d > bar)
 
 
 def derive_set(
-    alive: frozenset[Point], model: ProductModel, i: int, eps_q: Fraction
-) -> frozenset[Point]:
-    """One exact derivation step on a subset of factor i's points."""
-    pos = model.positions[i]
+    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction
+) -> frozenset[int]:
+    """One exact derivation step on a set of factor i's positions."""
     bar = model.scaled_bar(eps_q)
-    diams = _local_diams(model, (i,), {p: (pos[p],) for p in alive})
-    return frozenset(p for p, d in diams.items() if d > bar)
+    diams = _local_diams(model, (i,), [(j,) for j in alive])
+    return frozenset(j for (j,), d in diams.items() if d > bar)
 
 
 def iterate_product_set(

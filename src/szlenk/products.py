@@ -7,6 +7,8 @@ region {x : sum_i lam_i(x_i) > eps_q}, which decomposes exactly into a
 finite union of products of per-factor super-level sets indexed by the
 minimal value tuples of the (finitely-valued) factor functions lam_i.
 
+A term is a tuple of per-factor position sets (positions into the
+model's `factor_points`), and the union's point set holds position tuples.
 The undivided product is a one-term union, and every step derives a union
 the same way: each term is a full product, so its derived set splits by the
 same staircase; the union of the per-term results is certified against the
@@ -135,11 +137,11 @@ def a_eps_grid(g: AEpsGrid) -> list[tuple[Fraction, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ProductUnion:
-    """A union of products of per-factor point subsets, plus the model and
+    """A union of products of per-factor position sets, plus the model and
     the union's point set (the one its certification computed)."""
 
     model: ProductModel
-    terms: tuple[tuple[frozenset, ...], ...]
+    terms: tuple[tuple[frozenset[int], ...], ...]
     alive: frozenset[PPoint]
 
     def is_empty(self) -> bool:
@@ -161,9 +163,9 @@ def _staircase(
     model: ProductModel, Gs: Sequence[frozenset], eps_q: Fraction
 ) -> list[tuple[frozenset, ...]]:
     """Exact one-step derivation of the full product of the Gs."""
-    # local diameter^q of each point of G inside G, times the model's D
+    # by position, local diameter^q of each point of G inside G, times D
     lams = [
-        _local_diams(model, (i,), {x: (model.positions[i][x],) for x in G})
+        {j: d for (j,), d in _local_diams(model, (i,), [(j,) for j in G]).items()}
         for i, G in enumerate(Gs)
     ]
     values = [sorted(set(lam.values())) for lam in lams]
@@ -205,7 +207,7 @@ def _whole(factors: Sequence[tuple[Fraction, FanSet]]) -> ProductUnion:
     if not factors:
         raise InvalidParams("need at least one factor")
     model = ProductModel.of([_as_factor(a_q, K) for a_q, K in factors])
-    term = tuple(frozenset(pts) for pts in model.factor_points)
+    term = tuple(frozenset(range(len(pts))) for pts in model.factor_points)
     return ProductUnion(model, (term,), model.tuples())
 
 
@@ -224,9 +226,6 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     checked against the exact point-set derivation of the whole union and
     `ChainNestingViolated` is raised if they disagree.
     """
-    eps_q = Fraction(eps_q)
-    if eps_q <= 0:
-        raise InvalidParams("eps_q must be positive")
     truth = derive_product_set(pu.alive, pu.model, eps_q)
     terms = _prune([t for term in pu.terms for t in _staircase(pu.model, term, eps_q)])
     covered: set[PPoint] = set()

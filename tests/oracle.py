@@ -9,14 +9,24 @@ mechanics than the engine:
 * its own cluster predicate and dict-based distance computation.
 
 Only shares the Point dataclass (paths + coords are the ground truth both
-sides consume).
+sides consume).  The engine's alive sets hold position tuples; `as_points`
+turns them into the tuples of `Point`s the oracle works on.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from szlenk.pointmodel import Point, PPoint
+from szlenk.pointmodel import Point, ProductModel
+
+PPoint = tuple[Point, ...]
+
+
+def as_points(model: ProductModel, alive) -> frozenset[PPoint]:
+    """The tuples of factor points that an alive set's positions name."""
+    return frozenset(
+        tuple(pts[j] for pts, j in zip(model.factor_points, x)) for x in alive
+    )
 
 
 def oracle_dist_q(x: Point, y: Point) -> Fraction:

@@ -23,7 +23,6 @@ from szlenk.calculus import (
     LadderTail,
     MalformedExpr,
     ParamFamily,
-    SpaceIndex,
     admissible_index_value,
     c_space_index,
     direct_sum_index,

@@ -1,5 +1,6 @@
-"""No dead code in the package: every import of a module is used in it, and
-every top-level name is referenced somewhere besides its own definition.
+"""No dead code: every import of a package module, test or script is used
+in it, and every top-level name of the package is referenced somewhere
+besides its own definition.
 
 References are looked up by identifier in the ASTs of src/, tests/, scripts/
 and perfbench/*.py: names, attributes, imported names, and string constants
@@ -73,7 +74,10 @@ def unreferenced_names(path: Path, refs_by_file: dict[Path, set[str]]) -> list[s
 
 
 def test_every_import_is_used():
-    bad = [f"{p.name}: {name}" for p in MODULES for name in unused_imports(parse(p))]
+    files = [
+        *MODULES, *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))
+    ]
+    bad = [f"{p.relative_to(ROOT)}: {name}" for p in files for name in unused_imports(parse(p))]
     assert bad == []
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import signal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_derive, oracle_in_cluster, oracle_local_diam_q, oracle_sz
+from oracle import as_points, oracle_derive, oracle_in_cluster, oracle_local_diam_q, oracle_sz
 from strategies import fan_sets, fracs
 from szlenk import checks
 from szlenk.calculus import InvalidParams
@@ -60,7 +61,7 @@ def fin(n: int) -> Ordinal:
 
 
 def norms_sorted(points) -> list[F]:
-    return sorted(p.norm_q() for p in points)
+    return sorted(p.norm_q for p in points)
 
 
 def dists_sorted(points) -> list[F]:
@@ -420,7 +421,7 @@ class TestModelFrozen:
         assert len(pts) == 3
         assert norms_sorted(pts) == [F(0), F(1, 2), F(1, 2)]
         assert dists_sorted(pts) == [F(1, 2), F(1, 2), F(1)]
-        apex = next(p for p in pts if p.norm_q() == 0)
+        apex = next(p for p in pts if p.norm_q == 0)
         leaves = [p for p in pts if p is not apex]
         assert all(oracle_in_cluster(apex, y) for y in leaves)
         assert not any(oracle_in_cluster(y, apex) for y in leaves)
@@ -430,7 +431,7 @@ class TestModelFrozen:
         ua = UnionApex((F1, Fan(F(1, 3))))
         pts = materialize(ua)
         assert len(pts) == 5
-        apex = next(p for p in pts if p.norm_q() == 0)
+        apex = next(p for p in pts if p.norm_q == 0)
         assert all(oracle_in_cluster(apex, y) for y in pts)
 
     def test_product_model_rejected(self):
@@ -443,6 +444,32 @@ class TestModelFrozen:
         """8191 points: guards the cost of `cluster_map`, O(points x depth)
         here, where an all-pairs map takes tens of seconds."""
         assert model_sz(depth_fan(12, F(1, 2)), F(1, 2)) == 13
+
+    @pytest.mark.parametrize("eps_q", [F(0), F(-1)])
+    def test_non_positive_threshold_raises(self, eps_q):
+        """No point would ever die below a non-positive bar: the model
+        refuses it, as `sz_eps` does, instead of deriving forever (the
+        timer turns a hang into a failure after 1 s)."""
+
+        def hang(signum, frame):
+            raise AssertionError("model_sz did not return within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            with pytest.raises(InvalidParams):
+                model_sz(depth_fan(2, F(1, 2)), eps_q)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(InvalidParams):
+            sz_eps(depth_fan(2, F(1, 2)), eps_q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fan_sets(3))
+    def test_carried_norm_is_coord_sum(self, K):
+        for p in materialize(K):
+            assert p.norm_q == sum((v for _, v in p.coords), F(0))
 
 
 def oracle_cluster_map(points) -> dict:
@@ -522,26 +549,26 @@ def model_chain(alive, eps_q, via):
     return chain
 
 
-def unwrap(alive) -> frozenset:
-    """The points of a one-factor model's alive set of 1-tuples."""
-    return frozenset(p for (p,) in alive)
-
-
 class TestEngineVsModel:
     @settings(max_examples=80, deadline=None)
     @given(fan_sets(2), fracs())
     def test_chains_agree(self, f, eps_q):
         model = ProductModel.of([f])
-        points = frozenset(model.factor_points[0])
+        points = model.factor_points[0]
         echain = engine_chain(f, eps_q)
         mchain = [
-            unwrap(a)
+            frozenset(p for (p,) in as_points(model, a))
             for a in model_chain(
                 model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
             )
         ]
-        schain = model_chain(points, eps_q, lambda a, e: derive_set(a, model, 0, e))
-        ochain = model_chain(points, eps_q, oracle_derive)
+        schain = [
+            frozenset(points[j] for j in a)
+            for a in model_chain(
+                frozenset(range(len(points))), eps_q, lambda a, e: derive_set(a, model, 0, e)
+            )
+        ]
+        ochain = model_chain(frozenset(points), eps_q, oracle_derive)
         assert mchain == ochain
         assert schain == ochain
         assert len(echain) == len(mchain)
@@ -552,7 +579,7 @@ class TestEngineVsModel:
             assert dists_sorted(pts) == dists_sorted(alive)
         n = len(echain) - 1
         assert sz_eps(f, eps_q) == fin(max(n, 1))
-        assert oracle_sz(points, eps_q) == max(n, 1)
+        assert oracle_sz(frozenset(points), eps_q) == max(n, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(fan_sets(2), fracs(), fracs(max_num=4))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_derive, oracle_in_cluster, oracle_p_derive, oracle_p_sz
+from oracle import as_points, oracle_derive, oracle_in_cluster, oracle_p_derive, oracle_p_sz
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -30,7 +30,6 @@ from szlenk.pointmodel import (
     dist_q,
     iterate_product_set,
     materialize,
-    product_norm_q,
     sz_product_set,
 )
 from szlenk.products import (
@@ -127,18 +126,21 @@ class TestDeriveProductStep:
 
     def test_unscaled_pair_origin(self):
         pu = derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
-        pts = pu.alive
+        pts = as_points(pu.model, pu.alive)
         assert len(pts) == 1
         (pt,) = pts
-        assert all(p.norm_q() == 0 for p in pt)
+        assert all(p.norm_q == 0 for p in pt)
         assert len(pu.terms) == 1
+        # alive sets and terms hold positions, not points
+        assert all(type(j) is int for x in pu.alive for j in x)
+        assert all(type(j) is int for term in pu.terms for G in term for j in G)
 
     def test_sing_factor_degenerates(self):
         pu = derive_product_step([(F(1), F1), (F(1), Sing())], F(1, 2))
-        pts = pu.alive
+        pts = as_points(pu.model, pu.alive)
         assert len(pts) == 1
         (pt,) = pts
-        assert pt[0].norm_q() == 0 and pt[1].norm_q() == 0
+        assert pt[0].norm_q == 0 and pt[1].norm_q == 0
 
     def test_certification_failure_raises(self, monkeypatch):
         staircase = products._staircase
@@ -151,6 +153,8 @@ class TestDeriveProductStep:
             derive_product_step([], F(1))
         with pytest.raises(InvalidParams):
             derive_product_step([(F(1), F1)], F(0))
+        with pytest.raises(InvalidParams):
+            derive_product_step([(F(1), F1)], F(-1))
         with pytest.raises(InvalidParams):
             derive_product_step([(F(0), F1)], F(1))
         with pytest.raises(OutsideExactFragment):
@@ -168,35 +172,48 @@ class TestDeriveProductStep:
         )
 
 
-def mirror_orbit(p, by_path):
-    """p and its images under swapping the two copies of any of its tails."""
-    flips = [k for k, step in enumerate(p.path) if step[0] == "t"]
+def mirror_orbit(path, at):
+    """The position of the point at `path` and of its images under swapping
+    the two copies of any of its tails (`at` maps paths to positions)."""
+    flips = [k for k, step in enumerate(path) if step[0] == "t"]
     out = []
     for bits in itertools.product((0, 1), repeat=len(flips)):
-        path = list(p.path)
+        image = list(path)
         for k, b in zip(flips, bits):
-            path[k] = ("t", b)
-        out.append(by_path[tuple(path)])
+            image[k] = ("t", b)
+        out.append(at[tuple(image)])
     return out
+
+
+def product_orbit(model):
+    """x -> every product point reached from x by `mirror_orbit` on each
+    factor, as position tuples."""
+    at = [{p.path: j for j, p in enumerate(pts)} for pts in model.factor_points]
+    pts = model.factor_points
+    return lambda x: itertools.product(
+        *(mirror_orbit(pts[i][j].path, at[i]) for i, j in enumerate(x))
+    )
 
 
 def scan_reach_q(x, alive, model):
     """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
     whole product cluster of x (each C(x_i) by the oracle's predicate)."""
+    pts = model.factor_points
     clusters = [
-        [y for y in model.factor_points[i] if oracle_in_cluster(p, y)]
-        for i, p in enumerate(x)
+        [k for k, y in enumerate(pts[i]) if oracle_in_cluster(pts[i][j], y)]
+        for i, j in enumerate(x)
     ]
     best = F(0)
     for y in itertools.product(*clusters):
         if y in alive:
-            best = max(best, sum((dist_q(a, b) for a, b in zip(x, y)), F(0)))
+            d = sum((dist_q(pts[i][a], pts[i][b]) for i, (a, b) in enumerate(zip(x, y))), F(0))
+            best = max(best, d)
     return best
 
 
 def draw_subset(data, model):
     """An arbitrary subset of the product (not a union of terms)."""
-    everything = list(itertools.product(*model.factor_points))
+    everything = sorted(model.tuples())
     assume(len(everything) <= 150)
     keep = data.draw(
         st.lists(st.booleans(), min_size=len(everything), max_size=len(everything)),
@@ -205,10 +222,10 @@ def draw_subset(data, model):
     return frozenset(x for x, k in zip(everything, keep) if k)
 
 
-def draw_eps_q(data, alive):
+def draw_eps_q(data, model, alive):
     """Small fractions, or a threshold at an attained 2 * distance^q (which
     tests the strict inequality)."""
-    norms = {product_norm_q(x) for x in alive}
+    norms = {model.norm_q(x) for x in alive}
     gaps = sorted({2 * (b - a) for a in norms for b in norms if b > a})
     pick = st.one_of(fracs(max_den=4), st.sampled_from(gaps)) if gaps else fracs(max_den=4)
     return data.draw(pick, label="eps_q")
@@ -223,7 +240,7 @@ class TestDeriveProductSet:
         pts = materialize(K)
         for j, inv in cluster_map(pts).items():
             for i in inv:
-                assert dist_q(pts[i], pts[j]) == pts[j].norm_q() - pts[i].norm_q()
+                assert dist_q(pts[i], pts[j]) == pts[j].norm_q - pts[i].norm_q
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
@@ -233,27 +250,22 @@ class TestDeriveProductSet:
         the local diameter can be less than 2 * reach, and the point model
         does not claim it.)"""
         model = ProductModel.of(bodies)
-        by_path = [{p.path: p for p in pts} for pts in model.factor_points]
-        alive = frozenset(
-            y
-            for x in draw_subset(data, model)
-            for y in itertools.product(
-                *(mirror_orbit(p, by_path[i]) for i, p in enumerate(x))
-            )
-        )
-        eps_q = draw_eps_q(data, alive)
+        orbit = product_orbit(model)
+        alive = frozenset(y for x in draw_subset(data, model) for y in orbit(x))
+        eps_q = draw_eps_q(data, model, alive)
         got = derive_product_set(alive, model, eps_q)
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
-        assert got == oracle_p_derive(alive, eps_q)
-        first = frozenset(x[0] for x in alive)
-        assert derive_set(first, model, 0, eps_q) == oracle_derive(first, eps_q)
+        assert as_points(model, got) == oracle_p_derive(as_points(model, alive), eps_q)
+        pts, first = model.factor_points[0], frozenset(x[0] for x in alive)
+        got = derive_set(first, model, 0, eps_q)
+        assert {pts[j] for j in got} == oracle_derive(frozenset(pts[j] for j in first), eps_q)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
     def test_matches_cluster_scan_on_any_subset(self, bodies, data):
         model = ProductModel.of(bodies)
         alive = draw_subset(data, model)
-        eps_q = draw_eps_q(data, alive)
+        eps_q = draw_eps_q(data, model, alive)
         want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, model) > eps_q)
         event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
         assert derive_product_set(alive, model, eps_q) == want
@@ -268,14 +280,11 @@ class TestDeriveProductSet:
         of a derivation from the whole product."""
         model = ProductModel.of(bodies)
         assume(len(model.tuples()) <= 400)
-        by_path = [{p.path: p for p in pts} for pts in model.factor_points]
+        orbit = product_orbit(model)
         alive, stages = model.tuples(), 0
         while alive:
             for x in alive:
-                orbit = itertools.product(
-                    *(mirror_orbit(p, by_path[i]) for i, p in enumerate(x))
-                )
-                assert all(y in alive for y in orbit)
+                assert all(y in alive for y in orbit(x))
             alive = iterate_product_set(alive, model, eps_q, 1)
             stages += 1
         event(f"{len(bodies)} factors, {stages} stages")
@@ -286,11 +295,11 @@ class TestDeriveProductSet:
         it sits at the apex on some axis: its reach lies along those axes
         alone."""
         model = ProductModel.of([F1] * n)
-        apex = next(p for p in model.factor_points[0] if p.norm_q() == 0)
+        apex = next(j for j, p in enumerate(model.factor_points[0]) if p.norm_q == 0)
         alive = model.tuples()
         want = frozenset(x for x in alive if apex in x)
         assert derive_product_set(alive, model, F(1, 2)) == want
-        assert oracle_p_derive(alive, F(1, 2)) == want
+        assert oracle_p_derive(as_points(model, alive), F(1, 2)) == as_points(model, want)
 
 
 class TestProductIterationAgainstModel:
@@ -308,7 +317,7 @@ class TestProductIterationAgainstModel:
         model = ProductModel.of(bodies)
         assume(len(model.tuples()) <= 400)
         expected = sz_product_set(model.tuples(), model, eps_q)
-        assert oracle_p_sz(model.tuples(), eps_q) == expected
+        assert oracle_p_sz(as_points(model, model.tuples()), eps_q) == expected
         try:
             got = product_sz(factors, eps_q)
         except ChainNestingViolated:
