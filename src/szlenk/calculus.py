@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactmath import ceil_frac, pow_bounds
+from .exactmath import ceil_frac, pow_bounds, power_bits
 from .ordinal import (
     ONE,
     ZERO,
@@ -528,6 +528,24 @@ def admissible_index_value(x: Ordinal) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The budget for powers at a user-supplied exponent (`sigma`, `frount_M`):
+# every power they take works at no more than this many bits, as estimated
+# by `power_bits` before any power is taken.  2**21 bits is about 630 000
+# decimal digits, far past the 4300-digit default limit on printing an int.
+POWER_BITS = 1 << 21
+
+
+def check_power(x: Fraction, e: Fraction, name: str) -> None:
+    """Refuse x**e (InvalidParams) when its estimated size exceeds the
+    POWER_BITS budget; `name` is the exponent's parameter name."""
+    bits = power_bits(x, e)
+    if bits > POWER_BITS:
+        raise InvalidParams(
+            f"{name} = {e} needs a power of about {bits} bits, "
+            f"over the {POWER_BITS}-bit budget"
+        )
+
+
 def sigma(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> int:
     """Least n >= 1 with n >= (2a/(b-c))**d - (b/(b-c))**d + 1.
 
@@ -540,6 +558,8 @@ def sigma(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> int:
         raise InvalidParams("sigma needs a >= 0, b > c > 0, d >= 1")
     if 2 * a <= b:  # then (2a/(b-c))**d <= (b/(b-c))**d and the body is <= 1
         return 1
+    check_power(2 * a / (b - c), d, "d")
+    check_power(b / (b - c), d, "d")
     _, hi_a = pow_bounds(2 * a / (b - c), d)
     lo_b, _ = pow_bounds(b / (b - c), d)
     return max(1, ceil_frac(hi_a - lo_b + 1))
@@ -570,10 +590,12 @@ def frount_M(d: Fraction, eps_q: Fraction, q: Fraction, m: int) -> int:
     ``d`` is a plain diameter bound and ``eps_q`` is eps**q.  Exact for
     integer q; outward-rounded (up) otherwise.  Requires m >= 2.
     """
-    d = Fraction(d)
+    d, q = Fraction(d), Fraction(q)
     if d <= 0:
         raise InvalidParams("frount_M needs d > 0")
-    _, hi_dq = pow_bounds(d, Fraction(q))
+    check_power(d, q, "q")
+    check_power(Fraction(8), q, "q")
+    _, hi_dq = pow_bounds(d, q)
     return frount_M_qpow(hi_dq, eps_q, q, m)
 
 

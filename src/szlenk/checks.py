@@ -51,6 +51,7 @@ from .products import (
     BqPoint,
     _as_factor,
     a_eps_grid,
+    a_eps_minimal,
     bound_product_derivation,
     bq_cover,
     bq_member,
@@ -374,32 +375,38 @@ def _grid_instance(rng):
 def _grid_steps(
     model: ProductModel, factors, eps: Fraction, delta: Fraction, q: Fraction
 ):
-    """The A-grid of the factors, the memoized per-factor step
-    (i, state, v) -> one derivation of factor i's `state` at threshold
-    (a_i * v)^q = a_q_i * v^q (v = 0 keeps the state), and the tuple of
-    full factor states."""
+    """(g, grid, step, full): the A-grid parameters of the factors, their
+    grid, the memoized per-factor step (i, state, j) -> one derivation of
+    factor i's `state` at threshold (a_i * j * step)^q = a_q_i * (j * step)^q
+    (j = 0 keeps the state), and the tuple of full factor states.
+
+    Grid columns hold integer multipliers j_i of the grid step.  The grid
+    is up-closed in its box, and derivation is monotone in its threshold,
+    so step(i, state, j) shrinks as j grows: whatever some column covers,
+    each minimal column below it (`a_eps_minimal`) covers too.
+    """
     iq = int(q)
-    grid = a_eps_grid(
-        AEpsGrid(
-            tuple(a for a, _ in factors),
-            tuple(diam_q(K) for _, K in factors),
-            eps,
-            delta,
-            q,
-        )
+    g = AEpsGrid(
+        tuple(a for a, _ in factors),
+        tuple(diam_q(K) for _, K in factors),
+        eps,
+        delta,
+        q,
     )
+    grid = a_eps_grid(g)
+    step_q = g.step**iq
     memo: dict = {}
 
-    def step(i: int, state: frozenset, v: Fraction) -> frozenset:
-        key = (i, state, v)
+    def step(i: int, state: frozenset, j: int) -> frozenset:
+        key = (i, state, j)
         if key not in memo:
-            if v == 0:
+            if j == 0:
                 memo[key] = state
             else:
-                memo[key] = derive_set(state, model, i, factors[i][0] * v**iq)
+                memo[key] = derive_set(state, model, i, factors[i][0] * step_q * j**iq)
         return memo[key]
 
-    return grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
+    return g, grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
 
 
 def _suite_techlem1(rng: random.Random) -> tuple:
@@ -409,20 +416,41 @@ def _suite_techlem1(rng: random.Random) -> tuple:
     detail = f"n={len(factors)} q={q} eps={eps} lhs={len(lhs)}"
     if not lhs:
         return True, detail + " (empty)"
-    grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
+    g, grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
+    covers = [
+        tuple(step(i, full[i], j) for i, j in enumerate(col))
+        for col in a_eps_minimal(g)
+    ]
     bad = sum(
         1
         for x in lhs
-        if not any(
-            all(c in step(i, full[i], v) for i, (c, v) in enumerate(zip(x, col)))
-            for col in grid
-        )
+        if not any(all(c in s for c, s in zip(x, sets)) for sets in covers)
     )
     return (
         not bad,
         detail + f" grid={len(grid)}",
         f"{bad} survivors uncovered" if bad else "",
     )
+
+
+def _column_states(g: AEpsGrid, grid, step, full, m: int) -> set:
+    """The factor states after m stages, a stage taking every state through
+    every grid column.  Per state, one row of step results per factor over
+    the multipliers the grid uses (from the factor's least one to the top:
+    the grid is up-closed), indexed by the columns."""
+    cols = list(zip(*grid))
+    spans = [range(min(c), len(w)) for c, w in zip(cols, g.levels[0])]
+    states = {full}
+    for _ in range(m):
+        nxt: set = set()
+        for st in states:
+            rows = [
+                dict(zip(span, (step(i, st[i], j) for j in span)))
+                for i, span in enumerate(spans)
+            ]
+            nxt.update(zip(*(map(r.__getitem__, c) for r, c in zip(rows, cols))))
+        states = nxt
+    return states
 
 
 def _suite_techlem2(rng: random.Random) -> tuple:
@@ -437,14 +465,8 @@ def _suite_techlem2(rng: random.Random) -> tuple:
     detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={len(lhs)}"
     if not lhs:
         return True, detail + " (empty)"
-    grid, step, full = _grid_steps(model, factors, eps, delta, q)
-    states = {full}
-    for _ in range(m):
-        states = {
-            tuple(step(i, st[i], v) for i, v in enumerate(col))
-            for st in states
-            for col in grid
-        }
+    g, grid, step, full = _grid_steps(model, factors, eps, delta, q)
+    states = _column_states(g, grid, step, full, m)
     bad = sum(
         1
         for x in lhs
@@ -529,6 +551,19 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
 
 
 _LECONDSAST_POINTS = 500
+_SIXTEENTHS = tuple(Fraction(k, 16) for k in range(17))
+
+
+def _bq_sample(rng: random.Random, n: int, iq: int) -> BqPoint:
+    """A sample point with scales k_i / 16, drawn until
+    sum_i k_i^q <= 16^q (that is, sum_i (k_i / 16)^q <= 1), and each x_i
+    nonzero with probability 0.7."""
+    while True:
+        ks = [rng.randint(0, 16) for _ in range(n)]
+        if sum(k**iq for k in ks) <= 16**iq:
+            break
+    nonzero = tuple(rng.random() < 0.7 for _ in range(n))
+    return BqPoint(tuple(_SIXTEENTHS[k] for k in ks), nonzero)
 
 
 def _suite_lecondsast(rng: random.Random) -> tuple:
@@ -538,15 +573,11 @@ def _suite_lecondsast(rng: random.Random) -> tuple:
     iq = int(q)
     factors = [rand_fan_set(rng, 1) for _ in range(n)]
     cover = bq_cover(factors, l, q)
-    bad = 0
-    for _ in range(_LECONDSAST_POINTS):
-        while True:
-            scales = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(n))
-            if sum(a**iq for a in scales) <= 1:
-                break
-        nonzero = tuple(rng.random() < 0.7 for _ in range(n))
-        if not bq_member(BqPoint(scales, nonzero), cover):
-            bad += 1
+    bad = sum(
+        1
+        for _ in range(_LECONDSAST_POINTS)
+        if not bq_member(_bq_sample(rng, n, iq), cover)
+    )
     detail = (
         f"n={n} l={l} q={q} cover={len(cover.tuples)} "
         f"points={_LECONDSAST_POINTS}"

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import ordinal
-from .calculus import InvalidParams, direct_sum_index, frount_M, sigma
+from .calculus import InvalidParams, check_power, direct_sum_index, frount_M, sigma
 from .checks import run_suite
 from .documents import (
     SCHEMA_VERSION,
@@ -299,6 +299,7 @@ def cmd_frount(args: argparse.Namespace) -> tuple[dict, int]:
     m = args.m
     if eps <= 0 or qv < 1:
         raise InvalidParams("frount needs eps > 0 and q >= 1")
+    check_power(eps, qv, "q")
     # eps enters through its q-th power; round it down so the reported M
     # never understates the bound for the true eps.
     eps_q = pow_bounds(eps, qv)[0]

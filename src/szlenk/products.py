@@ -26,15 +26,16 @@ separate finite emptiness bound, not a fallback taken automatically.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow
-from .exactmath import ceil_frac, pow_bounds
+from .exactmath import pow_bounds
 from .fansets import FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
 from .pointmodel import (
     ENUMERATION_LIMIT,
@@ -60,7 +61,9 @@ class AEpsGrid:
 
     `a_q` and `diam_q` carry the q-th powers of the scale factors and the
     factor diameters; `eps` and `delta` are the plain thresholds (their
-    difference sets the grid step, which only exists un-powered).
+    difference sets the grid step, which only exists un-powered).  A grid
+    column is a tuple of integer multipliers j_i of `step`: the threshold
+    eps_bar_i = j_i * step.
     """
 
     a_q: tuple[Fraction, ...]
@@ -94,40 +97,97 @@ class AEpsGrid:
     def step(self) -> Fraction:
         return (self.eps - self.delta) / 4
 
+    @cached_property
+    def levels(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(weights, cut) as integers over one common denominator D.
 
-def a_eps_grid(g: AEpsGrid) -> list[tuple[Fraction, ...]]:
-    """All tuples (eps_bar_i) of multiples of (eps-delta)/4 with
-    eps_bar_i <= diam_i and sum_i a_q_i * eps_bar_i^q >= (delta/2)^q.
+        `weights[i][j]` is a_q_i * hi((j * step)^q) * D for every multiplier j
+        with lo((j * step)^q) <= diam_q_i, nondecreasing in j; `cut` is
+        lo((delta/2)^q) * D.  A column is in the grid iff its weights sum to
+        at least the cut.
+        """
+        per_factor: list[list[Fraction]] = []
+        total = 1  # tuples over the factors listed so far
+        for a, d_q in zip(self.a_q, self.diam_q):
+            vals: list[Fraction] = []
+            while True:
+                lo, hi = pow_bounds(len(vals) * self.step, self.q)
+                if lo > d_q:
+                    break
+                vals.append(a * hi)
+                if total * len(vals) > ENUMERATION_LIMIT:
+                    raise InvalidParams("grid enumeration too large")
+            total *= len(vals)
+            per_factor.append(vals)
+        cut_lo, _ = pow_bounds(self.delta / 2, self.q)
+        D = math.lcm(
+            cut_lo.denominator, *(v.denominator for vals in per_factor for v in vals)
+        )
+        weights = tuple(
+            tuple(v.numerator * (D // v.denominator) for v in vals)
+            for vals in per_factor
+        )
+        return weights, cut_lo.numerator * (D // cut_lo.denominator)
+
+
+def _grid_rows(g: AEpsGrid) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(prefix, weight, first) for every prefix of the first n - 1
+    multipliers that some grid column extends, in lexicographic order: the
+    grid holds prefix + (j,) for every last multiplier j from `first` to the
+    top, and `weight` is the prefix's weight sum.
+
+    A prefix walk on the integer `levels`: a factor's multipliers start at
+    the least one whose weight, with the prefix's sum and the most the later
+    factors can add, still reaches the cut.
+    """
+    weights, cut = g.levels
+    # most[i]: the largest sum factors i.. can add
+    most = [0] * (g.n + 1)
+    for i in range(g.n - 1, -1, -1):
+        most[i] = most[i + 1] + weights[i][-1]
+
+    def walk(i: int, prefix: tuple[int, ...], acc: int):
+        w = weights[i]
+        first = bisect.bisect_left(w, cut - acc - most[i + 1])
+        if i + 1 < g.n:
+            for j in range(first, len(w)):
+                yield from walk(i + 1, prefix + (j,), acc + w[j])
+        elif first < len(w):
+            yield prefix, acc, first
+
+    return walk(0, (), 0)
+
+
+def a_eps_grid(g: AEpsGrid) -> list[tuple[int, ...]]:
+    """All tuples (j_i) of integer multipliers of `g.step` with
+    eps_bar_i = j_i * step <= diam_i and
+    sum_i a_q_i * eps_bar_i^q >= (delta/2)^q, in lexicographic order.
 
     Comparisons round outward for fractional q (borderline tuples are
     included), which only enlarges the grid and keeps downstream
     containment checks sound.
     """
-    s = g.step
-    per_factor: list[list[tuple[Fraction, Fraction]]] = []
-    total = 1  # tuples over the factors listed so far
-    for d_q in g.diam_q:
-        vals: list[tuple[Fraction, Fraction]] = []
-        j = 0
-        while True:
-            lo, hi = pow_bounds(j * s, g.q)
-            if lo > d_q:
-                break
-            vals.append((j * s, hi))
-            j += 1
-            if total * j > ENUMERATION_LIMIT:
-                raise InvalidParams("grid enumeration too large")
-        total *= j
-        per_factor.append(vals)
-    cut_lo, _ = pow_bounds(g.delta / 2, g.q)
-    out: list[tuple[Fraction, ...]] = []
-    for combo in itertools.product(*per_factor):
-        acc = sum(
-            (a * hi for a, (_, hi) in zip(g.a_q, combo)), Fraction(0)
+    top = len(g.levels[0][-1])
+    return [p + (j,) for p, _, first in _grid_rows(g) for j in range(first, top)]
+
+
+def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
+    """The minimal columns of the A-grid, in lexicographic order.
+
+    The grid is up-closed in its box (weights grow with j), so a column is
+    minimal iff lowering any one multiplier by one drops its weight sum
+    below the cut; each row's least last multiplier already does that.
+    """
+    weights, cut = g.levels
+    last = weights[-1]
+    return [
+        p + (first,)
+        for p, acc, first in _grid_rows(g)
+        if all(
+            j == 0 or acc + last[first] - w[j] + w[j - 1] < cut
+            for w, j in zip(weights, p)
         )
-        if acc >= cut_lo:
-            out.append(tuple(v for v, _ in combo))
-    return out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +415,7 @@ class BqPoint:
         object.__setattr__(self, "nonzero", tuple(bool(b) for b in self.nonzero))
         if len(self.scales) != len(self.nonzero):
             raise InvalidParams("scales and nonzero flags must align")
-        if any(a < 0 or a > 1 for a in self.scales):
+        if any(not 0 <= a.numerator <= a.denominator for a in self.scales):
             raise InvalidParams("scales must lie in [0, 1]")
 
 
@@ -420,7 +480,7 @@ def bq_member(point: BqPoint, cover: BqCover) -> bool:
     if len(point.scales) != cover.n:
         raise InvalidParams("point arity does not match the cover")
     least = tuple(
-        max(1, ceil_frac(a * cover.l)) if nz else 1
+        max(1, -(-a.numerator * cover.l // a.denominator)) if nz else 1
         for a, nz in zip(point.scales, point.nonzero)
     )
     return least in cover.tuple_set

@@ -9,6 +9,10 @@ from szlenk.checks import (
     TvlReport,
     UnknownSuite,
     UnionLemmaReport,
+    _bq_sample,
+    _column_states,
+    _grid_instance,
+    _grid_steps,
     run_suite,
     tvl_check,
     union_lemma_check,
@@ -21,6 +25,9 @@ from szlenk.fansets import (
     ProdQ,
     Sing,
 )
+from szlenk.generators import case_rng
+from szlenk.pointmodel import ProductModel
+from szlenk.products import _as_factor, a_eps_minimal, derive_product_step
 
 F = Fraction
 F1 = Fan(F(1, 2), (), Sing())
@@ -161,3 +168,67 @@ class TestRunSuite:
         a = run_suite("tvl", 5, seed=1)
         b = run_suite("tvl", 5, seed=2)
         assert [c.detail for c in a.cases] != [c.detail for c in b.cases]
+
+
+class TestGridFastPaths:
+    """The suites' fast paths against the slow scans they replace, on the
+    suites' own instances (cases 0..99 of seed 1)."""
+
+    def test_techlem1_minimal_columns_cover_as_all_columns(self):
+        for index in range(100):
+            factors, eps, delta, q = _grid_instance(case_rng(1, index))
+            pu = derive_product_step(factors, eps ** int(q))
+            g, grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
+
+            def uncovered(points, columns):
+                sets = [tuple(step(i, full[i], j) for i, j in enumerate(col)) for col in columns]
+                return sum(
+                    1
+                    for x in points
+                    if not any(all(c in s for c, s in zip(x, st)) for st in sets)
+                )
+
+            minimal = a_eps_minimal(g)
+            # the survivors, as the suite counts them, and every product point
+            for points in (pu.alive, pu.model.tuples()):
+                assert uncovered(points, minimal) == uncovered(points, grid), index
+
+    def test_techlem2_states_match_the_all_columns_loop(self):
+        report = run_suite("techlem2", 100, seed=1)
+        for index, case in enumerate(report.cases):
+            rng = case_rng(1, index)
+            factors, eps, delta, q = _grid_instance(rng)
+            m = rng.randint(1, 3)
+            model = ProductModel.of([_as_factor(a, K) for a, K in factors])
+            g, grid, step, full = _grid_steps(model, factors, eps, delta, q)
+            states = {full}
+            for _ in range(m):
+                states = {
+                    tuple(step(i, st[i], j) for i, j in enumerate(col))
+                    for st in states
+                    for col in grid
+                }
+            assert _column_states(g, grid, step, full, m) == states, index
+            if "(empty)" not in case.detail:
+                assert case.detail.endswith(f" states={len(states)}"), index
+
+
+def _fraction_bq_sample(rng, n, iq):
+    """The sampling loop on Fractions: scales k/16, rejected while the sum of
+    their q-th powers exceeds 1."""
+    while True:
+        scales = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(n))
+        if sum(a**iq for a in scales) <= 1:
+            break
+    return scales, tuple(rng.random() < 0.7 for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("iq", [1, 2, 3])
+def test_bq_sample_draws_as_the_fraction_loop(n, iq):
+    for index in range(20):
+        fast, slow = case_rng(4, index), case_rng(4, index)
+        for _ in range(50):
+            point = _bq_sample(fast, n, iq)
+            assert (point.scales, point.nonzero) == _fraction_bq_sample(slow, n, iq)
+        assert fast.getstate() == slow.getstate()

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,42 @@ class TestSigmaFrount:
         code, _, err = run(capsys, "frount", "1", "1", "1", "1")
         assert code == EXIT_USAGE
         assert "m >= 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sigma", "3", "2", "1", "100000000"),
+            ("sigma", "3", "2", "1", "500001/10000"),
+            ("frount", "1", "1/2", "100000000", "2"),
+            ("frount", "1", "1/2", "10000001/100000", "2"),
+        ],
+    )
+    def test_power_over_budget_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "bit budget" in err
+
+    def test_large_sigma_under_budget_prints_exactly(self, capsys):
+        code, out, _ = run(capsys, "sigma", "3", "2", "1", "5000")
+        assert code == EXIT_OK
+        value = json.loads(out)["value"]
+        assert value == 6**5000 - 2**5000 + 1
+        assert len(str(value)) == 3891
+
+    def test_large_frount_under_budget_prints_exactly(self, capsys):
+        code, out, _ = run(capsys, "frount", "1", "1/2", "3000", "2")
+        assert code == EXIT_OK
+        # least M >= 2 with (2^q - 1) (1/2)^q M >= 8^q
+        assert json.loads(out)["value"] == -(-(16**3000) // (2**3000 - 1))
+
+    def test_fractional_exponent_with_large_denominator(self, capsys):
+        code, out, _ = run(capsys, "frount", "1", "1/2", "1001/1000", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 17
 
     def test_frount_text(self, capsys):
         code, out, _ = run(capsys, "frount", "1", "1", "1", "2", "--format", "text")

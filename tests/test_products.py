@@ -38,6 +38,7 @@ from szlenk.products import (
     ChainNestingViolated,
     ProductBound,
     a_eps_grid,
+    a_eps_minimal,
     bound_product_derivation,
     bq_cover,
     bq_member,
@@ -47,6 +48,29 @@ from szlenk.products import (
 )
 
 F1 = Fan(F(1, 2), (), Sing())
+
+
+def reference_a_eps_grid(g: AEpsGrid) -> list[tuple[F, ...]]:
+    """The A-grid by the all-tuples enumeration: each factor's values j * step
+    while lo((j * step)^q) <= diam_q_i, every tuple of them kept when the
+    Fraction sum of a_q_i * hi(v_i^q) reaches lo((delta/2)^q)."""
+    per_factor = []
+    for d_q in g.diam_q:
+        vals = []
+        j = 0
+        while True:
+            lo, hi = pow_bounds(j * g.step, g.q)
+            if lo > d_q:
+                break
+            vals.append((j * g.step, hi))
+            j += 1
+        per_factor.append(vals)
+    cut_lo, _ = pow_bounds(g.delta / 2, g.q)
+    return [
+        tuple(v for v, _ in combo)
+        for combo in itertools.product(*per_factor)
+        if sum((a * hi for a, (_, hi) in zip(g.a_q, combo)), F(0)) >= cut_lo
+    ]
 
 
 class TestAEpsGrid:
@@ -69,17 +93,19 @@ class TestAEpsGrid:
     def test_single_factor_enumeration(self):
         g = AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(1))
         grid = a_eps_grid(g)
-        assert grid == [(F(j, 8),) for j in range(2, 9)]
+        assert grid == [(j,) for j in range(2, 9)]
         assert len(grid) == 7
+        assert a_eps_minimal(g) == [(2,)]
 
     def test_two_factor_count(self):
         g = AEpsGrid((F(1, 2), F(1, 2)), (F(1), F(1)), F(1), F(1, 2), F(1))
         grid = a_eps_grid(g)
         assert len(grid) == 71  # pairs (j1, j2) in 0..8 with j1 + j2 >= 4
-        for v1, v2 in grid:
-            assert v1 / g.step == int(v1 / g.step)
-            assert v1 <= 1 and v2 <= 1
-            assert (v1 + v2) / 2 >= F(1, 4)
+        for j1, j2 in grid:
+            assert type(j1) is int and type(j2) is int
+            assert j1 * g.step <= 1 and j2 * g.step <= 1
+            assert (j1 + j2) * g.step / 2 >= F(1, 4)
+        assert a_eps_minimal(g) == [(j, 4 - j) for j in range(5)]
 
     def test_size_guard(self):
         # step (1 - 399/400) / 4 = 1/1600: 1601 values per factor, 1601**3 tuples
@@ -112,10 +138,47 @@ class TestAEpsGrid:
         bound = ceil_frac(4 * max(diams) / (eps - delta) + 1) ** n
         assert len(grid) <= bound
         for tup in grid:
-            assert sum(aq * v**q for aq, v in zip(g.a_q, tup)) >= (delta / 2) ** q
-            for v, d in zip(tup, diams):
+            assert all(type(j) is int and j >= 0 for j in tup)
+            vals = [j * g.step for j in tup]
+            assert sum(aq * v**q for aq, v in zip(g.a_q, vals)) >= (delta / 2) ** q
+            for v, d in zip(vals, diams):
                 assert v <= d
-                assert (v / g.step).denominator == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
+        fracs(max_num=2, max_den=4),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+        st.data(),
+    )
+    def test_matches_all_tuples_reference(self, n, q, delta, gap, data):
+        a_q = [data.draw(fracs(max_num=3, max_den=4), label=f"a{i}") for i in range(n)]
+        diams = [
+            data.draw(fracs(max_num=2, max_den=4), label=f"diam{i}") for i in range(n)
+        ]
+        g = AEpsGrid(
+            tuple(a_q), tuple(pow_bounds(d, q)[1] for d in diams), delta + gap, delta, q
+        )
+        ref = reference_a_eps_grid(g)
+        grid = a_eps_grid(g)
+        event(f"q={q} grid={'empty' if not grid else 'nonempty'}")
+        # same columns in the same order, values mapped through j * step
+        assert [tuple(j * g.step for j in t) for t in grid] == ref
+        # the grid is up-closed in its box, so its minimal columns are the
+        # ones whose every one-step predecessor leaves it
+        tops = [len(w) for w in g.levels[0]]
+        cols = set(grid)
+
+        def bump(t, i, d):
+            return t[:i] + (t[i] + d,) + t[i + 1 :]
+
+        for t in grid:
+            for i in range(n):
+                assert t[i] + 1 == tops[i] or bump(t, i, 1) in cols
+        assert a_eps_minimal(g) == [
+            t for t in grid if not any(t[i] and bump(t, i, -1) in cols for i in range(n))
+        ]
 
 
 class TestDeriveProductStep:
