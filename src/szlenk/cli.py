@@ -15,7 +15,10 @@ Subcommands
 ``sigma A B C D`` / ``frount D EPS Q M``
     The quantitative stage bounds, echoing their inputs.
 ``cover L FILE...``
-    Integer-tuple cover of the q-ball spanned by factor set documents.
+    Integer-tuple cover of the q-ball spanned by factor set documents.  Its
+    ``products`` array holds one scaled copy per factor and row; each
+    (factor, k) copy is built as a document once and reaches the renderer as
+    `SharedRows`, which encodes it once and splices its text into every row.
 
 Each subcommand has one handler (``cmd_*``), which reads the parsed
 arguments directly and returns the report document and the exit code;
@@ -27,7 +30,9 @@ stderr through logging only.  Set ``SZLENK_LOG=info`` (or pass ``--log
 info``; the flag wins) to see wall-clock timings.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage,
-parse, or document errors (input nested past the recursion limit included).
+parse, or document errors (input nested past the recursion limit included,
+and a ``sigma`` or ``frount`` result longer than Python prints an integer,
+``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .checks import run_suite
 from .documents import (
     SCHEMA_VERSION,
     DocumentError,
+    SharedRows,
     dumps_canonical,
     fan_node_to_doc,
     fanset_from_doc,
@@ -57,7 +63,7 @@ from .documents import (
     suite_report_to_doc,
     trace_to_doc,
 )
-from .exactmath import pow_bounds
+from .exactmath import ROOT_BITS, pow_bounds
 from .fansets import ProdQ, derive_steps
 from .ordinal import frac_from_str, frac_to_str
 from .pointmodel import ProductModel
@@ -173,6 +179,22 @@ def _setup_logging(flag: Optional[str]) -> None:
     logging.getLogger("szlenk").setLevel(level)
 
 
+def _printable(value: int, command: str) -> int:
+    """value, unless it has more digits than Python converts an integer to
+    text (`sys.get_int_max_str_digits`), which the report needs."""
+    limit = sys.get_int_max_str_digits()
+    if limit and value >= 10**limit:
+        # 3010299 / 10**7 < log10(2): a count at most two digits short
+        digits = (value.bit_length() - 1) * 3010299 // 10**7 + 1
+        while value >= 10**digits:
+            digits += 1
+        raise InvalidParams(
+            f"{command} result has {digits} digits, over the "
+            f"{limit}-digit limit on printing integers"
+        )
+    return value
+
+
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
         text = dumps_canonical(doc)
@@ -277,7 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_sigma(args: argparse.Namespace) -> tuple[dict, int]:
     a, b, c, d = (_parse_frac(getattr(args, n), n) for n in "abcd")
-    value = sigma(a, b, c, d)
+    value = _printable(sigma(a, b, c, d), args.cmd)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
@@ -303,7 +325,12 @@ def cmd_frount(args: argparse.Namespace) -> tuple[dict, int]:
     # eps enters through its q-th power; round it down so the reported M
     # never understates the bound for the true eps.
     eps_q = pow_bounds(eps, qv)[0]
-    value = frount_M(d, eps_q, qv, m)
+    if eps_q == 0:  # a fractional power's lower bound resolves 2^-ROOT_BITS
+        raise InvalidParams(
+            f"eps^q is below 2^-{ROOT_BITS}, the precision of fractional "
+            f"powers (eps = {frac_to_str(eps)}, q = {frac_to_str(qv)})"
+        )
+    value = _printable(frount_M(d, eps_q, qv, m), args.cmd)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
@@ -328,12 +355,6 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
     if len(set(qs)) != 1:
         raise DocumentError("all factor documents must share the same q")
     cover = bq_cover(factors, args.l, qs[0])
-    # the products share one scaled copy per (factor, k): serialize each once
-    node_docs: dict[int, dict] = {}
-    for prod in cover.products:
-        for f in prod:
-            if id(f) not in node_docs:
-                node_docs[id(f)] = fan_node_to_doc(f)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
@@ -341,7 +362,12 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
         "q": frac_to_str(cover.q),
         "n": cover.n,
         "tuples": [list(k) for k in cover.tuples],
-        "products": [[node_docs[id(f)] for f in prod] for prod in cover.products],
+        # row k of the products holds factor i's (k_i/l)-scaled copy, one
+        # document per (factor, k) that the renderer encodes once
+        "products": SharedRows(
+            [{k: fan_node_to_doc(c) for k, c in enumerate(per, 1)} for per in cover.copies],
+            cover.tuples,
+        ),
     }
     return doc, EXIT_OK
 

@@ -5,12 +5,21 @@ rationals are carried as strings ("3/4", "2") so exactness survives
 serialization, and set documents fix q once in the header ({"q": "2"}).
 ``dumps_canonical`` renders documents byte-deterministically (sorted keys,
 fixed separators), which is what makes repeated runs diff-clean.
+
+A report whose top-level array repeats the same entries many times (the
+``cover`` report's ``products``: each row is one scaled copy per factor,
+picked by the row's tuple k) carries it as `SharedRows`: ``dumps_canonical``
+encodes each distinct entry once and splices that text into every row that
+holds it, so the bytes are those of the plain array without a walk over
+each copy.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import getitem
+from typing import Mapping, Optional, Sequence
 
 from . import ordinal
 from .calculus import (
@@ -403,9 +412,39 @@ def suite_report_to_doc(report: SuiteReport, seed: int) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class SharedRows:
+    """A JSON array of rows whose entries recur, as a top-level value of a
+    report: row r is [columns[0][keys[r][0]], columns[1][keys[r][1]], ...],
+    so each distinct entry is held once, in its column."""
+
+    columns: Sequence[Mapping[int, object]]
+    keys: Sequence[Sequence[int]]
+
+    def render(self) -> str:
+        """The canonical text of the array, each entry encoded once."""
+        texts = [{k: _canonical(x) for k, x in col.items()} for col in self.columns]
+        return "[" + ",".join(
+            ["[" + ",".join(map(getitem, texts, row)) + "]" for row in self.keys]
+        ) + "]"
+
+
+def _canonical(doc: object) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(doc: object) -> str:
-    """Byte-deterministic rendering: sorted keys, fixed separators, LF end."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Byte-deterministic rendering: sorted keys, fixed separators, LF end.
+
+    A top-level `SharedRows` value renders as the plain array it stands for.
+    """
+    if isinstance(doc, dict) and any(isinstance(v, SharedRows) for v in doc.values()):
+        body = ",".join(
+            _canonical(k) + ":" + (v.render() if isinstance(v, SharedRows) else _canonical(v))
+            for k, v in sorted(doc.items())
+        )
+        return "{" + body + "}\n"
+    return _canonical(doc) + "\n"
 
 
 def loads(text: str) -> object:

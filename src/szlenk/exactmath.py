@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Denominator scale for root bounds: gap between bounds is 2**-_ROOT_BITS.
-_ROOT_BITS = 96
+# Denominator scale for root bounds: gap between bounds is 2**-ROOT_BITS.
+ROOT_BITS = 96
 
 
 def ceil_frac(x: Fraction) -> int:
@@ -55,13 +55,13 @@ def int_nth_root_floor(n: int, m: int) -> int:
 
 
 def nth_root_bounds(x: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """Rationals (lo, hi) with lo <= x**(1/m) <= hi and hi - lo <= 2**-_ROOT_BITS."""
+    """Rationals (lo, hi) with lo <= x**(1/m) <= hi and hi - lo <= 2**-ROOT_BITS."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("root of a negative rational")
     if m == 1:
         return x, x
-    s = 1 << _ROOT_BITS
+    s = 1 << ROOT_BITS
     scaled = (x.numerator * s**m) // x.denominator
     r = int_nth_root_floor(scaled, m)
     return Fraction(r, s), Fraction(r + 1, s)
@@ -71,12 +71,12 @@ def power_bits(x: Fraction, e: Fraction) -> int:
     """An upper bound, from bit lengths alone, on the bit size that
     `pow_bounds(x, e)` works at: e = u/v needs x**u, whose numerator and
     denominator have at most u * ceil(log2 .) + 1 bits each, and a
-    fractional e also scales x**u by 2**(_ROOT_BITS * v) for its v-th root."""
+    fractional e also scales x**u by 2**(ROOT_BITS * v) for its v-th root."""
     x, e = Fraction(x), Fraction(e)
     log2_ceil = (x.numerator - 1).bit_length() + (x.denominator - 1).bit_length()
     bits = e.numerator * log2_ceil + 2
     if e.denominator > 1:
-        bits += _ROOT_BITS * e.denominator
+        bits += ROOT_BITS * e.denominator
     return bits
 
 

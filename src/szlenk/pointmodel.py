@@ -51,7 +51,12 @@ on integer norms over the model's common denominator, in O(n * |alive| *
 max |C^-1|) dict updates; it derives subsets of the product
 (`derive_product_set`, every axis) and of one factor's points
 (`derive_set`, one axis), and gives `products` its per-factor local
-diameters.
+diameters.  Inside the kernel a point is one integer, its mixed-radix code
+sum_n j_n * stride_n (`_strides`), so a push adds (z - y) * stride to a
+code (`ProductModel.deltas` holds the z - y) instead of building a tuple.
+A one-axis code is the position itself, so `derive_set` and the staircase
+pass positions straight in; `derive_product_set` encodes its position
+tuples once per step and decodes the survivors.
 """
 from __future__ import annotations
 
@@ -212,6 +217,15 @@ class ProductModel:
             for pts in self.factor_points
         )
 
+    @cached_property
+    def deltas(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per factor, by position y: z - y for every other position z
+        with y in C(z) (`cmaps` lists y itself first)."""
+        return tuple(
+            tuple(tuple(z - y for z in cmap[y][1:]) for y in range(len(cmap)))
+            for cmap in self.cmaps
+        )
+
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
         exceeds this.  Every derivation turns its threshold into a bar
@@ -222,12 +236,23 @@ class ProductModel:
         return eps_q.numerator * self.scaled_norms[0] // eps_q.denominator
 
 
+def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:
+    """Place values of a mixed-radix code over the factors `axes`: the
+    point with position j_n on factor axes[n] has code sum_n j_n * stride_n.
+    A one-axis code is the position itself."""
+    out, stride = [], 1
+    for a in axes:
+        out.append(stride)
+        stride *= len(model.factor_points[a])
+    return out
+
+
 def _local_diams(
-    model: ProductModel, axes: Sequence[int], alive: Iterable[PPoint]
-) -> dict[PPoint, int]:
+    model: ProductModel, axes: Sequence[int], alive: Iterable[int]
+) -> dict[int, int]:
     """D times the local diameter^q of every point of an alive set.
 
-    Each alive point is its tuple of positions on the factors `axes`; the
+    Each alive point is its code over the factors `axes` (`_strides`); the
     result maps it to 2 * (max N over its alive cluster - its own N),
     with N the norm^q times D.  That equals the local diameter only when the
     alive set is closed under swapping the two copies of any tail: every
@@ -238,22 +263,28 @@ def _local_diams(
     axis a sends each value from y to every point that differs from y only
     on axis a, at some z with y_a in C(z), keeping the largest value per
     point; after the last axis each point holds the max over its whole
-    product cluster.
+    product cluster.  On codes that push adds (z - y_a) * stride_a.
     """
     _, norms = model.scaled_norms
-    own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in alive}
+    layout = [
+        (norms[a], model.deltas[a], stride, len(norms[a]))
+        for a, stride in zip(axes, _strides(model, axes))
+    ]
+    own = dict.fromkeys(alive, 0)
+    for norm, _, stride, size in layout:
+        for c in own:
+            own[c] += norm[c // stride % size]
     best = own
-    for n, a in enumerate(axes):
-        inv = model.cmaps[a]
-        pushed: dict[tuple[int, ...], int] = {}
-        for y, v in best.items():
-            head, tail = y[:n], y[n + 1 :]
-            for z in inv[y[n]]:
-                key = head + (z,) + tail
-                if pushed.get(key, -1) < v:
-                    pushed[key] = v
+    for _, deltas, stride, size in layout:
+        pushed = best.copy()
+        get = pushed.get
+        for c, v in best.items():
+            for d in deltas[c // stride % size]:
+                k = c + d * stride
+                if get(k, -1) < v:
+                    pushed[k] = v
         best = pushed
-    return {k: 2 * (best[k] - v) for k, v in own.items()}
+    return {c: 2 * (best[c] - v) for c, v in own.items()}
 
 
 def derive_product_set(
@@ -264,7 +295,12 @@ def derive_product_set(
     every axis)."""
     bar = model.scaled_bar(eps_q)
     axes = range(len(model.factor_points))
-    return frozenset(x for x, d in _local_diams(model, axes, alive).items() if d > bar)
+    points = list(alive)
+    codes = [0] * len(points)
+    for n, stride in enumerate(_strides(model, axes)):
+        codes = [c + x[n] * stride for c, x in zip(codes, points)]
+    by_code = dict(zip(codes, points))
+    return frozenset(by_code[c] for c, d in _local_diams(model, axes, by_code).items() if d > bar)
 
 
 def derive_set(
@@ -272,8 +308,7 @@ def derive_set(
 ) -> frozenset[int]:
     """One exact derivation step on a set of factor i's positions."""
     bar = model.scaled_bar(eps_q)
-    diams = _local_diams(model, (i,), [(j,) for j in alive])
-    return frozenset(j for (j,), d in diams.items() if d > bar)
+    return frozenset(j for j, d in _local_diams(model, (i,), alive).items() if d > bar)
 
 
 def iterate_product_set(

@@ -20,7 +20,8 @@ whose per-axis cluster max costs time linear in the number of product
 points (times the factor count and the largest inverse cluster), not a
 scan of every point's whole product cluster.  The staircase's per-factor
 local diameters come from the same kernel, one axis at a time, as integers
-over the model's common denominator.  The `set derive` command
+over the model's common denominator, and its minimal value tuples from a
+predecessor check (`_minimal_tuples`).  The `set derive` command
 reports that step as `chain_nesting_violated` and exits 1; `bound_product_derivation` is the
 separate finite emptiness bound, not a fallback taken automatically.
 """
@@ -219,29 +220,40 @@ def _prune(terms: list[tuple[frozenset, ...]]) -> tuple[tuple[frozenset, ...], .
     return tuple(kept)
 
 
+def _minimal_tuples(values: Sequence[Sequence[int]], bar: int) -> list[tuple[int, ...]]:
+    """The minimal tuples v, one entry from each of the sorted lists of
+    distinct values, with sum(v) > bar, in lexicographic order.
+
+    v is minimal iff lowering any one entry to the next smaller value of its
+    list brings the sum to at most bar.  For a prefix of the first n - 1
+    entries only the least last entry that passes the bar can be minimal,
+    so each prefix costs one bisection and one predecessor check.
+    """
+    *heads, last = values
+    prev = [dict(zip(vals[1:], vals)) for vals in heads]
+    out = []
+    for prefix in itertools.product(*heads):
+        acc = sum(prefix)
+        k = bisect.bisect_right(last, bar - acc)
+        if k == len(last):
+            continue
+        s = acc + last[k]
+        if all(x not in p or s - x + p[x] <= bar for x, p in zip(prefix, prev)):
+            out.append(prefix + (last[k],))
+    return out
+
+
 def _staircase(
     model: ProductModel, Gs: Sequence[frozenset], eps_q: Fraction
 ) -> list[tuple[frozenset, ...]]:
     """Exact one-step derivation of the full product of the Gs."""
     # by position, local diameter^q of each point of G inside G, times D
-    lams = [
-        {j: d for (j,), d in _local_diams(model, (i,), [(j,) for j in G]).items()}
-        for i, G in enumerate(Gs)
-    ]
+    lams = [_local_diams(model, (i,), G) for i, G in enumerate(Gs)]
     values = [sorted(set(lam.values())) for lam in lams]
     if any(not v for v in values):
         return []
-    bar = model.scaled_bar(eps_q)
-    combos = [v for v in itertools.product(*values) if sum(v) > bar]
-    minimal = [
-        v
-        for v in combos
-        if not any(
-            u != v and all(a <= b for a, b in zip(u, v)) for u in combos
-        )
-    ]
     terms: list[tuple[frozenset, ...]] = []
-    for v in minimal:
+    for v in _minimal_tuples(values, model.scaled_bar(eps_q)):
         term = tuple(
             frozenset(x for x in Gs[i] if lams[i][x] >= v[i])
             for i in range(len(Gs))
@@ -391,11 +403,19 @@ class BqCover:
     q: Fraction
     n: int
     tuples: tuple[tuple[int, ...], ...]
-    products: tuple[tuple[FanSet, ...], ...]
+    # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
+    copies: tuple[tuple[FanSet, ...], ...]
 
     @cached_property
     def tuple_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.tuples)
+
+    @cached_property
+    def products(self) -> tuple[tuple[FanSet, ...], ...]:
+        """By tuple k, the product of the (k_i/l)-scaled factors."""
+        return tuple(
+            tuple(c[ki - 1] for c, ki in zip(self.copies, k)) for k in self.tuples
+        )
 
 
 @dataclass(frozen=True)
@@ -457,15 +477,11 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
         )
         if sum(vals) <= cap
     ]
-    # (k/l)-scaled copies of each factor, built once per (factor, k)
-    copies = [
-        [_as_factor(pow_bounds(Fraction(k, l), q)[1], K) for k in range(1, k_max + 1)]
+    copies = tuple(
+        tuple(_as_factor(pow_bounds(Fraction(k, l), q)[1], K) for k in range(1, k_max + 1))
         for K in factors
-    ]
-    products = tuple(
-        tuple(copies[i][ki - 1] for i, ki in enumerate(k)) for k in tuples
     )
-    return BqCover(l, q, n, tuple(tuples), products)
+    return BqCover(l, q, n, tuple(tuples), copies)
 
 
 def bq_member(point: BqPoint, cover: BqCover) -> bool:

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 import json
+import math
+import sys
 import time
 from fractions import Fraction
 
@@ -18,9 +20,10 @@ from szlenk.calculus import (
     ParamFamily,
 )
 from szlenk import pointmodel, products
-from szlenk.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from szlenk.documents import dumps_canonical, fanset_to_doc, space_to_doc
-from szlenk.fansets import Fan, ProdQ, Sing, depth_fan
+from szlenk.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _printable, main
+from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
+from szlenk.exactmath import pow_bounds
+from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
 from szlenk.ordinal import Ordinal
 
 F = Fraction
@@ -375,6 +378,58 @@ class TestSigmaFrount:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 17
 
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (("sigma", "3", "2", "1", "5600"), 4358),
+            (("frount", "1", "1/2", "5000", "2"), 4516),
+            (("frount", "1", "1/2", "5000", "2", "--format", "text"), 4516),
+        ],
+    )
+    def test_result_over_the_digit_limit_exits_2(self, capsys, argv, digits):
+        """Python prints an int of at most sys.get_int_max_str_digits()
+        digits (4300 by default); a larger result is refused by name."""
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: {argv[0]} result has {digits} digits, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit on printing integers\n"
+        )
+
+    def test_digit_limit_is_the_printing_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert len(str(10**limit - 1)) == limit
+        assert _printable(10**limit - 1, "sigma") == 10**limit - 1
+        with pytest.raises(ValueError):
+            str(10**limit)
+        with pytest.raises(ValueError, match=f"has {limit + 1} digits"):
+            _printable(10**limit, "sigma")
+
+    def test_eps_q_below_root_precision_exits_2(self, capsys):
+        """(1/2)^(10001/100) < 2^-96, below what the lower bound of a
+        fractional power resolves."""
+        code, out, err = run(capsys, "frount", "1", "1/2", "10001/100", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: eps^q is below 2^-96, the precision of fractional powers "
+            "(eps = 1/2, q = 10001/100)\n"
+        )
+
+    def test_eps_q_just_above_root_precision_prints(self, capsys):
+        """(1/2)^(9599/100) > 2^-96: the least M >= 2 with
+        (lo(2^q) - 1) * lo(eps^q) * M >= hi(8^q) * hi(1^q) * (2 - 1)."""
+        code, out, _ = run(capsys, "frount", "1", "1/2", "9599/100", "2")
+        assert code == EXIT_OK
+        q = F(9599, 100)
+        eps_q, _ = pow_bounds(F(1, 2), q)
+        assert 0 < eps_q < F(1, 2**95)
+        _, hi8 = pow_bounds(F(8), q)
+        _, hi1 = pow_bounds(F(1), q)
+        lo2, _ = pow_bounds(F(2), q)
+        assert json.loads(out)["value"] == max(2, math.ceil(hi8 * hi1 / ((lo2 - 1) * eps_q)))
+
     def test_frount_text(self, capsys):
         code, out, _ = run(capsys, "frount", "1", "1", "1", "2", "--format", "text")
         assert code == EXIT_OK
@@ -390,6 +445,54 @@ class TestCover:
         assert doc["n"] == 2 and doc["l"] == 2 and doc["q"] == "2"
         assert [1, 1] in doc["tuples"]
         assert len(doc["products"]) == len(doc["tuples"])
+
+    @pytest.mark.parametrize("q", ["1", "2", "3", "3/2"])
+    def test_spliced_report_is_the_plain_json(self, capsys, tmp_path, q):
+        """The products array is spliced from one text per (factor, k); the
+        report equals the plain rendering of every product's documents."""
+        factors = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1)]
+        paths = [
+            write_doc(tmp_path, f"f{i}.json", fanset_to_doc(K, F(q)))
+            for i, K in enumerate(factors)
+        ]
+        for n in (1, 2, 3):
+            for l in (1, 2, 5):
+                code, out, _ = run(capsys, "cover", str(l), *paths[:n])
+                assert code == EXIT_OK
+                cover = products.bq_cover(factors[:n], l, F(q))
+                full = {
+                    "v": 1,
+                    "command": "cover",
+                    "l": l,
+                    "q": q,
+                    "n": n,
+                    "tuples": [list(k) for k in cover.tuples],
+                    "products": [[fan_node_to_doc(f) for f in prod] for prod in cover.products],
+                }
+                assert out == json.dumps(full, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_text_format(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "f.json", fanset_to_doc(F1, F(2)))
+        code, out, _ = run(capsys, "cover", "2", path, path, "--format", "text")
+        assert code == EXIT_OK
+        tuples = products.bq_cover([F1, F1], 2, F(2)).tuples
+        lines = out.splitlines()
+        assert lines[0] == f"cover: n=2 l=2 q=2 tuples={len(tuples)}"
+        assert lines[1:] == [
+            f"  k=({a}, {b})  scales=({ordinal.frac_to_str(F(a, 2))}, {ordinal.frac_to_str(F(b, 2))})"
+            for a, b in tuples
+        ]
+        assert "  k=(1, 1)  scales=(1/2, 1/2)" in lines
+
+    def test_out_writes_the_report(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "f.json", fanset_to_doc(F1, F(3)))
+        target = tmp_path / "cover.json"
+        code, out, _ = run(capsys, "cover", "4", path, path, path, "--out", str(target))
+        assert code == EXIT_OK
+        assert out == ""
+        code, printed, _ = run(capsys, "cover", "4", path, path, path)
+        assert code == EXIT_OK
+        assert target.read_text(encoding="utf-8") == printed
 
     def test_mismatched_q_exits_2(self, capsys, tmp_path):
         p1 = write_doc(tmp_path, "f1.json", fanset_to_doc(F1, F(2)))

@@ -1,4 +1,5 @@
 """Round-trip and schema tests for the JSON document layer."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from szlenk.calculus import (
 )
 from szlenk.documents import (
     DocumentError,
+    SharedRows,
     dumps_canonical,
     fanset_from_doc,
     fanset_to_doc,
@@ -182,6 +184,17 @@ class TestCanonical:
         b = dumps_canonical({"a": [{"x": 3, "y": 2}], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+    def test_shared_rows_render_as_the_plain_array(self):
+        """Entries are picked per column by each row's keys; the rendering
+        sorts the top-level keys around the spliced value."""
+        cols = [{1: {"b": [1, 2], "a": "x"}, 2: {"z": {}}}, {0: [], 5: {"q": "é"}}]
+        keys = [(1, 0), (2, 5), (1, 5), (2, 0)]
+        plain = {"z": 0, "rows": [[cols[0][i], cols[1][j]] for i, j in keys], "a": [None, True]}
+        spliced = dict(plain, rows=SharedRows(cols, keys))
+        want = json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
+        assert dumps_canonical(spliced) == want == dumps_canonical(plain)
+        assert dumps_canonical({"rows": SharedRows(cols, [])}) == '{"rows":[]}\n'
 
     def test_loads_error(self):
         with pytest.raises(DocumentError):

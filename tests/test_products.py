@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracle import as_points, oracle_derive, oracle_in_cluster, oracle_p_derive, oracle_p_sz
+from oracle import (
+    as_points,
+    oracle_derive,
+    oracle_in_cluster,
+    oracle_local_diam_q,
+    oracle_p_derive,
+    oracle_p_local_diam_q,
+    oracle_p_sz,
+)
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
 from szlenk.fansets import (
@@ -24,6 +32,8 @@ from szlenk import products
 from szlenk.exactmath import pow_bounds
 from szlenk.pointmodel import (
     ProductModel,
+    _local_diams,
+    _strides,
     cluster_map,
     derive_product_set,
     derive_set,
@@ -181,7 +191,31 @@ class TestAEpsGrid:
         ]
 
 
+def reference_minimal_tuples(values, bar):
+    """The minimal tuples by scanning every pair of tuples that pass."""
+    combos = [v for v in itertools.product(*values) if sum(v) > bar]
+    return [
+        v
+        for v in combos
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in combos)
+    ]
+
+
 class TestDeriveProductStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(sorted),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 120),
+    )
+    def test_minimal_tuples_match_the_pairwise_scan(self, values, bar):
+        got = products._minimal_tuples(values, bar)
+        event(f"{len(got)} minimal")
+        assert got == reference_minimal_tuples(values, bar)
+
     def test_scaled_pair_empty(self):
         pu = derive_product_step([(F(1, 2), F1), (F(1, 2), F1)], F(3, 2))
         assert pu.is_empty()
@@ -363,6 +397,98 @@ class TestDeriveProductSet:
         want = frozenset(x for x in alive if apex in x)
         assert derive_product_set(alive, model, F(1, 2)) == want
         assert oracle_p_derive(as_points(model, alive), F(1, 2)) == as_points(model, want)
+
+
+def reference_local_diams(model, axes, alive):
+    """The tuple-keyed kernel: the same per-axis push as `_local_diams`, on
+    position tuples, building head + (z,) + tail for every push."""
+    _, norms = model.scaled_norms
+    own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in alive}
+    best = own
+    for n, a in enumerate(axes):
+        inv = model.cmaps[a]
+        pushed = {}
+        for y, v in best.items():
+            head, tail = y[:n], y[n + 1 :]
+            for z in inv[y[n]]:
+                key = head + (z,) + tail
+                if pushed.get(key, -1) < v:
+                    pushed[key] = v
+        best = pushed
+    return {k: 2 * (best[k] - v) for k, v in own.items()}
+
+
+def code_diams(model, axes, alive):
+    """`_local_diams` on the codes of position tuples, keyed back by tuple."""
+    strides = _strides(model, axes)
+    by_code = {sum(j * s for j, s in zip(x, strides)): x for x in alive}
+    assert len(by_code) == len(alive)
+    return {by_code[c]: d for c, d in _local_diams(model, axes, by_code).items()}
+
+
+def unequal_model(bodies):
+    """The product model of three factors with at least two point counts,
+    small enough for the oracle."""
+    model = ProductModel.of(bodies)
+    sizes = [len(p) for p in model.factor_points]
+    assume(len(set(sizes)) > 1 and len(model.tuples()) <= 150)
+    return model
+
+
+class TestIntegerCodeKernel:
+    """`_local_diams` on mixed-radix codes against the tuple-keyed kernel
+    and against the oracle's pairwise diameters."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(fan_sets(1), min_size=3, max_size=3), fracs(max_den=4))
+    def test_every_stage_of_an_unequal_product(self, bodies, eps_q):
+        model = unequal_model(bodies)
+        D = model.scaled_norms[0]
+        axes = range(3)
+        alive, stages = model.tuples(), 0
+        while alive:
+            got = code_diams(model, axes, alive)
+            assert got == reference_local_diams(model, axes, alive)
+            pts = as_points(model, alive)
+            for x, d in got.items():
+                (px,) = as_points(model, [x])
+                assert d == D * oracle_p_local_diam_q(px, pts)
+            alive = derive_product_set(alive, model, eps_q)
+            stages += 1
+        event(f"{stages} stages")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(fan_sets(1), min_size=3, max_size=3), st.data())
+    def test_any_subset_of_an_unequal_product(self, bodies, data):
+        """Off the mirror-closed stages the kernel still computes 2 * reach,
+        the tuple-keyed kernel's value."""
+        model = unequal_model(bodies)
+        alive = draw_subset(data, model)
+        axes = range(3)
+        assert code_diams(model, axes, alive) == reference_local_diams(model, axes, alive)
+        # the axes in another order, as a sub-product of two factors
+        sub = frozenset((x[2], x[0]) for x in alive)
+        assert code_diams(model, (2, 0), sub) == reference_local_diams(model, (2, 0), sub)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(fan_sets(2), min_size=2, max_size=3), fracs(max_den=4))
+    def test_one_axis_on_later_factors(self, bodies, eps_q):
+        """One-axis calls on axis i > 0, as `_staircase` makes them: a code
+        is the position, at every stage of `derive_set` on that factor."""
+        model = ProductModel.of(bodies)
+        D = model.scaled_norms[0]
+        for i in range(1, len(bodies)):
+            pts = model.factor_points[i]
+            assume(len(pts) <= 60)
+            alive = frozenset(range(len(pts)))
+            while alive:
+                got = _local_diams(model, (i,), alive)
+                want = reference_local_diams(model, (i,), [(j,) for j in alive])
+                assert got == {j: d for (j,), d in want.items()}
+                live = frozenset(pts[j] for j in alive)
+                for j, d in got.items():
+                    assert d == D * oracle_local_diam_q(pts[j], live)
+                alive = derive_set(alive, model, i, eps_q)
 
 
 class TestProductIterationAgainstModel:
