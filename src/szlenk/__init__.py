@@ -103,7 +103,6 @@ from .pointmodel import (  # noqa: F401
 from .products import (  # noqa: F401
     AEpsGrid,
     BqCover,
-    BqPoint,
     ChainNestingViolated,
     ProductBound,
     ProductUnion,

@@ -43,12 +43,10 @@ from .pointmodel import (
     cluster_map,
     derive_set,
     iterate_product_set,
-    restrict_model,
     sz_product_set,
 )
 from .products import (
     AEpsGrid,
-    BqPoint,
     _as_factor,
     a_eps_grid,
     a_eps_minimal,
@@ -217,7 +215,7 @@ class TvlReport:
     violations: tuple[str, ...]
 
 
-_ORIGIN = Point((), frozenset(), Fraction(0))
+_ORIGIN = Point((), Fraction(0))
 
 
 def tvl_check(
@@ -259,32 +257,30 @@ def tvl_check(
     # the model, the model of the projected set, and the projection
     if isinstance(K, ProdQ):
         model = ProductModel.of(K.factors)
-        sub = restrict_model(model, sel)
+        sub = ProductModel(
+            tuple(model.factor_points[i] for i in sel), tuple(model.cmaps[i] for i in sel)
+        )
 
         def proj(x):
             return tuple(x[i] for i in sel)
 
     else:
         model = ProductModel.of([K])
-        keep = set(sel)
-
-        def image(p: Point) -> Point:
-            return p if p.path[0][1][1] in keep else _ORIGIN
-
-        # one projected point per coordinate set, the one with the shortest path
-        canon: dict = {}
-        for p in model.factor_points[0]:
-            img = image(p)
-            cur = canon.get(img.coords)
-            if cur is None or len(img.path) < len(cur.path):
-                canon[img.coords] = img
-        proj_points = tuple(canon.values())
-        sub = ProductModel((proj_points,), (cluster_map(proj_points),))
-        at = {p.coords: k for k, p in enumerate(proj_points)}
-        points = model.factor_points[0]
+        points, keep = model.factor_points[0], set(sel)
+        kept = [j for j, p in enumerate(points) if p.path[0][1][1] in keep]
+        proj_points = [points[j] for j in kept]
+        # a kept point projects to itself, a dropped one to the origin: the
+        # kept point of norm 0 (the root of a kept zero-offset component)
+        # if there is one, else an added point at path ()
+        origin = next((k for k, p in enumerate(proj_points) if p.norm_q == 0), None)
+        if origin is None and len(kept) < len(points):
+            origin = len(proj_points)
+            proj_points.append(_ORIGIN)
+        sub = ProductModel((tuple(proj_points),), (cluster_map(proj_points),))
+        at = {j: k for k, j in enumerate(kept)}
 
         def proj(x):
-            return (at[image(points[x[0]]).coords],)
+            return (at.get(x[0], origin),)
 
     A = iterate_product_set(model.tuples(), model, eps_q, alpha)
     B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
@@ -551,19 +547,17 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
 
 
 _LECONDSAST_POINTS = 500
-_SIXTEENTHS = tuple(Fraction(k, 16) for k in range(17))
 
 
-def _bq_sample(rng: random.Random, n: int, iq: int) -> BqPoint:
-    """A sample point with scales k_i / 16, drawn until
+def _bq_sample(rng: random.Random, n: int, iq: int) -> tuple[list[int], tuple[bool, ...]]:
+    """A sample point's scales k_i / 16, as the integers k_i, drawn until
     sum_i k_i^q <= 16^q (that is, sum_i (k_i / 16)^q <= 1), and each x_i
     nonzero with probability 0.7."""
     while True:
         ks = [rng.randint(0, 16) for _ in range(n)]
         if sum(k**iq for k in ks) <= 16**iq:
             break
-    nonzero = tuple(rng.random() < 0.7 for _ in range(n))
-    return BqPoint(tuple(_SIXTEENTHS[k] for k in ks), nonzero)
+    return ks, tuple(rng.random() < 0.7 for _ in range(n))
 
 
 def _suite_lecondsast(rng: random.Random) -> tuple:
@@ -573,11 +567,8 @@ def _suite_lecondsast(rng: random.Random) -> tuple:
     iq = int(q)
     factors = [rand_fan_set(rng, 1) for _ in range(n)]
     cover = bq_cover(factors, l, q)
-    bad = sum(
-        1
-        for _ in range(_LECONDSAST_POINTS)
-        if not bq_member(_bq_sample(rng, n, iq), cover)
-    )
+    samples = (_bq_sample(rng, n, iq) for _ in range(_LECONDSAST_POINTS))
+    bad = sum(1 for ks, nonzero in samples if not bq_member(ks, 16, nonzero, cover))
     detail = (
         f"n={n} l={l} q={q} cover={len(cover.tuples)} "
         f"points={_LECONDSAST_POINTS}"

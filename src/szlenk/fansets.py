@@ -513,13 +513,28 @@ def sz_eps(F: FanSet, eps_q: Fraction) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
+def _flat(F: FanSet, a_q: Fraction = Fraction(1)) -> list[tuple[Fraction, FanSet]]:
+    """The components of the a_q-scaled union F, which lacks the origin,
+    with every union at offset 0 merged in: Scale(a, DU((o, b), ...)) is
+    DU((a*o, a*b), ...)."""
+    while isinstance(F, Scale):
+        a_q, F = a_q * F.a_q, F.body
+    return [
+        c
+        for off, b in F.components
+        for c in ([(a_q * off, scaled(a_q, b))] if off else _flat(b, a_q))
+    ]
+
+
 def project(F: FanSet, groups: Sequence[int]) -> FanSet:
     """Project onto the named axis groups (exact on the fan class).
 
     For a product the groups are factor indices and projection keeps those
     factors.  For a disjoint union the groups are component indices: kept
     components survive unchanged and every dropped component collapses to
-    the origin (its support is disjoint from the kept axes).
+    the origin (its support is disjoint from the kept axes).  When the
+    kept components lack the origin, a kept union at offset 0 is merged
+    into its components before the origin is added.
     """
     sel = sorted(set(groups))
     if isinstance(F, ProdQ):
@@ -533,10 +548,10 @@ def project(F: FanSet, groups: Sequence[int]) -> FanSet:
         if not sel or any(not 0 <= g < n for g in sel):
             raise GroupNotFound(f"component indices must be within 0..{n - 1}")
         comps: list[tuple[Fraction, Optional[FanSet]]] = [F.components[g] for g in sel]
-        if len(sel) < n:
-            has_origin = any(off == 0 and contains_origin(b) for off, b in comps)
-            if not has_origin:
-                comps.append((Fraction(0), Sing()))
+        if len(sel) < n and not any(off == 0 and contains_origin(b) for off, b in comps):
+            # the origin joins at offset 0, where a kept component may sit:
+            # a union lacking the origin (nested or scaled), so flatten first
+            comps = _flat(DisjUnion(tuple(comps))) + [(Fraction(0), Sing())]
         out = disj(comps)
         assert out is not None
         return out

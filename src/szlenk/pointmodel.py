@@ -8,20 +8,15 @@ holds both mirror images of each survivor, and the best far pair across two
 mirror copies realizes the exact local diameter 2*reach just as infinitely
 many copies would.
 
-Points carry
+A point is
 
-* ``path`` — the structural branch steps with kinds "t" (tail copy:
+* its ``path`` — the structural branch steps with kinds "t" (tail copy:
   cluster-continuing), "p" (prefix copy or positively offset component:
   excludable by a neighborhood), "f" (transparent: a fan selector inside a
-  shared apex, or a zero-offset component),
-* ``coords`` — a frozenset of (axis, value_q) pairs, where each copy step
-  contributes the copy shift on a fresh axis named by the path prefix, and
-* ``norm_q`` — the sum of the coords' values, carried down the walk: each
-  copy step adds its weight to the parent's norm.
-
-Two distinct points never share an axis with different values (coordinates
-on the common path prefix agree; beyond it the supports are disjoint), so
-distance^q is the plain sum over the symmetric difference of coords.
+  shared apex, or a zero-offset component), and
+* its carried ``norm_q`` — N, the norm^q: each copy step (a "t" or "p"
+  step) shifts the copy on a fresh axis of its own, so it adds its weight
+  to the parent's norm on the way down the walk.
 
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
@@ -33,9 +28,11 @@ local diameter^q at x inside an alive subset S is
 provided S is closed under swapping the two copies of any tail, as every
 stage of a derivation from the whole materialization is.
 
-Every y in C(x) extends x's coordinates, so dist^q(x, y) = N(y) - N(x)
-with N the norm^q: the reach of x is the largest N over its alive cluster,
-minus N(x).
+Every y in C(x) lies below x in the walk: it is x plus the shifts of the
+copy steps between them, each on an axis x does not use.  So dist^q(x, y)
+= N(y) - N(x), and the reach of x is the largest N over its alive cluster,
+minus N(x).  The path and N are all a derivation reads; tests/oracle.py
+keeps the explicit coordinates as the independent slow check.
 
 One model serves sets and products: a set is the one-factor product
 ``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
@@ -83,13 +80,7 @@ from .fansets import (
 @dataclass(frozen=True)
 class Point:
     path: tuple
-    coords: frozenset
     norm_q: Fraction
-
-
-def dist_q(x: Point, y: Point) -> Fraction:
-    """||x - y||^q: the coords they do not share, summed."""
-    return sum((v for _, v in x.coords ^ y.coords), Fraction(0))
 
 
 def materialize(F: FanSet) -> tuple[Point, ...]:
@@ -98,43 +89,35 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
         raise OutsideExactFragment("materialize products factor by factor")
     out: list[Point] = []
 
-    def emit(path: tuple, coords: list, norm: Fraction) -> None:
-        out.append(Point(path, frozenset(coords), norm))
-
-    def copies(f: Fan, path: tuple, coords: list, norm: Fraction, s: Fraction) -> None:
+    def copies(f: Fan, path: tuple, norm: Fraction, s: Fraction) -> None:
         w = f.w_q * s
         for i, c in enumerate(f.prefix):
-            ax = path + (("p", ("pre", i)),)
-            go(c, ax, coords + [(ax, w)], norm + w, s)
+            go(c, path + (("p", ("pre", i)),), norm + w, s)
         for j in (0, 1):
-            ax = path + (("t", j),)
-            go(f.tail, ax, coords + [(ax, w)], norm + w, s)
+            go(f.tail, path + (("t", j),), norm + w, s)
 
-    def go(node: FanSet, path: tuple, coords: list, norm: Fraction, s: Fraction) -> None:
+    def go(node: FanSet, path: tuple, norm: Fraction, s: Fraction) -> None:
         if isinstance(node, Sing):
-            emit(path, coords, norm)
+            out.append(Point(path, norm))
         elif isinstance(node, Fan):
-            emit(path, coords, norm)
-            copies(node, path, coords, norm, s)
+            out.append(Point(path, norm))
+            copies(node, path, norm, s)
         elif isinstance(node, UnionApex):
-            emit(path, coords, norm)
+            out.append(Point(path, norm))
             for i, f in enumerate(node.fans):
-                copies(f, path + (("f", ("fan", i)),), coords, norm, s)
+                copies(f, path + (("f", ("fan", i)),), norm, s)
         elif isinstance(node, Scale):
-            go(node.body, path, coords, norm, s * node.a_q)
+            go(node.body, path, norm, s * node.a_q)
         elif isinstance(node, DisjUnion):
             for i, (off, b) in enumerate(node.components):
                 if off > 0:
-                    ax, w = path + (("p", ("comp", i)),), off * s
-                    go(b, ax, coords + [(ax, w)], norm + w, s)
+                    go(b, path + (("p", ("comp", i)),), norm + off * s, s)
                 else:
-                    go(b, path + (("f", ("comp", i)),), coords, norm, s)
+                    go(b, path + (("f", ("comp", i)),), norm, s)
         else:
             raise MalformedFanSet(f"not a fan set: {node!r}")
 
-    go(F, (), [], Fraction(0), Fraction(1))
-    seen = {p.coords for p in out}
-    assert len(seen) == len(out), "materialization produced coordinate collisions"
+    go(F, (), Fraction(0), Fraction(1))
     return tuple(out)
 
 
@@ -330,14 +313,6 @@ def sz_product_set(
         alive = derive_product_set(alive, model, eps_q)
         count += 1
     return max(count, 1)
-
-
-def restrict_model(model: ProductModel, keep: Sequence[int]) -> ProductModel:
-    sel = tuple(sorted(set(keep)))
-    return ProductModel(
-        tuple(model.factor_points[i] for i in sel),
-        tuple(model.cmaps[i] for i in sel),
-    )
 
 
 def model_sz(F: FanSet, eps_q: Fraction) -> int:

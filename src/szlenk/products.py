@@ -418,27 +418,6 @@ class BqCover:
         )
 
 
-@dataclass(frozen=True)
-class BqPoint:
-    """A sample point a_1 x_1 + ... + a_n x_n with a_i in [0,1], x_i in K_i.
-
-    `nonzero[i]` records whether x_i is a nonzero point (a zero x_i makes
-    the i-th scale irrelevant)."""
-
-    scales: tuple[Fraction, ...]
-    nonzero: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "scales", tuple(Fraction(a) for a in self.scales)
-        )
-        object.__setattr__(self, "nonzero", tuple(bool(b) for b in self.nonzero))
-        if len(self.scales) != len(self.nonzero):
-            raise InvalidParams("scales and nonzero flags must align")
-        if any(not 0 <= a.numerator <= a.denominator for a in self.scales):
-            raise InvalidParams("scales must lie in [0, 1]")
-
-
 def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     """Integer tuples k with sum_i k_i^q <= (l + n^(1/q))^q (outward-rounded)
     and the corresponding products of (k_i/l)-scaled factors."""
@@ -484,8 +463,12 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     return BqCover(l, q, n, tuple(tuples), copies)
 
 
-def bq_member(point: BqPoint, cover: BqCover) -> bool:
-    """Whether the sampled point lies in some product of the cover.
+def bq_member(
+    scales: Sequence[int], den: int, nonzero: Sequence[bool], cover: BqCover
+) -> bool:
+    """Whether the point a_1 x_1 + ... + a_n x_n, with a_i = scales[i] / den
+    in [0, 1] and x_i in K_i nonzero iff nonzero[i], lies in some product
+    of the cover (a zero x_i makes the i-th scale irrelevant).
 
     A scaled factor (k_i/l) K_i absorbs a_i x_i whenever a_i <= k_i/l (the
     factor sets are star-shaped about 0: they contain every down-scaling of
@@ -493,10 +476,11 @@ def bq_member(point: BqPoint, cover: BqCover) -> bool:
     absorbing tuple is k_i = max(1, ceil(a_i * l)) for nonzero x_i and 1
     otherwise; a cover from `bq_cover` is down-closed (its lower power
     bounds grow with k_i), so the point is covered iff that tuple is in it."""
-    if len(point.scales) != cover.n:
+    if len(scales) != cover.n or len(nonzero) != cover.n:
         raise InvalidParams("point arity does not match the cover")
+    if den < 1 or any(not 0 <= k <= den for k in scales):
+        raise InvalidParams("scales must lie in [0, 1]")
     least = tuple(
-        max(1, -(-a.numerator * cover.l // a.denominator)) if nz else 1
-        for a, nz in zip(point.scales, point.nonzero)
+        max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
     )
     return least in cover.tuple_set

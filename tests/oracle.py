@@ -3,33 +3,94 @@
 Deliberately re-derives everything from first principles with different
 mechanics than the engine:
 
+* its own two-copy materializer, `oracle_materialize`, which gives every
+  point explicit coordinates: each copy step shifts the copy on a fresh
+  axis named by its path, and no two points may share a coordinate set;
 * local diameter at x = max pairwise distance among the alive points lying
   in every neighborhood of x (including x itself), rather than the engine's
   2 * max-reach shortcut;
 * its own cluster predicate and dict-based distance computation.
 
-Only shares the Point dataclass (paths + coords are the ground truth both
-sides consume).  The engine's alive sets hold position tuples; `as_points`
-turns them into the tuples of `Point`s the oracle works on.
+The engine's points carry only a path and a norm, and its alive sets hold
+positions; `oracle_points` looks the oracle's point up by each engine path,
+and `as_points` turns alive position tuples into tuples of those points.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from szlenk.pointmodel import Point, ProductModel
-
-PPoint = tuple[Point, ...]
+from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex
 
 
-def as_points(model: ProductModel, alive) -> frozenset[PPoint]:
-    """The tuples of factor points that an alive set's positions name."""
-    return frozenset(
-        tuple(pts[j] for pts, j in zip(model.factor_points, x)) for x in alive
-    )
+@dataclass(frozen=True)
+class OraclePoint:
+    path: tuple
+    coords: frozenset  # of (axis, value_q) pairs
+    norm_q: Fraction
 
 
-def oracle_dist_q(x: Point, y: Point) -> Fraction:
+PPoint = tuple[OraclePoint, ...]
+
+
+def oracle_materialize(F) -> tuple[OraclePoint, ...]:
+    """All points of a non-product fan set, two copies per omega-tail, in
+    the walk order of the engine's `materialize`."""
+    assert not isinstance(F, ProdQ)
+    out = []
+
+    def copies(f, path, coords, s):
+        w = f.w_q * s
+        for i, c in enumerate(f.prefix):
+            ax = path + (("p", ("pre", i)),)
+            go(c, ax, coords + [(ax, w)], s)
+        for j in (0, 1):
+            ax = path + (("t", j),)
+            go(f.tail, ax, coords + [(ax, w)], s)
+
+    def go(node, path, coords, s):
+        if isinstance(node, (Sing, Fan, UnionApex)):
+            norm_q = sum((v for _, v in coords), Fraction(0))
+            out.append(OraclePoint(path, frozenset(coords), norm_q))
+        if isinstance(node, Fan):
+            copies(node, path, coords, s)
+        elif isinstance(node, UnionApex):
+            for i, f in enumerate(node.fans):
+                copies(f, path + (("f", ("fan", i)),), coords, s)
+        elif isinstance(node, Scale):
+            go(node.body, path, coords, s * node.a_q)
+        elif isinstance(node, DisjUnion):
+            for i, (off, b) in enumerate(node.components):
+                if off > 0:
+                    ax = path + (("p", ("comp", i)),)
+                    go(b, ax, coords + [(ax, off * s)], s)
+                else:
+                    go(b, path + (("f", ("comp", i)),), coords, s)
+
+    go(F, (), [], Fraction(1))
+    assert len({p.coords for p in out}) == len(out), "coordinate collision"
+    return tuple(out)
+
+
+def oracle_points(factors, model) -> tuple[tuple[OraclePoint, ...], ...]:
+    """Per factor of `model` (the engine's model of `factors`), by position,
+    the oracle's point at the same path."""
+    out = []
+    for F, pts in zip(factors, model.factor_points, strict=True):
+        by_path = {p.path: p for p in oracle_materialize(F)}
+        assert len(by_path) == len(pts)
+        out.append(tuple(by_path[p.path] for p in pts))
+    return tuple(out)
+
+
+def as_points(opoints, alive) -> frozenset[PPoint]:
+    """The tuples of oracle points that an alive set's positions name
+    (`opoints` from `oracle_points`)."""
+    return frozenset(tuple(pts[j] for pts, j in zip(opoints, x)) for x in alive)
+
+
+def oracle_dist_q(x: OraclePoint, y: OraclePoint) -> Fraction:
     dx = dict(x.coords)
     dy = dict(y.coords)
     total = Fraction(0)
@@ -44,7 +105,7 @@ def oracle_dist_q(x: Point, y: Point) -> Fraction:
     return total
 
 
-def oracle_in_cluster(x: Point, y: Point) -> bool:
+def oracle_in_cluster(x, y) -> bool:
     if y.path == x.path:
         return y == x
     n = len(x.path)
@@ -55,7 +116,7 @@ def oracle_in_cluster(x: Point, y: Point) -> bool:
 
 
 def oracle_local_diam_q(
-    x: Point, alive: frozenset[Point]
+    x: OraclePoint, alive: frozenset[OraclePoint]
 ) -> Fraction:
     cl = [y for y in alive if oracle_in_cluster(x, y)]
     best = Fraction(0)
@@ -66,11 +127,11 @@ def oracle_local_diam_q(
     return best
 
 
-def oracle_derive(alive: frozenset[Point], eps_q: Fraction) -> frozenset[Point]:
+def oracle_derive(alive: frozenset[OraclePoint], eps_q: Fraction) -> frozenset[OraclePoint]:
     return frozenset(x for x in alive if oracle_local_diam_q(x, alive) > eps_q)
 
 
-def oracle_sz(alive: frozenset[Point], eps_q: Fraction) -> int:
+def oracle_sz(alive: frozenset[OraclePoint], eps_q: Fraction) -> int:
     count = 0
     while alive:
         alive = oracle_derive(alive, eps_q)

@@ -229,6 +229,6 @@ def test_bq_sample_draws_as_the_fraction_loop(n, iq):
     for index in range(20):
         fast, slow = case_rng(4, index), case_rng(4, index)
         for _ in range(50):
-            point = _bq_sample(fast, n, iq)
-            assert (point.scales, point.nonzero) == _fraction_bq_sample(slow, n, iq)
+            ks, nonzero = _bq_sample(fast, n, iq)
+            assert (tuple(F(k, 16) for k in ks), nonzero) == _fraction_bq_sample(slow, n, iq)
         assert fast.getstate() == slow.getstate()

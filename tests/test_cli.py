@@ -306,6 +306,14 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_postdoc2_projects_nested_zero_offset_unions(self, capsys):
+        """Some cases of this run project a disjoint union whose kept
+        zero-offset component is a nested or scaled union."""
+        code, out, _ = run(capsys, "verify", "postdoc2", "--samples", "100", "--seed", "0")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["suite"] == "postdoc2" and doc["passed"] == 100
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "techlem1", "--samples", "3", "--seed", "2", "--format", "text"

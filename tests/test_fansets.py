@@ -11,7 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import as_points, oracle_derive, oracle_in_cluster, oracle_local_diam_q, oracle_sz
+from oracle import (
+    as_points,
+    oracle_derive,
+    oracle_dist_q,
+    oracle_in_cluster,
+    oracle_local_diam_q,
+    oracle_materialize,
+    oracle_points,
+    oracle_sz,
+)
 from strategies import fan_sets, fracs
 from szlenk import checks
 from szlenk.calculus import InvalidParams
@@ -48,7 +57,6 @@ from szlenk.pointmodel import (
     count_points,
     derive_product_set,
     derive_set,
-    dist_q,
     materialize,
     model_sz,
 )
@@ -65,7 +73,7 @@ def norms_sorted(points) -> list[F]:
 
 
 def dists_sorted(points) -> list[F]:
-    return sorted(dist_q(a, b) for a, b in itertools.combinations(list(points), 2))
+    return sorted(oracle_dist_q(a, b) for a, b in itertools.combinations(list(points), 2))
 
 
 class TestValidation:
@@ -348,7 +356,7 @@ class TestTrace:
     @settings(max_examples=200, deadline=None)
     @given(fan_sets(3))
     def test_count_apexes_matches_oracle(self, f):
-        pts = materialize(f)
+        pts = oracle_materialize(f)
         assume(len(pts) <= 60)
         alive = frozenset(pts)
         clustered = sum(1 for x in pts if oracle_local_diam_q(x, alive) > 0)
@@ -414,10 +422,26 @@ class TestProject:
         with pytest.raises(GroupNotFound):
             project(F1, [0])
 
+    def test_nested_zero_offset_union_without_origin(self):
+        """The kept zero-offset union lacks the origin two levels down, so
+        it is merged in before the origin joins at offset 0."""
+        K = DisjUnion(
+            ((0, DisjUnion(((0, DisjUnion(((1, Sing()), (2, Sing())))), (3, Sing())))), (1, Sing()))
+        )
+        assert project(K, [0]) == DisjUnion(
+            ((F(1), Sing()), (F(2), Sing()), (F(3), Sing()), (F(0), Sing()))
+        )
+
+    def test_scaled_zero_offset_union_without_origin(self):
+        K = DisjUnion(((0, Scale(F(1, 2), DisjUnion(((1, Sing()), (2, Sing()))))), (1, Sing())))
+        assert project(K, [0]) == DisjUnion(((F(1, 2), Sing()), (F(1), Sing()), (F(0), Sing())))
+        K = DisjUnion(((0, Scale(F(1, 2), DisjUnion(((2, F1),)))), (1, Sing())))
+        assert project(K, [0]) == DisjUnion(((F(1), Scale(F(1, 2), F1)), (F(0), Sing())))
+
 
 class TestModelFrozen:
     def test_plain_fan_points(self):
-        pts = materialize(F1)
+        pts = oracle_materialize(F1)
         assert len(pts) == 3
         assert norms_sorted(pts) == [F(0), F(1, 2), F(1, 2)]
         assert dists_sorted(pts) == [F(1, 2), F(1, 2), F(1)]
@@ -467,9 +491,11 @@ class TestModelFrozen:
 
     @settings(max_examples=200, deadline=None)
     @given(fan_sets(3))
-    def test_carried_norm_is_coord_sum(self, K):
-        for p in materialize(K):
-            assert p.norm_q == sum((v for _, v in p.coords), F(0))
+    def test_points_are_the_oracle_materialization(self, K):
+        """The same paths in the same order, each carrying the norm^q that
+        the oracle sums from its explicit coordinates."""
+        got = [(p.path, p.norm_q) for p in materialize(K)]
+        assert got == [(p.path, p.norm_q) for p in oracle_materialize(K)]
 
 
 def oracle_cluster_map(points) -> dict:
@@ -502,8 +528,9 @@ class TestClusterMap:
     )
     def test_matches_oracle_on_tvl_projection(self, bodies, offs, data):
         """The disjoint branch of tvl_check sends every dropped component
-        to the origin at path () and keeps zero-offset components behind
-        "f" steps."""
+        to the one point of norm 0 (the kept zero-offset root, or an added
+        point at path ()) and keeps zero-offset components behind "f"
+        steps."""
         comps = [(F(0) if i == 0 else o, b) for i, (o, b) in enumerate(zip(offs, bodies))]
         K = DisjUnion(tuple(comps))
         groups = data.draw(
@@ -521,7 +548,7 @@ class TestClusterMap:
         with mock.patch.object(checks, "cluster_map", spy):
             tvl_check(K, sorted(groups), F(1), F(1, 2), F(1), alpha=0)
         (points,) = seen
-        assert any(p.path == () for p in points)
+        assert sum(1 for p in points if p.norm_q == 0) == 1
         assert_cluster_map_is_oracle(points)
 
     @settings(max_examples=300, deadline=None)
@@ -549,15 +576,84 @@ def model_chain(alive, eps_q, via):
     return chain
 
 
+def origin_free_unions():
+    """Unions without the origin: positive offsets only, possibly around a
+    zero-offset part that is itself such a union, possibly scaled."""
+    positive = st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2)
+
+    def extend(inner):
+        nested = st.builds(lambda z, rest: DisjUnion(((F(0), z), *rest)), inner, positive)
+        return st.one_of(nested, st.builds(Scale, fracs(max_num=4), inner))
+
+    return st.recursive(positive.map(lambda cs: DisjUnion(tuple(cs))), extend, max_leaves=3)
+
+
+@st.composite
+def unions_and_groups(draw):
+    """A disjoint union, its zero-offset component (if any) possibly a
+    nested or scaled union without the origin, and a nonempty set of
+    component indices."""
+    zero = draw(st.one_of(st.none(), fan_sets(1), origin_free_unions()), label="zero")
+    rest = draw(st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2), label="rest")
+    K = DisjUnion(tuple(rest) if zero is None else ((F(0), zero), *rest))
+    n = len(K.components)
+    groups = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="groups")
+    return K, sorted(groups)
+
+
+class TestTvlProjection:
+    @settings(max_examples=100, deadline=None)
+    @given(unions_and_groups(), fracs(max_den=4))
+    def test_stages_match_the_projected_set(self, case, eps_q):
+        """tvl_check's projection of the materialized union, read off the
+        paths, derives stage by stage like the model of `project`: the same
+        norms^q at stages 0..3."""
+        K, groups = case
+        seen = []
+
+        def spy(points):
+            seen.append(points)
+            return cluster_map(points)
+
+        with mock.patch.object(checks, "cluster_map", spy):
+            tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
+        (points,) = seen
+        got = ProductModel((tuple(points),), (cluster_map(points),))
+        want = ProductModel.of([project(K, groups)])
+        a, b = got.tuples(), want.tuples()
+        for _ in range(4):
+            assert sorted(map(got.norm_q, a)) == sorted(map(want.norm_q, b))
+            a, b = derive_product_set(a, got, eps_q), derive_product_set(b, want, eps_q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unions_and_groups(), st.data())
+    def test_projected_norms_are_the_kept_coordinates(self, case, data):
+        """At alpha = 0 every point is a survivor, so `filtered` counts the
+        points whose projection has norm^q over rad_q - cut_q; the oracle
+        projects by summing the coordinates on the kept components' axes."""
+        K, groups = case
+        keep = set(groups)
+        norms = [
+            sum((v for ax, v in p.coords if ax[0][1][1] in keep), F(0))
+            for p in oracle_materialize(K)
+        ]
+        rad_q = radius_q(K)
+        t = data.draw(st.sampled_from(sorted({v for v in norms if v < rad_q} | {F(0)})))
+        delta = F(1, 2)
+        # q = 1: rad_q - ((eps - delta) / 2) is t
+        rep = tvl_check(K, groups, delta + 2 * (rad_q - t), delta, F(1), alpha=0)
+        assert rep.filtered == sum(1 for v in norms if v > t)
+
+
 class TestEngineVsModel:
     @settings(max_examples=80, deadline=None)
     @given(fan_sets(2), fracs())
     def test_chains_agree(self, f, eps_q):
         model = ProductModel.of([f])
-        points = model.factor_points[0]
+        (points,) = opoints = oracle_points([f], model)
         echain = engine_chain(f, eps_q)
         mchain = [
-            frozenset(p for (p,) in as_points(model, a))
+            frozenset(p for (p,) in as_points(opoints, a))
             for a in model_chain(
                 model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
             )
@@ -573,7 +669,7 @@ class TestEngineVsModel:
         assert schain == ochain
         assert len(echain) == len(mchain)
         for snap, alive in zip(echain, mchain):
-            pts = materialize(snap) if snap is not None else ()
+            pts = oracle_materialize(snap) if snap is not None else ()
             assert len(pts) == len(alive)
             assert norms_sorted(pts) == norms_sorted(alive)
             assert dists_sorted(pts) == dists_sorted(alive)

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from oracle import (
     as_points,
     oracle_derive,
+    oracle_dist_q,
     oracle_in_cluster,
     oracle_local_diam_q,
+    oracle_materialize,
     oracle_p_derive,
     oracle_p_local_diam_q,
     oracle_p_sz,
+    oracle_points,
 )
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
@@ -37,14 +40,11 @@ from szlenk.pointmodel import (
     cluster_map,
     derive_product_set,
     derive_set,
-    dist_q,
     iterate_product_set,
-    materialize,
     sz_product_set,
 )
 from szlenk.products import (
     AEpsGrid,
-    BqPoint,
     ChainNestingViolated,
     ProductBound,
     a_eps_grid,
@@ -223,10 +223,9 @@ class TestDeriveProductStep:
 
     def test_unscaled_pair_origin(self):
         pu = derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
-        pts = as_points(pu.model, pu.alive)
-        assert len(pts) == 1
-        (pt,) = pts
-        assert all(p.norm_q == 0 for p in pt)
+        assert len(pu.alive) == 1
+        (x,) = pu.alive
+        assert all(pts[j].norm_q == 0 for pts, j in zip(pu.model.factor_points, x))
         assert len(pu.terms) == 1
         # alive sets and terms hold positions, not points
         assert all(type(j) is int for x in pu.alive for j in x)
@@ -234,10 +233,9 @@ class TestDeriveProductStep:
 
     def test_sing_factor_degenerates(self):
         pu = derive_product_step([(F(1), F1), (F(1), Sing())], F(1, 2))
-        pts = as_points(pu.model, pu.alive)
-        assert len(pts) == 1
-        (pt,) = pts
-        assert pt[0].norm_q == 0 and pt[1].norm_q == 0
+        assert len(pu.alive) == 1
+        (x,) = pu.alive
+        assert all(pts[j].norm_q == 0 for pts, j in zip(pu.model.factor_points, x))
 
     def test_certification_failure_raises(self, monkeypatch):
         staircase = products._staircase
@@ -292,10 +290,10 @@ def product_orbit(model):
     )
 
 
-def scan_reach_q(x, alive, model):
+def scan_reach_q(x, alive, pts):
     """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
-    whole product cluster of x (each C(x_i) by the oracle's predicate)."""
-    pts = model.factor_points
+    whole product cluster of x (each C(x_i) by the oracle's predicate; `pts`
+    from `oracle_points`)."""
     clusters = [
         [k for k, y in enumerate(pts[i]) if oracle_in_cluster(pts[i][j], y)]
         for i, j in enumerate(x)
@@ -303,7 +301,7 @@ def scan_reach_q(x, alive, model):
     best = F(0)
     for y in itertools.product(*clusters):
         if y in alive:
-            d = sum((dist_q(pts[i][a], pts[i][b]) for i, (a, b) in enumerate(zip(x, y))), F(0))
+            d = sum((oracle_dist_q(pts[i][a], pts[i][b]) for i, (a, b) in enumerate(zip(x, y))), F(0))
             best = max(best, d)
     return best
 
@@ -334,10 +332,10 @@ class TestDeriveProductSet:
     @settings(max_examples=200, deadline=None)
     @given(fan_sets(2))
     def test_distance_is_norm_difference(self, K):
-        pts = materialize(K)
+        pts = oracle_materialize(K)
         for j, inv in cluster_map(pts).items():
             for i in inv:
-                assert dist_q(pts[i], pts[j]) == pts[j].norm_q - pts[i].norm_q
+                assert oracle_dist_q(pts[i], pts[j]) == pts[j].norm_q - pts[i].norm_q
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
@@ -352,8 +350,9 @@ class TestDeriveProductSet:
         eps_q = draw_eps_q(data, model, alive)
         got = derive_product_set(alive, model, eps_q)
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
-        assert as_points(model, got) == oracle_p_derive(as_points(model, alive), eps_q)
-        pts, first = model.factor_points[0], frozenset(x[0] for x in alive)
+        opoints = oracle_points(bodies, model)
+        assert as_points(opoints, got) == oracle_p_derive(as_points(opoints, alive), eps_q)
+        pts, first = opoints[0], frozenset(x[0] for x in alive)
         got = derive_set(first, model, 0, eps_q)
         assert {pts[j] for j in got} == oracle_derive(frozenset(pts[j] for j in first), eps_q)
 
@@ -363,11 +362,12 @@ class TestDeriveProductSet:
         model = ProductModel.of(bodies)
         alive = draw_subset(data, model)
         eps_q = draw_eps_q(data, model, alive)
-        want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, model) > eps_q)
+        opoints = oracle_points(bodies, model)
+        want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, opoints) > eps_q)
         event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
         assert derive_product_set(alive, model, eps_q) == want
         first = frozenset((x[0],) for x in alive)
-        want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, model) > eps_q)
+        want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, opoints) > eps_q)
         assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q) == want
 
     @settings(max_examples=100, deadline=None)
@@ -396,7 +396,8 @@ class TestDeriveProductSet:
         alive = model.tuples()
         want = frozenset(x for x in alive if apex in x)
         assert derive_product_set(alive, model, F(1, 2)) == want
-        assert oracle_p_derive(as_points(model, alive), F(1, 2)) == as_points(model, want)
+        opoints = oracle_points([F1] * n, model)
+        assert oracle_p_derive(as_points(opoints, alive), F(1, 2)) == as_points(opoints, want)
 
 
 def reference_local_diams(model, axes, alive):
@@ -444,14 +445,15 @@ class TestIntegerCodeKernel:
     def test_every_stage_of_an_unequal_product(self, bodies, eps_q):
         model = unequal_model(bodies)
         D = model.scaled_norms[0]
+        opoints = oracle_points(bodies, model)
         axes = range(3)
         alive, stages = model.tuples(), 0
         while alive:
             got = code_diams(model, axes, alive)
             assert got == reference_local_diams(model, axes, alive)
-            pts = as_points(model, alive)
+            pts = as_points(opoints, alive)
             for x, d in got.items():
-                (px,) = as_points(model, [x])
+                (px,) = as_points(opoints, [x])
                 assert d == D * oracle_p_local_diam_q(px, pts)
             alive = derive_product_set(alive, model, eps_q)
             stages += 1
@@ -477,17 +479,18 @@ class TestIntegerCodeKernel:
         is the position, at every stage of `derive_set` on that factor."""
         model = ProductModel.of(bodies)
         D = model.scaled_norms[0]
+        opoints = oracle_points(bodies, model)
         for i in range(1, len(bodies)):
-            pts = model.factor_points[i]
+            pts, opts = model.factor_points[i], opoints[i]
             assume(len(pts) <= 60)
             alive = frozenset(range(len(pts)))
             while alive:
                 got = _local_diams(model, (i,), alive)
                 want = reference_local_diams(model, (i,), [(j,) for j in alive])
                 assert got == {j: d for (j,), d in want.items()}
-                live = frozenset(pts[j] for j in alive)
+                live = frozenset(opts[j] for j in alive)
                 for j, d in got.items():
-                    assert d == D * oracle_local_diam_q(pts[j], live)
+                    assert d == D * oracle_local_diam_q(opts[j], live)
                 alive = derive_set(alive, model, i, eps_q)
 
 
@@ -506,7 +509,8 @@ class TestProductIterationAgainstModel:
         model = ProductModel.of(bodies)
         assume(len(model.tuples()) <= 400)
         expected = sz_product_set(model.tuples(), model, eps_q)
-        assert oracle_p_sz(as_points(model, model.tuples()), eps_q) == expected
+        opoints = oracle_points(bodies, model)
+        assert oracle_p_sz(as_points(opoints, model.tuples()), eps_q) == expected
         try:
             got = product_sz(factors, eps_q)
         except ChainNestingViolated:
@@ -585,15 +589,13 @@ class TestBqCover:
 
     def test_member_basic(self):
         cover = bq_cover([F1], 2, F(1))
-        assert bq_member(BqPoint((F(3, 4),), (True,)), cover)
-        assert bq_member(BqPoint((F(1),), (True,)), cover)
-        assert bq_member(BqPoint((F(1),), (False,)), cover)
+        assert bq_member((3,), 4, (True,), cover)
+        assert bq_member((1,), 1, (True,), cover)
+        assert bq_member((1,), 1, (False,), cover)
 
     def test_member_false_outside(self):
         cover = bq_cover([F1, F1, F1], 4, F(1))
-        assert not bq_member(
-            BqPoint((F(1), F(1), F(1)), (True, True, True)), cover
-        )
+        assert not bq_member((1, 1, 1), 1, (True, True, True), cover)
 
     @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(3, 2)])
     def test_cover_is_down_closed(self, q):
@@ -642,24 +644,25 @@ class TestBqCover:
         cover absorbs every nonzero coordinate); no ball assumption, so
         both answers occur."""
         cover = bq_cover([F1] * n, l, q)
-        scales = tuple(
-            data.draw(st.builds(F, st.integers(0, 16), st.just(16)), label=f"a{i}")
-            for i in range(n)
-        )
+        den = data.draw(st.integers(1, 16), label="den")
+        scales = tuple(data.draw(st.integers(0, den), label=f"k{i}") for i in range(n))
         nonzero = tuple(data.draw(st.booleans(), label=f"nz{i}") for i in range(n))
         scan = any(
-            all(not nz or a <= F(k, l) for a, nz, k in zip(scales, nonzero, ks))
+            all(not nz or F(a, den) <= F(k, l) for a, nz, k in zip(scales, nonzero, ks))
             for ks in cover.tuples
         )
         event(f"covered={scan}")
-        assert bq_member(BqPoint(scales, nonzero), cover) == scan
+        assert bq_member(scales, den, nonzero, cover) == scan
 
     def test_member_arity(self):
         cover = bq_cover([F1], 2, F(1))
-        with pytest.raises(InvalidParams):
-            bq_member(BqPoint((F(1), F(1)), (True, True)), cover)
-        with pytest.raises(InvalidParams):
-            BqPoint((F(3, 2),), (True,))
+        with pytest.raises(InvalidParams, match="arity"):
+            bq_member((1, 1), 1, (True, True), cover)
+        with pytest.raises(InvalidParams, match="arity"):
+            bq_member((1,), 1, (True, True), cover)
+        for scales, den in [((3,), 2), ((-1,), 2), ((0,), 0)]:
+            with pytest.raises(InvalidParams, match=r"\[0, 1\]"):
+                bq_member(scales, den, (True,), cover)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -669,18 +672,13 @@ class TestBqCover:
         st.data(),
     )
     def test_ball_points_always_covered(self, n, l, q, data):
-        scales = tuple(
-            data.draw(
-                st.builds(F, st.integers(0, 8), st.just(8)), label=f"a{i}"
-            )
-            for i in range(n)
-        )
-        assume(sum(a**q for a in scales) <= 1)
+        scales = tuple(data.draw(st.integers(0, 8), label=f"k{i}") for i in range(n))
+        assume(sum(F(k, 8) ** q for k in scales) <= 1)
         nonzero = tuple(
             data.draw(st.booleans(), label=f"nz{i}") for i in range(n)
         )
         cover = bq_cover([F1] * n, l, q)
-        assert bq_member(BqPoint(scales, nonzero), cover)
+        assert bq_member(scales, 8, nonzero, cover)
 
 
 class TestChainNesting:

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from oracle import as_points, oracle_p_sz
+from oracle import as_points, oracle_p_sz, oracle_points
 from szlenk.documents import fanset_from_doc
 from szlenk.pointmodel import ProductModel
 from szlenk.products import product_sz
@@ -39,7 +39,8 @@ def test_small_benchmark_products_match_oracle():
         eps_q = Fraction(op.argv[op.argv.index("--eps-q") + 1])
         F, _ = fanset_from_doc(cat.docs[name])
         model = ProductModel.of(F.factors)
-        want = oracle_p_sz(as_points(model, model.tuples()), eps_q)
+        opoints = oracle_points(F.factors, model)
+        want = oracle_p_sz(as_points(opoints, model.tuples()), eps_q)
         assert product_sz([(Fraction(1), f) for f in F.factors], eps_q) == want, op.key
         checked += 1
     assert checked == 44
