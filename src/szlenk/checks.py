@@ -168,7 +168,7 @@ def union_lemma_check(
         if escaped:
             half_ok = False
             violations.append(
-                f"stagewise: alpha={alphas}, {len(escaped)} points uncovered"
+                f"stagewise: alpha={alphas}, {model.count(escaped)} points uncovered"
             )
             break
         if not lhs:
@@ -184,7 +184,7 @@ def union_lemma_check(
     mn_ok = lhs2 <= rhs2
     if not mn_ok:
         violations.append(
-            f"mn-fold: {len(lhs2 - rhs2)} points uncovered at m={m}, n={n}"
+            f"mn-fold: {model.count(lhs2 - rhs2)} points uncovered at m={m}, n={n}"
         )
 
     comp_eq: Optional[bool] = None
@@ -232,6 +232,9 @@ def tvl_check(
     the kept axis groups has norm^q exceeding radius_q(K) - ((eps-delta)/2)^q
     must project into the alpha-fold delta-derivation of the projected set.
     Exact, hence restricted to integer q (the threshold needs (eps-delta)^q).
+    `checked`, `filtered` and the violations count points of the two-copy
+    model: the projection maps a mirror orbit into one, so every member of
+    an orbit behaves as its representative, which counts once per member.
     """
     eps, delta, q = Fraction(eps), Fraction(delta), Fraction(q)
     if q.denominator != 1 or q < 1:
@@ -290,13 +293,14 @@ def tvl_check(
         px = proj(x)
         px_q = sub.norm_q(px)
         if px_q > rad_q - cut_q:
-            filtered += 1
+            w = model.weight(x)
+            filtered += w
             if px not in B:
-                violations.append(
+                violations += [
                     f"survivor with projected norm_q={px_q}"
                     " escapes the projected derivation"
-                )
-    return TvlReport(len(A), filtered, not violations, tuple(violations))
+                ] * w
+    return TvlReport(model.count(A), filtered, not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,7 @@ def _suite_techlem1(rng: random.Random) -> tuple:
     factors, eps, delta, q = _grid_instance(rng)
     pu = derive_product_step(factors, eps ** int(q))
     lhs = pu.alive
-    detail = f"n={len(factors)} q={q} eps={eps} lhs={len(lhs)}"
+    detail = f"n={len(factors)} q={q} eps={eps} lhs={pu.model.count(lhs)}"
     if not lhs:
         return True, detail + " (empty)"
     g, grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
@@ -417,10 +421,8 @@ def _suite_techlem1(rng: random.Random) -> tuple:
         tuple(step(i, full[i], j) for i, j in enumerate(col))
         for col in a_eps_minimal(g)
     ]
-    bad = sum(
-        1
-        for x in lhs
-        if not any(all(c in s for c, s in zip(x, sets)) for sets in covers)
+    bad = pu.model.count(
+        x for x in lhs if not any(all(c in s for c, s in zip(x, sets)) for sets in covers)
     )
     return (
         not bad,
@@ -458,15 +460,13 @@ def _suite_techlem2(rng: random.Random) -> tuple:
     m = rng.randint(1, 3)
     model = ProductModel.of([_as_factor(a, K) for a, K in factors])
     lhs = iterate_product_set(model.tuples(), model, eps ** int(q), m)
-    detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={len(lhs)}"
+    detail = f"n={len(factors)} q={q} m={m} eps={eps} lhs={model.count(lhs)}"
     if not lhs:
         return True, detail + " (empty)"
     g, grid, step, full = _grid_steps(model, factors, eps, delta, q)
     states = _column_states(g, grid, step, full, m)
-    bad = sum(
-        1
-        for x in lhs
-        if not any(all(c in s for c, s in zip(x, st)) for st in states)
+    bad = model.count(
+        x for x in lhs if not any(all(c in s for c, s in zip(x, st)) for st in states)
     )
     return (
         not bad,

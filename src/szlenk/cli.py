@@ -254,7 +254,8 @@ def _derive_product(
     """Product documents: iterate the certified union-of-products form.
 
     The trace records term/point counts per step rather than snapshots
-    (derived products need not stay products)."""
+    (derived products need not stay products); a point count is the
+    orbit-weighted one (`ProductModel.count`)."""
     factors = [(Fraction(1), f) for f in F.factors]
     pu: Optional[ProductUnion] = None
     entries: list[dict] = []
@@ -269,14 +270,14 @@ def _derive_product(
         except ChainNestingViolated as exc:
             violation = {"step": k, "message": str(exc)}
             break
-        entries.append({"step": k, "terms": len(pu.terms), "points": len(pu.alive)})
+        entries.append({"step": k, "terms": len(pu.terms), "points": pu.model.count(pu.alive)})
         if pu.is_empty():
             settled = k
             break
     # the first step's model holds the undivided product; build it only
     # when that step did not run
     model = ProductModel.of(F.factors) if pu is None else pu.model
-    points = math.prod(len(p) for p in model.factor_points)
+    points = math.prod(map(sum, model.weights))
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,

@@ -453,9 +453,10 @@ class DerivationTrace:
 def count_apexes(F: Optional[FanSet]) -> int:
     """Number of cluster points (positive local diameter) — diagnostic.
 
-    The count is that of the two-copy point model (``pointmodel.materialize``
-    keeps two copies of every omega-tail): a fan counts its apex, once each
-    prefix copy and twice its tail, 1 + sum(prefix) + 2 * count(tail).  The
+    The count is that of the two-copy point model (two copies of every
+    omega-tail; ``pointmodel`` keeps one per mirror orbit and weighs it by
+    the orbit's size): a fan counts its apex, once each prefix copy and
+    twice its tail, 1 + sum(prefix) + 2 * count(tail).  The
     tail is visited once, so the work is linear in the node count while the
     result may be exponential in depth (2**n - 1 for a chain of depth n).
     """

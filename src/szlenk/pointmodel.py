@@ -1,12 +1,10 @@
 """Finite point materialization of fan sets, and exact derivation on it.
 
 A fan set's derivation behavior is fully captured by a finite labeled point
-set: each omega-repeated tail is materialized as two copies.  Two copies
-suffice because every derivation stage is invariant under swapping the two
-copies (their geometry is identical), so whenever a cluster is nonempty it
-holds both mirror images of each survivor, and the best far pair across two
-mirror copies realizes the exact local diameter 2*reach just as infinitely
-many copies would.
+set, its two-copy model: each omega-repeated tail is materialized as two
+mirror copies, and the best far pair across the two copies realizes the
+exact local diameter 2*reach just as infinitely many copies would.
+Derivation runs on a quotient of that set: one point per mirror orbit.
 
 A point is
 
@@ -22,17 +20,33 @@ The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
 x is a tail step.  So `cluster_map` reads the relation off the paths: one
 walk back along each point's path, looking its prefixes up by path, finds
-every x whose cluster holds it, in O(P * depth) lookups for P points.  The
-local diameter^q at x inside an alive subset S is
-2 * max distance^q from x to its alive cluster (see fansets for why),
-provided S is closed under swapping the two copies of any tail, as every
-stage of a derivation from the whole materialization is.
+every x whose cluster holds it, in O(P * depth) lookups for P points.
 
-Every y in C(x) lies below x in the walk: it is x plus the shifts of the
-copy steps between them, each on an axis x does not use.  So dist^q(x, y)
-= N(y) - N(x), and the reach of x is the largest N over its alive cluster,
-minus N(x).  The path and N are all a derivation reads; tests/oracle.py
-keeps the explicit coordinates as the independent slow check.
+The orbit argument.  Swapping the two copies of one tail is an isometry of
+the two-copy model that maps paths to paths step kind by step kind, so it
+keeps the cluster relation and N; every derivation stage of the whole model
+is therefore mirror-closed: with a point it holds every image of it under
+such swaps.  The orbit of a point with t tail steps on its path has 2^t
+members, and exactly one of them, its representative, takes copy ("t", 0)
+at every tail step; `materialize` emits only representatives.  Take a
+representative x and a mirror-closed alive set S.  Every swap of a tail
+below x fixes x and maps C(x) onto itself, so folding an alive y in C(x)
+(turning each ("t", 1) into ("t", 0)) gives an alive representative in
+C(x) with the same N: the max of N over the alive cluster of x is reached
+on a representative.  The local diameter^q at x inside S is
+2 * (that max - N(x)): every y in C(x) lies below x in the walk, x plus the
+shifts of the copy steps between them, each on an axis x does not use, so
+dist^q(x, y) = N(y) - N(x); two points of C(x) differ at most on the axes
+below x, so no pair is farther apart than 2 * (max - N(x)); and the mirror
+of the farthest y across the first tail step below x is that far from y.
+So a point's survival depends only on the representatives of S, and is the
+same across its orbit.  Any set of representatives names the mirror-closed
+union of their orbits, so the kernel below is exact on every alive subset
+of the quotient, and each stage of the quotient is the fold of the
+two-copy stage.  The size of a two-copy set is the orbit-weighted count of
+its quotient (`ProductModel.count`).  The path and N are all a derivation
+reads; tests/oracle.py keeps the two-copy model with explicit coordinates
+as the independent slow check.
 
 One model serves sets and products: a set is the one-factor product
 ``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
@@ -40,7 +54,8 @@ tuple of positions, one per factor, into that factor's `factor_points`;
 alive sets, staircase terms and factor states all hold positions, and
 `Point` exists only at the boundary (`materialize` builds it,
 `cluster_map` reads its path).  Clusters multiply componentwise and
-distances^q add across the disjoint factor groups.  So the largest N over
+distances^q add across the disjoint factor groups, and a product point's
+orbit is the product of its factors' orbits.  So the largest N over
 the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
 time: each axis pushes every value to the points whose cluster on that
 axis holds it (`cluster_map`).  One kernel, `_local_diams`, does that push
@@ -84,7 +99,8 @@ class Point:
 
 
 def materialize(F: FanSet) -> tuple[Point, ...]:
-    """All points of a non-product fan set, two copies per omega-tail."""
+    """One point per mirror orbit of a non-product fan set: every
+    omega-tail is walked once, as its copy ("t", 0)."""
     if isinstance(F, ProdQ):
         raise OutsideExactFragment("materialize products factor by factor")
     out: list[Point] = []
@@ -93,8 +109,7 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
         w = f.w_q * s
         for i, c in enumerate(f.prefix):
             go(c, path + (("p", ("pre", i)),), norm + w, s)
-        for j in (0, 1):
-            go(f.tail, path + (("t", j),), norm + w, s)
+        go(f.tail, path + (("t", 0),), norm + w, s)
 
     def go(node: FanSet, path: tuple, norm: Fraction, s: Fraction) -> None:
         if isinstance(node, Sing):
@@ -121,8 +136,8 @@ def materialize(F: FanSet) -> tuple[Point, ...]:
     return tuple(out)
 
 
-# Largest number of tuples a product model, a grid or a cover may enumerate
-# (InvalidParams beyond).
+# Largest number of tuples a product model (of orbits), a grid or a cover may
+# enumerate (InvalidParams beyond).
 ENUMERATION_LIMIT = 200_000
 
 
@@ -131,7 +146,7 @@ def count_points(F: FanSet) -> int:
     if isinstance(F, Sing):
         return 1
     if isinstance(F, Fan):
-        return 1 + sum(map(count_points, F.prefix)) + 2 * count_points(F.tail)
+        return 1 + sum(map(count_points, F.prefix)) + count_points(F.tail)
     if isinstance(F, UnionApex):
         return 1 + sum(count_points(f) - 1 for f in F.fans)
     if isinstance(F, Scale):
@@ -168,7 +183,8 @@ PPoint = tuple[int, ...]
 @dataclass(frozen=True)
 class ProductModel:
     """Materialized factors of a product plus their cluster maps; a set is
-    the one-factor product."""
+    the one-factor product.  Points are orbit representatives, and a count
+    of points means the two-copy model's count (`count`)."""
 
     factor_points: tuple[tuple[Point, ...], ...]
     # per factor, `cluster_map` of its points
@@ -179,13 +195,30 @@ class ProductModel:
         size = math.prod(count_points(f) for f in factors)
         if size > ENUMERATION_LIMIT:
             raise InvalidParams(
-                f"product enumeration too large ({size} points, limit {ENUMERATION_LIMIT})"
+                f"product enumeration too large ({size} orbits, limit {ENUMERATION_LIMIT})"
             )
         pts = tuple(materialize(f) for f in factors)
         return ProductModel(pts, tuple(cluster_map(p) for p in pts))
 
     def tuples(self) -> frozenset[PPoint]:
         return frozenset(itertools.product(*(range(len(p)) for p in self.factor_points)))
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """Per factor, by position, the size of the point's mirror orbit:
+        2 ** (the number of "t" steps on its path)."""
+        return tuple(
+            tuple(1 << sum(1 for kind, _ in p.path if kind == "t") for p in pts)
+            for pts in self.factor_points
+        )
+
+    def weight(self, x: PPoint) -> int:
+        """The size of x's mirror orbit: the product of its factors'."""
+        return math.prod([w[j] for w, j in zip(self.weights, x)])
+
+    def count(self, alive: Iterable[PPoint]) -> int:
+        """The number of two-copy points whose orbits `alive` holds."""
+        return sum(map(self.weight, alive))
 
     def norm_q(self, x: PPoint) -> Fraction:
         return sum((pts[j].norm_q for pts, j in zip(self.factor_points, x)), Fraction(0))
@@ -237,10 +270,8 @@ def _local_diams(
 
     Each alive point is its code over the factors `axes` (`_strides`); the
     result maps it to 2 * (max N over its alive cluster - its own N),
-    with N the norm^q times D.  That equals the local diameter only when the
-    alive set is closed under swapping the two copies of any tail: every
-    stage of a derivation from `model.tuples()` is, and on other sets 2 *
-    reach can exceed the pairwise diameter.
+    with N the norm^q times D: the local diameter inside the union of the
+    alive points' mirror orbits (the module docstring's orbit argument).
 
     The max is pushed one axis at a time: starting from N on the alive set,
     axis a sends each value from y to every point that differs from y only

@@ -11,9 +11,12 @@ mechanics than the engine:
   2 * max-reach shortcut;
 * its own cluster predicate and dict-based distance computation.
 
-The engine's points carry only a path and a norm, and its alive sets hold
-positions; `oracle_points` looks the oracle's point up by each engine path,
-and `as_points` turns alive position tuples into tuples of those points.
+The engine materializes one point per mirror orbit (every tail step taken
+as copy ("t", 0)), carrying only a path and a norm, and its alive sets hold
+positions.  `oracle_orbits` groups the oracle's points by the engine
+position of their `fold`, `oracle_points` takes the orbit representatives,
+and `unfold` and `fold_points` move alive sets between engine positions and
+oracle points.
 """
 from __future__ import annotations
 
@@ -73,21 +76,49 @@ def oracle_materialize(F) -> tuple[OraclePoint, ...]:
     return tuple(out)
 
 
-def oracle_points(factors, model) -> tuple[tuple[OraclePoint, ...], ...]:
+def fold(path: tuple) -> tuple:
+    """The path of the representative of a point's mirror orbit: every tail
+    step taken as copy ("t", 0)."""
+    return tuple(("t", 0) if step[0] == "t" else step for step in path)
+
+
+def oracle_orbits(factors, model) -> tuple[tuple[tuple[OraclePoint, ...], ...], ...]:
     """Per factor of `model` (the engine's model of `factors`), by position,
-    the oracle's point at the same path."""
+    every oracle point whose `fold` is that position's path, the
+    representative (the engine's path and norm) first."""
     out = []
     for F, pts in zip(factors, model.factor_points, strict=True):
-        by_path = {p.path: p for p in oracle_materialize(F)}
-        assert len(by_path) == len(pts)
-        out.append(tuple(by_path[p.path] for p in pts))
+        at = {p.path: j for j, p in enumerate(pts)}
+        assert len(at) == len(pts)
+        orbits: list[list[OraclePoint]] = [[] for _ in pts]
+        for p in oracle_materialize(F):
+            orbits[at[fold(p.path)]].append(p)
+        for p, orbit in zip(pts, orbits):
+            assert (orbit[0].path, orbit[0].norm_q) == (p.path, p.norm_q)
+        out.append(tuple(map(tuple, orbits)))
     return tuple(out)
 
 
-def as_points(opoints, alive) -> frozenset[PPoint]:
-    """The tuples of oracle points that an alive set's positions name
-    (`opoints` from `oracle_points`)."""
-    return frozenset(tuple(pts[j] for pts, j in zip(opoints, x)) for x in alive)
+def oracle_points(factors, model) -> tuple[tuple[OraclePoint, ...], ...]:
+    """Per factor of `model`, by position, the oracle's point at the same
+    path (the orbit representative)."""
+    return tuple(
+        tuple(orbit[0] for orbit in orbits) for orbits in oracle_orbits(factors, model)
+    )
+
+
+def unfold(orbits, alive) -> frozenset[PPoint]:
+    """Every oracle product point in the orbit of some position tuple of
+    `alive` (`orbits` from `oracle_orbits`)."""
+    return frozenset(
+        y for x in alive for y in itertools.product(*(o[j] for o, j in zip(orbits, x)))
+    )
+
+
+def fold_points(orbits, points) -> frozenset[tuple[int, ...]]:
+    """The position tuples of the orbits that oracle product points lie in."""
+    at = [{p: j for j, orbit in enumerate(o) for p in orbit} for o in orbits]
+    return frozenset(tuple(a[p] for a, p in zip(at, x)) for x in points)
 
 
 def oracle_dist_q(x: OraclePoint, y: OraclePoint) -> Fraction:

@@ -31,6 +31,16 @@ W = ordinal.parse("w")
 F1 = Fan(F(1, 2), (), Sing())
 
 
+# (points, terms) at each step of `set derive` on k depth-4 chains at
+# eps_q = 1/2, as the two-copy point model reported them
+TWO_COPY_CHAIN_STEPS = {
+    2: [(961, 1), (705, 2), (449, 3), (257, 4), (129, 5), (49, 4), (17, 3), (5, 2),
+        (1, 1), (0, 0)],
+    3: [(29791, 1), (25695, 3), (19551, 6), (13407, 10), (8287, 15), (4447, 18),
+        (2143, 19), (927, 18), (351, 15), (111, 10), (31, 6), (7, 3), (1, 1), (0, 0)],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -239,24 +249,46 @@ class TestSetDerive:
         assert doc["sz_eps"] is None
 
     def test_oversized_product_exits_2(self, capsys, tmp_path, monkeypatch):
-        """Four depth-4 chains span 31^4 = 923 521 product points, and a
-        depth-17 chain times a singleton 2^18 - 1 = 262 143; the model counts
-        them and refuses before it materializes any factor."""
+        """Two fans of 600 prefix singletons span 602^2 = 362 404 orbits,
+        and eight depth-4 chains 5^8 = 390 625; the model counts them and
+        refuses before it materializes any factor."""
         def fail(*args):
             raise AssertionError("the model was built")
 
         monkeypatch.setattr(pointmodel, "materialize", fail)
         monkeypatch.setattr(pointmodel, "cluster_map", fail)
-        chain = depth_fan(4, F(1, 2))
-        cases = [((chain,) * 4, 923521), ((depth_fan(17, F(1, 2)), Sing()), 262143)]
+        wide = Fan(F(1, 2), (Sing(),) * 600, Sing())
+        cases = [((wide, wide), 362404), ((depth_fan(4, F(1, 2)),) * 8, 390625)]
         for factors, size in cases:
             path = write_doc(tmp_path, "p.json", fanset_to_doc(ProdQ(factors), F(2)))
             code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
             assert code == EXIT_USAGE
             assert out == ""
             assert err.splitlines() == [
-                f"error: product enumeration too large ({size} points, limit 200000)"
+                f"error: product enumeration too large ({size} orbits, limit 200000)"
             ]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_products_of_depth_4_chains(self, capsys, tmp_path, k):
+        """k depth-4 chains at w_q = eps_q = 1/2 settle at 4k + 1, and step
+        0 counts the 31^k points of the two-copy model (5^k orbits).  For
+        k = 2 and 3 the report is the two-copy model's, byte for byte."""
+        path = write_doc(tmp_path, "p.json", fanset_to_doc(ProdQ((depth_fan(4, F(1, 2)),) * k), F(2)))
+        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "1/2")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["sz_eps"] == 4 * k + 1
+        assert doc["steps"][0] == {"step": 0, "terms": 1, "points": 31**k}
+        if k in TWO_COPY_CHAIN_STEPS:
+            steps = [
+                {"step": i, "terms": t, "points": p}
+                for i, (p, t) in enumerate(TWO_COPY_CHAIN_STEPS[k])
+            ]
+            want = {
+                "v": 1, "command": "set derive", "eps_q": "1/2", "q": "2",
+                "product": True, "steps": steps, "sz_eps": 4 * k + 1,
+            }
+            assert out == dumps_canonical(want)
 
     @pytest.mark.parametrize("field", ["q", "w_q"])
     def test_boolean_fraction_exits_2(self, capsys, tmp_path, field):

@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
-    as_points,
+    fold,
+    fold_points,
     oracle_derive,
     oracle_dist_q,
     oracle_in_cluster,
     oracle_local_diam_q,
     oracle_materialize,
-    oracle_points,
+    oracle_orbits,
     oracle_sz,
 )
 from strategies import fan_sets, fracs
@@ -452,9 +453,12 @@ class TestModelFrozen:
         assert model_sz(F1, F(1, 2)) == 2
 
     def test_union_apex_share(self):
+        """One apex and one tail orbit per fan: 3 orbits, 5 two-copy points."""
         ua = UnionApex((F1, Fan(F(1, 3))))
         pts = materialize(ua)
-        assert len(pts) == 5
+        assert len(pts) == 3
+        model = ProductModel.of([ua])
+        assert model.count(model.tuples()) == 5 == len(oracle_materialize(ua))
         apex = next(p for p in pts if p.norm_q == 0)
         assert all(oracle_in_cluster(apex, y) for y in pts)
 
@@ -465,9 +469,13 @@ class TestModelFrozen:
             count_points(ProdQ((F1,)))
 
     def test_depth_twelve_chain(self):
-        """8191 points: guards the cost of `cluster_map`, O(points x depth)
-        here, where an all-pairs map takes tens of seconds."""
+        """13 orbits of the 8191 two-copy points."""
         assert model_sz(depth_fan(12, F(1, 2)), F(1, 2)) == 13
+
+    def test_depth_sixty_four_chain(self):
+        """65 orbits: a chain of depth n settles at n + 1 at w_q = eps_q =
+        1/2, past any size the two-copy model could hold."""
+        assert model_sz(depth_fan(64, F(1, 2)), F(1, 2)) == 65
 
     @pytest.mark.parametrize("eps_q", [F(0), F(-1)])
     def test_non_positive_threshold_raises(self, eps_q):
@@ -492,10 +500,14 @@ class TestModelFrozen:
     @settings(max_examples=200, deadline=None)
     @given(fan_sets(3))
     def test_points_are_the_oracle_materialization(self, K):
-        """The same paths in the same order, each carrying the norm^q that
-        the oracle sums from its explicit coordinates."""
+        """The oracle's orbit representatives (no tail step takes copy
+        ("t", 1)), with the same paths in the same order, each carrying the
+        norm^q that the oracle sums from its explicit coordinates; every
+        oracle point folds onto one of them."""
         got = [(p.path, p.norm_q) for p in materialize(K)]
-        assert got == [(p.path, p.norm_q) for p in oracle_materialize(K)]
+        opts = oracle_materialize(K)
+        assert got == [(p.path, p.norm_q) for p in opts if fold(p.path) == p.path]
+        assert {fold(p.path) for p in opts} == {path for path, _ in got}
 
 
 def oracle_cluster_map(points) -> dict:
@@ -649,33 +661,34 @@ class TestEngineVsModel:
     @settings(max_examples=80, deadline=None)
     @given(fan_sets(2), fracs())
     def test_chains_agree(self, f, eps_q):
+        """The symbolic engine's snapshots, the quotient stages (all axes
+        and one axis) and the oracle's two-copy stages: each oracle stage
+        folds onto the quotient stage, has its orbit-weighted size, and has
+        the norms and distances of the engine snapshot's materialization."""
         model = ProductModel.of([f])
-        (points,) = opoints = oracle_points([f], model)
+        orbits = oracle_orbits([f], model)
         echain = engine_chain(f, eps_q)
-        mchain = [
-            frozenset(p for (p,) in as_points(opoints, a))
-            for a in model_chain(
-                model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
-            )
-        ]
-        schain = [
-            frozenset(points[j] for j in a)
-            for a in model_chain(
-                frozenset(range(len(points))), eps_q, lambda a, e: derive_set(a, model, 0, e)
-            )
-        ]
-        ochain = model_chain(frozenset(points), eps_q, oracle_derive)
-        assert mchain == ochain
-        assert schain == ochain
-        assert len(echain) == len(mchain)
-        for snap, alive in zip(echain, mchain):
+        mchain = model_chain(
+            model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
+        )
+        schain = model_chain(
+            frozenset(range(len(model.factor_points[0]))),
+            eps_q,
+            lambda a, e: derive_set(a, model, 0, e),
+        )
+        ochain = model_chain(frozenset(oracle_materialize(f)), eps_q, oracle_derive)
+        assert [fold_points(orbits, ((p,) for p in a)) for a in ochain] == mchain
+        assert [frozenset((j,) for j in a) for a in schain] == mchain
+        assert [model.count(a) for a in mchain] == [len(a) for a in ochain]
+        assert len(echain) == len(ochain)
+        for snap, alive in zip(echain, ochain):
             pts = oracle_materialize(snap) if snap is not None else ()
             assert len(pts) == len(alive)
             assert norms_sorted(pts) == norms_sorted(alive)
             assert dists_sorted(pts) == dists_sorted(alive)
         n = len(echain) - 1
         assert sz_eps(f, eps_q) == fin(max(n, 1))
-        assert oracle_sz(frozenset(points), eps_q) == max(n, 1)
+        assert oracle_sz(frozenset(oracle_materialize(f)), eps_q) == max(n, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(fan_sets(2), fracs(), fracs(max_num=4))

@@ -9,16 +9,18 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
-    as_points,
+    fold_points,
     oracle_derive,
     oracle_dist_q,
     oracle_in_cluster,
     oracle_local_diam_q,
     oracle_materialize,
+    oracle_orbits,
     oracle_p_derive,
     oracle_p_local_diam_q,
     oracle_p_sz,
     oracle_points,
+    unfold,
 )
 from strategies import fan_sets, fracs
 from szlenk.calculus import InvalidParams
@@ -29,6 +31,7 @@ from szlenk.fansets import (
     Scale,
     Sing,
     depth_fan,
+    diam_q,
     scaled,
 )
 from szlenk import products
@@ -40,7 +43,6 @@ from szlenk.pointmodel import (
     cluster_map,
     derive_product_set,
     derive_set,
-    iterate_product_set,
     sz_product_set,
 )
 from szlenk.products import (
@@ -267,29 +269,6 @@ class TestDeriveProductStep:
         )
 
 
-def mirror_orbit(path, at):
-    """The position of the point at `path` and of its images under swapping
-    the two copies of any of its tails (`at` maps paths to positions)."""
-    flips = [k for k, step in enumerate(path) if step[0] == "t"]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(flips)):
-        image = list(path)
-        for k, b in zip(flips, bits):
-            image[k] = ("t", b)
-        out.append(at[tuple(image)])
-    return out
-
-
-def product_orbit(model):
-    """x -> every product point reached from x by `mirror_orbit` on each
-    factor, as position tuples."""
-    at = [{p.path: j for j, p in enumerate(pts)} for pts in model.factor_points]
-    pts = model.factor_points
-    return lambda x: itertools.product(
-        *(mirror_orbit(pts[i][j].path, at[i]) for i, j in enumerate(x))
-    )
-
-
 def scan_reach_q(x, alive, pts):
     """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
     whole product cluster of x (each C(x_i) by the oracle's predicate; `pts`
@@ -307,9 +286,10 @@ def scan_reach_q(x, alive, pts):
 
 
 def draw_subset(data, model):
-    """An arbitrary subset of the product (not a union of terms)."""
+    """An arbitrary subset of the product (not a union of terms), of a
+    product whose two-copy model the oracle can scan."""
     everything = sorted(model.tuples())
-    assume(len(everything) <= 150)
+    assume(model.count(everything) <= 150)
     keep = data.draw(
         st.lists(st.booleans(), min_size=len(everything), max_size=len(everything)),
         label="keep",
@@ -340,21 +320,22 @@ class TestDeriveProductSet:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
     def test_matches_oracle_on_mirror_closed_subsets(self, bodies, data):
-        """Any subset closed under swapping tail copies, as every stage of
-        a derivation from the whole product is.  (Without that symmetry
-        the local diameter can be less than 2 * reach, and the point model
-        does not claim it.)"""
+        """Any subset of the quotient names a mirror-closed subset of the
+        two-copy model, the union of its orbits: the oracle derives that
+        union, and its survivors fold onto the engine's.  (Without that
+        symmetry the local diameter can be less than 2 * reach, and the
+        point model does not claim it.)"""
         model = ProductModel.of(bodies)
-        orbit = product_orbit(model)
-        alive = frozenset(y for x in draw_subset(data, model) for y in orbit(x))
+        alive = draw_subset(data, model)
         eps_q = draw_eps_q(data, model, alive)
         got = derive_product_set(alive, model, eps_q)
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
-        opoints = oracle_points(bodies, model)
-        assert as_points(opoints, got) == oracle_p_derive(as_points(opoints, alive), eps_q)
-        pts, first = opoints[0], frozenset(x[0] for x in alive)
-        got = derive_set(first, model, 0, eps_q)
-        assert {pts[j] for j in got} == oracle_derive(frozenset(pts[j] for j in first), eps_q)
+        orbits = oracle_orbits(bodies, model)
+        assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), eps_q)) == got
+        first = frozenset(x[:1] for x in alive)
+        got = derive_set(frozenset(j for (j,) in first), model, 0, eps_q)
+        want = oracle_derive(frozenset(p for (p,) in unfold(orbits[:1], first)), eps_q)
+        assert fold_points(orbits[:1], ((p,) for p in want)) == {(j,) for j in got}
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
@@ -371,18 +352,32 @@ class TestDeriveProductSet:
         assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q) == want
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(fan_sets(1), min_size=1, max_size=3), fracs(max_den=4))
-    def test_stages_stay_mirror_closed(self, bodies, eps_q):
-        """The precondition of the 2 * reach shortcut holds on every stage
-        of a derivation from the whole product."""
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(fan_sets(4 - n), min_size=n, max_size=n)
+        ),
+        fracs(max_den=4),
+    )
+    def test_two_copy_stages_fold_onto_the_quotient(self, bodies, eps_q):
+        """Every stage the oracle derives on its two-copy materialization
+        is mirror-closed (the union of the orbits it meets), folds onto the
+        engine's stage, and has the engine stage's orbit-weighted size."""
         model = ProductModel.of(bodies)
-        assume(len(model.tuples()) <= 400)
-        orbit = product_orbit(model)
-        alive, stages = model.tuples(), 0
-        while alive:
-            for x in alive:
-                assert all(y in alive for y in orbit(x))
-            alive = iterate_product_set(alive, model, eps_q, 1)
+        assume(model.count(model.tuples()) <= 120)
+        orbits = oracle_orbits(bodies, model)
+        for i, w in enumerate(model.weights):
+            assert [len(o) for o in orbits[i]] == list(w)
+        alive = model.tuples()
+        oalive = frozenset(itertools.product(*map(oracle_materialize, bodies)))
+        stages = 0
+        while True:
+            assert fold_points(orbits, oalive) == alive
+            assert unfold(orbits, alive) == oalive
+            assert model.count(alive) == len(oalive)
+            if not alive:
+                break
+            alive = derive_product_set(alive, model, eps_q)
+            oalive = oracle_p_derive(oalive, eps_q)
             stages += 1
         event(f"{len(bodies)} factors, {stages} stages")
 
@@ -396,8 +391,8 @@ class TestDeriveProductSet:
         alive = model.tuples()
         want = frozenset(x for x in alive if apex in x)
         assert derive_product_set(alive, model, F(1, 2)) == want
-        opoints = oracle_points([F1] * n, model)
-        assert oracle_p_derive(as_points(opoints, alive), F(1, 2)) == as_points(opoints, want)
+        orbits = oracle_orbits([F1] * n, model)
+        assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), F(1, 2))) == want
 
 
 def reference_local_diams(model, axes, alive):
@@ -432,7 +427,7 @@ def unequal_model(bodies):
     small enough for the oracle."""
     model = ProductModel.of(bodies)
     sizes = [len(p) for p in model.factor_points]
-    assume(len(set(sizes)) > 1 and len(model.tuples()) <= 150)
+    assume(len(set(sizes)) > 1 and model.count(model.tuples()) <= 150)
     return model
 
 
@@ -445,15 +440,15 @@ class TestIntegerCodeKernel:
     def test_every_stage_of_an_unequal_product(self, bodies, eps_q):
         model = unequal_model(bodies)
         D = model.scaled_norms[0]
-        opoints = oracle_points(bodies, model)
+        orbits = oracle_orbits(bodies, model)
         axes = range(3)
         alive, stages = model.tuples(), 0
         while alive:
             got = code_diams(model, axes, alive)
             assert got == reference_local_diams(model, axes, alive)
-            pts = as_points(opoints, alive)
+            pts = unfold(orbits, alive)
             for x, d in got.items():
-                (px,) = as_points(opoints, [x])
+                px = tuple(o[j][0] for o, j in zip(orbits, x))
                 assert d == D * oracle_p_local_diam_q(px, pts)
             alive = derive_product_set(alive, model, eps_q)
             stages += 1
@@ -479,18 +474,17 @@ class TestIntegerCodeKernel:
         is the position, at every stage of `derive_set` on that factor."""
         model = ProductModel.of(bodies)
         D = model.scaled_norms[0]
-        opoints = oracle_points(bodies, model)
+        orbits = oracle_orbits(bodies, model)
         for i in range(1, len(bodies)):
-            pts, opts = model.factor_points[i], opoints[i]
-            assume(len(pts) <= 60)
-            alive = frozenset(range(len(pts)))
+            assume(sum(model.weights[i]) <= 60)
+            alive = frozenset(range(len(model.factor_points[i])))
             while alive:
                 got = _local_diams(model, (i,), alive)
                 want = reference_local_diams(model, (i,), [(j,) for j in alive])
                 assert got == {j: d for (j,), d in want.items()}
-                live = frozenset(opts[j] for j in alive)
+                live = frozenset(p for j in alive for p in orbits[i][j])
                 for j, d in got.items():
-                    assert d == D * oracle_local_diam_q(opts[j], live)
+                    assert d == D * oracle_local_diam_q(orbits[i][j][0], live)
                 alive = derive_set(alive, model, i, eps_q)
 
 
@@ -507,10 +501,10 @@ class TestProductIterationAgainstModel:
     def test_sz_agrees(self, factors, eps_q):
         bodies = [scaled(a_q, K) for a_q, K in factors]
         model = ProductModel.of(bodies)
-        assume(len(model.tuples()) <= 400)
+        assume(model.count(model.tuples()) <= 400)
         expected = sz_product_set(model.tuples(), model, eps_q)
-        opoints = oracle_points(bodies, model)
-        assert oracle_p_sz(as_points(opoints, model.tuples()), eps_q) == expected
+        whole = frozenset(itertools.product(*map(oracle_materialize, bodies)))
+        assert oracle_p_sz(whole, eps_q) == expected
         try:
             got = product_sz(factors, eps_q)
         except ChainNestingViolated:
@@ -684,3 +678,22 @@ class TestBqCover:
 class TestChainNesting:
     def test_error_type(self):
         assert issubclass(ChainNestingViolated, ValueError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(fracs(max_num=4, max_den=4), fan_sets(3)), min_size=3, max_size=3),
+        st.integers(1, 16),
+    )
+    def test_no_violation_on_three_depth_three_factors(self, factors, k):
+        """An adversarial search for a union whose per-term staircases stop
+        covering the exact derivation: three scaled factors of depth up to
+        3 (fans, apex unions, scaled and disjoint shapes), eps_q at k/16 of
+        the largest scaled diameter, every step certified to the end."""
+        bodies = [scaled(a_q, K) for a_q, K in factors]
+        model = ProductModel.of(bodies)
+        assume(len(model.tuples()) <= 3000)
+        d_q = max(a_q * diam_q(K) for a_q, K in factors)
+        eps_q = d_q * F(k, 16) if d_q else F(1, 2)
+        sz = product_sz(factors, eps_q)
+        event(f"sz={sz}")
+        assert sz == sz_product_set(model.tuples(), model, eps_q)
