@@ -78,7 +78,6 @@ from .fansets import (  # noqa: F401
     Scale,
     Sing,
     TraceStep,
-    UnknownPath,
     contains_origin,
     count_apexes,
     depth_fan,
@@ -86,8 +85,6 @@ from .fansets import (  # noqa: F401
     derive_steps,
     diam_q,
     disj,
-    filter_superlevel,
-    local_diam_q,
     project,
     radius_q,
     scaled,
@@ -103,7 +100,6 @@ from .pointmodel import (  # noqa: F401
 from .products import (  # noqa: F401
     AEpsGrid,
     BqCover,
-    ChainNestingViolated,
     ProductBound,
     ProductUnion,
     a_eps_grid,

@@ -289,7 +289,9 @@ def tvl_check(
     B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
     filtered = 0
     violations: list[str] = []
-    for x in A:
+    # in position order, so the first violations do not depend on how the
+    # frozenset iterates
+    for x in sorted(A):
         px = proj(x)
         px_q = sub.norm_q(px)
         if px_q > rad_q - cut_q:

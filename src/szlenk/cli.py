@@ -8,8 +8,8 @@ Subcommands
     Index of a direct-sum space document, with the rule that produced it.
 ``set derive FILE --eps-q P/Q [--steps N]``
     Iterated eps-derivation of a set document, with a step-by-step trace.
-    Product documents route through the certified union-of-products
-    iterator; a failed certification is reported and exits 1.
+    Product documents route through the union-of-products iterator, which
+    reports term and point counts per step.
 ``verify SUITE [--samples N] [--seed N]``
     Run a randomized containment-check suite; exit 1 on any failing case.
 ``sigma A B C D`` / ``frount D EPS Q M``
@@ -29,7 +29,7 @@ invocation is byte-identical across runs; anything time-dependent goes to
 stderr through logging only.  Set ``SZLENK_LOG=info`` (or pass ``--log
 info``; the flag wins) to see wall-clock timings.
 
-Exit codes: 0 success, 1 verification/certification failure, 2 usage,
+Exit codes: 0 success, 1 a failed ``verify`` case, 2 usage,
 parse, or document errors (input nested past the recursion limit included,
 and a ``sigma`` or ``frount`` result longer than Python prints an integer,
 ``sys.get_int_max_str_digits()``).
@@ -68,7 +68,6 @@ from .fansets import ProdQ, derive_steps
 from .ordinal import frac_from_str, frac_to_str
 from .pointmodel import ProductModel
 from .products import (
-    ChainNestingViolated,
     ProductUnion,
     bq_cover,
     derive_product_step,
@@ -251,7 +250,7 @@ def cmd_set_derive(args: argparse.Namespace) -> tuple[dict, int]:
 def _derive_product(
     F: ProdQ, q: Fraction, eps_q: Fraction, args: argparse.Namespace
 ) -> tuple[dict, int]:
-    """Product documents: iterate the certified union-of-products form.
+    """Product documents: iterate the union-of-products form.
 
     The trace records term/point counts per step rather than snapshots
     (derived products need not stay products); a point count is the
@@ -260,16 +259,11 @@ def _derive_product(
     pu: Optional[ProductUnion] = None
     entries: list[dict] = []
     settled: Optional[int] = None
-    violation: Optional[dict] = None
     for k in range(1, args.steps + 1):
-        try:
-            if pu is None:
-                pu = derive_product_step(factors, eps_q)
-            else:
-                pu = product_union_derive(pu, eps_q)
-        except ChainNestingViolated as exc:
-            violation = {"step": k, "message": str(exc)}
-            break
+        if pu is None:
+            pu = derive_product_step(factors, eps_q)
+        else:
+            pu = product_union_derive(pu, eps_q)
         entries.append({"step": k, "terms": len(pu.terms), "points": pu.model.count(pu.alive)})
         if pu.is_empty():
             settled = k
@@ -287,9 +281,6 @@ def _derive_product(
         "steps": [{"step": 0, "terms": 1, "points": points}] + entries,
         "sz_eps": settled,
     }
-    if violation is not None:
-        doc["chain_nesting_violated"] = violation
-        return doc, EXIT_FAIL
     return doc, EXIT_OK
 
 
@@ -394,10 +385,7 @@ def _render_text(command: str, doc: dict) -> str:
         if doc.get("product"):
             for s in doc["steps"]:
                 lines.append(f"step {s['step']}: terms={s['terms']} points={s['points']}")
-            bad = doc.get("chain_nesting_violated")
-            if bad is not None:
-                lines.append(f"chain nesting violated at step {bad['step']}: {bad['message']}")
-            elif doc["sz_eps"] is not None:
+            if doc["sz_eps"] is not None:
                 lines.append(f"sz_eps = {doc['sz_eps']}")
             else:
                 lines.append("not empty within the step budget")

@@ -49,10 +49,6 @@ class OutsideExactFragment(ValueError):
     """The operation is exact only on the non-product fragment."""
 
 
-class UnknownPath(ValueError):
-    """A point path does not address a point of the set."""
-
-
 class GroupNotFound(ValueError):
     """An axis-group selector does not match the set's group structure."""
 
@@ -281,81 +277,6 @@ def contains_origin(F: FanSet) -> bool:
     raise MalformedFanSet(f"not a fan set: {F!r}")
 
 
-def _root_reach(F: FanSet) -> Optional[Fraction]:
-    """h at the root point (None if the set has no point at its root).
-
-    h(x) is the farthest distance^q from x to a point present in every
-    w*-neighborhood of x.  Only tail copies persist in every neighborhood
-    (prefix copies and positively offset components can be excluded by
-    bounding finitely many axes), so the apex of a fan reaches w_q +
-    radius_q(tail), a union apex the max over its fans, and a leaf 0.
-    """
-    if isinstance(F, Sing):
-        return Fraction(0)
-    if isinstance(F, Fan):
-        return F.w_q + radius_q(F.tail)
-    if isinstance(F, UnionApex):
-        return max(f.w_q + radius_q(f.tail) for f in F.fans)
-    if isinstance(F, Scale):
-        r = _root_reach(F.body)
-        return None if r is None else F.a_q * r
-    if isinstance(F, DisjUnion):
-        for off, b in F.components:
-            if off == 0:
-                return _root_reach(b)
-        return None
-    raise MalformedFanSet(f"no single root point: {F!r}")
-
-
-def local_diam_q(F: FanSet, path: tuple) -> Fraction:
-    """Exact local diameter^q at the point addressed by `path`.
-
-    Paths are tuples of steps ("prefix", i), ("tail",), ("fan", i),
-    ("comp", i); the empty path addresses the root point.  For a top-level
-    ProdQ the path is a tuple of per-factor paths and local diameters^q
-    add across the disjoint factor groups.
-    """
-    if isinstance(F, ProdQ):
-        if not isinstance(path, tuple) or len(path) != len(F.factors):
-            raise UnknownPath("a product point needs one path per factor")
-        return sum(
-            (local_diam_q(f, p) for f, p in zip(F.factors, path)), Fraction(0)
-        )
-    return 2 * _reach_at(F, tuple(path))
-
-
-def _reach_at(F: FanSet, path: tuple) -> Fraction:
-    if isinstance(F, Scale):
-        return F.a_q * _reach_at(F.body, path)
-    if not path:
-        r = _root_reach(F)
-        if r is None:
-            raise UnknownPath("this set has no point at its root")
-        return r
-    step, rest = path[0], path[1:]
-    kind = step[0] if isinstance(step, tuple) and step else None
-    if isinstance(F, Fan):
-        if kind == "prefix" and len(step) == 2 and 0 <= step[1] < len(F.prefix):
-            return _reach_at(F.prefix[step[1]], rest)
-        if kind == "tail":
-            return _reach_at(F.tail, rest)
-        raise UnknownPath(f"step {step!r} does not match a fan")
-    if isinstance(F, UnionApex):
-        if kind == "fan" and len(step) == 2 and 0 <= step[1] < len(F.fans):
-            if not rest:
-                raise UnknownPath(
-                    "the apex of a fan inside UnionApex is the shared apex: "
-                    "address it with the empty path"
-                )
-            return _reach_at(F.fans[step[1]], rest)
-        raise UnknownPath(f"step {step!r} does not match a union of fans")
-    if isinstance(F, DisjUnion):
-        if kind == "comp" and len(step) == 2 and 0 <= step[1] < len(F.components):
-            return _reach_at(F.components[step[1]][1], rest)
-        raise UnknownPath(f"step {step!r} does not match a disjoint union")
-    raise UnknownPath(f"path continues below a leaf: {step!r}")
-
-
 # ---------------------------------------------------------------------------
 # filtration and derivation
 # ---------------------------------------------------------------------------
@@ -413,14 +334,6 @@ def _filter_reach(F: FanSet, t_q: Fraction) -> Optional[FanSet]:
             "products derive through the product machinery, not pointwise filtration"
         )
     raise MalformedFanSet(f"not a fan set: {F!r}")
-
-
-def filter_superlevel(F: FanSet, t_q: Fraction) -> Optional[FanSet]:
-    """The sub-fan-set of points whose local diameter^q strictly exceeds t_q."""
-    t_q = Fraction(t_q)
-    if t_q < 0:
-        raise InvalidParams("filtration thresholds are >= 0")
-    return _filter_reach(F, t_q / 2)
 
 
 def derive(F: FanSet, eps_q: Fraction) -> Optional[FanSet]:

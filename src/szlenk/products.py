@@ -11,19 +11,39 @@ A term is a tuple of per-factor position sets (positions into the
 model's `factor_points`), and the union's point set holds position tuples.
 The undivided product is a one-term union, and every step derives a union
 the same way: each term is a full product, so its derived set splits by the
-same staircase; the union of the per-term results is certified against the
-exact point-set derivation of the whole union, and `ChainNestingViolated` is
-raised the moment the representation can no longer be certified exact
-(points of one term can in principle lend reach to points of another when
-the terms interleave).  The certificate is `pointmodel.derive_product_set`,
+same staircase, and the union of the per-term results is the exact derived
+set of the whole union.  The argument, with C the cluster map of the model
+(`pointmodel`) and N the norm^q:
+
+1. For y in C(x), C(y) is contained in C(x): y's path extends x's, its
+   first non-transparent step beyond x is a tail step, and every path that
+   extends y's starts the same way beyond x.  And N(y) >= N(x), because
+   dist^q(x, y) = N(y) - N(x).  So inside any alive set the local
+   diameter 2 * (max N over the alive cluster - N) can only fall along a
+   cluster: lam(y) <= lam(x) for y in C(x).
+2. Call a factor set G closed when y in G and y in C(x) imply x in G.  A
+   full factor is closed.  If G is closed, so is each super-level set
+   {lam_G >= v}: for y in it and y in C(x), x is in G and, by 1,
+   lam_G(x) >= lam_G(y) >= v.  Terms only ever hold full factors and such
+   super-level sets, so at every step every term's factor sets are closed.
+3. Let U be a union of terms and x a point of U.  If a term T meets the
+   product cluster C(x) = C(x_1) x ... x C(x_n) at y, then each y_i lies
+   in T's i-th set and in C(x_i), so closure puts x in T.  Hence the best
+   N over the alive cluster of x is the best over the terms T that hold x,
+   lam_U(x) = max over those T of lam_T(x), and
+   s_eps(U) = the union over T of s_eps(T), which is exactly the union of
+   the per-term staircases.
+
+So the terms are never compared with the point set: each step takes its
+point set from one exact derivation, `pointmodel.derive_product_set`,
 whose per-axis cluster max costs time linear in the number of product
-points (times the factor count and the largest inverse cluster), not a
-scan of every point's whole product cluster.  The staircase's per-factor
-local diameters come from the same kernel, one axis at a time, as integers
-over the model's common denominator, and its minimal value tuples from a
-predecessor check (`_minimal_tuples`).  The `set derive` command
-reports that step as `chain_nesting_violated` and exits 1; `bound_product_derivation` is the
-separate finite emptiness bound, not a fallback taken automatically.
+points (times the factor count and the largest inverse cluster), and its
+terms from the staircases (tests/test_products.py walks random products
+step by step and checks both the agreement and the closure).  The
+staircase's per-factor local diameters come from the same kernel, one axis
+at a time, as integers over the model's common denominator, and its
+minimal value tuples from a predecessor check (`_minimal_tuples`).
+`bound_product_derivation` is the separate finite emptiness bound.
 """
 from __future__ import annotations
 
@@ -45,10 +65,6 @@ from .pointmodel import (
     _local_diams,
     derive_product_set,
 )
-
-
-class ChainNestingViolated(ValueError):
-    """The union-of-products representation is no longer certified exact."""
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +215,7 @@ def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
 @dataclass(frozen=True, eq=False)
 class ProductUnion:
     """A union of products of per-factor position sets, plus the model and
-    the union's point set (the one its certification computed)."""
+    the union's point set (computed by the exact point-set derivation)."""
 
     model: ProductModel
     terms: tuple[tuple[frozenset[int], ...], ...]
@@ -294,21 +310,13 @@ def derive_product_step(
 def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     """One more derivation step, keeping the union-of-products form.
 
-    Each term derives by its own staircase; the union of the results is
-    checked against the exact point-set derivation of the whole union and
-    `ChainNestingViolated` is raised if they disagree.
+    Each term derives by its own staircase, and the point set comes from
+    the exact point-set derivation of the whole union; the two agree by the
+    module docstring's argument.
     """
-    truth = derive_product_set(pu.alive, pu.model, eps_q)
+    alive = derive_product_set(pu.alive, pu.model, eps_q)
     terms = _prune([t for term in pu.terms for t in _staircase(pu.model, term, eps_q)])
-    covered: set[PPoint] = set()
-    for term in terms:
-        covered.update(itertools.product(*term))
-    if covered != truth:
-        raise ChainNestingViolated(
-            "per-term staircases no longer cover the exact derived set; "
-            "fall back to bound_product_derivation"
-        )
-    return ProductUnion(pu.model, terms, truth)
+    return ProductUnion(pu.model, terms, alive)
 
 
 def product_union_sz(pu: ProductUnion, eps_q: Fraction) -> int:
@@ -324,8 +332,8 @@ def product_sz(
     factors: Sequence[tuple[Fraction, FanSet]], eps_q: Fraction
 ) -> int:
     """Least m with the m-fold derivation of prod_i a_i K_i empty, via the
-    certified union-of-products iteration (products are never empty, so
-    this is always >= 1)."""
+    union-of-products iteration (products are never empty, so this is
+    always >= 1)."""
     return product_union_sz(_whole(factors), eps_q)
 
 
@@ -355,7 +363,8 @@ def bound_product_derivation(
     q: Fraction,
     m: int,
 ) -> ProductBound:
-    """Finite emptiness certificate for the derivation of prod_i a_i K_i.
+    """Finite emptiness certificate for the derivation of prod_i a_i K_i,
+    separate from the exact iteration (`product_sz`).
 
     If the m-fold (eps/8)-derivation of every unscaled factor is empty, the
     whole scaled product empties within M = frount_M_qpow(max diam_q, eps_q,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from szlenk import checks
 from szlenk.calculus import InvalidParams
 from szlenk.checks import (
     SUITES,
@@ -24,6 +25,7 @@ from szlenk.fansets import (
     OutsideExactFragment,
     ProdQ,
     Sing,
+    radius_q,
 )
 from szlenk.generators import case_rng
 from szlenk.pointmodel import ProductModel
@@ -108,6 +110,35 @@ class TestTvlCheck:
         K = DisjUnion(((F(0), F1), (F(1), Sing())))
         rep = tvl_check(K, [1], F(1, 2), F(1, 4), F(1), alpha=0)
         assert rep.ok
+
+    def test_counterexample_lists_smallest_positions_first(self, monkeypatch):
+        """With the projected derivation B emptied, every filtered survivor
+        is a violation, and they are listed in position order: the suite's
+        counterexample (the first two) shows the two of smallest position,
+        not the first two a frozenset happens to yield."""
+        iterate = checks.iterate_product_set
+        calls = []
+
+        def a_then_empty(alive, model, eps_q, m):
+            calls.append(model)
+            return iterate(alive, model, eps_q, m) if len(calls) == 1 else frozenset()
+
+        monkeypatch.setattr(checks, "iterate_product_set", a_then_empty)
+        K = ProdQ((Fan(F(1), (Sing(), Sing()), Sing()), Fan(F(1, 2), (Sing(),), Sing())))
+        rep = tvl_check(K, [0, 1], F(2), F(1, 2), F(1), alpha=0)
+        assert len(calls) == 2
+        assert not rep.ok and len(rep.violations) == rep.filtered
+        # alpha = 0 keeps every point, and projecting onto both factors is
+        # the identity; the cut is radius_q - ((eps - delta) / 2)^q
+        model = ProductModel.of(K.factors)
+        cut = radius_q(K) - F(3, 4)
+        first = [x for x in sorted(model.tuples()) if model.norm_q(x) > cut][:2]
+        assert first == [(1, 0), (1, 1)]
+        assert [model.weight(x) for x in first] == [1, 1]
+        assert rep.violations[:2] == (
+            "survivor with projected norm_q=1 escapes the projected derivation",
+            "survivor with projected norm_q=3/2 escapes the projected derivation",
+        )
 
     def test_validation(self):
         K = ProdQ((F1, F1))

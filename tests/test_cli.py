@@ -20,7 +20,7 @@ from szlenk.calculus import (
     ParamFamily,
 )
 from szlenk import pointmodel, products
-from szlenk.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _printable, main
+from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
@@ -235,18 +235,6 @@ class TestSetDerive:
         assert doc["steps"][0] == {"step": 0, "terms": 1, "points": 9}
         assert doc["sz_eps"] == 3
         assert doc["steps"][-1]["points"] == 0
-
-    def test_step_one_certification_failure_is_reported(self, capsys, tmp_path, monkeypatch):
-        staircase = products._staircase
-        monkeypatch.setattr(products, "_staircase", lambda *a: staircase(*a)[1:])
-        path = write_doc(tmp_path, "p.json", fanset_to_doc(ProdQ((F1, F1)), F(2)))
-        code, out, err = run(capsys, "set", "derive", path, "--eps-q", "3/2")
-        assert code == EXIT_FAIL
-        assert err == ""
-        doc = json.loads(out)
-        assert doc["chain_nesting_violated"]["step"] == 1
-        assert doc["steps"] == [{"step": 0, "terms": 1, "points": 9}]
-        assert doc["sz_eps"] is None
 
     def test_oversized_product_exits_2(self, capsys, tmp_path, monkeypatch):
         """Two fans of 600 prefix singletons span 602^2 = 362 404 orbits,

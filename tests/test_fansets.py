@@ -36,7 +36,6 @@ from szlenk.fansets import (
     Scale,
     Sing,
     UnionApex,
-    UnknownPath,
     contains_origin,
     count_apexes,
     depth_fan,
@@ -44,8 +43,6 @@ from szlenk.fansets import (
     derive_steps,
     diam_q,
     disj,
-    filter_superlevel,
-    local_diam_q,
     project,
     radius_q,
     scaled,
@@ -54,6 +51,8 @@ from szlenk.fansets import (
 from szlenk.ordinal import Ordinal
 from szlenk.pointmodel import (
     ProductModel,
+    _local_diams,
+    _strides,
     cluster_map,
     count_points,
     derive_product_set,
@@ -194,48 +193,70 @@ class TestRadiusDiam:
         assert not contains_origin(ProdQ((F1, DisjUnion(((F(1), F1),)))))
 
 
+def model_local_diam_q(factors, paths):
+    """The local diameter^q, inside the whole product of `factors`, of the
+    model point whose factor points have the given `paths` (None when some
+    factor has no point at its path)."""
+    model = ProductModel.of(factors)
+    x = []
+    for pts, path in zip(model.factor_points, paths):
+        at = [j for j, p in enumerate(pts) if p.path == path]
+        if not at:
+            return None
+        x.append(at[0])
+    axes = range(len(factors))
+    strides = _strides(model, axes)
+    codes = [sum(j * s for j, s in zip(y, strides)) for y in model.tuples()]
+    d = _local_diams(model, axes, codes)[sum(j * s for j, s in zip(x, strides))]
+    return F(d, model.scaled_norms[0])
+
+
+def local_diam_at(K, path):
+    return model_local_diam_q([K], [path])
+
+
+T = ("t", 0)
+
+
 class TestLocalDiam:
+    """Frozen local diameters on the point model, addressed by its paths."""
+
     def test_fan_paths(self):
-        assert local_diam_q(F1, ()) == 1
-        assert local_diam_q(F1, (("tail",),)) == 0
+        assert local_diam_at(F1, ()) == 1
+        assert local_diam_at(F1, (T,)) == 0
         d2 = depth_fan(2, F(1, 2))
-        assert local_diam_q(d2, ()) == 2
-        assert local_diam_q(d2, (("tail",),)) == 1
-        assert local_diam_q(d2, (("tail",), ("tail",))) == 0
+        assert local_diam_at(d2, ()) == 2
+        assert local_diam_at(d2, (T,)) == 1
+        assert local_diam_at(d2, (T, T)) == 0
 
     def test_prefix_path(self):
         f = Fan(F(1), (F1,), Sing())
-        assert local_diam_q(f, (("prefix", 0),)) == 1
-        with pytest.raises(UnknownPath):
-            local_diam_q(f, (("prefix", 1),))
+        assert local_diam_at(f, (("p", ("pre", 0)),)) == 1
+        assert local_diam_at(f, (("p", ("pre", 1)),)) is None
 
     def test_union_apex_paths(self):
         ua = UnionApex((F1, Fan(F(1, 3))))
-        assert local_diam_q(ua, ()) == 1
-        assert local_diam_q(ua, (("fan", 1), ("tail",))) == 0
-        with pytest.raises(UnknownPath):
-            local_diam_q(ua, (("fan", 0),))
-        with pytest.raises(UnknownPath):
-            local_diam_q(ua, (("fan", 5), ("tail",)))
+        assert local_diam_at(ua, ()) == 1
+        assert local_diam_at(ua, (("f", ("fan", 1)), T)) == 0
+        # a fan inside the union has no apex of its own: it is the shared one
+        assert local_diam_at(ua, (("f", ("fan", 0)),)) is None
+        assert local_diam_at(ua, (("f", ("fan", 5)), T)) is None
 
     def test_scale_and_disj(self):
-        assert local_diam_q(Scale(F(1, 4), F1), ()) == F(1, 4)
+        assert local_diam_at(Scale(F(1, 4), F1), ()) == F(1, 4)
         du = DisjUnion(((F(0), Sing()), (F(1), F1)))
-        assert local_diam_q(du, (("comp", 1),)) == 1
-        assert local_diam_q(du, (("comp", 0),)) == 0
-        with pytest.raises(UnknownPath):
-            local_diam_q(DisjUnion(((F(1), Sing()),)), ())
+        assert local_diam_at(du, (("p", ("comp", 1)),)) == 1
+        assert local_diam_at(du, (("f", ("comp", 0)),)) == 0
+        assert local_diam_at(DisjUnion(((F(1), Sing()),)), ()) is None
 
     def test_product_paths(self):
-        p = ProdQ((F1, depth_fan(2, F(1, 2))))
-        assert local_diam_q(p, ((), ())) == 3
-        assert local_diam_q(p, ((("tail",),), ())) == 2
-        with pytest.raises(UnknownPath):
-            local_diam_q(p, ((),))
+        factors = [F1, depth_fan(2, F(1, 2))]
+        assert model_local_diam_q(factors, [(), ()]) == 3
+        assert model_local_diam_q(factors, [(T,), ()]) == 2
+        assert model_local_diam_q(factors, [(T,), (T, T)]) == 0
 
     def test_leaf_path_rejected(self):
-        with pytest.raises(UnknownPath):
-            local_diam_q(F1, (("tail",), ("tail",)))
+        assert local_diam_at(F1, (T, T)) is None
 
 
 class TestFilterDerive:
@@ -249,14 +270,6 @@ class TestFilterDerive:
             derive(F1, F(0))
         with pytest.raises(InvalidParams):
             derive(F1, F(-1))
-
-    def test_superlevel(self):
-        assert filter_superlevel(F1, F(0)) == Sing()
-        assert filter_superlevel(Sing(), F(0)) is None
-        assert filter_superlevel(F1, F(1, 2)) == Sing()
-        assert filter_superlevel(F1, F(1)) is None
-        with pytest.raises(InvalidParams):
-            filter_superlevel(F1, F(-1))
 
     def test_depth_fan_peels(self):
         assert derive(depth_fan(2, F(1, 2)), F(1, 2)) == F1
@@ -296,8 +309,6 @@ class TestFilterDerive:
     def test_product_rejected(self):
         with pytest.raises(OutsideExactFragment):
             derive(ProdQ((F1,)), F(1, 2))
-        with pytest.raises(OutsideExactFragment):
-            filter_superlevel(ProdQ((F1,)), F(1, 2))
 
 
 class TestSz:
@@ -710,7 +721,9 @@ class TestEngineVsModel:
     @settings(max_examples=60, deadline=None)
     @given(fan_sets(2))
     def test_superlevel_at_diam_empty(self, f):
-        assert filter_superlevel(f, diam_q(f)) is None
+        """No local diameter exceeds the diameter, so deriving at eps_q =
+        diam_q empties the set (at any positive eps_q when diam_q is 0)."""
+        assert derive(f, diam_q(f) or F(1)) is None
 
     @settings(max_examples=60, deadline=None)
     @given(fan_sets(2), fracs())

@@ -1,6 +1,6 @@
 """The benchmark checks its smallest products with the point model
-(perfbench/run.py, ``sz_product_set``), which shares its derivation with the
-certifier; here the same products go against the slow oracle instead, on
+(perfbench/run.py, ``sz_product_set``), which shares its derivation with
+``product_sz``; here the same products go against the slow oracle instead, on
 its own two-copy materialization.
 perfbench/workloads.py is only read."""
 import importlib.util
