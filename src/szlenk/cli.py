@@ -29,6 +29,11 @@ invocation is byte-identical across runs; anything time-dependent goes to
 stderr through logging only.  Set ``SZLENK_LOG=info`` (or pass ``--log
 info``; the flag wins) to see wall-clock timings.
 
+One process may call ``main`` many times.  The parser is built on the first
+call and shared by the later ones.  Log lines go through one handler on the
+``szlenk`` logger to whatever ``sys.stderr`` is when each line is written,
+each call sets only that logger's level, and the root logger is left alone.
+
 Exit codes: 0 success, 1 a failed ``verify`` case, 2 usage,
 parse, or document errors (input nested past the recursion limit included,
 and a ``sigma`` or ``frount`` result longer than Python prints an integer,
@@ -38,6 +43,7 @@ and a ``sigma`` or ``frount`` result longer than Python prints an integer,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -86,9 +92,13 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser; each subcommand sets ``cmd`` (its full name, as reports
-    carry it) and ``handler`` (the function that runs it)."""
+    carry it) and ``handler`` (the function that runs it).
+
+    Built on the first call and shared after it: ``parse_args`` leaves the
+    parser as it was and answers each call with a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="szlenk",
         description="exact Szlenk-style index computations on documents",
@@ -167,22 +177,45 @@ def _read_json(path: str) -> object:
     return loads(text)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the ``sys.stderr`` of the moment of each record, so an
+    in-process caller that swaps stderr between calls sees its own lines."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)  # StreamHandler would bind a stream
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+@functools.cache
+def _szlenk_logger() -> logging.Logger:
+    """The ``szlenk`` logger with the CLI's one handler; the root logger is
+    left to the host."""
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("szlenk")
+    logger.addHandler(handler)
+    return logger
+
+
 def _setup_logging(flag: Optional[str]) -> None:
     name = flag if flag is not None else os.environ.get("SZLENK_LOG", "warning")
     level = getattr(logging, str(name).upper(), None)
     if not isinstance(level, int):
         raise InvalidParams(f"unknown log level {name!r}")
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
-    logging.getLogger("szlenk").setLevel(level)
+    _szlenk_logger().setLevel(level)
 
 
 def _printable(value: int, command: str) -> int:
     """value, unless it has more digits than Python converts an integer to
     text (`sys.get_int_max_str_digits`), which the report needs."""
     limit = sys.get_int_max_str_digits()
-    if limit and value >= 10**limit:
+    # 3321928 / 10**6 < log2(10): a value this short has at most limit digits
+    if not limit or value.bit_length() <= limit * 3321928 // 10**6:
+        return value
+    if value >= 10**limit:
         # 3010299 / 10**7 < log10(2): a count at most two digits short
         digits = (value.bit_length() - 1) * 3010299 // 10**7 + 1
         while value >= 10**digits:

@@ -1,9 +1,16 @@
 """Tests for the command-line front end."""
+import contextlib
+import io
 import json
+import logging
 import math
+import os
+import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +27,7 @@ from szlenk.calculus import (
     ParamFamily,
 )
 from szlenk import pointmodel, products
-from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, main
+from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
@@ -434,6 +441,22 @@ class TestSigmaFrount:
         with pytest.raises(ValueError, match=f"has {limit + 1} digits"):
             _printable(10**limit, "sigma")
 
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_digit_limit_boundaries(self, limit):
+        """Either side of 10**limit, and of 2**cut, the largest power of two
+        that `_printable` passes without computing 10**limit."""
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            cut = limit * 3321928 // 10**6
+            assert len(str(2**cut - 1)) <= limit
+            for value in (2**cut - 1, 2**cut, 10**limit - 1):
+                assert _printable(value, "frount") == value
+            with pytest.raises(ValueError, match=f"has {limit + 1} digits"):
+                _printable(10**limit, "frount")
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_eps_q_below_root_precision_exits_2(self, capsys):
         """(1/2)^(10001/100) < 2^-96, below what the lower bound of a
         fractional power resolves."""
@@ -584,3 +607,82 @@ class TestPlumbing:
         code, _, err = run(capsys, "--log", "loud", "sigma", "1", "3", "1", "2")
         assert code == EXIT_USAGE
         assert "log level" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LOG_LINE = re.compile(r"INFO szlenk\.cli: (.+) finished in \d+\.\d{3} s\n")
+
+
+class TestInProcess:
+    """One process serves many `main` calls: the parser is built once and
+    shared, and logging follows the stderr of each call."""
+
+    def test_log_line_goes_to_the_current_stderr(self, capsys, monkeypatch):
+        monkeypatch.delenv("SZLENK_LOG", raising=False)
+        root = list(logging.getLogger().handlers)
+        first, second = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(first):
+            assert main(["sigma", "1", "3", "1", "2"]) == EXIT_OK
+        with contextlib.redirect_stderr(second):
+            assert main(["--log", "info", "sigma", "1", "3", "1", "2"]) == EXIT_OK
+        assert first.getvalue() == ""
+        assert LOG_LINE.fullmatch(second.getvalue()).group(1) == "sigma"
+        code, _, err = run(capsys, "--log", "info", "ord", "w")
+        assert code == EXIT_OK
+        assert LOG_LINE.fullmatch(err).group(1) == "ord"
+        code, _, err = run(capsys, "ord", "w")
+        assert (code, err) == (EXIT_OK, "")
+        assert logging.getLogger().handlers == root
+
+    def test_no_state_leaks_through_the_shared_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SZLENK_LOG", raising=False)
+        fan = write_doc(tmp_path, "f.json", fanset_to_doc(depth_fan(3, F(1, 2)), F(2)))
+        space = write_doc(tmp_path, "s.json", space_to_doc(CSpace(ordinal.parse("w^w"))))
+        argvs = [
+            ["--help"],
+            ["frobnicate"],
+            ["--log", "info", "sigma", "1", "3", "1", "2"],
+            ["ord", "w^2*3 + w", "--format", "text"],
+            ["space", "eval", space],
+            ["set", "derive", fan, "--eps-q", "1/2", "--steps", "3"],
+            ["verify", "unionlemma1", "--samples", "3", "--seed", "1"],
+            ["sigma", "5/2", "3", "1", "2"],
+            ["frount", "1", "1/2", "2", "3"],
+            ["cover", "2", fan, fan],
+        ]
+
+        def outcome(argv):
+            code, out, err = run(capsys, *argv)
+            return code, out, LOG_LINE.sub("INFO szlenk.cli: \\1 finished\n", err)
+
+        parser = build_parser()
+        shared = [outcome(argv) for argv in argvs]
+        assert build_parser() is parser
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_USAGE] + [EXIT_OK] * 8
+        assert shared[2][2] == "INFO szlenk.cli: sigma finished\n"
+        assert all(err == "" for _, _, err in shared[3:])
+
+    def test_fresh_process(self, capsys):
+        env = {k: v for k, v in os.environ.items() if k != "SZLENK_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "szlenk.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        proc = cli("--log", "info", "sigma", "1", "3", "1", "2")
+        assert proc.returncode == EXIT_OK
+        code, out, _ = run(capsys, "sigma", "1", "3", "1", "2")
+        assert (code, proc.stdout) == (EXIT_OK, out)
+        assert LOG_LINE.fullmatch(proc.stderr).group(1) == "sigma"
+        assert cli("--help").returncode == EXIT_OK
+        bad = cli("sigma", "1")
+        assert bad.returncode == EXIT_USAGE
+        assert bad.stdout == ""
