@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from .calculus import InvalidParams, frount_M_qpow, sigma_qpow
 from .exactmath import pow_bounds
 from .fansets import (
+    DerivationMemo,
     DisjUnion,
     Fan,
     FanSet,
@@ -62,10 +63,11 @@ class UnknownSuite(ValueError):
 
 
 def _sz_int(K: FanSet, eps_q: Fraction) -> int:
+    memo = DerivationMemo()
     cur: Optional[FanSet] = K
     n = 0
     while cur is not None:
-        cur = derive(cur, eps_q)
+        cur = derive(cur, eps_q, memo)
         n += 1
     return max(n, 1)
 
@@ -158,11 +160,14 @@ def union_lemma_check(
     half_q = eps_q / hi2
     violations: list[str] = []
 
-    lhs = whole
+    # stages[k]: the k-fold eps-derivation of the union; the stagewise walk
+    # takes them in order, and the m*n-fold and one-step sides reuse them
+    stages = [whole]
     rhs = list(pieces)
     half_ok = True
     alphas = 0
     while True:
+        lhs = stages[-1]
         covered = frozenset().union(*rhs) if rhs else frozenset()
         escaped = lhs - covered
         if escaped:
@@ -173,13 +178,17 @@ def union_lemma_check(
             break
         if not lhs:
             break
-        lhs = iterate_product_set(lhs, model, eps_q, 1)
+        stages.append(iterate_product_set(lhs, model, eps_q, 1))
         rhs = [iterate_product_set(r, model, half_q, 1) for r in rhs]
         alphas += 1
+    while len(stages) <= m * n and stages[-1]:
+        stages.append(iterate_product_set(stages[-1], model, eps_q, 1))
 
-    lhs2 = iterate_product_set(whole, model, eps_q, m * n)
+    # an empty last stage stays empty, so it stands for every later stage
+    lhs2 = stages[min(m * n, len(stages) - 1)]
+    firsts = [iterate_product_set(p, model, eps_q, 1) for p in pieces]
     rhs2 = frozenset().union(
-        *[iterate_product_set(p, model, eps_q, m) for p in pieces]
+        *[iterate_product_set(f, model, eps_q, m - 1) for f in firsts]
     )
     mn_ok = lhs2 <= rhs2
     if not mn_ok:
@@ -189,11 +198,7 @@ def union_lemma_check(
 
     comp_eq: Optional[bool] = None
     if mode == "disjoint":
-        one = iterate_product_set(whole, model, eps_q, 1)
-        split = frozenset().union(
-            *[iterate_product_set(p, model, eps_q, 1) for p in pieces]
-        )
-        comp_eq = one == split
+        comp_eq = stages[min(1, len(stages) - 1)] == frozenset().union(*firsts)
         if not comp_eq:
             violations.append("componentwise: one-step derivation differs")
 

@@ -103,34 +103,45 @@ def _ord(doc: object, what: str) -> Ordinal:
 
 def fan_node_to_doc(F: FanSet) -> dict:
     """Serialize a bare set node (no version/q header)."""
+    return _node_doc(F, {})
+
+
+def _node_doc(F: FanSet, docs: dict[int, dict]) -> dict:
+    """`fan_node_to_doc` building each distinct node once: `docs` maps the
+    id of every node serialized so far (all alive in the caller's nodes) to
+    its document, which every later occurrence reuses."""
+    doc = docs.get(id(F))
+    if doc is not None:
+        return doc
     if isinstance(F, Sing):
-        return {"sing": {}}
-    if isinstance(F, Fan):
-        return {
+        doc = {"sing": {}}
+    elif isinstance(F, Fan):
+        doc = {
             "fan": {
                 "w_q": frac_to_str(F.w_q),
-                "prefix": [fan_node_to_doc(c) for c in F.prefix],
-                "tail": fan_node_to_doc(F.tail),
+                "prefix": [_node_doc(c, docs) for c in F.prefix],
+                "tail": _node_doc(F.tail, docs),
             }
         }
-    if isinstance(F, UnionApex):
-        return {"apex": {"fans": [fan_node_to_doc(f) for f in F.fans]}}
-    if isinstance(F, Scale):
-        return {
-            "scale": {"a_q": frac_to_str(F.a_q), "body": fan_node_to_doc(F.body)}
-        }
-    if isinstance(F, ProdQ):
-        return {"prod": {"factors": [fan_node_to_doc(f) for f in F.factors]}}
-    if isinstance(F, DisjUnion):
-        return {
+    elif isinstance(F, UnionApex):
+        doc = {"apex": {"fans": [_node_doc(f, docs) for f in F.fans]}}
+    elif isinstance(F, Scale):
+        doc = {"scale": {"a_q": frac_to_str(F.a_q), "body": _node_doc(F.body, docs)}}
+    elif isinstance(F, ProdQ):
+        doc = {"prod": {"factors": [_node_doc(f, docs) for f in F.factors]}}
+    elif isinstance(F, DisjUnion):
+        doc = {
             "disj": {
                 "components": [
-                    [frac_to_str(off), fan_node_to_doc(b)]
+                    [frac_to_str(off), _node_doc(b, docs)]
                     for off, b in F.components
                 ]
             }
         }
-    raise DocumentError(f"not a fan set: {F!r}")
+    else:
+        raise DocumentError(f"not a fan set: {F!r}")
+    docs[id(F)] = doc
+    return doc
 
 
 def _fan_node_from_doc(doc: object) -> FanSet:
@@ -376,13 +387,16 @@ def space_index_to_doc(r: SpaceIndex) -> dict:
 
 
 def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> dict:
+    """The trace document; a node shared by several snapshots is built
+    once and its document appears at each of its places."""
+    docs: dict[int, dict] = {}
     return {
         "v": SCHEMA_VERSION,
         "q": frac_to_str(Fraction(q)),
         "steps": [
             {
                 "step": s.step,
-                "set": None if s.snapshot is None else fan_node_to_doc(s.snapshot),
+                "set": None if s.snapshot is None else _node_doc(s.snapshot, docs),
                 "apexes": s.apex_count,
                 "diam_q": frac_to_str(s.diam_q),
             }

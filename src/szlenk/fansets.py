@@ -30,6 +30,16 @@ again a fan set: an apex outlives its tail interior (reach from the apex
 exceeds every reach inside the tail by the fan width), so derivation never
 strands a tail without its apex, and dead tails turn the remaining prefix
 copies into disjoint offset components.
+
+One derivation sequence shares its nodes (`DerivationMemo`): every node the
+filtration builds is looked up by its kind, fields and children, so a
+derived node built like one seen before is that node, and the filtration
+runs once per (node, threshold).  A step then filters only the nodes that no earlier step
+filtered, and a sequence costs O(distinct nodes over its snapshots), not
+O(the sum of their sizes).  Step k of a depth-n chain is the input's own
+depth-(n-k) subtree, which step k already filtered, so all n + 1 steps
+together cost O(n).  Radius, diameter and apex count are cached on each
+node, so a shared node is measured once.
 """
 from __future__ import annotations
 
@@ -196,11 +206,12 @@ def radius_q(F: FanSet) -> Fraction:
     """max ||x||^q over the set (exact).
 
     Each node computes its radius once and keeps it as the instance
-    attribute ``_radius_q``.  That attribute is not a dataclass field, so
-    equality, hashing and repr never see it.  A derivation step builds new
-    nodes over old children, so radii cost O(size) per step instead of
-    O(size * depth).  Nodes are never keyed into a dict here: hashing a deep
-    frozen dataclass is itself O(size).
+    attribute ``_radius_q``; `diam_q` and `count_apexes` keep theirs as
+    ``_diam_q`` and ``_apexes``.  These attributes are not dataclass fields,
+    so equality, hashing and repr never see them.  A derivation sequence
+    shares its nodes across steps (`DerivationMemo`), so a subtree that
+    outlives a step is measured once, not once per step.  Nodes are never
+    hashed here: hashing a deep frozen dataclass is itself O(size).
     """
     r = getattr(F, "_radius_q", None)
     if r is not None:
@@ -227,40 +238,43 @@ def radius_q(F: FanSet) -> Fraction:
 
 
 def diam_q(F: FanSet) -> Fraction:
-    """max ||x - y||^q over pairs (exact).
+    """max ||x - y||^q over pairs (exact), cached on the node.
 
     Points in different copies have disjoint supports beyond the common
     prefix, so their distance^q is the sum of the two one-sided norms; the
     best cross pair combines the two largest copy radii, with the
     omega-repeated tail available twice.
     """
+    d = getattr(F, "_diam_q", None)
+    if d is not None:
+        return d
     if isinstance(F, Sing):
-        return Fraction(0)
-    if isinstance(F, Fan):
+        d = Fraction(0)
+    elif isinstance(F, Fan):
         radii = sorted(
             (radius_q(c) for c in F.prefix + (F.tail, F.tail)), reverse=True
         )
-        best = 2 * F.w_q + radii[0] + radii[1]
+        d = 2 * F.w_q + radii[0] + radii[1]
         for c in F.prefix + (F.tail,):
-            best = max(best, diam_q(c))
-        return best
-    if isinstance(F, UnionApex):
-        best = max(diam_q(f) for f in F.fans)
+            d = max(d, diam_q(c))
+    elif isinstance(F, UnionApex):
+        d = max(diam_q(f) for f in F.fans)
         if len(F.fans) > 1:
             radii = sorted((radius_q(f) for f in F.fans), reverse=True)
-            best = max(best, radii[0] + radii[1])
-        return best
-    if isinstance(F, Scale):
-        return F.a_q * diam_q(F.body)
-    if isinstance(F, ProdQ):
-        return sum((diam_q(f) for f in F.factors), Fraction(0))
-    if isinstance(F, DisjUnion):
-        best = max(diam_q(b) for _, b in F.components)
+            d = max(d, radii[0] + radii[1])
+    elif isinstance(F, Scale):
+        d = F.a_q * diam_q(F.body)
+    elif isinstance(F, ProdQ):
+        d = sum((diam_q(f) for f in F.factors), Fraction(0))
+    elif isinstance(F, DisjUnion):
+        d = max(diam_q(b) for _, b in F.components)
         if len(F.components) > 1:
             radii = sorted((off + radius_q(b) for off, b in F.components), reverse=True)
-            best = max(best, radii[0] + radii[1])
-        return best
-    raise MalformedFanSet(f"not a fan set: {F!r}")
+            d = max(d, radii[0] + radii[1])
+    else:
+        raise MalformedFanSet(f"not a fan set: {F!r}")
+    object.__setattr__(F, "_diam_q", d)
+    return d
 
 
 def contains_origin(F: FanSet) -> bool:
@@ -282,7 +296,46 @@ def contains_origin(F: FanSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _filter_reach(F: FanSet, t_q: Fraction) -> Optional[FanSet]:
+class DerivationMemo:
+    """The nodes of one derivation sequence, shared across its steps.
+
+    `share` looks a node up by its kind, its rational fields as (numerator,
+    denominator) and the ids of its children, and returns the memo's node
+    with that key, registering the node itself when it is the first.
+    `_filter_reach` registers every node it filters and shares every node
+    it builds, so a derived node with the kind, fields and children of a
+    node seen before, in the input or in an earlier step, is that node.
+    `filtered` maps (node id, threshold) to the node and its filtration,
+    and `nodes` holds every node whose key it keeps, so each id the memo
+    keys on belongs to a live node and cannot be reused while the memo
+    lives.  A memo serves one sequence (`derive_steps`, `sz_eps`, a loop
+    over `derive`) and dies with it.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[tuple, FanSet] = {}
+        self.filtered: dict[tuple[int, int, int], tuple[FanSet, Optional[FanSet]]] = {}
+
+    def share(self, F: Optional[FanSet]) -> Optional[FanSet]:
+        if F is None:
+            return None
+        if isinstance(F, Fan):
+            w = F.w_q
+            key: tuple = (Fan, w.numerator, w.denominator, id(F.tail), *map(id, F.prefix))
+        elif isinstance(F, Sing):
+            key = (Sing,)
+        elif isinstance(F, DisjUnion):
+            key = (DisjUnion, *[(o.numerator, o.denominator, id(b)) for o, b in F.components])
+        elif isinstance(F, Scale):
+            key = (Scale, F.a_q.numerator, F.a_q.denominator, id(F.body))
+        elif isinstance(F, UnionApex):
+            key = (UnionApex, *map(id, F.fans))
+        else:  # products never get here: the filtration refuses them first
+            raise MalformedFanSet(f"not a fan set: {F!r}")
+        return self.nodes.setdefault(key, F)
+
+
+def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[FanSet]:
     """Keep exactly the points with h > t_q; None when nothing survives.
 
     The result is closed: h at the apex strictly exceeds h anywhere inside
@@ -290,64 +343,81 @@ def _filter_reach(F: FanSet, t_q: Fraction) -> Optional[FanSet]:
     apex adds the width), so an apex is never removed while tail interior
     survives.  When a tail dies under a surviving apex, the fan restructures
     into a disjoint union of the apex singleton and the shifted surviving
-    prefix remnants.
+    prefix remnants.  Each (node, threshold) is filtered once per memo, and
+    every node built here is shared through it.
     """
+    key = (id(F), t_q.numerator, t_q.denominator)
+    hit = memo.filtered.get(key)
+    if hit is not None:
+        return hit[1]
+    share = memo.share
     if isinstance(F, Sing):
-        return Sing() if 0 > t_q else None
-    if isinstance(F, Fan):
-        remnants = [(F.w_q, _filter_reach(c, t_q)) for c in F.prefix]
-        tail = _filter_reach(F.tail, t_q)
+        out = share(Sing()) if 0 > t_q else None
+    elif isinstance(F, Fan):
+        remnants = [(F.w_q, _filter_reach(c, t_q, memo)) for c in F.prefix]
+        tail = _filter_reach(F.tail, t_q, memo)
         apex_alive = F.w_q + radius_q(F.tail) > t_q
         if not apex_alive:
             assert tail is None  # reach inside the tail is below the apex reach
-            return disj(remnants)
-        if tail is not None:
+            out = share(disj(remnants))
+        elif tail is not None:
             kept = tuple(r for _, r in remnants if r is not None)
-            return Fan(F.w_q, kept, tail)
-        return disj([(Fraction(0), Sing())] + remnants)
-    if isinstance(F, UnionApex):
+            out = share(Fan(F.w_q, kept, tail))
+        else:
+            out = share(disj([(Fraction(0), share(Sing()))] + remnants))
+    elif isinstance(F, UnionApex):
         apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in F.fans)
         cores: list[Fan] = []
         leftovers: list[tuple[Fraction, Optional[FanSet]]] = []
         for f in F.fans:
-            tail = _filter_reach(f.tail, t_q)
-            remnants = [(f.w_q, _filter_reach(c, t_q)) for c in f.prefix]
+            tail = _filter_reach(f.tail, t_q, memo)
+            remnants = [(f.w_q, _filter_reach(c, t_q, memo)) for c in f.prefix]
             if tail is not None:
                 kept = tuple(r for _, r in remnants if r is not None)
-                cores.append(Fan(f.w_q, kept, tail))
+                cores.append(share(Fan(f.w_q, kept, tail)))
             else:
                 leftovers.extend(remnants)
         if not apex_alive:
             assert not cores
-            return disj(leftovers)
-        if cores:
-            zero: FanSet = cores[0] if len(cores) == 1 else UnionApex(tuple(cores))
+            out = share(disj(leftovers))
         else:
-            zero = Sing()
-        return disj([(Fraction(0), zero)] + leftovers)
-    if isinstance(F, Scale):
-        return scaled(F.a_q, _filter_reach(F.body, t_q / F.a_q))
-    if isinstance(F, DisjUnion):
-        return disj([(off, _filter_reach(b, t_q)) for off, b in F.components])
-    if isinstance(F, ProdQ):
+            if cores:
+                zero: FanSet = cores[0] if len(cores) == 1 else share(UnionApex(tuple(cores)))
+            else:
+                zero = share(Sing())
+            out = share(disj([(Fraction(0), zero)] + leftovers))
+    elif isinstance(F, Scale):
+        out = share(scaled(F.a_q, _filter_reach(F.body, t_q / F.a_q, memo)))
+    elif isinstance(F, DisjUnion):
+        out = share(disj([(off, _filter_reach(b, t_q, memo)) for off, b in F.components]))
+    elif isinstance(F, ProdQ):
         raise OutsideExactFragment(
             "products derive through the product machinery, not pointwise filtration"
         )
-    raise MalformedFanSet(f"not a fan set: {F!r}")
+    else:
+        raise MalformedFanSet(f"not a fan set: {F!r}")
+    share(F)  # a node built like F later on is F
+    memo.filtered[key] = (F, out)
+    return out
 
 
-def derive(F: FanSet, eps_q: Fraction) -> Optional[FanSet]:
+def derive(
+    F: FanSet, eps_q: Fraction, memo: Optional[DerivationMemo] = None
+) -> Optional[FanSet]:
     """The exact one-step eps-derivation s_eps(F); None when empty.
 
     A point survives iff its local diameter^q exceeds eps_q; the strict
     comparison matches the strict `diam > eps` in the derivation's
     definition, and local diameters are attained here (far tail pairs), so
-    there is no boundary subtlety to round.
+    there is no boundary subtlety to round.  Successive steps of one
+    sequence pass the same `memo`, so they share nodes and filtrations.
     """
     eps_q = Fraction(eps_q)
     if eps_q <= 0:
         raise InvalidParams("eps_q must be positive")
-    return _filter_reach(F, eps_q / 2)
+    if memo is None:
+        memo = DerivationMemo()
+    return _filter_reach(F, eps_q / 2, memo)
 
 
 @dataclass(frozen=True)
@@ -364,7 +434,8 @@ class DerivationTrace:
 
 
 def count_apexes(F: Optional[FanSet]) -> int:
-    """Number of cluster points (positive local diameter) — diagnostic.
+    """Number of cluster points (positive local diameter) — diagnostic,
+    cached on the node.
 
     The count is that of the two-copy point model (two copies of every
     omega-tail; ``pointmodel`` keeps one per mirror orbit and weighs it by
@@ -373,35 +444,46 @@ def count_apexes(F: Optional[FanSet]) -> int:
     tail is visited once, so the work is linear in the node count while the
     result may be exponential in depth (2**n - 1 for a chain of depth n).
     """
-    if F is None or isinstance(F, Sing):
+    if F is None:
         return 0
-    if isinstance(F, Fan):
-        return 1 + sum(count_apexes(c) for c in F.prefix) + 2 * count_apexes(F.tail)
-    if isinstance(F, UnionApex):
-        return 1 + sum(count_apexes(f) - 1 for f in F.fans)
-    if isinstance(F, Scale):
-        return count_apexes(F.body)
-    if isinstance(F, ProdQ):
+    n = getattr(F, "_apexes", None)
+    if n is not None:
+        return n
+    if isinstance(F, Sing):
+        n = 0
+    elif isinstance(F, Fan):
+        n = 1 + sum(count_apexes(c) for c in F.prefix) + 2 * count_apexes(F.tail)
+    elif isinstance(F, UnionApex):
+        n = 1 + sum(count_apexes(f) - 1 for f in F.fans)
+    elif isinstance(F, Scale):
+        n = count_apexes(F.body)
+    elif isinstance(F, ProdQ):
         raise OutsideExactFragment(
             "products derive through the product machinery, not pointwise filtration"
         )
-    if isinstance(F, DisjUnion):
-        return sum(count_apexes(b) for _, b in F.components)
-    raise MalformedFanSet(f"not a fan set: {F!r}")
+    elif isinstance(F, DisjUnion):
+        n = sum(count_apexes(b) for _, b in F.components)
+    else:
+        raise MalformedFanSet(f"not a fan set: {F!r}")
+    object.__setattr__(F, "_apexes", n)
+    return n
 
 
 def derive_steps(
     F: FanSet, eps_q: Fraction, m: int
 ) -> tuple[Optional[FanSet], DerivationTrace]:
-    """m-fold derivation with a step-by-step trace."""
+    """m-fold derivation with a step-by-step trace; the steps share one
+    `DerivationMemo`, so a snapshot built like a subtree seen before is
+    that subtree."""
     if m < 0:
         raise InvalidParams("step count must be >= 0")
+    memo = DerivationMemo()
     cur: Optional[FanSet] = F
     steps = [TraceStep(0, cur, count_apexes(cur), diam_q(cur))]
     for k in range(1, m + 1):
         if cur is None:
             break
-        cur = derive(cur, eps_q)
+        cur = derive(cur, eps_q, memo)
         steps.append(
             TraceStep(k, cur, count_apexes(cur), diam_q(cur) if cur is not None else Fraction(0))
         )
@@ -414,10 +496,11 @@ def sz_eps(F: FanSet, eps_q: Fraction) -> Ordinal:
     Each derivation step strictly shortens the longest root-to-leaf copy
     chain, so the iteration empties within depth+1 steps.
     """
+    memo = DerivationMemo()
     cur: Optional[FanSet] = F
     count = 0
     while cur is not None:
-        cur = derive(cur, eps_q)
+        cur = derive(cur, eps_q, memo)
         count += 1
     return Ordinal.from_int(count)
 

@@ -57,7 +57,7 @@ from typing import Iterator, Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow
 from .exactmath import pow_bounds
-from .fansets import FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
+from .fansets import DerivationMemo, FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
 from .pointmodel import (
     ENUMERATION_LIMIT,
     PPoint,
@@ -124,11 +124,12 @@ class AEpsGrid:
         at least the cut.
         """
         per_factor: list[list[Fraction]] = []
+        step = self.step
         total = 1  # tuples over the factors listed so far
         for a, d_q in zip(self.a_q, self.diam_q):
             vals: list[Fraction] = []
             while True:
-                lo, hi = pow_bounds(len(vals) * self.step, self.q)
+                lo, hi = pow_bounds(len(vals) * step, self.q)
                 if lo > d_q:
                     break
                 vals.append(a * hi)
@@ -349,10 +350,11 @@ class ProductBound:
 
 
 def _sz_int(K: FanSet, eps_q: Fraction) -> int:
+    memo = DerivationMemo()
     cur: Optional[FanSet] = K
     n = 0
     while cur is not None:
-        cur = derive(cur, eps_q)
+        cur = derive(cur, eps_q, memo)
         n += 1
     return max(n, 1)
 

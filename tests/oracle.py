@@ -11,6 +11,10 @@ mechanics than the engine:
   2 * max-reach shortcut;
 * its own cluster predicate and dict-based distance computation.
 
+`unshared_derive` keeps the engine's filtration as it was before one
+derivation sequence shared its nodes: every step rebuilds every node, with
+no memo and no interning, as the reference for the shared engine.
+
 The engine materializes one point per mirror orbit (every tail step taken
 as copy ("t", 0)), carrying only a path and a norm, and its alive sets hold
 positions.  `oracle_orbits` groups the oracle's points by the engine
@@ -24,7 +28,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex
+from szlenk.fansets import (
+    DisjUnion,
+    Fan,
+    MalformedFanSet,
+    OutsideExactFragment,
+    ProdQ,
+    Scale,
+    Sing,
+    UnionApex,
+    disj,
+    radius_q,
+    scaled,
+)
 
 
 @dataclass(frozen=True)
@@ -205,3 +221,56 @@ def oracle_p_sz(alive: frozenset[PPoint], eps_q: Fraction) -> int:
         alive = oracle_p_derive(alive, eps_q)
         count += 1
     return max(count, 1)
+
+
+# -- the unshared filtration ------------------------------------------------
+
+
+def unshared_filter_reach(F, t_q: Fraction):
+    """The points of F with cluster reach h > t_q, every node built anew."""
+    if isinstance(F, Sing):
+        return Sing() if 0 > t_q else None
+    if isinstance(F, Fan):
+        remnants = [(F.w_q, unshared_filter_reach(c, t_q)) for c in F.prefix]
+        tail = unshared_filter_reach(F.tail, t_q)
+        apex_alive = F.w_q + radius_q(F.tail) > t_q
+        if not apex_alive:
+            assert tail is None  # reach inside the tail is below the apex reach
+            return disj(remnants)
+        if tail is not None:
+            kept = tuple(r for _, r in remnants if r is not None)
+            return Fan(F.w_q, kept, tail)
+        return disj([(Fraction(0), Sing())] + remnants)
+    if isinstance(F, UnionApex):
+        apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in F.fans)
+        cores = []
+        leftovers = []
+        for f in F.fans:
+            tail = unshared_filter_reach(f.tail, t_q)
+            remnants = [(f.w_q, unshared_filter_reach(c, t_q)) for c in f.prefix]
+            if tail is not None:
+                kept = tuple(r for _, r in remnants if r is not None)
+                cores.append(Fan(f.w_q, kept, tail))
+            else:
+                leftovers.extend(remnants)
+        if not apex_alive:
+            assert not cores
+            return disj(leftovers)
+        if cores:
+            zero = cores[0] if len(cores) == 1 else UnionApex(tuple(cores))
+        else:
+            zero = Sing()
+        return disj([(Fraction(0), zero)] + leftovers)
+    if isinstance(F, Scale):
+        return scaled(F.a_q, unshared_filter_reach(F.body, t_q / F.a_q))
+    if isinstance(F, DisjUnion):
+        return disj([(off, unshared_filter_reach(b, t_q)) for off, b in F.components])
+    if isinstance(F, ProdQ):
+        raise OutsideExactFragment(
+            "products derive through the product machinery, not pointwise filtration"
+        )
+    raise MalformedFanSet(f"not a fan set: {F!r}")
+
+
+def unshared_derive(F, eps_q: Fraction):
+    return unshared_filter_reach(F, Fraction(eps_q) / 2)

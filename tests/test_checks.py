@@ -25,6 +25,7 @@ from szlenk.fansets import (
     OutsideExactFragment,
     ProdQ,
     Sing,
+    depth_fan,
     radius_q,
 )
 from szlenk.generators import case_rng
@@ -54,6 +55,25 @@ class TestUnionLemmaCheck:
         assert rep.mode == "disjoint"
         assert rep.ok
         assert rep.componentwise_equal is True
+
+    def test_early_stagewise_break_keeps_the_other_sides(self, monkeypatch):
+        """The m*n-fold and one-step sides reuse the stagewise walk's
+        stages; when the walk stops at its first escape, they still reach
+        every stage they need."""
+        Ks = [depth_fan(3, F(1, 2)), F1]
+        clean = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
+        real = checks.iterate_product_set
+
+        def starved(alive, model, eps_q, m):
+            # the (eps/2)-side empties, so stage 1 of the union escapes
+            return frozenset() if eps_q < F(1, 2) else real(alive, model, eps_q, m)
+
+        monkeypatch.setattr(checks, "iterate_product_set", starved)
+        rep = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
+        assert clean.ok
+        assert rep.half_alphas == 1 and len(rep.violations) == 1
+        assert rep.violations[0].startswith("stagewise: alpha=1,")
+        assert (rep.mn_ok, rep.componentwise_equal) == (True, True)
 
     def test_forced_disjoint_mode_for_fans(self):
         rep = union_lemma_check([F1, F1], F(1, 2), 1, 2, mode="disjoint")

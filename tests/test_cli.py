@@ -26,7 +26,7 @@ from szlenk.calculus import (
     LadderMembers,
     ParamFamily,
 )
-from szlenk import pointmodel, products
+from szlenk import fansets, pointmodel, products
 from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
@@ -633,6 +633,28 @@ class TestInProcess:
         code, _, err = run(capsys, "ord", "w")
         assert (code, err) == (EXIT_OK, "")
         assert logging.getLogger().handlers == root
+
+    def test_repeated_derive_does_the_same_work(self, capsys, tmp_path, monkeypatch):
+        """No cache outlives a call: a second `set derive` of the same
+        depth-16 chain runs as many filtration evaluations as the first."""
+        path = write_doc(tmp_path, "d16.json", fanset_to_doc(depth_fan(16, F(1, 2)), F(2)))
+        original = fansets._filter_reach
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fansets, "_filter_reach", counted)
+        counts, outs = [], []
+        for _ in range(2):
+            before = len(calls)
+            code, out, _ = run(capsys, "set", "derive", path, "--eps-q", "1/2", "--steps", "20")
+            assert code == EXIT_OK
+            counts.append(len(calls) - before)
+            outs.append(out)
+        assert counts[0] > 0 and counts[0] == counts[1]
+        assert outs[0] == outs[1]
 
     def test_no_state_leaks_through_the_shared_parser(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("SZLENK_LOG", raising=False)

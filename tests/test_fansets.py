@@ -4,11 +4,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import signal
+import sys
+import time
+from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -21,6 +24,8 @@ from oracle import (
     oracle_materialize,
     oracle_orbits,
     oracle_sz,
+    unfold,
+    unshared_derive,
 )
 from strategies import fan_sets, fracs
 from szlenk import checks
@@ -62,6 +67,7 @@ from szlenk.pointmodel import (
 )
 
 F1 = Fan(F(1, 2), (), Sing())
+CHAIN2 = depth_fan(2, F(1, 2))
 
 
 def fin(n: int) -> Ordinal:
@@ -396,17 +402,26 @@ class TestRadiusCache:
             DisjUnion(((F(0), F1), (F(1), Sing()))),
         ]
 
+    @staticmethod
+    def fill(node):
+        """Fill every per-node cache (products have no apex count)."""
+        radius_q(node)
+        diam_q(node)
+        if not isinstance(node, ProdQ):
+            count_apexes(node)
+
     def test_cache_is_invisible(self):
         for a, b in zip(self.nodes(), self.nodes()):
-            radius_q(a)
-            diam_q(a)
+            self.fill(a)
+            assert {"_radius_q", "_diam_q"} <= set(vars(a))
+            assert isinstance(a, ProdQ) or "_apexes" in vars(a)
             assert a == b and b == a
             assert hash(a) == hash(b)
             assert repr(a) == repr(b)
 
     def test_node_fields_unchanged(self):
         for node in self.nodes():
-            radius_q(node)
+            self.fill(node)
             names = tuple(f.name for f in dataclasses.fields(node))
             assert names == self.FIELDS[type(node)]
 
@@ -732,3 +747,91 @@ class TestEngineVsModel:
         if d is not None:
             assert radius_q(d) <= radius_q(f)
             assert diam_q(d) <= diam_q(f)
+
+
+class TestSharedStructure:
+    """One derivation sequence shares its nodes (`DerivationMemo`); the
+    reference is the unshared filtration kept in tests/oracle.py and the
+    quotient stages of the point model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fan_sets(3), fracs())
+    # one node object filtered at two thresholds, plain and scaled
+    @example(DisjUnion(((F(0), CHAIN2), (F(3), Scale(F(1, 4), CHAIN2)))), F(1, 2))
+    def test_trace_matches_unshared_filtration(self, f, eps_q):
+        ref = [f]
+        while ref[-1] is not None:
+            ref.append(unshared_derive(ref[-1], eps_q))
+        final, trace = derive_steps(f, eps_q, len(ref) + 1)
+        assert final is None
+        assert [s.snapshot for s in trace.steps] == ref
+        assert [s.apex_count for s in trace.steps] == [count_apexes(r) for r in ref]
+        assert [s.diam_q for s in trace.steps] == [
+            diam_q(r) if r is not None else F(0) for r in ref
+        ]
+        assert sz_eps(f, eps_q) == fin(len(ref) - 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fan_sets(4), fracs())
+    def test_trace_matches_quotient_stages(self, f, eps_q):
+        """Per step: the snapshot's orbit points carry the stage's norms
+        with the same orbit weights, its apex count is the two-copy count
+        of the stage's points with positive local diameter, and its
+        diameter is the largest distance over the stage's two-copy points."""
+        assume(count_points(f) <= 40)
+        model = ProductModel.of([f])
+        assume(model.count(model.tuples()) <= 60)
+        orbits = oracle_orbits([f], model)
+        stages = model_chain(
+            frozenset(range(len(model.factor_points[0]))),
+            eps_q,
+            lambda a, e: derive_set(a, model, 0, e),
+        )
+        _, trace = derive_steps(f, eps_q, len(stages))
+        assert len(trace.steps) == len(stages) and trace.steps[-1].snapshot is None
+        pts, weights = model.factor_points[0], model.weights[0]
+        for step, stage in zip(trace.steps, stages):
+            snap = step.snapshot
+            got = Counter()
+            for p in materialize(snap) if snap is not None else ():
+                got[p.norm_q] += 1 << sum(1 for kind, _ in p.path if kind == "t")
+            want = Counter()
+            for j in stage:
+                want[pts[j].norm_q] += weights[j]
+            assert got == want
+            clustered = [j for j, d in _local_diams(model, (0,), stage).items() if d > 0]
+            assert step.apex_count == model.count((j,) for j in clustered)
+            two_copy = unfold(orbits, ((j,) for j in stage))
+            far = max(
+                (oracle_dist_q(a[0], b[0]) for a, b in itertools.combinations(two_copy, 2)),
+                default=F(0),
+            )
+            assert step.diam_q == far
+        assert sz_eps(f, eps_q) == fin(max(len(stages) - 1, 1))
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_chain_steps_are_the_input_subtrees(self, n):
+        chain = depth_fan(n, F(1, 2))
+        _, trace = derive_steps(chain, F(1, 2), n + 1)
+        sub = chain
+        for step in trace.steps[:-1]:
+            assert step.snapshot is sub
+            sub = getattr(sub, "tail", None)
+        assert trace.steps[-1].snapshot is None
+
+
+class TestSweep:
+    """Deep chains derive in linear time at the default recursion limit."""
+
+    def test_sz_of_depth_900_chain(self):
+        assert sys.getrecursionlimit() <= 1000
+        start = time.perf_counter()
+        assert sz_eps(depth_fan(900, F(1, 2)), F(1, 2)) == fin(901)
+        assert time.perf_counter() - start < 1.0
+
+    def test_trace_of_depth_400_chain(self):
+        start = time.perf_counter()
+        final, trace = derive_steps(depth_fan(400, F(1, 2)), F(1, 2), 401)
+        assert time.perf_counter() - start < 1.0
+        assert final is None
+        assert [s.apex_count for s in trace.steps[-3:]] == [1, 0, 0]
