@@ -8,6 +8,7 @@ containments hold unconditionally on this class of sets.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -390,7 +391,9 @@ def _grid_steps(
     Grid columns hold integer multipliers j_i of the grid step.  The grid
     is up-closed in its box, and derivation is monotone in its threshold,
     so step(i, state, j) shrinks as j grows: whatever some column covers,
-    each minimal column below it (`a_eps_minimal`) covers too.
+    each minimal column below it (`a_eps_minimal`) covers too.  A
+    threshold depends on the factor and the multiplier only, so each one
+    is computed once, on its first use, and shared by every state.
     """
     iq = int(q)
     g = AEpsGrid(
@@ -404,13 +407,17 @@ def _grid_steps(
     step_q = g.step**iq
     memo: dict = {}
 
+    @functools.cache
+    def threshold(i: int, j: int) -> Fraction:
+        return factors[i][0] * step_q * j**iq
+
     def step(i: int, state: frozenset, j: int) -> frozenset:
         key = (i, state, j)
         if key not in memo:
             if j == 0:
                 memo[key] = state
             else:
-                memo[key] = derive_set(state, model, i, factors[i][0] * step_q * j**iq)
+                memo[key] = derive_set(state, model, i, threshold(i, j))
         return memo[key]
 
     return g, grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
@@ -556,13 +563,33 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
 _LECONDSAST_POINTS = 500
 
 
-def _bq_sample(rng: random.Random, n: int, iq: int) -> tuple[list[int], tuple[bool, ...]]:
+def _bq_sample(
+    rng: random.Random, n: int, powers: Sequence[int]
+) -> tuple[list[int], tuple[bool, ...]]:
     """A sample point's scales k_i / 16, as the integers k_i, drawn until
     sum_i k_i^q <= 16^q (that is, sum_i (k_i / 16)^q <= 1), and each x_i
-    nonzero with probability 0.7."""
+    nonzero with probability 0.7.  `powers[k]` is k^q for k = 0..16.
+
+    Each k_i is drawn as rng.randint(0, 16) draws it.  In CPython,
+    randint(0, 16) is randrange(17), and a `random.Random` draws below 17
+    by taking getrandbits(5) (17 has 5 bits) and redrawing while the
+    result is >= 17, so the accepted value is uniform on 0..16.  Redrawing
+    getrandbits(5) the same way consumes the same bits and returns the same
+    k_i, without randint's argument handling.  That is CPython's
+    implementation, not a documented guarantee:
+    `test_bq_sample_draws_as_the_fraction_loop` (tests/test_checks.py)
+    compares the draws and the generator state with the randint loop, so
+    it holds the equality on whichever Python runs the tests.
+    """
+    bits, cap = rng.getrandbits, powers[16]
     while True:
-        ks = [rng.randint(0, 16) for _ in range(n)]
-        if sum(k**iq for k in ks) <= 16**iq:
+        ks = []
+        for _ in range(n):
+            k = bits(5)
+            while k >= 17:
+                k = bits(5)
+            ks.append(k)
+        if sum([powers[k] for k in ks]) <= cap:
             break
     return ks, tuple(rng.random() < 0.7 for _ in range(n))
 
@@ -571,10 +598,10 @@ def _suite_lecondsast(rng: random.Random) -> tuple:
     n = rng.randint(1, 3)
     l = rng.randint(1, 8)
     q = rand_q(rng)
-    iq = int(q)
+    powers = [k ** int(q) for k in range(17)]
     factors = [rand_fan_set(rng, 1) for _ in range(n)]
     cover = bq_cover(factors, l, q)
-    samples = (_bq_sample(rng, n, iq) for _ in range(_LECONDSAST_POINTS))
+    samples = (_bq_sample(rng, n, powers) for _ in range(_LECONDSAST_POINTS))
     bad = sum(1 for ks, nonzero in samples if not bq_member(ks, 16, nonzero, cover))
     detail = (
         f"n={n} l={l} q={q} cover={len(cover.tuples)} "

@@ -245,11 +245,15 @@ class ProductModel:
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
         exceeds this.  Every derivation turns its threshold into a bar
-        here, so a non-positive one (no point would ever die) stops here."""
-        eps_q = Fraction(eps_q)
-        if eps_q <= 0:
+        here, so a non-positive one (no point would ever die) stops here.
+        An int or a Fraction is read as its numerator and denominator;
+        anything else goes through Fraction first."""
+        if not isinstance(eps_q, (int, Fraction)):
+            eps_q = Fraction(eps_q)
+        num = eps_q.numerator
+        if num <= 0:
             raise InvalidParams("eps_q must be positive")
-        return eps_q.numerator * self.scaled_norms[0] // eps_q.denominator
+        return num * self.scaled_norms[0] // eps_q.denominator
 
 
 def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:

@@ -55,8 +55,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .calculus import InvalidParams, frount_M_qpow
-from .exactmath import pow_bounds
+from .calculus import InvalidParams, check_power, frount_M_qpow
+from .exactmath import ROOT_BITS, int_nth_root_floor, pow_bounds
 from .fansets import DerivationMemo, FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
 from .pointmodel import (
     ENUMERATION_LIMIT,
@@ -105,6 +105,11 @@ class AEpsGrid:
             raise InvalidParams("need 0 < delta < eps")
         if self.q < 1:
             raise InvalidParams("q must be >= 1")
+        # `levels` takes q-th powers of delta/2 and of the multiples of
+        # the step up to the first one past every diameter
+        top = math.floor(max(1, *self.diam_q) / self.step) + 2
+        check_power(top * self.step, self.q, "q")
+        check_power(self.delta / 2, self.q, "q")
 
     @property
     def n(self) -> int:
@@ -116,36 +121,48 @@ class AEpsGrid:
 
     @cached_property
     def levels(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(weights, cut) as integers over one common denominator D.
+        """(weights, cut) as integers over one common denominator.
 
-        `weights[i][j]` is a_q_i * hi((j * step)^q) * D for every multiplier j
+        `weights[i][j]` is a_q_i * hi((j * step)^q), for every multiplier j
         with lo((j * step)^q) <= diam_q_i, nondecreasing in j; `cut` is
-        lo((delta/2)^q) * D.  A column is in the grid iff its weights sum to
-        at least the cut.
+        lo((delta/2)^q).  A column is in the grid iff its weights sum to at
+        least the cut.
+
+        The bounds are those of `pow_bounds`, computed on integers.  With
+        q = u/v and S the bounds' denominator, lo(x^q) = floor(S * x^q),
+        which for x = num/den is int_nth_root_floor(num^u * S^v // den^u, v).
+        At integer q, S = (the denominators of step and delta/2)^u makes the
+        bounds exact, and hi = lo.  At fractional q, S = 2^ROOT_BITS as in
+        `nth_root_bounds`, and hi = lo + 1, except that hi(0) = 0.  The
+        weights and the cut then share the denominator
+        lcm(a_q denominators) * S.
         """
-        per_factor: list[list[Fraction]] = []
-        step = self.step
+        u, v = self.q.numerator, self.q.denominator
+        s_n, s_d = self.step.numerator, self.step.denominator
+        half = self.delta / 2
+        S = (s_d * half.denominator) ** u if v == 1 else 1 << ROOT_BITS
+        S_v, s_du = S**v, s_d**u
+        gap = 0 if v == 1 else 1
+        L = math.lcm(*(a.denominator for a in self.a_q))
+        weights: list[tuple[int, ...]] = []
         total = 1  # tuples over the factors listed so far
         for a, d_q in zip(self.a_q, self.diam_q):
-            vals: list[Fraction] = []
+            mult = a.numerator * (L // a.denominator)
+            # multiplier j is past the diameter when lo((j * step)^q) > d_q,
+            # that is lo * d_den > d_num * S
+            d_den, cap = d_q.denominator, d_q.numerator * S
+            w = [0]  # j = 0: 0^q = 0, and 0 <= d_q
             while True:
-                lo, hi = pow_bounds(len(vals) * step, self.q)
-                if lo > d_q:
+                lo = int_nth_root_floor((len(w) * s_n) ** u * S_v // s_du, v)
+                if lo * d_den > cap:
                     break
-                vals.append(a * hi)
-                if total * len(vals) > ENUMERATION_LIMIT:
+                w.append(mult * (lo + gap))
+                if total * len(w) > ENUMERATION_LIMIT:
                     raise InvalidParams("grid enumeration too large")
-            total *= len(vals)
-            per_factor.append(vals)
-        cut_lo, _ = pow_bounds(self.delta / 2, self.q)
-        D = math.lcm(
-            cut_lo.denominator, *(v.denominator for vals in per_factor for v in vals)
-        )
-        weights = tuple(
-            tuple(v.numerator * (D // v.denominator) for v in vals)
-            for vals in per_factor
-        )
-        return weights, cut_lo.numerator * (D // cut_lo.denominator)
+            total *= len(w)
+            weights.append(tuple(w))
+        cut = int_nth_root_floor(half.numerator**u * S_v // half.denominator**u, v)
+        return tuple(weights), cut * L
 
 
 def _grid_rows(g: AEpsGrid) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -489,7 +506,7 @@ def bq_member(
     bounds grow with k_i), so the point is covered iff that tuple is in it."""
     if len(scales) != cover.n or len(nonzero) != cover.n:
         raise InvalidParams("point arity does not match the cover")
-    if den < 1 or any(not 0 <= k <= den for k in scales):
+    if den < 1 or min(scales) < 0 or max(scales) > den:
         raise InvalidParams("scales must lie in [0, 1]")
     least = tuple(
         max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)

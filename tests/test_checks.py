@@ -275,11 +275,15 @@ def _fraction_bq_sample(rng, n, iq):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("iq", [1, 2, 3])
+@pytest.mark.parametrize("iq", range(1, 7))
 def test_bq_sample_draws_as_the_fraction_loop(n, iq):
+    """The getrandbits(5) draws of `_bq_sample` against randint(0, 16), on
+    the q that `rand_q` draws (1, 2, 3) and beyond: the same points and the
+    same generator state after every sample."""
+    powers = [k**iq for k in range(17)]
     for index in range(20):
         fast, slow = case_rng(4, index), case_rng(4, index)
         for _ in range(50):
-            ks, nonzero = _bq_sample(fast, n, iq)
+            ks, nonzero = _bq_sample(fast, n, powers)
             assert (tuple(F(k, 16) for k in ks), nonzero) == _fraction_bq_sample(slow, n, iq)
-        assert fast.getstate() == slow.getstate()
+            assert fast.getstate() == slow.getstate()

@@ -1,7 +1,10 @@
 """Product grids, staircase derivations, bounds, covers."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +88,41 @@ def reference_a_eps_grid(g: AEpsGrid) -> list[tuple[F, ...]]:
     ]
 
 
+def reference_levels(g: AEpsGrid) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`AEpsGrid.levels` on Fractions, one `pow_bounds` call per multiplier:
+    the bounds of (j * step)^q and (delta/2)^q as `pow_bounds` gives them,
+    the weights a_q_i * hi((j * step)^q) for every j with
+    lo((j * step)^q) <= diam_q_i, and all of them over the least common
+    denominator of the weights and lo((delta/2)^q)."""
+    per_factor: list[list[F]] = []
+    step = g.step
+    total = 1
+    for a, d_q in zip(g.a_q, g.diam_q):
+        vals: list[F] = []
+        while True:
+            lo, hi = pow_bounds(len(vals) * step, g.q)
+            if lo > d_q:
+                break
+            vals.append(a * hi)
+            if total * len(vals) > products.ENUMERATION_LIMIT:
+                raise InvalidParams("grid enumeration too large")
+        total *= len(vals)
+        per_factor.append(vals)
+    cut_lo, _ = pow_bounds(g.delta / 2, g.q)
+    D = math.lcm(cut_lo.denominator, *(v.denominator for vals in per_factor for v in vals))
+    weights = tuple(
+        tuple(v.numerator * (D // v.denominator) for v in vals) for vals in per_factor
+    )
+    return weights, cut_lo.numerator * (D // cut_lo.denominator)
+
+
+def with_levels(g: AEpsGrid, levels) -> AEpsGrid:
+    """A copy of g whose cached `levels` are the given ones."""
+    out = dataclasses.replace(g)
+    out.__dict__["levels"] = levels
+    return out
+
+
 class TestAEpsGrid:
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -101,6 +139,50 @@ class TestAEpsGrid:
             AEpsGrid((F(1),), (F(-1),), F(1), F(1, 2), F(1))
         with pytest.raises(InvalidParams):
             AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(1, 2))
+
+    def test_power_budget(self):
+        """A large exponent denominator is refused before any root is taken
+        (`levels` works at about 96 * v bits per power)."""
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match=r"q = 100001/100000 needs a power"):
+            AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(100001, 100000))
+        assert time.perf_counter() - start < 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3), F(7, 4)]),
+        fracs(max_num=2, max_den=4),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+        st.data(),
+    )
+    def test_levels_match_the_fraction_reference(self, n, q, delta, gap, data):
+        """The integer levels against `reference_levels`: the same tops, the
+        same rationals (weights over the cut), and so the same grid and
+        minimal columns.  A diameter is 0, a random fraction, or exactly
+        lo((k * step)^q), where the cut keeps multiplier k."""
+        step = gap / 4
+        a_q = [data.draw(fracs(max_num=3, max_den=4), label=f"a{i}") for i in range(n)]
+        diams = []
+        for i in range(n):
+            kind = data.draw(st.sampled_from(["zero", "frac", "bound"]), label=f"kind{i}")
+            if kind == "zero":
+                diams.append(F(0))
+            elif kind == "frac":
+                diams.append(data.draw(fracs(max_num=2, max_den=4), label=f"diam{i}"))
+            else:
+                k = data.draw(st.integers(1, 8), label=f"k{i}")
+                diams.append(pow_bounds(k * step, q)[0])
+        event(f"q={q}")
+        g = AEpsGrid(tuple(a_q), tuple(diams), delta + gap, delta, q)
+        ref_levels = reference_levels(g)
+        (weights, cut), (ref_weights, ref_cut) = g.levels, ref_levels
+        assert [len(w) for w in weights] == [len(w) for w in ref_weights]
+        for w, ref_w in zip(weights, ref_weights):
+            assert [x * ref_cut for x in w] == [x * cut for x in ref_w]
+        ref = with_levels(g, ref_levels)
+        assert a_eps_grid(g) == a_eps_grid(ref)
+        assert a_eps_minimal(g) == a_eps_minimal(ref)
 
     def test_single_factor_enumeration(self):
         g = AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(1))
@@ -298,6 +380,26 @@ def draw_eps_q(data, model, alive):
     gaps = sorted({2 * (b - a) for a in norms for b in norms if b > a})
     pick = st.one_of(fracs(max_den=4), st.sampled_from(gaps)) if gaps else fracs(max_den=4)
     return data.draw(pick, label="eps_q")
+
+
+class TestScaledBar:
+    """floor(eps_q * D), with D the model's common denominator, from an int,
+    a Fraction or a string."""
+
+    MODEL = ProductModel.of([Fan(F(1, 3), (), Fan(F(1, 4), (), Sing()))])
+
+    @pytest.mark.parametrize(
+        "eps_q, value", [(1, F(1)), (F(5, 7), F(5, 7)), ("7/5", F(7, 5)), (F(1, 24), F(1, 24))]
+    )
+    def test_floor_of_eps_q_times_d(self, eps_q, value):
+        D = self.MODEL.scaled_norms[0]
+        assert D == 12
+        assert self.MODEL.scaled_bar(eps_q) == math.floor(value * D)
+
+    @pytest.mark.parametrize("eps_q", [0, -2, F(0), F(-1, 3), "0", "-1/3"])
+    def test_non_positive_is_refused(self, eps_q):
+        with pytest.raises(InvalidParams, match="^eps_q must be positive$"):
+            self.MODEL.scaled_bar(eps_q)
 
 
 class TestDeriveProductSet:

@@ -1,8 +1,11 @@
-"""The scripts write the same reports as the command line."""
+"""The scripts write the same reports as the command line, at the sample
+counts of the acceptance gate and the benchmark."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import FULL_SCALE
 from szlenk.checks import SUITES
 from szlenk.cli import EXIT_OK, main
 
@@ -26,3 +29,18 @@ def test_run_verify_all_reports_match_cli(tmp_path, capsys):
         assert code == EXIT_OK
         assert (out_dir / f"{suite}.json").read_bytes() == target.read_bytes()
     capsys.readouterr()
+
+
+def test_one_a7_table(bench):
+    """scripts/run_verify_all.py, the A7 gate and the benchmark's verify
+    workload (perfbench/workloads.py, only read) run the suites at the same
+    full sample counts."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("run_verify_all", SCRIPTS / "run_verify_all.py")
+    script = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(script)
+    finally:
+        sys.path[:] = path
+    assert list(script.FULL_SAMPLES) == list(SUITES)
+    assert script.FULL_SAMPLES == dict(FULL_SCALE) == bench.workloads.A7_SAMPLES
