@@ -386,7 +386,7 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
         "l": cover.l,
         "q": frac_to_str(cover.q),
         "n": cover.n,
-        "tuples": [list(k) for k in cover.tuples],
+        "tuples": cover.tuples,
         # row k of the products holds factor i's (k_i/l)-scaled copy, one
         # document per (factor, k) that the renderer encodes once
         "products": SharedRows(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 from typing import Mapping, Optional, Sequence
 
 from . import ordinal
@@ -436,11 +435,16 @@ class SharedRows:
     keys: Sequence[Sequence[int]]
 
     def render(self) -> str:
-        """The canonical text of the array, each entry encoded once."""
-        texts = [{k: _canonical(x) for k, x in col.items()} for col in self.columns]
-        return "[" + ",".join(
-            ["[" + ",".join(map(getitem, texts, row)) + "]" for row in self.keys]
-        ) + "]"
+        """The canonical text of the array, each entry encoded once: per
+        column, the texts of its entries row by row, then one format per
+        row."""
+        texts = [
+            map({k: _canonical(x) for k, x in col.items()}.__getitem__, ks)
+            for col, ks in zip(self.columns, zip(*self.keys))
+        ]
+        rows = zip(*texts) if texts else [()] * len(self.keys)
+        row = "[" + ",".join(["%s"] * len(self.columns)) + "]"
+        return "[" + ",".join(map(row.__mod__, rows)) + "]"
 
 
 def _canonical(doc: object) -> str:

@@ -42,13 +42,25 @@ terms from the staircases (tests/test_products.py walks random products
 step by step and checks both the agreement and the closure).  The
 staircase's per-factor local diameters come from the same kernel, one axis
 at a time, as integers over the model's common denominator, and its
-minimal value tuples from a predecessor check (`_minimal_tuples`).
-`bound_product_derivation` is the separate finite emptiness bound.
+minimal value tuples from a pruned prefix walk (`_minimal_tuples`).
+
+One derivation sequence shares one factor-set table (`FactorSets`, one per
+factor; `_whole` makes it and every step passes it on).  It interns each
+factor set as a small id and computes, once per id, lam, its sorted values
+and the id of each super-level set {lam >= v}; so a set that many terms
+share is read once, and a term inside the staircase is a tuple of ids.  The prune that drops terms contained in another (`_prune`) tests
+containment once per pair of ids, only among one factor's distinct sets.
+`pu.terms` holds the interned frozensets.  The table lives as long as its
+sequence, as `DerivationMemo` does for the symbolic half.
+
+`bound_product_derivation` is the separate finite emptiness bound.  A ball
+cover (`bq_cover`) checks the power budget once before its first power,
+takes one power per k, and enumerates the ball by a prefix walk on the
+integer lower bounds of k^q, as the A-grid does (`_grid_rows`).
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,26 +244,87 @@ def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ProductUnion:
-    """A union of products of per-factor position sets, plus the model and
-    the union's point set (computed by the exact point-set derivation)."""
+    """A union of products of per-factor position sets, plus the model, the
+    union's point set (computed by the exact point-set derivation) and the
+    factor-set table of the derivation sequence (`_whole` makes it)."""
 
     model: ProductModel
     terms: tuple[tuple[frozenset[int], ...], ...]
     alive: frozenset[PPoint]
+    table: tuple[FactorSets, ...]
 
     def is_empty(self) -> bool:
         return not self.terms
 
 
-def _prune(terms: list[tuple[frozenset, ...]]) -> tuple[tuple[frozenset, ...], ...]:
-    """Dedupe terms and drop those componentwise contained in another."""
+class FactorSets:
+    """One factor's sets in one product derivation sequence, interned as
+    small ids, with what the staircase reads of a set computed once: the
+    sorted values of its lam (`_local_diams`) and, by value v, the id of
+    its super-level set {lam >= v}; and containment per pair of ids.  lam
+    does not depend on the threshold, so the table serves steps at any
+    eps_q."""
+
+    def __init__(self, model: ProductModel, i: int) -> None:
+        self.model, self.i = model, i
+        self.ids: dict[frozenset[int], int] = {}
+        self.sets: list[frozenset[int]] = []  # by id
+        self.levels: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self.subsets: dict[tuple[int, int], bool] = {}
+
+    def intern(self, G: frozenset[int]) -> int:
+        g = self.ids.get(G)
+        if g is None:
+            g = self.ids[G] = len(self.sets)
+            self.sets.append(G)
+        return g
+
+    def level_sets(self, g: int) -> tuple[list[int], dict[int, int]]:
+        """The sorted distinct values of lam on set g (D times the local
+        diameter^q of each point inside g), and by value v the id of
+        {x in g : lam(x) >= v}."""
+        got = self.levels.get(g)
+        if got is None:
+            lam = _local_diams(self.model, (self.i,), self.sets[g])
+            values = sorted(set(lam.values()))
+            got = self.levels[g] = values, {
+                v: self.intern(frozenset(x for x, d in lam.items() if d >= v)) for v in values
+            }
+        return got
+
+    def subset(self, a: int, b: int) -> bool:
+        got = self.subsets.get((a, b))
+        if got is None:
+            got = self.subsets[a, b] = self.sets[a] <= self.sets[b]
+        return got
+
+
+def _prune(
+    table: Sequence[FactorSets], terms: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Dedupe terms (tuples of set ids) and drop those componentwise
+    contained in another, keeping the first-seen order.
+
+    Per factor, each distinct set maps to the bitmask of the terms whose set
+    on that factor contains it, so subset tests run only among one factor's
+    distinct sets; a term is contained in another iff the AND of its masks
+    over the factors holds a bit besides its own."""
     uniq = list(dict.fromkeys(terms))
-    kept: list[tuple[frozenset, ...]] = []
-    for t in uniq:
-        if any(o != t and all(a <= b for a, b in zip(t, o)) for o in uniq):
-            continue
-        kept.append(t)
-    return tuple(kept)
+    inside = [-1] * len(uniq)
+    for i, f in enumerate(table):
+        by_set: dict[int, int] = {}
+        for b, t in enumerate(uniq):
+            by_set[t[i]] = by_set.get(t[i], 0) | 1 << b
+        holders = {}
+        for a in by_set:
+            mask = 0
+            for c, m in by_set.items():
+                if f.subset(a, c):
+                    mask |= m
+            holders[a] = mask
+        for b, t in enumerate(uniq):
+            inside[b] &= holders[t[i]]
+    return [t for b, t in enumerate(uniq) if inside[b] == 1 << b]
 
 
 def _minimal_tuples(values: Sequence[Sequence[int]], bar: int) -> list[tuple[int, ...]]:
@@ -259,42 +332,50 @@ def _minimal_tuples(values: Sequence[Sequence[int]], bar: int) -> list[tuple[int
     distinct values, with sum(v) > bar, in lexicographic order.
 
     v is minimal iff lowering any one entry to the next smaller value of its
-    list brings the sum to at most bar.  For a prefix of the first n - 1
-    entries only the least last entry that passes the bar can be minimal,
-    so each prefix costs one bisection and one predecessor check.
+    list brings the sum to at most bar: iff sum(v) - bar is at most the gap
+    below each entry (the least entry of a list has none).  A prefix walk
+    in increasing order: for a prefix of the first n - 1 entries only the
+    least last entry that passes the bar can be minimal (one bisection);
+    a prefix that no completion lifts past the bar is skipped; and once a
+    prefix passes the bar with the least later entries, no larger entry at
+    its last place can be minimal, since lowering that entry would still
+    pass.
     """
-    *heads, last = values
-    prev = [dict(zip(vals[1:], vals)) for vals in heads]
-    out = []
-    for prefix in itertools.product(*heads):
-        acc = sum(prefix)
-        k = bisect.bisect_right(last, bar - acc)
-        if k == len(last):
-            continue
-        s = acc + last[k]
-        if all(x not in p or s - x + p[x] <= bar for x, p in zip(prefix, prev)):
-            out.append(prefix + (last[k],))
+    n = len(values)
+    least, most = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        least[i] = least[i + 1] + values[i][0]
+        most[i] = most[i + 1] + values[i][-1]
+    last = values[-1]
+    out: list[tuple[int, ...]] = []
+
+    def walk(i: int, prefix: tuple[int, ...], acc: int, slack: float) -> None:
+        if i == n - 1:
+            k = bisect.bisect_right(last, bar - acc)
+            if k < len(last) and acc + last[k] - bar <= slack:
+                out.append(prefix + (last[k],))
+            return
+        vals = values[i]
+        for j, x in enumerate(vals):
+            a = acc + x
+            if a + most[i + 1] <= bar:
+                continue
+            walk(i + 1, prefix + (x,), a, min(slack, x - vals[j - 1]) if j else slack)
+            if a + least[i + 1] > bar:
+                break
+
+    walk(0, (), 0, math.inf)
     return out
 
 
 def _staircase(
-    model: ProductModel, Gs: Sequence[frozenset], eps_q: Fraction
-) -> list[tuple[frozenset, ...]]:
-    """Exact one-step derivation of the full product of the Gs."""
-    # by position, local diameter^q of each point of G inside G, times D
-    lams = [_local_diams(model, (i,), G) for i, G in enumerate(Gs)]
-    values = [sorted(set(lam.values())) for lam in lams]
-    if any(not v for v in values):
-        return []
-    terms: list[tuple[frozenset, ...]] = []
-    for v in _minimal_tuples(values, model.scaled_bar(eps_q)):
-        term = tuple(
-            frozenset(x for x in Gs[i] if lams[i][x] >= v[i])
-            for i in range(len(Gs))
-        )
-        if all(term):
-            terms.append(term)
-    return terms
+    table: Sequence[FactorSets], term: tuple[int, ...], bar: int
+) -> list[tuple[int, ...]]:
+    """Exact one-step derivation of the full product of a term's sets, as
+    set ids: one product of super-level sets per minimal value tuple (each
+    value is taken, so no such set is empty)."""
+    values, levels = zip(*(f.level_sets(g) for f, g in zip(table, term)))
+    return [tuple(map(dict.__getitem__, levels, v)) for v in _minimal_tuples(values, bar)]
 
 
 def _as_factor(a_q: Fraction, K: FanSet) -> FanSet:
@@ -314,7 +395,8 @@ def _whole(factors: Sequence[tuple[Fraction, FanSet]]) -> ProductUnion:
         raise InvalidParams("need at least one factor")
     model = ProductModel.of([_as_factor(a_q, K) for a_q, K in factors])
     term = tuple(frozenset(range(len(pts))) for pts in model.factor_points)
-    return ProductUnion(model, (term,), model.tuples())
+    table = tuple(FactorSets(model, i) for i in range(len(term)))
+    return ProductUnion(model, (term,), model.tuples(), table)
 
 
 def derive_product_step(
@@ -333,8 +415,14 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     module docstring's argument.
     """
     alive = derive_product_set(pu.alive, pu.model, eps_q)
-    terms = _prune([t for term in pu.terms for t in _staircase(pu.model, term, eps_q)])
-    return ProductUnion(pu.model, terms, alive)
+    table, bar = pu.table, pu.model.scaled_bar(eps_q)
+    raw = [
+        t
+        for term in pu.terms
+        for t in _staircase(table, tuple(f.intern(G) for f, G in zip(table, term)), bar)
+    ]
+    terms = tuple(tuple(f.sets[g] for f, g in zip(table, t)) for t in _prune(table, raw))
+    return ProductUnion(pu.model, terms, alive, table)
 
 
 def product_union_sz(pu: ProductUnion, eps_q: Fraction) -> int:
@@ -432,6 +520,7 @@ class BqCover:
     n: int
     tuples: tuple[tuple[int, ...], ...]
     # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
+    # from one power per k
     copies: tuple[tuple[FanSet, ...], ...]
 
     @cached_property
@@ -448,7 +537,14 @@ class BqCover:
 
 def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     """Integer tuples k with sum_i k_i^q <= (l + n^(1/q))^q (outward-rounded)
-    and the corresponding products of (k_i/l)-scaled factors."""
+    and the corresponding products of (k_i/l)-scaled factors.
+
+    The power budget is checked once, before the first power.  The tuples
+    come from a prefix walk on the integer lower bounds of k^q: a factor's
+    k runs up to the largest one that, with the prefix's sum and the least
+    the later factors add (1^q each), stays within the bound.  So the walk
+    costs one bisection per prefix and one step per tuple, in lexicographic
+    order."""
     q = Fraction(q)
     if not isinstance(l, int) or l < 1:
         raise InvalidParams("l must be an integer >= 1")
@@ -460,6 +556,13 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
         if isinstance(K, ProdQ):
             raise OutsideExactFragment("factors must come from the exact fragment")
     n = len(factors)
+    # One check covers every power below: a q-th power of a base with the
+    # bits of (l + n) * S + 1 over S = 2^ROOT_BITS needs more bits than the
+    # root n^(1/q) and than the q-th powers of l + hi(n^(1/q)) (a multiple
+    # of 1/S at most l + n + 1/S), of k <= l + n + 1 and of k/l (l is
+    # within the enumeration limit when those are taken).
+    S = 1 << ROOT_BITS
+    check_power(Fraction((l + n) * S + 1, S), q, "q")
     _, root_hi = pow_bounds(Fraction(n), 1 / q)
     _, bound_hi = pow_bounds(l + root_hi, q)
     # k^q <= l^q <= the bound for every k <= l, so the search starts at l
@@ -470,25 +573,22 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
         if pow_bounds(Fraction(k_max + 1), q)[0] > bound_hi:
             break
         k_max += 1
-    # lower bounds of k^q for k = 1..k_max, summed as integers over one
-    # common denominator
+    # lower bounds of k^q for k = 1..k_max, as integers over one common
+    # denominator
     lo = [pow_bounds(Fraction(k), q)[0] for k in range(1, k_max + 1)]
     D = math.lcm(bound_hi.denominator, *(v.denominator for v in lo))
     cap = bound_hi.numerator * (D // bound_hi.denominator)
     lo_d = [v.numerator * (D // v.denominator) for v in lo]
-    tuples = [
-        k
-        for k, vals in zip(
-            itertools.product(range(1, k_max + 1), repeat=n),
-            itertools.product(lo_d, repeat=n),
-        )
-        if sum(vals) <= cap
-    ]
-    copies = tuple(
-        tuple(_as_factor(pow_bounds(Fraction(k, l), q)[1], K) for k in range(1, k_max + 1))
-        for K in factors
-    )
-    return BqCover(l, q, n, tuple(tuples), copies)
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for later in range(n - 1, -1, -1):
+        rows = [
+            (p + (k,), acc + lo_d[k - 1])
+            for p, acc in rows
+            for k in range(1, bisect.bisect_right(lo_d, cap - acc - later * lo_d[0]) + 1)
+        ]
+    scales = [pow_bounds(Fraction(k, l), q)[1] for k in range(1, k_max + 1)]
+    copies = tuple(tuple(_as_factor(a_q, K) for a_q in scales) for K in factors)
+    return BqCover(l, q, n, tuple(p for p, _ in rows), copies)
 
 
 def bq_member(

@@ -395,6 +395,20 @@ class TestSigmaFrount:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "bit budget" in err
 
+    @pytest.mark.parametrize("q", ["1000001/1000000", "10001/10000"])
+    def test_cover_power_over_budget_exits_2_at_once(self, capsys, tmp_path, q):
+        """`cover` checks the power budget before its first power: at
+        q = 1000001/1000000 the root n^(1/q) alone would run for minutes,
+        and at 10001/10000 the power (l + n^(1/q))^q is over the budget."""
+        path = write_doc(tmp_path, "k.json", fanset_to_doc(F1, F(q)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cover", "2", path, path)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "bit budget" in err
+
     def test_large_sigma_under_budget_prints_exactly(self, capsys):
         code, out, _ = run(capsys, "sigma", "3", "2", "1", "5000")
         assert code == EXIT_OK

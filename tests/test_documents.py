@@ -23,6 +23,7 @@ from szlenk.calculus import (
 from szlenk.documents import (
     DocumentError,
     SharedRows,
+    _canonical,
     dumps_canonical,
     fanset_from_doc,
     fanset_to_doc,
@@ -195,6 +196,24 @@ class TestCanonical:
         want = json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
         assert dumps_canonical(spliced) == want == dumps_canonical(plain)
         assert dumps_canonical({"rows": SharedRows(cols, [])}) == '{"rows":[]}\n'
+
+    @pytest.mark.parametrize(
+        "cols, keys",
+        [
+            ([{1: "a"}], []),
+            ([{1: "a"}, {2: 0}], []),
+            ([], [(), ()]),
+            ([{1: [1, {"k": "v"}], 2: {}}], [(2,), (1,), (2,)]),
+            ([{0: 0, 7: -12}, {3: 10**30}], [(7, 3), (0, 3)]),
+            ([{1: "50%", 2: "%s%d%%"}, {1: "{}", 2: '{"a": 1}'}, {5: '"quoted"'}],
+             [(1, 2, 5), (2, 1, 5), (2, 2, 5)]),
+        ],
+    )
+    def test_shared_rows_render_matches_the_rows_in_full(self, cols, keys):
+        """Empty keys, no columns, one column, int entries, and strings
+        holding the characters of format strings and JSON."""
+        full = [[col[k] for col, k in zip(cols, row)] for row in keys]
+        assert SharedRows(cols, keys).render() == _canonical(full)
 
     def test_loads_error(self):
         with pytest.raises(DocumentError):

@@ -345,6 +345,100 @@ class TestDeriveProductStep:
         )
 
 
+def reference_prune(terms):
+    """The pairwise prune: dedupe, then drop every term componentwise
+    contained in another."""
+    uniq = list(dict.fromkeys(terms))
+    return [
+        t for t in uniq if not any(o != t and all(a <= b for a, b in zip(t, o)) for o in uniq)
+    ]
+
+
+def reference_staircase(model, Gs, eps_q):
+    """The staircase without a table: every term reads lam of its sets
+    afresh and builds its super-level sets as new frozensets."""
+    lams = [_local_diams(model, (i,), G) for i, G in enumerate(Gs)]
+    values = [sorted(set(lam.values())) for lam in lams]
+    return [
+        tuple(frozenset(x for x in G if lam[x] >= v) for G, lam, v in zip(Gs, lams, vs))
+        for vs in products._minimal_tuples(values, model.scaled_bar(eps_q))
+    ]
+
+
+def reference_derive_terms(model, terms, eps_q):
+    return reference_prune([t for term in terms for t in reference_staircase(model, term, eps_q)])
+
+
+class TestFactorTable:
+    """The staircase on one factor-set table per derivation sequence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_indexed_prune_matches_the_pairwise_one(self, n, data):
+        """Term lists with repeats, whose repeats are equal frozensets that
+        are not the same object."""
+        subsets = st.frozensets(st.integers(0, 4), min_size=1)
+        terms = data.draw(st.lists(st.tuples(*[subsets] * n), max_size=12), label="terms")
+        picks = data.draw(st.lists(st.integers(0, max(len(terms) - 1, 0)), max_size=6), label="picks")
+        for j in picks if terms else ():
+            terms.append(tuple(frozenset(list(G)) for G in terms[j]))
+        # the prune reads only the interned sets, never the model
+        table = [products.FactorSets(None, i) for i in range(n)]
+        ids = [tuple(f.intern(G) for f, G in zip(table, t)) for t in terms]
+        got = [tuple(f.sets[g] for f, g in zip(table, t)) for t in products._prune(table, ids)]
+        event(f"{len(terms) - len(got)} dropped")
+        assert got == reference_prune(terms)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.tuples(fracs(max_num=4, max_den=4), fan_sets(2)), min_size=2, max_size=4),
+        st.integers(1, 16),
+    )
+    def test_steps_match_the_staircase_without_a_table(self, factors, k):
+        """Random 2-4 factor products: the same terms, in the same order, at
+        every step."""
+        model = ProductModel.of([scaled(a_q, K) for a_q, K in factors])
+        assume(len(model.tuples()) <= 2000)
+        eps_q = eps_at(factors, k, 16)
+        pu = derive_product_step(factors, eps_q)
+        whole = tuple(frozenset(range(len(pts))) for pts in pu.model.factor_points)
+        want = reference_derive_terms(pu.model, [whole], eps_q)
+        steps = 1
+        while True:
+            assert list(pu.terms) == want
+            if pu.is_empty():
+                break
+            pu = product_union_derive(pu, eps_q)
+            want = reference_derive_terms(pu.model, want, eps_q)
+            steps += 1
+        event(f"steps={steps}")
+
+    def test_one_lam_per_distinct_factor_set(self, monkeypatch):
+        """On three depth-8 chains every (factor, set) that the staircase
+        reads gets one `_local_diams` call, and the sets are those the
+        staircase without a table reads."""
+        chain = depth_fan(8, F(1, 2))
+        factors = [(F(1), chain)] * 3
+        eps_q = F(1, 2)
+        model = ProductModel.of([chain] * 3)
+        terms = [tuple(frozenset(range(len(pts))) for pts in model.factor_points)]
+        read = set()
+        while terms:
+            read.update((i, G) for term in terms for i, G in enumerate(term))
+            terms = reference_derive_terms(model, terms, eps_q)
+        calls = []
+        kernel = products._local_diams
+
+        def counted(model, axes, alive):
+            calls.append((*axes, alive))
+            return kernel(model, axes, alive)
+
+        monkeypatch.setattr(products, "_local_diams", counted)
+        assert product_sz(factors, eps_q) == sz_product_set(model.tuples(), model, eps_q)
+        assert len(calls) == len(set(calls)) == len(read)
+        assert set(calls) == read
+
+
 def scan_reach_q(x, alive, pts):
     """max over alive y in prod_i C(x_i) of dist^q(x, y), by scanning the
     whole product cluster of x (each C(x_i) by the oracle's predicate; `pts`
@@ -651,6 +745,37 @@ class TestBoundProductDerivation:
         assert sz_product_set(model.tuples(), model, eps_q) <= out.M
 
 
+def reference_bq_cover(factors, l, q):
+    """(tuples, copies) of the cover by filtering every tuple of
+    1..k_max, with one power per (factor, k) for the copies."""
+    n = len(factors)
+    _, root_hi = pow_bounds(F(n), 1 / q)
+    _, bound_hi = pow_bounds(l + root_hi, q)
+    k_max = l
+    while pow_bounds(F(k_max + 1), q)[0] <= bound_hi:
+        k_max += 1
+    lo = [pow_bounds(F(k), q)[0] for k in range(1, k_max + 1)]
+    D = math.lcm(bound_hi.denominator, *(v.denominator for v in lo))
+    cap = bound_hi.numerator * (D // bound_hi.denominator)
+    lo_d = [v.numerator * (D // v.denominator) for v in lo]
+    tuples = tuple(
+        k
+        for k, vals in zip(
+            itertools.product(range(1, k_max + 1), repeat=n),
+            itertools.product(lo_d, repeat=n),
+        )
+        if sum(vals) <= cap
+    )
+    copies = tuple(
+        tuple(products._as_factor(pow_bounds(F(k, l), q)[1], K) for k in range(1, k_max + 1))
+        for K in factors
+    )
+    return tuples, copies
+
+
+COVER_FACTORS = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1), Sing()]
+
+
 class TestBqCover:
     def test_single_factor(self):
         cover = bq_cover([F1], 2, F(1))
@@ -680,6 +805,21 @@ class TestBqCover:
     def test_member_false_outside(self):
         cover = bq_cover([F1, F1, F1], 4, F(1))
         assert not bq_member((1, 1, 1), 1, (True, True, True), cover)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 16),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
+    )
+    def test_walk_matches_the_tuple_filter(self, n, l, q):
+        """The prefix walk gives the filter's tuples in the same order, and
+        one power per k gives the same copies."""
+        cover = bq_cover(COVER_FACTORS[:n], l, q)
+        tuples, copies = reference_bq_cover(COVER_FACTORS[:n], l, q)
+        event(f"{len(tuples)} tuples")
+        assert cover.tuples == tuples
+        assert cover.copies == copies
 
     @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(3, 2)])
     def test_cover_is_down_closed(self, q):

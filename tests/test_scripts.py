@@ -1,6 +1,8 @@
 """The scripts write the same reports as the command line, at the sample
-counts of the acceptance gate and the benchmark."""
+counts of the acceptance gate and the benchmark; the product sweep runs at a
+tiny size."""
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,19 @@ def test_one_a7_table(bench):
         sys.path[:] = path
     assert list(script.FULL_SAMPLES) == list(SUITES)
     assert script.FULL_SAMPLES == dict(FULL_SCALE) == bench.workloads.A7_SAMPLES
+
+
+def test_product_sweep_prints_one_json_line():
+    """scripts/product_sweep.py at a tiny size: one JSON line, one row per
+    product, the same sz from `product_sz` and the kernel-only loop."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "2", "3", "--four", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    rows = json.loads(line)["rows"]
+    assert [(r["factors"], r["depth"]) for r in rows] == [(3, 2), (3, 3), (4, 2)]
+    assert all(r["sz"] >= 1 and r["ratio"] > 0 for r in rows)
