@@ -490,7 +490,7 @@ def _suite_techlem2(rng: random.Random) -> tuple:
 
 
 def _suite_techlema(rng: random.Random) -> tuple:
-    factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
+    factors = rand_factors(rng)
     q = rand_q(rng)
     eps_q = rand_frac(rng, max_num=2)
     m = rng.randint(2, 3)
@@ -611,7 +611,7 @@ def _suite_lecondsast(rng: random.Random) -> tuple:
 
 
 def _suite_punibound_finite(rng: random.Random) -> tuple:
-    factors = rand_factors(rng, max_factors=3, depth=1, sum_cap=Fraction(1))
+    factors = rand_factors(rng)
     q = rand_q(rng)
     iq = int(q)
     eps_q = rand_frac(rng, max_num=2)

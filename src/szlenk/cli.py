@@ -36,8 +36,8 @@ each call sets only that logger's level, and the root logger is left alone.
 
 Exit codes: 0 success, 1 a failed ``verify`` case, 2 usage,
 parse, or document errors (input nested past the recursion limit included,
-and a ``sigma`` or ``frount`` result longer than Python prints an integer,
-``sys.get_int_max_str_digits()``).
+and a ``sigma`` or ``frount`` result or a ``cover`` scale longer than
+Python prints an integer, ``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .documents import (
     trace_to_doc,
 )
 from .exactmath import ROOT_BITS, pow_bounds
-from .fansets import ProdQ, derive_steps
+from .fansets import ProdQ, Scale, derive_steps
 from .ordinal import frac_from_str, frac_to_str
 from .pointmodel import ProductModel
 from .products import (
@@ -380,6 +380,12 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
     if len(set(qs)) != 1:
         raise DocumentError("all factor documents must share the same q")
     cover = bq_cover(factors, args.l, qs[0])
+    # a copy's scale is the one number of its document that no input
+    # document held, so it is the one that can be too long to print
+    for per in cover.copies:
+        for c in per:
+            if isinstance(c, Scale):
+                _printable(max(c.a_q.numerator, c.a_q.denominator), args.cmd)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .fansets import DisjUnion, Fan, FanSet, Scale, Sing, UnionApex
 
@@ -59,19 +58,12 @@ def rand_fan_set(rng: random.Random, depth: int) -> FanSet:
     return DisjUnion(tuple(comps))
 
 
-def rand_factors(
-    rng: random.Random,
-    max_factors: int = 3,
-    depth: int = 1,
-    sum_cap: Optional[Fraction] = None,
-) -> list[tuple[Fraction, FanSet]]:
-    """Random scaled factors (a_q_i, K_i); with `sum_cap`, sum a_q_i <= cap."""
-    n = rng.randint(1, max_factors)
+def rand_factors(rng: random.Random) -> list[tuple[Fraction, FanSet]]:
+    """1 to 3 random scaled factors (a_q_i, K_i) of depth <= 1, with
+    sum a_q_i <= 1: each a_q_i is 1/n times a random quarter."""
+    n = rng.randint(1, 3)
     out = []
     for _ in range(n):
-        if sum_cap is not None:
-            a_q = Fraction(sum_cap, n) * Fraction(rng.randint(1, 4), 4)
-        else:
-            a_q = rand_frac(rng, max_num=2, max_den=4)
-        out.append((a_q, rand_fan_set(rng, depth)))
+        a_q = Fraction(rng.randint(1, 4), 4 * n)
+        out.append((a_q, rand_fan_set(rng, 1)))
     return out

@@ -472,7 +472,8 @@ def from_json(doc: object) -> Ordinal:
 
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -53,10 +53,15 @@ containment once per pair of ids, only among one factor's distinct sets.
 `pu.terms` holds the interned frozensets.  The table lives as long as its
 sequence, as `DerivationMemo` does for the symbolic half.
 
-`bound_product_derivation` is the separate finite emptiness bound.  A ball
-cover (`bq_cover`) checks the power budget once before its first power,
-takes one power per k, and enumerates the ball by a prefix walk on the
-integer lower bounds of k^q, as the A-grid does (`_grid_rows`).
+Each job has one walk.  The A-grid (`a_eps_grid`) is a prefix walk on its
+integer `levels`, and its minimal columns are the staircase's minimal
+tuples (`_minimal_tuples`) of the factors' distinct weights, so one pruned
+walk finds both.  The integer lower bounds of (j * step)^q for the grid and
+of k^q for a ball cover (`bq_cover`) are one power ladder
+(`_power_floors`); a cover checks the power budget, and refuses an l past
+the enumeration limit, before its first power.  `bound_product_derivation`
+is the separate finite emptiness bound: it derives each factor at most m
+times and stops at the first empty set.
 """
 from __future__ import annotations
 
@@ -65,7 +70,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .calculus import InvalidParams, check_power, frount_M_qpow
 from .exactmath import ROOT_BITS, int_nth_root_floor, pow_bounds
@@ -124,10 +129,6 @@ class AEpsGrid:
         check_power(self.delta / 2, self.q, "q")
 
     @property
-    def n(self) -> int:
-        return len(self.a_q)
-
-    @property
     def step(self) -> Fraction:
         return (self.eps - self.delta) / 4
 
@@ -140,69 +141,52 @@ class AEpsGrid:
         lo((delta/2)^q).  A column is in the grid iff its weights sum to at
         least the cut.
 
-        The bounds are those of `pow_bounds`, computed on integers.  With
-        q = u/v and S the bounds' denominator, lo(x^q) = floor(S * x^q),
-        which for x = num/den is int_nth_root_floor(num^u * S^v // den^u, v).
-        At integer q, S = (the denominators of step and delta/2)^u makes the
-        bounds exact, and hi = lo.  At fractional q, S = 2^ROOT_BITS as in
+        The bounds are those of `pow_bounds`, computed on integers: with S
+        the bounds' denominator, lo(x^q) = floor(S * x^q), and each factor's
+        lower bounds are one `_power_floors` ladder.  At integer q = u,
+        S = (the denominators of step and delta/2)^u makes the bounds exact,
+        and hi = lo.  At fractional q, S = 2^ROOT_BITS as in
         `nth_root_bounds`, and hi = lo + 1, except that hi(0) = 0.  The
         weights and the cut then share the denominator
         lcm(a_q denominators) * S.
         """
         u, v = self.q.numerator, self.q.denominator
-        s_n, s_d = self.step.numerator, self.step.denominator
-        half = self.delta / 2
-        S = (s_d * half.denominator) ** u if v == 1 else 1 << ROOT_BITS
-        S_v, s_du = S**v, s_d**u
+        step, half = self.step, self.delta / 2
+        S = (step.denominator * half.denominator) ** u if v == 1 else 1 << ROOT_BITS
         gap = 0 if v == 1 else 1
         L = math.lcm(*(a.denominator for a in self.a_q))
         weights: list[tuple[int, ...]] = []
         total = 1  # tuples over the factors listed so far
         for a, d_q in zip(self.a_q, self.diam_q):
+            most = ENUMERATION_LIMIT // total
+            lo = _power_floors(step, self.q, S, d_q, most)
+            if len(lo) > most:
+                raise InvalidParams("grid enumeration too large")
+            total *= len(lo)
             mult = a.numerator * (L // a.denominator)
-            # multiplier j is past the diameter when lo((j * step)^q) > d_q,
-            # that is lo * d_den > d_num * S
-            d_den, cap = d_q.denominator, d_q.numerator * S
-            w = [0]  # j = 0: 0^q = 0, and 0 <= d_q
-            while True:
-                lo = int_nth_root_floor((len(w) * s_n) ** u * S_v // s_du, v)
-                if lo * d_den > cap:
-                    break
-                w.append(mult * (lo + gap))
-                if total * len(w) > ENUMERATION_LIMIT:
-                    raise InvalidParams("grid enumeration too large")
-            total *= len(w)
-            weights.append(tuple(w))
-        cut = int_nth_root_floor(half.numerator**u * S_v // half.denominator**u, v)
+            # hi(0^q) = 0, with no gap
+            weights.append((0, *(mult * (x + gap) for x in lo[1:])))
+        cut = int_nth_root_floor(half.numerator**u * S**v // half.denominator**u, v)
         return tuple(weights), cut * L
 
 
-def _grid_rows(g: AEpsGrid) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(prefix, weight, first) for every prefix of the first n - 1
-    multipliers that some grid column extends, in lexicographic order: the
-    grid holds prefix + (j,) for every last multiplier j from `first` to the
-    top, and `weight` is the prefix's weight sum.
-
-    A prefix walk on the integer `levels`: a factor's multipliers start at
-    the least one whose weight, with the prefix's sum and the most the later
-    factors can add, still reaches the cut.
-    """
-    weights, cut = g.levels
-    # most[i]: the largest sum factors i.. can add
-    most = [0] * (g.n + 1)
-    for i in range(g.n - 1, -1, -1):
-        most[i] = most[i + 1] + weights[i][-1]
-
-    def walk(i: int, prefix: tuple[int, ...], acc: int):
-        w = weights[i]
-        first = bisect.bisect_left(w, cut - acc - most[i + 1])
-        if i + 1 < g.n:
-            for j in range(first, len(w)):
-                yield from walk(i + 1, prefix + (j,), acc + w[j])
-        elif first < len(w):
-            yield prefix, acc, first
-
-    return walk(0, (), 0)
+def _power_floors(step: Fraction, q: Fraction, S: int, cap: Fraction, most: int) -> list[int]:
+    """floor(S * (j * step)^q) for j = 0, 1, ... while the value is at most
+    cap * S, and at most most + 1 values.  With q = u/v and step = num/den,
+    that is int_nth_root_floor((j * num)^u * S^v // den^u, v): the floor of
+    a v-th root is the floor of the root of the floor."""
+    u, v = q.numerator, q.denominator
+    top = step.numerator**u * S**v
+    den, c_num, c_den = step.denominator**u, cap.numerator * S, cap.denominator
+    out: list[int] = []
+    for j in range(most + 1):
+        x = j**u * top // den
+        if v > 1:
+            x = int_nth_root_floor(x, v)
+        if x * c_den > c_num:
+            break
+        out.append(x)
+    return out
 
 
 def a_eps_grid(g: AEpsGrid) -> list[tuple[int, ...]]:
@@ -213,9 +197,24 @@ def a_eps_grid(g: AEpsGrid) -> list[tuple[int, ...]]:
     Comparisons round outward for fractional q (borderline tuples are
     included), which only enlarges the grid and keeps downstream
     containment checks sound.
+
+    A prefix walk on the integer `levels`: a factor's multipliers run from
+    the least one whose weight, with the prefix's sum and the most the later
+    factors can add, still reaches the cut, to the top.
     """
-    top = len(g.levels[0][-1])
-    return [p + (j,) for p, _, first in _grid_rows(g) for j in range(first, top)]
+    weights, cut = g.levels
+    # most: the largest sum the factors after the current one can add
+    most = sum(w[-1] for w in weights)
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for w in weights[:-1]:
+        most -= w[-1]
+        rows = [
+            (p + (j,), acc + w[j])
+            for p, acc in rows
+            for j in range(bisect.bisect_left(w, cut - acc - most), len(w))
+        ]
+    w = weights[-1]
+    return [p + (j,) for p, acc in rows for j in range(bisect.bisect_left(w, cut - acc), len(w))]
 
 
 def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
@@ -223,17 +222,16 @@ def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
 
     The grid is up-closed in its box (weights grow with j), so a column is
     minimal iff lowering any one multiplier by one drops its weight sum
-    below the cut; each row's least last multiplier already does that.
+    below the cut.  Such a column takes each weight at its least multiplier
+    (an equal weight one lower would keep the sum), so its weights are a
+    minimal tuple of the factors' distinct weights with sum > cut - 1
+    (`_minimal_tuples`), and each weight maps back to its least multiplier.
     """
     weights, cut = g.levels
-    last = weights[-1]
+    values = [list(dict.fromkeys(w)) for w in weights]
     return [
-        p + (first,)
-        for p, acc, first in _grid_rows(g)
-        if all(
-            j == 0 or acc + last[first] - w[j] + w[j - 1] < cut
-            for w, j in zip(weights, p)
-        )
+        tuple(map(bisect.bisect_left, weights, v))
+        for v in _minimal_tuples(values, cut - 1)
     ]
 
 
@@ -454,16 +452,6 @@ class ProductBound:
     M: int
 
 
-def _sz_int(K: FanSet, eps_q: Fraction) -> int:
-    memo = DerivationMemo()
-    cur: Optional[FanSet] = K
-    n = 0
-    while cur is not None:
-        cur = derive(cur, eps_q, memo)
-        n += 1
-    return max(n, 1)
-
-
 def bound_product_derivation(
     factors: Sequence[tuple[Fraction, FanSet]],
     eps_q: Fraction,
@@ -501,9 +489,16 @@ def bound_product_derivation(
     M = frount_M_qpow(d_q, eps_q, q, m)
     _, hi8 = pow_bounds(Fraction(8), q)
     eps8_q = eps_q / hi8
-    if all(_sz_int(K, eps8_q) <= m for _, K in factors):
-        return ProductBound("empty", M)
-    return ProductBound("unknown", M)
+
+    def empties(K: Optional[FanSet]) -> bool:
+        memo = DerivationMemo()
+        for _ in range(m):
+            K = derive(K, eps8_q, memo)
+            if K is None:
+                return True
+        return False
+
+    return ProductBound("empty" if all(empties(K) for _, K in factors) else "unknown", M)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +535,8 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     and the corresponding products of (k_i/l)-scaled factors.
 
     The power budget is checked once, before the first power.  The tuples
-    come from a prefix walk on the integer lower bounds of k^q: a factor's
+    come from a prefix walk on the integer lower bounds of k^q (one
+    `_power_floors` ladder, k = 0..k_max): a factor's
     k runs up to the largest one that, with the prefix's sum and the least
     the later factors add (1^q each), stays within the bound.  So the walk
     costs one bisection per prefix and one step per tuple, in lexicographic
@@ -557,36 +553,34 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
             raise OutsideExactFragment("factors must come from the exact fragment")
     n = len(factors)
     # One check covers every power below: a q-th power of a base with the
-    # bits of (l + n) * S + 1 over S = 2^ROOT_BITS needs more bits than the
+    # bits of (l + n) * R + 1 over R = 2^ROOT_BITS needs more bits than the
     # root n^(1/q) and than the q-th powers of l + hi(n^(1/q)) (a multiple
-    # of 1/S at most l + n + 1/S), of k <= l + n + 1 and of k/l (l is
+    # of 1/R at most l + n + 1/R), of k <= l + n + 1 and of k/l (l is
     # within the enumeration limit when those are taken).
-    S = 1 << ROOT_BITS
-    check_power(Fraction((l + n) * S + 1, S), q, "q")
+    R = 1 << ROOT_BITS
+    check_power(Fraction((l + n) * R + 1, R), q, "q")
+    # refused iff k_max^n > ENUMERATION_LIMIT (k_max >= l the largest k with
+    # lo(k^q) within the bound): iff l or the ladder's k_max passes `most`
+    most = int_nth_root_floor(ENUMERATION_LIMIT, n)
+    if l > most:
+        raise InvalidParams("cover enumeration too large")
     _, root_hi = pow_bounds(Fraction(n), 1 / q)
     _, bound_hi = pow_bounds(l + root_hi, q)
-    # k^q <= l^q <= the bound for every k <= l, so the search starts at l
-    k_max = l
-    while True:
-        if k_max**n > ENUMERATION_LIMIT:
-            raise InvalidParams("cover enumeration too large")
-        if pow_bounds(Fraction(k_max + 1), q)[0] > bound_hi:
-            break
-        k_max += 1
-    # lower bounds of k^q for k = 1..k_max, as integers over one common
-    # denominator
-    lo = [pow_bounds(Fraction(k), q)[0] for k in range(1, k_max + 1)]
-    D = math.lcm(bound_hi.denominator, *(v.denominator for v in lo))
-    cap = bound_hi.numerator * (D // bound_hi.denominator)
-    lo_d = [v.numerator * (D // v.denominator) for v in lo]
+    # lo_d[k] = S * lo(k^q) for k = 0..k_max, an integer (lo is exact at
+    # integer q, and a multiple of 1/R else), and cap = floor(S * bound)
+    S = 1 if q.denominator == 1 else R
+    lo_d = _power_floors(Fraction(1), q, S, bound_hi, most + 1)
+    if len(lo_d) > most + 1:
+        raise InvalidParams("cover enumeration too large")
+    cap = bound_hi.numerator * S // bound_hi.denominator
     rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for later in range(n - 1, -1, -1):
         rows = [
-            (p + (k,), acc + lo_d[k - 1])
+            (p + (k,), acc + lo_d[k])
             for p, acc in rows
-            for k in range(1, bisect.bisect_right(lo_d, cap - acc - later * lo_d[0]) + 1)
+            for k in range(1, bisect.bisect_right(lo_d, cap - acc - later * lo_d[1]))
         ]
-    scales = [pow_bounds(Fraction(k, l), q)[1] for k in range(1, k_max + 1)]
+    scales = [pow_bounds(Fraction(k, l), q)[1] for k in range(1, len(lo_d))]
     copies = tuple(tuple(_as_factor(a_q, K) for a_q in scales) for K in factors)
     return BqCover(l, q, n, tuple(p for p, _ in rows), copies)
 

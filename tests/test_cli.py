@@ -549,6 +549,19 @@ class TestCover:
         ]
         assert "  k=(1, 1)  scales=(1/2, 1/2)" in lines
 
+    def test_scale_over_the_digit_limit_exits_2(self, capsys, tmp_path):
+        """At q = 10000 the copy at k = 3 is scaled by (3/2)^10000, whose
+        numerator 3^10000 has 4772 digits: refused by name before any copy
+        is written, as `sigma` and `frount` refuse a long result."""
+        path = write_doc(tmp_path, "k.json", fanset_to_doc(F1, F(10000)))
+        code, out, err = run(capsys, "cover", "2", path, path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: cover result has 4772 digits, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit on printing integers\n"
+        )
+
     def test_out_writes_the_report(self, capsys, tmp_path):
         path = write_doc(tmp_path, "f.json", fanset_to_doc(F1, F(3)))
         target = tmp_path / "cover.json"

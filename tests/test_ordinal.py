@@ -1,6 +1,8 @@
 """Ordinal arithmetic: frozen values, algebraic laws, fundamental sequences."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from szlenk.ordinal import (
     add,
     cmp,
     cofinality_class,
+    frac_to_str,
     from_json,
     fundamental_sequence,
     is_limit,
@@ -272,3 +275,13 @@ class TestJson:
         for bad in [{...}, {"cnf": [[1]]}, {"cnf": "x"}, [], {"x": 1}]:
             with pytest.raises((ValueError, TypeError)):
                 from_json(bad)
+
+
+class TestFracToStr:
+    @pytest.mark.parametrize(
+        "x, text",
+        [(Fraction(3, 4), "3/4"), (Fraction(-6, 3), "-2"), (Fraction(0), "0"), (5, "5"), (-7, "-7")],
+    )
+    def test_fractions_and_ints(self, x, text):
+        """A Fraction prints as itself, an int as the Fraction it equals."""
+        assert frac_to_str(x) == text

@@ -1,6 +1,7 @@
 """Product grids, staircase derivations, bounds, covers."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -26,14 +27,16 @@ from oracle import (
     unfold,
 )
 from strategies import fan_sets, fracs
-from szlenk.calculus import InvalidParams
+from szlenk.calculus import InvalidParams, frount_M_qpow
 from szlenk.fansets import (
+    DerivationMemo,
     Fan,
     ProdQ,
     OutsideExactFragment,
     Scale,
     Sing,
     depth_fan,
+    derive,
     diam_q,
     scaled,
 )
@@ -123,6 +126,38 @@ def with_levels(g: AEpsGrid, levels) -> AEpsGrid:
     return out
 
 
+def reference_a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
+    """The minimal columns by the row filter: a prefix walk on the levels
+    finds, for every prefix of the first n - 1 multipliers that some column
+    extends, the least last multiplier that reaches the cut, and keeps the
+    column when lowering any prefix multiplier by one drops the sum below
+    the cut."""
+    weights, cut = g.levels
+    n = len(weights)
+    most = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        most[i] = most[i + 1] + weights[i][-1]
+
+    def rows(i, prefix, acc):
+        w = weights[i]
+        first = bisect.bisect_left(w, cut - acc - most[i + 1])
+        if i + 1 < n:
+            for j in range(first, len(w)):
+                yield from rows(i + 1, prefix + (j,), acc + w[j])
+        elif first < len(w):
+            yield prefix, acc, first
+
+    last = weights[-1]
+    return [
+        p + (first,)
+        for p, acc, first in rows(0, (), 0)
+        if all(
+            j == 0 or acc + last[first] - w[j] + w[j - 1] < cut
+            for w, j in zip(weights, p)
+        )
+    ]
+
+
 class TestAEpsGrid:
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -183,6 +218,55 @@ class TestAEpsGrid:
         ref = with_levels(g, ref_levels)
         assert a_eps_grid(g) == a_eps_grid(ref)
         assert a_eps_minimal(g) == a_eps_minimal(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
+        fracs(max_num=2, max_den=4),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+        st.data(),
+    )
+    def test_minimal_matches_the_row_filter(self, n, q, delta, gap, data):
+        """The minimal columns from `_minimal_tuples` on the distinct
+        weights against the row filter, on real grids and on hand-made
+        levels whose weights repeat (a repeated weight's higher multiplier
+        is never minimal)."""
+        a_q = [data.draw(fracs(max_num=3, max_den=4), label=f"a{i}") for i in range(n)]
+        diams = [data.draw(fracs(max_num=2, max_den=4), label=f"diam{i}") for i in range(n)]
+        g = AEpsGrid(tuple(a_q), tuple(diams), delta + gap, delta, q)
+        assert a_eps_minimal(g) == reference_a_eps_minimal(g)
+        lists = st.lists(st.integers(0, 6), min_size=1, max_size=6).map(sorted)
+        weights = tuple(tuple(data.draw(lists, label=f"w{i}")) for i in range(n))
+        cut = data.draw(st.integers(-1, 6 * n + 1), label="cut")
+        hand = with_levels(g, (weights, cut))
+        got = a_eps_minimal(hand)
+        event(f"{len(got)} minimal")
+        assert got == reference_a_eps_minimal(hand)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fracs(max_num=5, max_den=6),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
+        st.integers(1, 4),
+        fracs(max_num=4, max_den=4),
+        st.integers(0, 12),
+    )
+    def test_power_floors_match_pow_bounds(self, step, q, factor, cap, most):
+        """The ladder against S * lo((j * step)^q) from `pow_bounds`, with S
+        a multiple of the step's denominator^q at integer q and
+        2^ROOT_BITS at fractional q (the denominators that make the lower
+        bounds integers)."""
+        S = step.denominator ** q.numerator * factor if q.denominator == 1 else 1 << 96
+        expected = []
+        for j in range(most + 1):
+            lo = pow_bounds(j * step, q)[0] * S
+            if lo > cap * S:
+                break
+            assert lo.denominator == 1
+            expected.append(lo.numerator)
+        event(f"{len(expected)} of {most + 1}")
+        assert products._power_floors(step, q, S, cap, most) == expected
 
     def test_single_factor_enumeration(self):
         g = AEpsGrid((F(1),), (F(1),), F(1), F(1, 2), F(1))
@@ -745,6 +829,49 @@ class TestBoundProductDerivation:
         assert sz_product_set(model.tuples(), model, eps_q) <= out.M
 
 
+def reference_sz_int(K, eps_q) -> int:
+    """The sz loop `bound_product_derivation` used: derive until empty."""
+    memo = DerivationMemo()
+    cur, n = K, 0
+    while cur is not None:
+        cur = derive(cur, eps_q, memo)
+        n += 1
+    return max(n, 1)
+
+
+def reference_bound(factors, eps_q, q, m) -> ProductBound:
+    """The bound with the verdict from the whole sz of every factor."""
+    M = frount_M_qpow(max(diam_q(K) for _, K in factors), eps_q, q, m)
+    eps8_q = eps_q / pow_bounds(F(8), q)[1]
+    empty = all(reference_sz_int(K, eps8_q) <= m for _, K in factors)
+    return ProductBound("empty" if empty else "unknown", M)
+
+
+CHAINS = st.integers(0, 6).map(lambda d: depth_fan(d, F(1, 2)))
+
+
+class TestBoundAgainstTheSzLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.just(F(1, 3)), st.one_of(fan_sets(2), CHAINS)),
+            min_size=1,
+            max_size=3,
+        ),
+        fracs(),
+        st.sampled_from([F(1), F(2), F(3, 2)]),
+        st.integers(2, 4),
+    )
+    def test_matches_the_sz_loop(self, factors, eps_q, q, m):
+        """At most m steps per factor give the verdict and M that the full
+        sz of every factor gave, also when some factor's sz exceeds m."""
+        eps8_q = eps_q / pow_bounds(F(8), q)[1]
+        deep = any(reference_sz_int(K, eps8_q) > m for _, K in factors)
+        event("some sz > m" if deep else "every sz <= m")
+        got = bound_product_derivation(factors, eps_q, q, m)
+        assert got == reference_bound(factors, eps_q, q, m)
+
+
 def reference_bq_cover(factors, l, q):
     """(tuples, copies) of the cover by filtering every tuple of
     1..k_max, with one power per (factor, k) for the copies."""
@@ -795,6 +922,32 @@ class TestBqCover:
             bq_cover([F1], 2, F(1, 2))
         with pytest.raises(OutsideExactFragment):
             bq_cover([ProdQ((F1,))], 2, F(1))
+
+    @pytest.mark.parametrize(
+        "q, n, l, accepted",
+        [
+            (F(1), 1, 199_999, True),
+            (F(1), 1, 200_000, False),
+            (F(1), 2, 445, True),
+            (F(1), 2, 446, False),
+            (F(2), 2, 446, True),
+            (F(2), 2, 447, False),
+            (F(2), 3, 57, True),
+            (F(3, 2), 2, 446, True),
+            (F(3, 2), 2, 447, False),
+            (F(3, 2), 3, 57, False),
+        ],
+    )
+    def test_refusal_boundaries(self, q, n, l, accepted):
+        """A cover is refused iff k_max^n > ENUMERATION_LIMIT, k_max the
+        largest k with lo(k^q) within the bound; the boundaries as measured
+        with the search for k_max that the power ladder replaced."""
+        if accepted:
+            cover = bq_cover([Sing()] * n, l, q)
+            assert len(cover.copies[0]) ** n <= products.ENUMERATION_LIMIT
+        else:
+            with pytest.raises(InvalidParams, match="cover enumeration too large"):
+                bq_cover([Sing()] * n, l, q)
 
     def test_member_basic(self):
         cover = bq_cover([F1], 2, F(1))
