@@ -18,9 +18,24 @@ A point is
 
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
-x is a tail step.  So `cluster_map` reads the relation off the paths: one
-walk back along each point's path, looking its prefixes up by path, finds
-every x whose cluster holds it, in O(P * depth) lookups for P points.
+x is a tail step.  The relation is a forest.  Let p, the nearest cluster
+parent of y, be the point x != y with y in C(x) whose path is longest.
+Then the points whose clusters hold y are y, p, the parent of p and so on
+up to a root: C^-1(y) - {y} = C^-1(p).  The relation is transitive (step
+1 of the `products` docstring), so C^-1(p) lies in C^-1(y).  Conversely,
+let y be in C(x) with x != y, p.  Both paths are prefixes of y's and p's
+is the longer, so x's path is a proper prefix of p's.  No point's path
+extends another point's path by "f" steps only: `materialize` emits a
+point only at `Sing`, `Fan` and `UnionApex` nodes, and below one of them
+a path takes a copy step, or a fan selector and then a copy step.  So p's
+path takes a non-"f" step beyond x's, which is also y's first non-"f"
+step beyond x: a tail step, and p is in C(x).  `checks.tvl_check` reads
+a subset of these points, plus an origin at path () when no kept point
+has norm 0; that origin is a root and nobody's parent, since a tail step
+below it would follow a kept `Fan` point of norm 0 on an all-"f" path.
+So `cluster_map` keeps one parent per point, found by one walk back along
+its path that stops at the first prefix it looks up with success.
+Positions are in pre-order, so p < y.
 
 The orbit argument.  Swapping the two copies of one tail is an isometry of
 the two-copy model that maps paths to paths step kind by step kind, so it
@@ -57,15 +72,17 @@ alive sets, staircase terms and factor states all hold positions, and
 distances^q add across the disjoint factor groups, and a product point's
 orbit is the product of its factors' orbits.  So the largest N over
 the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
-time: each axis pushes every value to the points whose cluster on that
-axis holds it (`cluster_map`).  One kernel, `_local_diams`, does that push
-on integer norms over the model's common denominator, in O(n * |alive| *
-max |C^-1|) dict updates; it derives subsets of the product
-(`derive_product_set`, every axis) and of one factor's points
-(`derive_set`, one axis), and gives `products` its per-factor local
-diameters.  Inside the kernel a point is one integer, its mixed-radix code
-sum_n j_n * stride_n (`_strides`), so a push adds (z - y) * stride to a
-code (`ProductModel.deltas` holds the z - y) instead of building a tuple.
+time, and on one axis a max over a subtree of that factor's forest.  One
+kernel, `_local_diams`, takes it on integer norms over the model's common
+denominator: on each axis, every point in decreasing order of its value
+walks that value up the forest, one edge at a time, until it meets a
+point that holds at least as much, so no point is raised twice and an axis
+costs one sort and one push per point (the points a walk creates
+included).  It derives subsets of the product (`derive_product_set`, every
+axis) and of one factor's points (`derive_set`, one axis), and gives
+`products` its per-factor local diameters.  Inside the kernel a point is
+one integer, its mixed-radix code sum_n j_n * stride_n (`_strides`), so a
+step adds (p - y) * stride to a code instead of building a tuple.
 A one-axis code is the position itself, so `derive_set` and the staircase
 pass positions straight in; `derive_product_set` encodes its position
 tuples once per step and decodes the survivors.
@@ -159,20 +176,23 @@ def count_points(F: FanSet) -> int:
 
 
 def cluster_map(points: Sequence[Point]) -> dict[int, tuple[int, ...]]:
-    """By position j: j, then the positions of every x with points[j] in C(x)
-    (y is in C(x) iff x's path is a proper prefix of y's and the first
-    non-"f" step of y's beyond it is a "t" step).  Paths must be unique."""
+    """The cluster forest, by position j: (j, p) with p the nearest cluster
+    parent of points[j], the x with the longest path such that points[j]
+    is in C(x), or (j,) for a root (y is in C(x) iff x's path is a proper
+    prefix of y's and the first non-"f" step of y's beyond it is a "t"
+    step).  Paths must be unique and positions in pre-order."""
     at = {p.path: j for j, p in enumerate(points)}
     assert len(at) == len(points), "cluster_map needs unique paths"
     out = {}
     for j, y in enumerate(points):
-        path, inv, kind = y.path, [j], None
+        path, kind, out[j] = y.path, None, (j,)
         for k in range(len(path) - 1, -1, -1):
             if path[k][0] != "f":
                 kind = path[k][0]
             if kind == "t" and (x := at.get(path[:k])) is not None:
-                inv.append(x)
-        out[j] = tuple(inv)
+                assert x < j, "cluster_map needs points in pre-order"
+                out[j] = (j, x)
+                break
     return out
 
 
@@ -187,7 +207,7 @@ class ProductModel:
     of points means the two-copy model's count (`count`)."""
 
     factor_points: tuple[tuple[Point, ...], ...]
-    # per factor, `cluster_map` of its points
+    # per factor, the cluster forest of its points (`cluster_map`)
     cmaps: tuple[dict[int, tuple[int, ...]], ...]
 
     @staticmethod
@@ -233,15 +253,6 @@ class ProductModel:
             for pts in self.factor_points
         )
 
-    @cached_property
-    def deltas(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per factor, by position y: z - y for every other position z
-        with y in C(z) (`cmaps` lists y itself first)."""
-        return tuple(
-            tuple(tuple(z - y for z in cmap[y][1:]) for y in range(len(cmap)))
-            for cmap in self.cmaps
-        )
-
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
         exceeds this.  Every derivation turns its threshold into a bar
@@ -277,31 +288,38 @@ def _local_diams(
     with N the norm^q times D: the local diameter inside the union of the
     alive points' mirror orbits (the module docstring's orbit argument).
 
-    The max is pushed one axis at a time: starting from N on the alive set,
-    axis a sends each value from y to every point that differs from y only
-    on axis a, at some z with y_a in C(z), keeping the largest value per
-    point; after the last axis each point holds the max over its whole
-    product cluster.  On codes that push adds (z - y_a) * stride_a.
+    The max is taken one axis at a time: starting from N on the alive set,
+    on axis a each code, in decreasing order of its value, walks that value
+    up the forest, to the code with its position y replaced by the parent
+    of y (created when missing), and on, until it meets a code that holds
+    at least as much.  A root is its own parent, so a walk ends there.
+    Every code present before the walks walks itself, and a created code
+    only lies inside a walk that went on past it, so the code a walk stops
+    at hands at least as much to its ancestors: afterwards each code holds
+    the max over its subtree on axis a.  In that order no code is raised
+    twice.  After the last axis each point holds the max over its whole
+    product cluster.  On codes a step adds (parent - y) * stride_a.
     """
     _, norms = model.scaled_norms
     layout = [
-        (norms[a], model.deltas[a], stride, len(norms[a]))
+        (norms[a], model.cmaps[a], stride, len(norms[a]))
         for a, stride in zip(axes, _strides(model, axes))
     ]
     own = dict.fromkeys(alive, 0)
     for norm, _, stride, size in layout:
         for c in own:
             own[c] += norm[c // stride % size]
-    best = own
-    for _, deltas, stride, size in layout:
-        pushed = best.copy()
-        get = pushed.get
-        for c, v in best.items():
-            for d in deltas[c // stride % size]:
-                k = c + d * stride
-                if get(k, -1) < v:
-                    pushed[k] = v
-        best = pushed
+    best = own.copy()
+    get = best.get
+    for _, cmap, stride, size in layout:
+        for c in sorted(best, key=get, reverse=True):
+            v, y = best[c], c // stride % size
+            while True:
+                p = cmap[y][-1]
+                c += (p - y) * stride
+                if get(c, -1) >= v:
+                    break
+                best[c], y = v, p
     return {c: 2 * (best[c] - v) for c, v in own.items()}
 
 

@@ -36,13 +36,14 @@ set of the whole union.  The argument, with C the cluster map of the model
 
 So the terms are never compared with the point set: each step takes its
 point set from one exact derivation, `pointmodel.derive_product_set`,
-whose per-axis cluster max costs time linear in the number of product
-points (times the factor count and the largest inverse cluster), and its
-terms from the staircases (tests/test_products.py walks random products
-step by step and checks both the agreement and the closure).  The
-staircase's per-factor local diameters come from the same kernel, one axis
-at a time, as integers over the model's common denominator, and its
-minimal value tuples from a pruned prefix walk (`_minimal_tuples`).
+whose per-axis cluster max walks each value up the factor's cluster
+forest and raises no point twice, so an axis costs one sort and one push
+per product point, and its terms from the staircases
+(tests/test_products.py walks random products step by step and checks
+both the agreement and the closure).  The staircase's per-factor local
+diameters come from the same kernel, one axis at a time, as integers over
+the model's common denominator, and its minimal value tuples from a pruned
+prefix walk (`_minimal_tuples`).
 
 One derivation sequence shares one factor-set table (`FactorSets`, one per
 factor; `_whole` makes it and every step passes it on).  It interns each
@@ -56,12 +57,12 @@ sequence, as `DerivationMemo` does for the symbolic half.
 Each job has one walk.  The A-grid (`a_eps_grid`) is a prefix walk on its
 integer `levels`, and its minimal columns are the staircase's minimal
 tuples (`_minimal_tuples`) of the factors' distinct weights, so one pruned
-walk finds both.  The integer lower bounds of (j * step)^q for the grid and
-of k^q for a ball cover (`bq_cover`) are one power ladder
-(`_power_floors`); a cover checks the power budget, and refuses an l past
-the enumeration limit, before its first power.  `bound_product_derivation`
-is the separate finite emptiness bound: it derives each factor at most m
-times and stops at the first empty set.
+walk finds both.  The integer lower bounds of (j * step)^q for the grid,
+and of k^q and (k/l)^q for a ball cover (`bq_cover`), are one power ladder
+(`_power_floors`) each; a cover checks the power budget, and refuses an l
+past the enumeration limit, before its first power.
+`bound_product_derivation` is the separate finite emptiness bound: it
+derives each factor at most m times and stops at the first empty set.
 """
 from __future__ import annotations
 
@@ -515,7 +516,7 @@ class BqCover:
     n: int
     tuples: tuple[tuple[int, ...], ...]
     # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
-    # from one power per k
+    # from one power ladder for all k
     copies: tuple[tuple[FanSet, ...], ...]
 
     @cached_property
@@ -540,7 +541,8 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     k runs up to the largest one that, with the prefix's sum and the least
     the later factors add (1^q each), stays within the bound.  So the walk
     costs one bisection per prefix and one step per tuple, in lexicographic
-    order."""
+    order.  The copies' scales hi((k/l)^q) are a second ladder, with step
+    1/l."""
     q = Fraction(q)
     if not isinstance(l, int) or l < 1:
         raise InvalidParams("l must be an integer >= 1")
@@ -580,7 +582,12 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
             for p, acc in rows
             for k in range(1, bisect.bisect_right(lo_d, cap - acc - later * lo_d[1]))
         ]
-    scales = [pow_bounds(Fraction(k, l), q)[1] for k in range(1, len(lo_d))]
+    # the scales hi((k/l)^q), k = 1..k_max: one ladder with step 1/l, its
+    # denominator and gap chosen as in `AEpsGrid.levels` (k_max^u caps all k)
+    k_max, u = len(lo_d) - 1, q.numerator
+    den, gap = (l**u, 0) if q.denominator == 1 else (R, 1)
+    lo_s = _power_floors(Fraction(1, l), q, den, Fraction(k_max) ** u, k_max)
+    scales = [Fraction(x + gap, den) for x in lo_s[1:]]
     copies = tuple(tuple(_as_factor(a_q, K) for a_q in scales) for K in factors)
     return BqCover(l, q, n, tuple(p for p, _ in rows), copies)
 

@@ -15,6 +15,12 @@ mechanics than the engine:
 derivation sequence shared its nodes: every step rebuilds every node, with
 no memo and no interning, as the reference for the shared engine.
 
+`prefix_cluster_map` and `push_to_all_local_diams` keep the point model's
+cluster relation and kernel as they were before the kernel walked the
+cluster forest: every x whose cluster holds y, found by looking up every
+prefix of y's path, and each value pushed to all of them at once, as the
+references for `cluster_map`'s forest and the one-edge `_local_diams`.
+
 The engine materializes one point per mirror orbit (every tail step taken
 as copy ("t", 0)), carrying only a path and a norm, and its alive sets hold
 positions.  `oracle_orbits` groups the oracle's points by the engine
@@ -41,6 +47,7 @@ from szlenk.fansets import (
     radius_q,
     scaled,
 )
+from szlenk.pointmodel import _strides
 
 
 @dataclass(frozen=True)
@@ -274,3 +281,50 @@ def unshared_filter_reach(F, t_q: Fraction):
 
 def unshared_derive(F, eps_q: Fraction):
     return unshared_filter_reach(F, Fraction(eps_q) / 2)
+
+
+# -- the cluster relation in full -------------------------------------------
+
+
+def prefix_cluster_map(points) -> dict[int, tuple[int, ...]]:
+    """By position j: j, then the positions of every x with points[j] in C(x)
+    (y is in C(x) iff x's path is a proper prefix of y's and the first
+    non-"f" step of y's beyond it is a "t" step).  Paths must be unique."""
+    at = {p.path: j for j, p in enumerate(points)}
+    assert len(at) == len(points), "prefix_cluster_map needs unique paths"
+    out = {}
+    for j, y in enumerate(points):
+        path, inv, kind = y.path, [j], None
+        for k in range(len(path) - 1, -1, -1):
+            if path[k][0] != "f":
+                kind = path[k][0]
+            if kind == "t" and (x := at.get(path[:k])) is not None:
+                inv.append(x)
+        out[j] = tuple(inv)
+    return out
+
+
+def push_to_all_local_diams(model, axes, alive) -> dict[int, int]:
+    """`_local_diams` by pushing each value, one axis at a time, to every
+    code whose cluster on that axis holds it (`prefix_cluster_map`), in
+    one pass over a copy of the previous axis's values."""
+    _, norms = model.scaled_norms
+    layout = []
+    for a, stride in zip(axes, _strides(model, axes)):
+        inv = prefix_cluster_map(model.factor_points[a])
+        deltas = [tuple(z - y for z in inv[y][1:]) for y in range(len(inv))]
+        layout.append((norms[a], deltas, stride, len(norms[a])))
+    own = dict.fromkeys(alive, 0)
+    for norm, _, stride, size in layout:
+        for c in own:
+            own[c] += norm[c // stride % size]
+    best = own
+    for _, deltas, stride, size in layout:
+        pushed = best.copy()
+        for c, v in best.items():
+            for d in deltas[c // stride % size]:
+                k = c + d * stride
+                if pushed.get(k, -1) < v:
+                    pushed[k] = v
+        best = pushed
+    return {c: 2 * (best[c] - v) for c, v in own.items()}

@@ -24,6 +24,7 @@ from oracle import (
     oracle_materialize,
     oracle_orbits,
     oracle_sz,
+    prefix_cluster_map,
     unfold,
     unshared_derive,
 )
@@ -545,11 +546,34 @@ def oracle_cluster_map(points) -> dict:
     }
 
 
+def forest_closure(cmap) -> dict:
+    """By position j: j and every ancestor of j in the forest `cmap`."""
+    out = {}
+    for j in cmap:
+        # a parent precedes its child, so its closure is already there
+        out[j] = {j} | out[cmap[j][-1]] if len(cmap[j]) == 2 else {j}
+    return out
+
+
 def assert_cluster_map_is_oracle(points) -> None:
+    """`cluster_map` is a forest whose closure is the oracle's relation:
+    each point's parent precedes it, no point's path extends another
+    point's by "f" steps only (the premise of the `pointmodel` docstring's
+    forest argument), the closure is the prefix scan's relation, and that
+    is the oracle's."""
     cmap = cluster_map(points)
     assert list(cmap) == list(range(len(points)))
-    assert all(cmap[j][0] == j and len(set(v)) == len(v) for j, v in cmap.items())
-    assert {j: set(v) for j, v in cmap.items()} == oracle_cluster_map(points)
+    for j, v in cmap.items():
+        assert v == (j,) or (len(v) == 2 and v[0] == j > v[1]), "not one earlier parent"
+    paths = {p.path for p in points}
+    for p in points:
+        k = len(p.path)
+        while k and p.path[k - 1][0] == "f":
+            k -= 1
+            assert p.path[:k] not in paths, "a path extends another by f steps only"
+    reference = {j: set(v) for j, v in prefix_cluster_map(points).items()}
+    assert forest_closure(cmap) == reference
+    assert reference == oracle_cluster_map(points)
 
 
 class TestClusterMap:

@@ -24,6 +24,8 @@ from oracle import (
     oracle_p_local_diam_q,
     oracle_p_sz,
     oracle_points,
+    prefix_cluster_map,
+    push_to_all_local_diams,
     unfold,
 )
 from strategies import fan_sets, fracs
@@ -46,7 +48,6 @@ from szlenk.pointmodel import (
     ProductModel,
     _local_diams,
     _strides,
-    cluster_map,
     derive_product_set,
     derive_set,
     sz_product_set,
@@ -587,7 +588,7 @@ class TestDeriveProductSet:
     @given(fan_sets(2))
     def test_distance_is_norm_difference(self, K):
         pts = oracle_materialize(K)
-        for j, inv in cluster_map(pts).items():
+        for j, inv in prefix_cluster_map(pts).items():
             for i in inv:
                 assert oracle_dist_q(pts[i], pts[j]) == pts[j].norm_q - pts[i].norm_q
 
@@ -670,13 +671,14 @@ class TestDeriveProductSet:
 
 
 def reference_local_diams(model, axes, alive):
-    """The tuple-keyed kernel: the same per-axis push as `_local_diams`, on
-    position tuples, building head + (z,) + tail for every push."""
+    """The tuple-keyed kernel: the push-to-all kernel on position tuples,
+    building head + (z,) + tail for every x whose cluster on the axis holds
+    the value's point (`prefix_cluster_map`)."""
     _, norms = model.scaled_norms
     own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in alive}
     best = own
     for n, a in enumerate(axes):
-        inv = model.cmaps[a]
+        inv = prefix_cluster_map(model.factor_points[a])
         pushed = {}
         for y, v in best.items():
             head, tail = y[:n], y[n + 1 :]
@@ -760,6 +762,62 @@ class TestIntegerCodeKernel:
                 for j, d in got.items():
                     assert d == D * oracle_local_diam_q(orbits[i][j][0], live)
                 alive = derive_set(alive, model, i, eps_q)
+
+
+def codes(model, axes, alive):
+    """The codes over `axes` of position tuples indexed by factor."""
+    strides = _strides(model, axes)
+    return {sum(x[a] * s for a, s in zip(axes, strides)) for x in alive}
+
+
+class TestForestKernel:
+    """`_local_diams` walks each value up the cluster forest until it meets
+    as much; the push-to-all kernel pushes it to every x whose cluster
+    holds it, read off the prefix scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(fan_sets(4 - n), min_size=n, max_size=n)
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from([1, 2, 3, 5]),
+    )
+    def test_matches_push_to_all_on_any_subset(self, bodies, rnd, sparsity):
+        """Random alive subsets of 1-3 factor products, over all axes (in
+        order and reversed) and over one axis at a time."""
+        model = ProductModel.of(bodies)
+        everything = sorted(model.tuples())
+        assume(len(everything) <= 4000)
+        alive = [x for x in everything if rnd.randrange(sparsity) == 0]
+        n = len(bodies)
+        event(f"{n} factors")
+        every = tuple(range(n))
+        for axes in (every, every[::-1], *((i,) for i in every)):
+            sub = codes(model, axes, alive)
+            assert _local_diams(model, axes, sub) == push_to_all_local_diams(model, axes, sub)
+
+    @pytest.mark.parametrize("n, factors", [(40, 1), (8, 2), (4, 3)])
+    def test_no_code_is_raised_twice(self, n, factors):
+        """Walks in decreasing value order: every walk raises codes no
+        other walk raises, and ends at its first code holding as much, so
+        an axis looks up at most two parents per code.  On chains of depth
+        n, where N grows with depth, walks in increasing order would raise
+        every ancestor again."""
+        lookups = [0]
+
+        class Counted(dict):
+            def __getitem__(self, y):
+                lookups[0] += 1
+                return super().__getitem__(y)
+
+        model = ProductModel.of([depth_fan(n, F(1, 2))] * factors)
+        counted = ProductModel(model.factor_points, tuple(map(Counted, model.cmaps)))
+        axes = range(factors)
+        alive = codes(model, axes, model.tuples())
+        got = _local_diams(counted, axes, alive)
+        assert got == push_to_all_local_diams(model, axes, alive)
+        assert lookups[0] <= 2 * factors * len(alive)
 
 
 class TestProductIterationAgainstModel:
@@ -974,6 +1032,25 @@ class TestBqCover:
         assert cover.tuples == tuples
         assert cover.copies == copies
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, (2000, 400, 40)[n - 1]))
+        ),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3), F(7, 4), F(11, 10)]),
+    )
+    def test_scales_are_one_power_per_k(self, n_l, q):
+        """The copies' scales, one ladder with step 1/l, are hi((k/l)^q)
+        from `pow_bounds`, one power per k, up to l in the thousands."""
+        n, l = n_l
+        cover = bq_cover([F1] * n, l, q)
+        k_max = len(cover.copies[0])
+        assert k_max >= l
+        want = tuple(
+            products._as_factor(pow_bounds(F(k, l), q)[1], F1) for k in range(1, k_max + 1)
+        )
+        assert cover.copies == (want,) * n
+
     @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(3, 2)])
     def test_cover_is_down_closed(self, q):
         """bq_member relies on this: lowering any k_i > 1 stays in the cover."""
@@ -1063,14 +1140,16 @@ def walk_terms(factors, eps_q) -> int:
     empty, checking the products module's argument at every step: the
     union of the terms' products is the exact derived set `pu.alive`, and
     every factor set of every term is closed (with y it holds every x with
-    y in C(x), which `cmaps[y]` lists).  Returns the number of steps."""
+    y in C(x), which `prefix_cluster_map` lists).  Returns the number of
+    steps."""
     pu = derive_product_step(factors, eps_q)
+    invs = [prefix_cluster_map(pts) for pts in pu.model.factor_points]
     steps = 1
     while True:
         union = set()
         for term in pu.terms:
             union.update(itertools.product(*term))
-            for G, cmap in zip(term, pu.model.cmaps):
+            for G, cmap in zip(term, invs):
                 assert all(x in G for y in G for x in cmap[y]), "a term's factor set is not closed"
         assert union == pu.alive
         if pu.is_empty():
