@@ -6,13 +6,17 @@ eps_q = 1/2) it times `products.product_sz`, which derives the point set
 and the staircase's terms at every step, and the kernel-only loop: the same
 model build and `pointmodel.sz_product_set`, which derives the point set
 alone.  Both give the same sz.  The ratio is the staircase's cost on top of
-the exact derivation.  Prints one JSON line.
+the exact derivation.  For each one-factor chain of --ones it times the
+model build and the kernel loop (one `derive_set` sequence to the empty
+stage) apart; sz is depth + 1.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
+        [--ones 64 128 256 512 1000]
 
-Three chains at each of --depths (add 24 for the deep end), and four chains
-of depth --four (0 leaves them out).
+Three chains at each of --depths (add 24 for the deep end), four chains
+of depth --four (0 leaves them out), and one chain at each of --ones (none
+by default).
 """
 import argparse
 import json
@@ -24,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from szlenk.fansets import depth_fan  # noqa: E402
-from szlenk.pointmodel import ProductModel, sz_product_set  # noqa: E402
+from szlenk.pointmodel import ProductModel, derive_set, sz_product_set  # noqa: E402
 from szlenk.products import product_sz  # noqa: E402
 
 HALF = Fraction(1, 2)
@@ -62,15 +66,32 @@ def row(factors: int, depth: int, repeats: int) -> dict:
     }
 
 
+def one_row(depth: int, repeats: int) -> dict:
+    """The least model build and kernel loop times of one chain."""
+    chain = depth_fan(depth, HALF)
+    build = loop = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        model = ProductModel.of([chain])
+        built = time.perf_counter()
+        stages = derive_set(frozenset(range(len(model.factor_points[0]))), model, 0, HALF, None)
+        build, loop = min(build, built - start), min(loop, time.perf_counter() - built)
+    if len(stages) - 1 != depth + 1:
+        raise SystemExit(f"d{depth}: sz {len(stages) - 1} != {depth + 1}")
+    return {"depth": depth, "sz": depth + 1, "build_s": round(build, 4), "kernel_s": round(loop, 4)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depths", type=int, nargs="*", default=[8, 12, 16], help="depths of the 3-chain products")
     ap.add_argument("--four", type=int, default=6, help="depth of the 4-chain product (0: none)")
     ap.add_argument("--repeats", type=int, default=1, help="runs per timing; the least is kept")
+    ap.add_argument("--ones", type=int, nargs="*", default=[], help="depths of one-factor chains")
     ns = ap.parse_args()
     sizes = [(3, d) for d in ns.depths] + ([(4, ns.four)] if ns.four else [])
     rows = [row(n, d, ns.repeats) for n, d in sizes]
-    print(json.dumps({"w_q": "1/2", "eps_q": "1/2", "rows": rows}))
+    ones = [one_row(d, ns.repeats) for d in ns.ones]
+    print(json.dumps({"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones}))
     return 0
 
 

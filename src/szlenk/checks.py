@@ -45,6 +45,7 @@ from .pointmodel import (
     cluster_map,
     derive_set,
     iterate_product_set,
+    model_sz,
     sz_product_set,
 )
 from .products import (
@@ -151,55 +152,49 @@ def union_lemma_check(
     else:
         raise InvalidParams("mode must be auto, apex, or disjoint")
     model = ProductModel.of([U])
-    whole = model.tuples()
-    points = model.factor_points[0]
-    pieces = [
-        frozenset(x for x in whole if in_piece(points[x[0]].path, i)) for i in range(n)
-    ]
+    points, weights = model.factor_points[0], model.weights[0]
+    whole = frozenset(range(len(points)))
+    pieces = [frozenset(j for j in whole if in_piece(points[j].path, i)) for i in range(n)]
+
+    def count(positions: frozenset[int]) -> int:
+        return sum(map(weights.__getitem__, positions))
 
     _, hi2 = pow_bounds(Fraction(2), q)
     half_q = eps_q / hi2
     violations: list[str] = []
 
-    # stages[k]: the k-fold eps-derivation of the union; the stagewise walk
-    # takes them in order, and the m*n-fold and one-step sides reuse them
-    stages = [whole]
-    rhs = list(pieces)
+    # three kinds of derivation sequence, one call each: the union at eps
+    # to its empty stage, each piece at eps/2 as far, each piece at eps m
+    # steps; a sequence that empties early stays empty
+    stages = derive_set(whole, model, 0, eps_q, None)
+    last = len(stages) - 1
+    halves = [derive_set(p, model, 0, half_q, last) for p in pieces]
+    fulls = [derive_set(p, model, 0, eps_q, m) for p in pieces]
+
+    def union_at(seqs: list, k: int) -> frozenset[int]:
+        return frozenset().union(*(s[min(k, len(s) - 1)] for s in seqs))
+
+    # stage k of the union against the union of the pieces' stages k at
+    # eps/2, up to the first escape or the empty stage
     half_ok = True
-    alphas = 0
-    while True:
-        lhs = stages[-1]
-        covered = frozenset().union(*rhs) if rhs else frozenset()
-        escaped = lhs - covered
+    for alphas, lhs in enumerate(stages):
+        escaped = lhs - union_at(halves, alphas)
         if escaped:
             half_ok = False
-            violations.append(
-                f"stagewise: alpha={alphas}, {model.count(escaped)} points uncovered"
-            )
+            violations.append(f"stagewise: alpha={alphas}, {count(escaped)} points uncovered")
             break
-        if not lhs:
-            break
-        stages.append(iterate_product_set(lhs, model, eps_q, 1))
-        rhs = [iterate_product_set(r, model, half_q, 1) for r in rhs]
-        alphas += 1
-    while len(stages) <= m * n and stages[-1]:
-        stages.append(iterate_product_set(stages[-1], model, eps_q, 1))
 
-    # an empty last stage stays empty, so it stands for every later stage
-    lhs2 = stages[min(m * n, len(stages) - 1)]
-    firsts = [iterate_product_set(p, model, eps_q, 1) for p in pieces]
-    rhs2 = frozenset().union(
-        *[iterate_product_set(f, model, eps_q, m - 1) for f in firsts]
-    )
+    lhs2 = stages[min(m * n, last)]
+    rhs2 = union_at(fulls, m)
     mn_ok = lhs2 <= rhs2
     if not mn_ok:
         violations.append(
-            f"mn-fold: {model.count(lhs2 - rhs2)} points uncovered at m={m}, n={n}"
+            f"mn-fold: {count(lhs2 - rhs2)} points uncovered at m={m}, n={n}"
         )
 
     comp_eq: Optional[bool] = None
     if mode == "disjoint":
-        comp_eq = stages[min(1, len(stages) - 1)] == frozenset().union(*firsts)
+        comp_eq = stages[min(1, last)] == union_at(fulls, 1)
         if not comp_eq:
             violations.append("componentwise: one-step derivation differs")
 
@@ -267,7 +262,7 @@ def tvl_check(
     if isinstance(K, ProdQ):
         model = ProductModel.of(K.factors)
         sub = ProductModel(
-            tuple(model.factor_points[i] for i in sel), tuple(model.cmaps[i] for i in sel)
+            *(tuple(t[i] for i in sel) for t in (model.factor_points, model.parents, model.weights))
         )
 
         def proj(x):
@@ -278,6 +273,7 @@ def tvl_check(
         points, keep = model.factor_points[0], set(sel)
         kept = [j for j, p in enumerate(points) if p.path[0][1][1] in keep]
         proj_points = [points[j] for j in kept]
+        proj_weights = [model.weights[0][j] for j in kept]
         # a kept point projects to itself, a dropped one to the origin: the
         # kept point of norm 0 (the root of a kept zero-offset component)
         # if there is one, else an added point at path ()
@@ -285,7 +281,11 @@ def tvl_check(
         if origin is None and len(kept) < len(points):
             origin = len(proj_points)
             proj_points.append(_ORIGIN)
-        sub = ProductModel((tuple(proj_points),), (cluster_map(proj_points),))
+            proj_weights.append(1)
+        cmap = cluster_map(proj_points)
+        sub = ProductModel(
+            (tuple(proj_points),), (tuple(cmap[k][-1] for k in cmap),), (tuple(proj_weights),)
+        )
         at = {j: k for k, j in enumerate(kept)}
 
         def proj(x):
@@ -417,7 +417,7 @@ def _grid_steps(
             if j == 0:
                 memo[key] = state
             else:
-                memo[key] = derive_set(state, model, i, threshold(i, j))
+                memo[key] = derive_set(state, model, i, threshold(i, j))[-1]
         return memo[key]
 
     return g, grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
@@ -546,12 +546,9 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
     eta = 0
     for r in range(1, len(comps) + 1):
         for G in itertools.combinations(idx, r):
-            sub = project(K, G)
-            m = ProductModel.of([sub])
-            eta = max(eta, sz_product_set(m.tuples(), m, delta**iq))
+            eta = max(eta, model_sz(project(K, G), delta**iq))
     sig = sigma_qpow(radius_q(K), eps, delta, q)
-    whole = ProductModel.of([K])
-    sz = sz_product_set(whole.tuples(), whole, eps**iq)
+    sz = model_sz(K, eps**iq)
     passed = sz <= eta * sig
     detail = (
         f"n={len(comps)} q={q} eps={eps} delta={delta} "

@@ -159,9 +159,9 @@ FanSet = Union[Sing, Fan, UnionApex, Scale, ProdQ, DisjUnion]
 
 def scaled(a_q: Fraction, body: Optional[FanSet]) -> Optional[FanSet]:
     """Scale with the obvious normalizations (Sing fixed, factors merged)."""
-    a_q = Fraction(a_q)
     if body is None or isinstance(body, Sing):
         return body
+    a_q = Fraction(a_q)
     if a_q == 1:
         return body
     if isinstance(body, Scale):

@@ -33,9 +33,28 @@ step beyond x: a tail step, and p is in C(x).  `checks.tvl_check` reads
 a subset of these points, plus an origin at path () when no kept point
 has norm 0; that origin is a root and nobody's parent, since a tail step
 below it would follow a kept `Fan` point of norm 0 on an all-"f" path.
-So `cluster_map` keeps one parent per point, found by one walk back along
-its path that stops at the first prefix it looks up with success.
-Positions are in pre-order, so p < y.
+
+So the model keeps one parent per point, and `materialize` hands it out
+during its pre-order walk, which carries down the parent that a point at
+the current node gets (none at the root).  A point takes the carried
+parent, or itself when there is none (a root).  Below a point x, the
+first step that is not a fan selector is a copy step: a "t" step makes x
+the parent, and a "p" step passes on x's own parent.  Every other step,
+a `DisjUnion` component step included, passes the carried parent
+through.  That is the nearest cluster parent, by the premise above: the
+copy step right below x is the first non-"f" step beyond x of every path
+below it, so it decides whether those points are in C(x).  For a path
+through a "t" step, x is the longest candidate, since a point between
+them would extend x's path by an "f" step only.  For a path through a "p"
+step, x is no candidate, and every shorter one meets the same first
+non-"f" step on x's path as on y's, so y's candidates are x's and so is
+the nearest of them.  A component step is never the first non-"f" step
+beyond a point, so it changes no candidate.  Positions are in pre-order,
+so p < y.  The same walk hands out each point's orbit size (below) and
+adds each fan's width once per fan, not once per copy.  `cluster_map`
+finds the same parents with one walk back along each path, for point
+lists that no walk made (`checks.tvl_check`'s projection); the
+benchmark's tracer (perfbench/tracing.py) wraps it by that name.
 
 The orbit argument.  Swapping the two copies of one tail is an isometry of
 the two-copy model that maps paths to paths step kind by step kind, so it
@@ -67,9 +86,10 @@ One model serves sets and products: a set is the one-factor product
 ``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
 tuple of positions, one per factor, into that factor's `factor_points`;
 alive sets, staircase terms and factor states all hold positions, and
-`Point` exists only at the boundary (`materialize` builds it,
-`cluster_map` reads its path).  Clusters multiply componentwise and
-distances^q add across the disjoint factor groups, and a product point's
+`Point` exists only at the boundary (`materialize` builds it, and
+`checks` and `cluster_map` read its path).  Clusters multiply
+componentwise and distances^q add across the disjoint factor groups, and
+a product point's
 orbit is the product of its factors' orbits.  So the largest N over
 the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
 time, and on one axis a max over a subtree of that factor's forest.  One
@@ -84,17 +104,22 @@ axis) and of one factor's points (`derive_set`, one axis), and gives
 one integer, its mixed-radix code sum_n j_n * stride_n (`_strides`), so a
 step adds (p - y) * stride to a code instead of building a tuple.
 A one-axis code is the position itself, so `derive_set` and the staircase
-pass positions straight in; `derive_product_set` encodes its position
-tuples once per step and decodes the survivors.
+pass positions straight in.
+
+A derivation sequence is one call: `derive_product_set` and `derive_set`
+return the stages alive, its derivation, and so on, for m steps or up to
+the first empty stage.  The call takes the bar once and, on a product,
+encodes the position tuples once and decodes each stage; the model builds
+each axis layout that the kernel reads once (`ProductModel.layout`).  The
+model gets its parents, orbit sizes and integer norms when it is built.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .calculus import InvalidParams
 from .fansets import (
@@ -115,41 +140,66 @@ class Point:
     norm_q: Fraction
 
 
-def materialize(F: FanSet) -> tuple[Point, ...]:
-    """One point per mirror orbit of a non-product fan set: every
-    omega-tail is walked once, as its copy ("t", 0)."""
+# the walk's starting N and scale; a sum or product with one of these
+# objects (identity, not value) is skipped
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def materialize(
+    F: FanSet, parents: Optional[list[int]] = None, weights: Optional[list[int]] = None
+) -> tuple[Point, ...]:
+    """One point per mirror orbit of a non-product fan set, in pre-order:
+    every omega-tail is walked once, as its copy ("t", 0).  The walk
+    appends to `parents` each point's nearest cluster parent (itself for a
+    root) and to `weights` its orbit size, by position; it keeps its own
+    stack, so depth costs no recursion."""
     if isinstance(F, ProdQ):
         raise OutsideExactFragment("materialize products factor by factor")
     out: list[Point] = []
-
-    def copies(f: Fan, path: tuple, norm: Fraction, s: Fraction) -> None:
-        w = f.w_q * s
-        for i, c in enumerate(f.prefix):
-            go(c, path + (("p", ("pre", i)),), norm + w, s)
-        go(f.tail, path + (("t", 0),), norm + w, s)
-
-    def go(node: FanSet, path: tuple, norm: Fraction, s: Fraction) -> None:
-        if isinstance(node, Sing):
-            out.append(Point(path, norm))
-        elif isinstance(node, Fan):
-            out.append(Point(path, norm))
-            copies(node, path, norm, s)
+    parents = [] if parents is None else parents
+    weights = [] if weights is None else weights
+    # a frame: node, path, N, scale, the parent a point here gets (None:
+    # none, a root) and the orbit size of a point here; frames are pushed
+    # in reverse, so they pop in pre-order
+    stack: list[tuple] = [(F, (), _ZERO, _ONE, None, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, path, norm, s, up, w = pop()
+        if isinstance(node, Fan):
+            fans: Sequence[tuple[tuple, Fan]] = ((path, node),)
+        elif isinstance(node, Sing):
+            fans = ()
         elif isinstance(node, UnionApex):
-            out.append(Point(path, norm))
-            for i, f in enumerate(node.fans):
-                copies(f, path + (("f", ("fan", i)),), norm, s)
+            fans = [(path + (("f", ("fan", i)),), f) for i, f in enumerate(node.fans)]
         elif isinstance(node, Scale):
-            go(node.body, path, norm, s * node.a_q)
+            push((node.body, path, norm, s * node.a_q, up, w))
+            continue
         elif isinstance(node, DisjUnion):
-            for i, (off, b) in enumerate(node.components):
+            for i in range(len(node.components) - 1, -1, -1):
+                off, b = node.components[i]
                 if off > 0:
-                    go(b, path + (("p", ("comp", i)),), norm + off * s, s)
+                    shift = off if s is _ONE else off * s
+                    if norm is not _ZERO:
+                        shift += norm
+                    push((b, path + (("p", ("comp", i)),), shift, s, up, w))
                 else:
-                    go(b, path + (("f", ("comp", i)),), norm, s)
+                    push((b, path + (("f", ("comp", i)),), norm, s, up, w))
+            continue
         else:
             raise MalformedFanSet(f"not a fan set: {node!r}")
-
-    go(F, (), Fraction(0), Fraction(1))
+        j = len(out)
+        out.append(Point(path, norm))
+        parents.append(j if up is None else up)
+        weights.append(w)
+        for fpath, f in reversed(fans):
+            # every copy of the fan sits at N plus its width, each on an
+            # axis of its own: one sum per fan
+            nw = f.w_q if s is _ONE else f.w_q * s
+            if norm is not _ZERO:
+                nw += norm
+            push((f.tail, fpath + (("t", 0),), nw, s, j, 2 * w))
+            for i in range(len(f.prefix) - 1, -1, -1):
+                push((f.prefix[i], fpath + (("p", ("pre", i)),), nw, s, up, w))
     return tuple(out)
 
 
@@ -159,28 +209,41 @@ ENUMERATION_LIMIT = 200_000
 
 
 def count_points(F: FanSet) -> int:
-    """len(materialize(F)), by the same recursion without building points."""
-    if isinstance(F, Sing):
-        return 1
-    if isinstance(F, Fan):
-        return 1 + sum(map(count_points, F.prefix)) + count_points(F.tail)
-    if isinstance(F, UnionApex):
-        return 1 + sum(count_points(f) - 1 for f in F.fans)
-    if isinstance(F, Scale):
-        return count_points(F.body)
-    if isinstance(F, DisjUnion):
-        return sum(count_points(b) for _, b in F.components)
-    if isinstance(F, ProdQ):
-        raise OutsideExactFragment("materialize products factor by factor")
-    raise MalformedFanSet(f"not a fan set: {F!r}")
+    """len(materialize(F)), by the same walk without building points."""
+    n, stack = 0, [F]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sing):
+            n += 1
+        elif isinstance(node, Fan):
+            n += 1
+            stack += node.prefix
+            stack.append(node.tail)
+        elif isinstance(node, UnionApex):
+            n += 1
+            for f in node.fans:
+                stack += f.prefix
+                stack.append(f.tail)
+        elif isinstance(node, Scale):
+            stack.append(node.body)
+        elif isinstance(node, DisjUnion):
+            stack += (b for _, b in node.components)
+        elif isinstance(node, ProdQ):
+            raise OutsideExactFragment("materialize products factor by factor")
+        else:
+            raise MalformedFanSet(f"not a fan set: {node!r}")
+    return n
 
 
 def cluster_map(points: Sequence[Point]) -> dict[int, tuple[int, ...]]:
-    """The cluster forest, by position j: (j, p) with p the nearest cluster
-    parent of points[j], the x with the longest path such that points[j]
-    is in C(x), or (j,) for a root (y is in C(x) iff x's path is a proper
-    prefix of y's and the first non-"f" step of y's beyond it is a "t"
-    step).  Paths must be unique and positions in pre-order."""
+    """The cluster forest of a point list, read off the paths: by position
+    j, (j, p) with p the nearest cluster parent of points[j], the x with
+    the longest path such that points[j] is in C(x), or (j,) for a root (y
+    is in C(x) iff x's path is a proper prefix of y's and the first non-"f"
+    step of y's beyond it is a "t" step).  Paths must be unique and
+    positions in pre-order.  `materialize` hands out the same parents;
+    this serves point lists that no walk made (`checks.tvl_check`'s
+    projection)."""
     at = {p.path: j for j, p in enumerate(points)}
     assert len(at) == len(points), "cluster_map needs unique paths"
     out = {}
@@ -202,13 +265,29 @@ PPoint = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Materialized factors of a product plus their cluster maps; a set is
-    the one-factor product.  Points are orbit representatives, and a count
-    of points means the two-copy model's count (`count`)."""
+    """Materialized factors of a product with their cluster forests and
+    orbit sizes; a set is the one-factor product.  Points are orbit
+    representatives, and a count of points means the two-copy model's
+    count (`count`)."""
 
     factor_points: tuple[tuple[Point, ...], ...]
-    # per factor, the cluster forest of its points (`cluster_map`)
-    cmaps: tuple[dict[int, tuple[int, ...]], ...]
+    # per factor, by position: the nearest cluster parent (itself for a root)
+    parents: tuple[tuple[int, ...], ...]
+    # per factor, by position: the size of the point's mirror orbit
+    weights: tuple[tuple[int, ...], ...]
+    # a common denominator D of the points' norms^q, and per factor, by
+    # position, each point's norm^q times D (an integer)
+    scaled_norms: tuple[int, tuple[tuple[int, ...], ...]] = field(init=False)
+    # the kernel's per-axis tables, by the axes they serve (`layout`)
+    _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        D = math.lcm(*(p.norm_q.denominator for pts in self.factor_points for p in pts))
+        norms = tuple(
+            tuple(p.norm_q.numerator * (D // p.norm_q.denominator) for p in pts)
+            for pts in self.factor_points
+        )
+        object.__setattr__(self, "scaled_norms", (D, norms))
 
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
@@ -217,20 +296,17 @@ class ProductModel:
             raise InvalidParams(
                 f"product enumeration too large ({size} orbits, limit {ENUMERATION_LIMIT})"
             )
-        pts = tuple(materialize(f) for f in factors)
-        return ProductModel(pts, tuple(cluster_map(p) for p in pts))
+        points, parents, weights = [], [], []
+        for f in factors:
+            up: list[int] = []
+            w: list[int] = []
+            points.append(materialize(f, up, w))
+            parents.append(tuple(up))
+            weights.append(tuple(w))
+        return ProductModel(tuple(points), tuple(parents), tuple(weights))
 
     def tuples(self) -> frozenset[PPoint]:
         return frozenset(itertools.product(*(range(len(p)) for p in self.factor_points)))
-
-    @cached_property
-    def weights(self) -> tuple[tuple[int, ...], ...]:
-        """Per factor, by position, the size of the point's mirror orbit:
-        2 ** (the number of "t" steps on its path)."""
-        return tuple(
-            tuple(1 << sum(1 for kind, _ in p.path if kind == "t") for p in pts)
-            for pts in self.factor_points
-        )
 
     def weight(self, x: PPoint) -> int:
         """The size of x's mirror orbit: the product of its factors'."""
@@ -242,16 +318,6 @@ class ProductModel:
 
     def norm_q(self, x: PPoint) -> Fraction:
         return sum((pts[j].norm_q for pts, j in zip(self.factor_points, x)), Fraction(0))
-
-    @cached_property
-    def scaled_norms(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """A common denominator D of the factor points' norms^q, and per
-        factor, by position, each point's norm^q times D (an integer)."""
-        D = math.lcm(*(p.norm_q.denominator for pts in self.factor_points for p in pts))
-        return D, tuple(
-            tuple(p.norm_q.numerator * (D // p.norm_q.denominator) for p in pts)
-            for pts in self.factor_points
-        )
 
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
@@ -265,6 +331,18 @@ class ProductModel:
         if num <= 0:
             raise InvalidParams("eps_q must be positive")
         return num * self.scaled_norms[0] // eps_q.denominator
+
+    def layout(self, axes: Sequence[int]) -> list[tuple]:
+        """What `_local_diams` reads of each axis in `axes`: (N times D by
+        position, parents by position, stride, size), built once per axes."""
+        got = self._layouts.get(axes)
+        if got is None:
+            norms = self.scaled_norms[1]
+            got = self._layouts[axes] = [
+                (norms[a], self.parents[a], stride, len(norms[a]))
+                for a, stride in zip(axes, _strides(self, axes))
+            ]
+        return got
 
 
 def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:
@@ -300,22 +378,19 @@ def _local_diams(
     twice.  After the last axis each point holds the max over its whole
     product cluster.  On codes a step adds (parent - y) * stride_a.
     """
-    _, norms = model.scaled_norms
-    layout = [
-        (norms[a], model.cmaps[a], stride, len(norms[a]))
-        for a, stride in zip(axes, _strides(model, axes))
-    ]
-    own = dict.fromkeys(alive, 0)
-    for norm, _, stride, size in layout:
+    layout = model.layout(axes)
+    norm, _, _, size = layout[0]  # the first axis has stride 1
+    own = {c: norm[c % size] for c in alive}
+    for norm, _, stride, size in layout[1:]:
         for c in own:
             own[c] += norm[c // stride % size]
     best = own.copy()
     get = best.get
-    for _, cmap, stride, size in layout:
+    for _, parent, stride, size in layout:
         for c in sorted(best, key=get, reverse=True):
             v, y = best[c], c // stride % size
             while True:
-                p = cmap[y][-1]
+                p = parent[y]
                 c += (p - y) * stride
                 if get(c, -1) >= v:
                     break
@@ -323,52 +398,64 @@ def _local_diams(
     return {c: 2 * (best[c] - v) for c, v in own.items()}
 
 
-def derive_product_set(
-    alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
-) -> frozenset[PPoint]:
-    """One exact derivation step on an alive subset of the product: x
-    survives iff its local diameter^q exceeds eps_q (`_local_diams` on
-    every axis)."""
+def _derive_codes(
+    model: ProductModel, axes: tuple[int, ...], codes: list[int], eps_q: Fraction, m: Optional[int]
+) -> list[list[int]]:
+    """codes over `axes`, then the codes of each derivation of the last
+    stage: m steps, or fewer if a stage is empty (m = None: until one is).
+    The bar is taken once for the whole sequence."""
     bar = model.scaled_bar(eps_q)
-    axes = range(len(model.factor_points))
+    steps = math.inf if m is None else m
+    out = [codes]
+    while codes and len(out) <= steps:
+        codes = [c for c, d in _local_diams(model, axes, codes).items() if d > bar]
+        out.append(codes)
+    return out
+
+
+def derive_product_set(
+    alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: Optional[int] = 1
+) -> list[frozenset[PPoint]]:
+    """The derivation sequence of an alive subset of the product: alive,
+    then each exact derivation step of the last stage, for m steps or until
+    a stage is empty (m = None: until then).  x survives a step iff its
+    local diameter^q exceeds eps_q (`_local_diams` on every axis).  The
+    tuples are encoded once for the whole sequence."""
+    axes = tuple(range(len(model.factor_points)))
     points = list(alive)
     codes = [0] * len(points)
     for n, stride in enumerate(_strides(model, axes)):
         codes = [c + x[n] * stride for c, x in zip(codes, points)]
     by_code = dict(zip(codes, points))
-    return frozenset(by_code[c] for c, d in _local_diams(model, axes, by_code).items() if d > bar)
+    stages = _derive_codes(model, axes, codes, eps_q, m)
+    return [alive, *(frozenset(map(by_code.__getitem__, s)) for s in stages[1:])]
 
 
 def derive_set(
-    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction
-) -> frozenset[int]:
-    """One exact derivation step on a set of factor i's positions."""
-    bar = model.scaled_bar(eps_q)
-    return frozenset(j for j, d in _local_diams(model, (i,), alive).items() if d > bar)
+    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: Optional[int] = 1
+) -> list[frozenset[int]]:
+    """The derivation sequence of a set of factor i's positions, as
+    `derive_product_set` gives it (a one-axis code is the position)."""
+    stages = _derive_codes(model, (i,), list(alive), eps_q, m)
+    return [alive, *map(frozenset, stages[1:])]
 
 
 def iterate_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: int
 ) -> frozenset[PPoint]:
-    for _ in range(m):
-        if not alive:
-            break
-        alive = derive_product_set(alive, model, eps_q)
-    return alive
+    """The m-fold derivation of an alive subset of the product."""
+    return derive_product_set(alive, model, eps_q, m)[-1]
 
 
 def sz_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> int:
     """Least m with the m-fold derivation empty (1 for a nonempty dead set)."""
-    count = 0
-    while alive:
-        alive = derive_product_set(alive, model, eps_q)
-        count += 1
-    return max(count, 1)
+    return max(len(derive_product_set(alive, model, eps_q, None)) - 1, 1)
 
 
 def model_sz(F: FanSet, eps_q: Fraction) -> int:
     """sz_eps of a non-product fan set on its one-factor model."""
     model = ProductModel.of([F])
-    return sz_product_set(model.tuples(), model, eps_q)
+    whole = frozenset(range(len(model.factor_points[0])))
+    return max(len(derive_set(whole, model, 0, eps_q, None)) - 1, 1)

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -413,7 +413,7 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     the exact point-set derivation of the whole union; the two agree by the
     module docstring's argument.
     """
-    alive = derive_product_set(pu.alive, pu.model, eps_q)
+    alive = derive_product_set(pu.alive, pu.model, eps_q)[-1]
     table, bar = pu.table, pu.model.scaled_bar(eps_q)
     raw = [
         t
@@ -518,10 +518,22 @@ class BqCover:
     # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
     # from one power ladder for all k
     copies: tuple[tuple[FanSet, ...], ...]
+    # by denominator, its table of least absorbing k (`least`)
+    _least: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def tuple_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.tuples)
+
+    def least(self, den: int) -> "_LeastScales":
+        """The cover's table of least absorbing k for scales s/den, one per
+        denominator."""
+        got = self._least.get(den)
+        if got is None:
+            if den < 1:
+                raise InvalidParams("scales must lie in [0, 1]")
+            got = self._least[den] = _LeastScales(self.l, den)
+        return got
 
     @cached_property
     def products(self) -> tuple[tuple[FanSet, ...], ...]:
@@ -529,6 +541,22 @@ class BqCover:
         return tuple(
             tuple(c[ki - 1] for c, ki in zip(self.copies, k)) for k in self.tuples
         )
+
+
+class _LeastScales(dict):
+    """By scale s in [0, den], the least k >= 1 with s/den <= k/l, that is
+    max(1, ceil(s * l / den)), each entry made on its first lookup; a scale
+    outside [0, den] is a KeyError."""
+
+    def __init__(self, l: int, den: int) -> None:
+        super().__init__()
+        self.l, self.den = l, den
+
+    def __missing__(self, s: int) -> int:
+        if not 0 <= s <= self.den:
+            raise KeyError(s)
+        k = self[s] = max(1, -(-s * self.l // self.den))
+        return k
 
 
 def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
@@ -587,8 +615,11 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     k_max, u = len(lo_d) - 1, q.numerator
     den, gap = (l**u, 0) if q.denominator == 1 else (R, 1)
     lo_s = _power_floors(Fraction(1, l), q, den, Fraction(k_max) ** u, k_max)
+    # every scale is positive and every factor passed the ProdQ check above,
+    # so each copy is one `scaled`
     scales = [Fraction(x + gap, den) for x in lo_s[1:]]
-    copies = tuple(tuple(_as_factor(a_q, K) for a_q in scales) for K in factors)
+    assert scales[0] > 0
+    copies = tuple(tuple(scaled(a_q, K) for a_q in scales) for K in factors)
     return BqCover(l, q, n, tuple(p for p, _ in rows), copies)
 
 
@@ -604,12 +635,14 @@ def bq_member(
     their points), and absorbs it trivially when x_i = 0.  The least
     absorbing tuple is k_i = max(1, ceil(a_i * l)) for nonzero x_i and 1
     otherwise; a cover from `bq_cover` is down-closed (its lower power
-    bounds grow with k_i), so the point is covered iff that tuple is in it."""
+    bounds grow with k_i), so the point is covered iff that tuple is in it.
+    Each k_i is read from the cover's table for den (`BqCover.least`),
+    which also refuses a scale outside [0, den]."""
     if len(scales) != cover.n or len(nonzero) != cover.n:
         raise InvalidParams("point arity does not match the cover")
-    if den < 1 or min(scales) < 0 or max(scales) > den:
-        raise InvalidParams("scales must lie in [0, 1]")
-    least = tuple(
-        max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
-    )
-    return least in cover.tuple_set
+    least = cover.least(den)
+    try:
+        ks = [least[s] for s in scales]
+    except KeyError:
+        raise InvalidParams("scales must lie in [0, 1]") from None
+    return tuple([k if nz else 1 for k, nz in zip(ks, nonzero)]) in cover.tuple_set

@@ -21,6 +21,13 @@ cluster forest: every x whose cluster holds y, found by looking up every
 prefix of y's path, and each value pushed to all of them at once, as the
 references for `cluster_map`'s forest and the one-edge `_local_diams`.
 
+The `reference_*` functions at the end keep what the model build, the
+derivation sequences, `union_lemma_check` and `bq_member` were before each
+became one walk or one call: a recursive materializer with weights counted
+off the paths and parents from `cluster_map`'s prefix scan, one
+`derive_product_set` call per step, the union check on position tuples,
+and the least absorbing tuple computed per coordinate.
+
 The engine materializes one point per mirror orbit (every tail step taken
 as copy ("t", 0)), carrying only a path and a norm, and its alive sets hold
 positions.  `oracle_orbits` groups the oracle's points by the engine
@@ -31,9 +38,13 @@ oracle points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from szlenk.calculus import InvalidParams
+from szlenk.checks import UnionLemmaReport
+from szlenk.exactmath import pow_bounds
 from szlenk.fansets import (
     DisjUnion,
     Fan,
@@ -47,7 +58,7 @@ from szlenk.fansets import (
     radius_q,
     scaled,
 )
-from szlenk.pointmodel import _strides
+from szlenk.pointmodel import Point, ProductModel, _strides, cluster_map, derive_product_set
 
 
 @dataclass(frozen=True)
@@ -328,3 +339,172 @@ def push_to_all_local_diams(model, axes, alive) -> dict[int, int]:
                     pushed[k] = v
         best = pushed
     return {c: 2 * (best[c] - v) for c, v in own.items()}
+
+
+# -- the point model's replaced implementations -----------------------------
+
+
+def reference_materialize(F) -> tuple[Point, ...]:
+    """The points of `materialize` by two mutually recursive walks (two
+    frames per level), each copy adding its fan's width to the parent's
+    norm on its own."""
+    if isinstance(F, ProdQ):
+        raise OutsideExactFragment("materialize products factor by factor")
+    out: list[Point] = []
+
+    def copies(f: Fan, path: tuple, norm: Fraction, s: Fraction) -> None:
+        w = f.w_q * s
+        for i, c in enumerate(f.prefix):
+            go(c, path + (("p", ("pre", i)),), norm + w, s)
+        go(f.tail, path + (("t", 0),), norm + w, s)
+
+    def go(node, path: tuple, norm: Fraction, s: Fraction) -> None:
+        if isinstance(node, Sing):
+            out.append(Point(path, norm))
+        elif isinstance(node, Fan):
+            out.append(Point(path, norm))
+            copies(node, path, norm, s)
+        elif isinstance(node, UnionApex):
+            out.append(Point(path, norm))
+            for i, f in enumerate(node.fans):
+                copies(f, path + (("f", ("fan", i)),), norm, s)
+        elif isinstance(node, Scale):
+            go(node.body, path, norm, s * node.a_q)
+        elif isinstance(node, DisjUnion):
+            for i, (off, b) in enumerate(node.components):
+                if off > 0:
+                    go(b, path + (("p", ("comp", i)),), norm + off * s, s)
+                else:
+                    go(b, path + (("f", ("comp", i)),), norm, s)
+        else:
+            raise MalformedFanSet(f"not a fan set: {node!r}")
+
+    go(F, (), Fraction(0), Fraction(1))
+    return tuple(out)
+
+
+def reference_parents(points) -> list[int]:
+    """`cluster_map`'s forest as a parent list, a root its own parent."""
+    cmap = cluster_map(points)
+    return [cmap[j][-1] for j in range(len(points))]
+
+
+def reference_weights(points) -> list[int]:
+    """Orbit sizes counted off the paths: 2 ** (the number of "t" steps)."""
+    return [1 << sum(1 for kind, _ in p.path if kind == "t") for p in points]
+
+
+def reference_norms(factor_points) -> tuple[int, list[list[int]]]:
+    """The least common denominator D of the points' norms^q, and each
+    norm^q times D."""
+    D = 1
+    for pts in factor_points:
+        for p in pts:
+            D = math.lcm(D, p.norm_q.denominator)
+    return D, [[int(p.norm_q * D) for p in pts] for pts in factor_points]
+
+
+def reference_stages(alive, model, eps_q, m=None) -> list:
+    """alive and its derivations, one one-step `derive_product_set` call per
+    step (each encoding the tuples and taking the bar afresh): m steps, or
+    up to the first empty stage (m = None: until then, which takes at most
+    len(alive) steps, since every step drops the points of largest N)."""
+    stages = [alive]
+    for _ in range(len(alive) if m is None else m):
+        if not stages[-1]:
+            break
+        stages.append(derive_product_set(stages[-1], model, eps_q)[-1])
+    return stages
+
+
+def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
+    """`checks.union_lemma_check` on position tuples, deriving one step at
+    a time in lockstep: the union at eps and the pieces at eps/2 while the
+    stagewise walk lasts, the union on to the m*n-th stage, and each piece
+    once and then m - 1 more times."""
+    eps_q, q = Fraction(eps_q), Fraction(q)
+    if n != len(Ks) or n < 1:
+        raise InvalidParams("n must equal the number of sets")
+    if m < 1:
+        raise InvalidParams("m must be >= 1")
+    if eps_q <= 0:
+        raise InvalidParams("eps_q must be positive")
+    if q < 1:
+        raise InvalidParams("q must be >= 1")
+    for K in Ks:
+        if isinstance(K, ProdQ):
+            raise OutsideExactFragment("union pieces must be non-product sets")
+    if mode == "auto":
+        mode = "apex" if all(isinstance(K, Fan) for K in Ks) else "disjoint"
+    if mode == "apex":
+        if not all(isinstance(K, Fan) for K in Ks):
+            raise OutsideExactFragment(
+                "an apex-glued union needs Fan pieces (they must share the apex)"
+            )
+        U = UnionApex(tuple(Ks))
+
+        def in_piece(path, i):
+            return path[:1] == (("f", ("fan", i)),) or path == ()
+
+    elif mode == "disjoint":
+        U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
+
+        def in_piece(path, i):
+            return path[:1] == (("p", ("comp", i)),)
+
+    else:
+        raise InvalidParams("mode must be auto, apex, or disjoint")
+    model = ProductModel.of([U])
+    whole = model.tuples()
+    points = model.factor_points[0]
+    pieces = [frozenset(x for x in whole if in_piece(points[x[0]].path, i)) for i in range(n)]
+
+    def iterate(alive, e, k):
+        return reference_stages(alive, model, e, k)[-1]
+
+    _, hi2 = pow_bounds(Fraction(2), q)
+    half_q = eps_q / hi2
+    violations = []
+    stages = [whole]
+    rhs = list(pieces)
+    half_ok = True
+    alphas = 0
+    while True:
+        lhs = stages[-1]
+        escaped = lhs - frozenset().union(*rhs)
+        if escaped:
+            half_ok = False
+            violations.append(f"stagewise: alpha={alphas}, {model.count(escaped)} points uncovered")
+            break
+        if not lhs:
+            break
+        stages.append(iterate(lhs, eps_q, 1))
+        rhs = [iterate(r, half_q, 1) for r in rhs]
+        alphas += 1
+    while len(stages) <= m * n and stages[-1]:
+        stages.append(iterate(stages[-1], eps_q, 1))
+    lhs2 = stages[min(m * n, len(stages) - 1)]
+    firsts = [iterate(p, eps_q, 1) for p in pieces]
+    rhs2 = frozenset().union(*[iterate(f, eps_q, m - 1) for f in firsts])
+    mn_ok = lhs2 <= rhs2
+    if not mn_ok:
+        violations.append(f"mn-fold: {model.count(lhs2 - rhs2)} points uncovered at m={m}, n={n}")
+    comp_eq = None
+    if mode == "disjoint":
+        comp_eq = stages[min(1, len(stages) - 1)] == frozenset().union(*firsts)
+        if not comp_eq:
+            violations.append("componentwise: one-step derivation differs")
+    return UnionLemmaReport(mode, half_ok, mn_ok, comp_eq, alphas, tuple(violations))
+
+
+def reference_bq_member(scales, den, nonzero, cover) -> bool:
+    """`products.bq_member` with the least absorbing tuple computed per
+    coordinate, max(1, ceil(a_i * l)) for a nonzero x_i and 1 otherwise."""
+    if len(scales) != cover.n or len(nonzero) != cover.n:
+        raise InvalidParams("point arity does not match the cover")
+    if den < 1 or min(scales) < 0 or max(scales) > den:
+        raise InvalidParams("scales must lie in [0, 1]")
+    least = tuple(
+        max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
+    )
+    return least in cover.tuple_set

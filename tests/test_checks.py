@@ -1,9 +1,15 @@
 """Tests for the containment checks and the verification suites."""
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from szlenk import checks
+from oracle import reference_union_lemma_check
+from strategies import fan_sets, fracs
+from szlenk import checks, pointmodel
 from szlenk.calculus import InvalidParams
 from szlenk.checks import (
     SUITES,
@@ -14,6 +20,7 @@ from szlenk.checks import (
     _column_states,
     _grid_instance,
     _grid_steps,
+    _union_instance,
     run_suite,
     tvl_check,
     union_lemma_check,
@@ -62,13 +69,13 @@ class TestUnionLemmaCheck:
         every stage they need."""
         Ks = [depth_fan(3, F(1, 2)), F1]
         clean = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
-        real = checks.iterate_product_set
+        real = checks.derive_set
 
-        def starved(alive, model, eps_q, m):
+        def starved(alive, model, i, eps_q, m=1):
             # the (eps/2)-side empties, so stage 1 of the union escapes
-            return frozenset() if eps_q < F(1, 2) else real(alive, model, eps_q, m)
+            return [alive, frozenset()] if eps_q < F(1, 2) else real(alive, model, i, eps_q, m)
 
-        monkeypatch.setattr(checks, "iterate_product_set", starved)
+        monkeypatch.setattr(checks, "derive_set", starved)
         rep = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
         assert clean.ok
         assert rep.half_alphas == 1 and len(rep.violations) == 1
@@ -102,6 +109,65 @@ class TestUnionLemmaCheck:
         rep = union_lemma_check([F1], F(1, 2), 1, 1)
         assert isinstance(rep, UnionLemmaReport)
         assert rep == union_lemma_check([F1], F(1, 2), 1, 1)
+
+
+_KERNEL = pointmodel._local_diams
+
+
+def faulty_local_diams(model, axes, alive):
+    """A broken kernel for the comparisons below: a set without position 0
+    loses every reach, and one with it gets thrice its reach.  Points of
+    reach 0 still die, so every sequence still empties."""
+    got = _KERNEL(model, axes, alive)
+    return {c: 3 * d if 0 in got else 0 for c, d in got.items()}
+
+
+def union_cases():
+    """Random union instances of both modes: apex-glued fans, or
+    components of any shape at positive offsets."""
+    fans = st.builds(Fan, fracs(), st.lists(fan_sets(1), max_size=2).map(tuple), fan_sets(1))
+    return st.one_of(
+        st.tuples(st.just("apex"), st.lists(fans, min_size=1, max_size=3)),
+        st.tuples(st.just("disjoint"), st.lists(fan_sets(2), min_size=1, max_size=3)),
+    )
+
+
+class TestUnionAgainstReference:
+    """`union_lemma_check` (positions, three derivation sequences) against
+    the tuple-based check that derived one step at a time (tests/oracle.py):
+    the whole report, violation strings included, with the real kernel and
+    with a broken one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        union_cases(),
+        fracs(max_num=2, max_den=4),
+        st.integers(1, 3),
+        st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]),
+        st.booleans(),
+    )
+    def test_reports_match(self, case, eps_q, m, q, broken):
+        mode, Ks = case
+        args = (Ks, eps_q, m, len(Ks), q, mode)
+        kernel = faulty_local_diams if broken else _KERNEL
+        with mock.patch.object(pointmodel, "_local_diams", kernel):
+            got = union_lemma_check(*args)
+            want = reference_union_lemma_check(*args)
+        event(f"{mode}, {'broken' if broken else 'real'} kernel, {len(got.violations)} violations")
+        assert got == want
+
+    def test_suite_instances_with_a_broken_kernel(self):
+        """The suites' own instances (cases 0..199 of seed 1): under the
+        broken kernel every kind of violation occurs, and both checks
+        report the same."""
+        kinds: Counter = Counter()
+        with mock.patch.object(pointmodel, "_local_diams", faulty_local_diams):
+            for index in range(200):
+                args = _union_instance(case_rng(1, index))
+                got = union_lemma_check(*args)
+                assert got == reference_union_lemma_check(*args), index
+                kinds.update(v.split(":")[0] for v in got.violations)
+        assert set(kinds) == {"stagewise", "mn-fold", "componentwise"}
 
 
 class TestTvlCheck:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import signal
 import sys
 import time
@@ -25,6 +26,10 @@ from oracle import (
     oracle_orbits,
     oracle_sz,
     prefix_cluster_map,
+    reference_materialize,
+    reference_norms,
+    reference_parents,
+    reference_weights,
     unfold,
     unshared_derive,
 )
@@ -663,29 +668,100 @@ def unions_and_groups(draw):
     return K, sorted(groups)
 
 
+def assert_model_is_reference(model: ProductModel, factor_points) -> None:
+    """The model holds these points, with the prefix scan's parents, the
+    weights counted off the paths and the norms^q over their least common
+    denominator."""
+    assert model.factor_points == tuple(map(tuple, factor_points))
+    assert model.parents == tuple(tuple(reference_parents(p)) for p in factor_points)
+    assert model.weights == tuple(tuple(reference_weights(p)) for p in factor_points)
+    D, norms = reference_norms(factor_points)
+    assert model.scaled_norms == (D, tuple(map(tuple, norms)))
+
+
+def projected_models(K, groups) -> list[ProductModel]:
+    """The models tvl_check derives: K's, then its projection's."""
+    seen = []
+    real = checks.iterate_product_set
+
+    def spy(alive, model, eps_q, m):
+        seen.append(model)
+        return real(alive, model, eps_q, m)
+
+    with mock.patch.object(checks, "iterate_product_set", spy):
+        tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
+    return seen
+
+
+class TestModelWalk:
+    """The model build's one walk (parents and weights handed down, widths
+    added once per fan) against the recursive materializer, `cluster_map`'s
+    prefix scan and the weights counted off the paths (tests/oracle.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(fan_sets(3), min_size=1, max_size=2))
+    def test_matches_reference_on_fan_sets(self, factors):
+        assume(math.prod(map(count_points, factors)) <= 4000)
+        model = ProductModel.of(factors)
+        assert_model_is_reference(model, [reference_materialize(f) for f in factors])
+        assert [materialize(f) for f in factors] == list(model.factor_points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unions_and_groups())
+    def test_matches_reference_on_disjoint_projection(self, case):
+        """The projected model is built from the union's points (parents by
+        `cluster_map`, weights and norms from the union's model), plus the
+        added origin at path () when no kept point has norm 0."""
+        K, groups = case
+        whole, sub = projected_models(K, groups)
+        assert_model_is_reference(whole, [reference_materialize(K)])
+        assert_model_is_reference(sub, sub.factor_points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(fan_sets(2), min_size=2, max_size=3), st.data())
+    def test_matches_reference_on_product_projection(self, factors, data):
+        assume(math.prod(map(count_points, factors)) <= 4000)
+        groups = data.draw(
+            st.sets(st.integers(0, len(factors) - 1), min_size=1), label="groups"
+        )
+        whole, sub = projected_models(ProdQ(tuple(factors)), sorted(groups))
+        assert_model_is_reference(whole, [reference_materialize(f) for f in factors])
+        assert_model_is_reference(sub, [reference_materialize(factors[i]) for i in sorted(groups)])
+
+    def test_depth_thousand_chain(self):
+        """The walk and `count_points` keep their own stacks: a chain of
+        depth 1000 builds and derives to sz 1001 within seconds (the
+        recursive materializer stopped near depth 496)."""
+        start = time.perf_counter()
+        assert model_sz(depth_fan(1000, F(1, 2)), F(1, 2)) == 1001
+        assert time.perf_counter() - start < 5
+
+
 class TestTvlProjection:
     @settings(max_examples=100, deadline=None)
     @given(unions_and_groups(), fracs(max_den=4))
     def test_stages_match_the_projected_set(self, case, eps_q):
-        """tvl_check's projection of the materialized union, read off the
-        paths, derives stage by stage like the model of `project`: the same
-        norms^q at stages 0..3."""
+        """tvl_check's projected model (the second one it derives), read
+        off the paths of the materialized union, derives stage by stage like
+        the model of `project`: the same norms^q and two-copy counts at
+        stages 0..3."""
         K, groups = case
         seen = []
+        real = checks.iterate_product_set
 
-        def spy(points):
-            seen.append(points)
-            return cluster_map(points)
+        def spy(alive, model, eps_q, m):
+            seen.append(model)
+            return real(alive, model, eps_q, m)
 
-        with mock.patch.object(checks, "cluster_map", spy):
+        with mock.patch.object(checks, "iterate_product_set", spy):
             tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
-        (points,) = seen
-        got = ProductModel((tuple(points),), (cluster_map(points),))
+        _, got = seen
         want = ProductModel.of([project(K, groups)])
         a, b = got.tuples(), want.tuples()
         for _ in range(4):
             assert sorted(map(got.norm_q, a)) == sorted(map(want.norm_q, b))
-            a, b = derive_product_set(a, got, eps_q), derive_product_set(b, want, eps_q)
+            assert got.count(a) == want.count(b)
+            a, b = derive_product_set(a, got, eps_q)[-1], derive_product_set(b, want, eps_q)[-1]
 
     @settings(max_examples=100, deadline=None)
     @given(unions_and_groups(), st.data())
@@ -719,12 +795,12 @@ class TestEngineVsModel:
         orbits = oracle_orbits([f], model)
         echain = engine_chain(f, eps_q)
         mchain = model_chain(
-            model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)
+            model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)[-1]
         )
         schain = model_chain(
             frozenset(range(len(model.factor_points[0]))),
             eps_q,
-            lambda a, e: derive_set(a, model, 0, e),
+            lambda a, e: derive_set(a, model, 0, e)[-1],
         )
         ochain = model_chain(frozenset(oracle_materialize(f)), eps_q, oracle_derive)
         assert [fold_points(orbits, ((p,) for p in a)) for a in ochain] == mchain
@@ -753,8 +829,8 @@ class TestEngineVsModel:
         lo, hi = min(e1, e2), max(e1, e2)
         assert sz_eps(f, lo) >= sz_eps(f, hi)
         model = ProductModel.of([f])
-        s_lo = derive_product_set(model.tuples(), model, lo)
-        s_hi = derive_product_set(model.tuples(), model, hi)
+        s_lo = derive_product_set(model.tuples(), model, lo)[-1]
+        s_hi = derive_product_set(model.tuples(), model, hi)[-1]
         assert s_hi <= s_lo
 
     @settings(max_examples=60, deadline=None)
@@ -809,7 +885,7 @@ class TestSharedStructure:
         stages = model_chain(
             frozenset(range(len(model.factor_points[0]))),
             eps_q,
-            lambda a, e: derive_set(a, model, 0, e),
+            lambda a, e: derive_set(a, model, 0, e)[-1],
         )
         _, trace = derive_steps(f, eps_q, len(stages))
         assert len(trace.steps) == len(stages) and trace.steps[-1].snapshot is None

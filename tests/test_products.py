@@ -26,6 +26,8 @@ from oracle import (
     oracle_points,
     prefix_cluster_map,
     push_to_all_local_diams,
+    reference_bq_member,
+    reference_stages,
     unfold,
 )
 from strategies import fan_sets, fracs
@@ -50,6 +52,7 @@ from szlenk.pointmodel import (
     _strides,
     derive_product_set,
     derive_set,
+    iterate_product_set,
     sz_product_set,
 )
 from szlenk.products import (
@@ -603,12 +606,12 @@ class TestDeriveProductSet:
         model = ProductModel.of(bodies)
         alive = draw_subset(data, model)
         eps_q = draw_eps_q(data, model, alive)
-        got = derive_product_set(alive, model, eps_q)
+        got = derive_product_set(alive, model, eps_q)[-1]
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
         orbits = oracle_orbits(bodies, model)
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), eps_q)) == got
         first = frozenset(x[:1] for x in alive)
-        got = derive_set(frozenset(j for (j,) in first), model, 0, eps_q)
+        got = derive_set(frozenset(j for (j,) in first), model, 0, eps_q)[-1]
         want = oracle_derive(frozenset(p for (p,) in unfold(orbits[:1], first)), eps_q)
         assert fold_points(orbits[:1], ((p,) for p in want)) == {(j,) for j in got}
 
@@ -621,10 +624,10 @@ class TestDeriveProductSet:
         opoints = oracle_points(bodies, model)
         want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, opoints) > eps_q)
         event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
-        assert derive_product_set(alive, model, eps_q) == want
+        assert derive_product_set(alive, model, eps_q)[-1] == want
         first = frozenset((x[0],) for x in alive)
         want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, opoints) > eps_q)
-        assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q) == want
+        assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q)[-1] == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -651,7 +654,7 @@ class TestDeriveProductSet:
             assert model.count(alive) == len(oalive)
             if not alive:
                 break
-            alive = derive_product_set(alive, model, eps_q)
+            alive = derive_product_set(alive, model, eps_q)[-1]
             oalive = oracle_p_derive(oalive, eps_q)
             stages += 1
         event(f"{len(bodies)} factors, {stages} stages")
@@ -665,7 +668,7 @@ class TestDeriveProductSet:
         apex = next(j for j, p in enumerate(model.factor_points[0]) if p.norm_q == 0)
         alive = model.tuples()
         want = frozenset(x for x in alive if apex in x)
-        assert derive_product_set(alive, model, F(1, 2)) == want
+        assert derive_product_set(alive, model, F(1, 2))[-1] == want
         orbits = oracle_orbits([F1] * n, model)
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), F(1, 2))) == want
 
@@ -726,7 +729,7 @@ class TestIntegerCodeKernel:
             for x, d in got.items():
                 px = tuple(o[j][0] for o, j in zip(orbits, x))
                 assert d == D * oracle_p_local_diam_q(px, pts)
-            alive = derive_product_set(alive, model, eps_q)
+            alive = derive_product_set(alive, model, eps_q)[-1]
             stages += 1
         event(f"{stages} stages")
 
@@ -761,7 +764,7 @@ class TestIntegerCodeKernel:
                 live = frozenset(p for j in alive for p in orbits[i][j])
                 for j, d in got.items():
                     assert d == D * oracle_local_diam_q(orbits[i][j][0], live)
-                alive = derive_set(alive, model, i, eps_q)
+                alive = derive_set(alive, model, i, eps_q)[-1]
 
 
 def codes(model, axes, alive):
@@ -806,18 +809,53 @@ class TestForestKernel:
         every ancestor again."""
         lookups = [0]
 
-        class Counted(dict):
+        class Counted(tuple):
             def __getitem__(self, y):
                 lookups[0] += 1
                 return super().__getitem__(y)
 
         model = ProductModel.of([depth_fan(n, F(1, 2))] * factors)
-        counted = ProductModel(model.factor_points, tuple(map(Counted, model.cmaps)))
+        counted = ProductModel(model.factor_points, tuple(map(Counted, model.parents)), model.weights)
         axes = range(factors)
         alive = codes(model, axes, model.tuples())
         got = _local_diams(counted, axes, alive)
         assert got == push_to_all_local_diams(model, axes, alive)
         assert lookups[0] <= 2 * factors * len(alive)
+
+
+class TestDerivationSequence:
+    """One call per derivation sequence (one bar, one encoding) against one
+    `derive_product_set` call per step (tests/oracle.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(fan_sets(3 - n), min_size=n, max_size=n)
+        ),
+        st.data(),
+    )
+    def test_stages_match_one_call_per_step(self, bodies, data):
+        """On random alive subsets of 1-3 factor products, with a step cap
+        or to the empty stage; and per factor, `derive_set` on that
+        factor's positions against its own one-step calls."""
+        model = ProductModel.of(bodies)
+        alive = draw_subset(data, model)
+        eps_q = draw_eps_q(data, model, alive)
+        m = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="m")
+        want = reference_stages(alive, model, eps_q, m)
+        event(f"{len(bodies)} factors, {len(want) - 1} steps")
+        assert derive_product_set(alive, model, eps_q, m) == want
+        if m is None:
+            assert sz_product_set(alive, model, eps_q) == max(len(want) - 1, 1)
+        else:
+            assert iterate_product_set(alive, model, eps_q, m) == want[-1]
+        for i in range(len(bodies)):
+            seq = [frozenset(x[i] for x in alive)]
+            for _ in range(len(seq[0]) if m is None else m):
+                if not seq[-1]:
+                    break
+                seq.append(derive_set(seq[-1], model, i, eps_q)[-1])
+            assert derive_set(seq[0], model, i, eps_q, m) == seq
 
 
 class TestProductIterationAgainstModel:
@@ -1107,6 +1145,47 @@ class TestBqCover:
         )
         event(f"covered={scan}")
         assert bq_member(scales, den, nonzero, cover) == scan
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2)]),
+        st.data(),
+    )
+    def test_member_matches_the_reference(self, n, l, q, data):
+        """The table of least absorbing scales against the least tuple
+        computed per coordinate, on any point: covered or not, and every
+        refusal (arity, den < 1, a scale below 0 or above den) with its
+        message.  One cover serves several denominators."""
+        cover = bq_cover([F1] * n, l, q)
+        for _ in range(10):
+            den = data.draw(st.integers(1, 16), label="den")
+            scale = st.one_of(st.integers(0, den), st.integers(den // 2, den))
+            scales = [data.draw(scale, label="k") for _ in range(n)]
+            nonzero = [data.draw(st.booleans(), label="nz") for _ in range(n)]
+            kind = data.draw(
+                st.sampled_from(["point"] * 4 + ["arity", "den", "below", "above"]), label="kind"
+            )
+            i = data.draw(st.integers(0, n - 1), label="i")
+            if kind == "arity":
+                (scales if data.draw(st.booleans(), label="which") else nonzero).pop()
+            elif kind == "den":
+                den = data.draw(st.integers(-2, 0), label="bad den")
+            elif kind == "below":
+                scales[i] = data.draw(st.integers(-3, -1), label="bad k")
+            elif kind == "above":
+                scales[i] = den + data.draw(st.integers(1, 3), label="bad k")
+
+            def outcome(member):
+                try:
+                    return member(tuple(scales), den, tuple(nonzero), cover)
+                except InvalidParams as exc:
+                    return str(exc)
+
+            want = outcome(reference_bq_member)
+            event(f"{want}")
+            assert outcome(bq_member) == want
 
     def test_member_arity(self):
         cover = bq_cover([F1], 2, F(1))

@@ -50,15 +50,21 @@ def test_one_a7_table(bench):
 
 def test_product_sweep_prints_one_json_line():
     """scripts/product_sweep.py at a tiny size: one JSON line, one row per
-    product, the same sz from `product_sz` and the kernel-only loop."""
+    product, the same sz from `product_sz` and the kernel-only loop, and
+    one row for a one-factor chain of depth 3."""
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "2", "3", "--four", "2"],
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "2", "3", "--four", "2",
+         "--ones", "3"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
-    rows = json.loads(line)["rows"]
+    doc = json.loads(line)
+    rows = doc["rows"]
     assert [(r["factors"], r["depth"]) for r in rows] == [(3, 2), (3, 3), (4, 2)]
     assert all(r["sz"] >= 1 and r["ratio"] > 0 for r in rows)
+    (one,) = doc["ones"]
+    assert (one["depth"], one["sz"]) == (3, 4)
+    assert one["build_s"] >= 0 and one["kernel_s"] >= 0

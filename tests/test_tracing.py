@@ -5,6 +5,8 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import szlenk
 from szlenk.cli import EXIT_OK, main
 from szlenk.documents import dumps_canonical, fanset_to_doc
@@ -64,3 +66,31 @@ def test_one_exact_derivation_per_step_with_several_terms(capsys, tmp_path):
     assert [s["terms"] for s in doc["steps"]] == [1, 2, 3, 2, 1, 0]
     assert tracer.counts["products.staircase.calls"] == 5
     assert tracer.counts["products.certify.calls"] == tracer.counts["products.staircase.calls"]
+
+
+@pytest.mark.parametrize("suite", ["unionlemma1", "tvl"])
+def test_point_model_spans_on_verify(capsys, monkeypatch, suite):
+    """One verify op per suite, traced: the tracer installs, and the
+    `pointmodel.materialize` and `pointmodel.derive` spans still record,
+    with `pointmodel.points` the number of points the built models hold
+    (each model's factors are materialized once, by `ProductModel.of`)."""
+    built = []
+    of = szlenk.pointmodel.ProductModel.of
+
+    def recorded(factors):
+        built.append(of(factors))
+        return built[-1]
+
+    monkeypatch.setattr(szlenk.pointmodel.ProductModel, "of", staticmethod(recorded))
+    tracer = load_tracing().Tracer()
+    tracer.install(szlenk)
+    try:
+        code = main(["verify", suite, "--samples", "3", "--seed", "0"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    names = {span[0] for span in tracer.spans}
+    assert {"pointmodel.materialize", "pointmodel.derive"} <= names
+    held = sum(len(pts) for model in built for pts in model.factor_points)
+    assert built and tracer.counts["pointmodel.points"] == held
