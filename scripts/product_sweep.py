@@ -8,7 +8,8 @@ model build and `pointmodel.sz_product_set`, which derives the point set
 alone.  Both give the same sz.  The ratio is the staircase's cost on top of
 the exact derivation.  For each one-factor chain of --ones it times the
 model build and the kernel loop (one `derive_set` sequence to the empty
-stage) apart; sz is depth + 1.  Prints one JSON line.
+stage) apart, and takes the tracemalloc peak of one more build, outside
+the timed runs; sz is depth + 1.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
@@ -22,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,18 +69,29 @@ def row(factors: int, depth: int, repeats: int) -> dict:
 
 
 def one_row(depth: int, repeats: int) -> dict:
-    """The least model build and kernel loop times of one chain."""
+    """The least model build and kernel loop times of one chain, and the
+    peak memory of one build."""
     chain = depth_fan(depth, HALF)
     build = loop = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         model = ProductModel.of([chain])
         built = time.perf_counter()
-        stages = derive_set(frozenset(range(len(model.factor_points[0]))), model, 0, HALF, None)
+        stages = derive_set(frozenset(range(len(model.norms[0]))), model, 0, HALF, None)
         build, loop = min(build, built - start), min(loop, time.perf_counter() - built)
     if len(stages) - 1 != depth + 1:
         raise SystemExit(f"d{depth}: sz {len(stages) - 1} != {depth + 1}")
-    return {"depth": depth, "sz": depth + 1, "build_s": round(build, 4), "kernel_s": round(loop, 4)}
+    tracemalloc.start()
+    ProductModel.of([chain])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "depth": depth,
+        "sz": depth + 1,
+        "build_s": round(build, 4),
+        "kernel_s": round(loop, 4),
+        "build_peak_mib": round(peak / 2**20, 2),
+    }
 
 
 def main() -> int:

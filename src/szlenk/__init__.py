@@ -92,7 +92,6 @@ from .fansets import (  # noqa: F401
 )
 
 from .pointmodel import (  # noqa: F401
-    Point,
     ProductModel,
     model_sz,
 )

@@ -40,9 +40,9 @@ from .generators import (
     rand_q,
 )
 from .pointmodel import (
-    Point,
     ProductModel,
     cluster_map,
+    count_points,
     derive_set,
     iterate_product_set,
     model_sz,
@@ -139,22 +139,19 @@ def union_lemma_check(
                 "an apex-glued union needs Fan pieces (they must share the apex)"
             )
         U: FanSet = UnionApex(tuple(Ks))
-
-        def in_piece(path: tuple, i: int) -> bool:
-            return path[:1] == (("f", ("fan", i)),) or path == ()
-
+        # the shared apex, at position 0, lies in every piece; the points
+        # below fan i follow it in one run (the `pointmodel` docstring)
+        shared, runs = (0,), [count_points(K) - 1 for K in Ks]
     elif mode == "disjoint":
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
-
-        def in_piece(path: tuple, i: int) -> bool:
-            return path[:1] == (("p", ("comp", i)),)
-
+        shared, runs = (), [count_points(K) for K in Ks]
     else:
         raise InvalidParams("mode must be auto, apex, or disjoint")
     model = ProductModel.of([U])
-    points, weights = model.factor_points[0], model.weights[0]
-    whole = frozenset(range(len(points)))
-    pieces = [frozenset(j for j in whole if in_piece(points[j].path, i)) for i in range(n)]
+    weights = model.weights[0]
+    whole = frozenset(range(len(weights)))
+    ends = list(itertools.accumulate(runs, initial=len(shared)))
+    pieces = [frozenset((*shared, *range(a, b))) for a, b in zip(ends, ends[1:])]
 
     def count(positions: frozenset[int]) -> int:
         return sum(map(weights.__getitem__, positions))
@@ -216,9 +213,6 @@ class TvlReport:
     violations: tuple[str, ...]
 
 
-_ORIGIN = Point((), Fraction(0))
-
-
 def tvl_check(
     K: FanSet,
     groups: Sequence[int],
@@ -262,7 +256,8 @@ def tvl_check(
     if isinstance(K, ProdQ):
         model = ProductModel.of(K.factors)
         sub = ProductModel(
-            *(tuple(t[i] for i in sel) for t in (model.factor_points, model.parents, model.weights))
+            model.den,
+            *(tuple(t[i] for i in sel) for t in (model.norms, model.parents, model.weights)),
         )
 
         def proj(x):
@@ -270,23 +265,28 @@ def tvl_check(
 
     else:
         model = ProductModel.of([K])
-        points, keep = model.factor_points[0], set(sel)
-        kept = [j for j, p in enumerate(points) if p.path[0][1][1] in keep]
-        proj_points = [points[j] for j in kept]
-        proj_weights = [model.weights[0][j] for j in kept]
+        norms, weights = model.norms[0], model.weights[0]
+        # the points below component i are one run of positions
+        ends = list(itertools.accumulate((count_points(b) for _, b in K.components), initial=0))
+        kept = [j for i in sel for j in range(ends[i], ends[i + 1])]
+        at = {j: k for k, j in enumerate(kept)}
+        proj_norms = [norms[j] for j in kept]
+        proj_weights = [weights[j] for j in kept]
         # a kept point projects to itself, a dropped one to the origin: the
         # kept point of norm 0 (the root of a kept zero-offset component)
-        # if there is one, else an added point at path ()
-        origin = next((k for k, p in enumerate(proj_points) if p.norm_q == 0), None)
-        if origin is None and len(kept) < len(points):
-            origin = len(proj_points)
-            proj_points.append(_ORIGIN)
+        # if there is one, else an added root
+        origin = next((k for k, n in enumerate(proj_norms) if n == 0), None)
+        if origin is None and len(kept) < len(norms):
+            origin = len(kept)
+            proj_norms.append(0)
             proj_weights.append(1)
-        cmap = cluster_map(proj_points)
+        cmap = cluster_map(model.parents[0], at, len(proj_norms))
         sub = ProductModel(
-            (tuple(proj_points),), (tuple(cmap[k][-1] for k in cmap),), (tuple(proj_weights),)
+            model.den,
+            (tuple(proj_norms),),
+            (tuple(cmap[k][-1] for k in cmap),),
+            (tuple(proj_weights),),
         )
-        at = {j: k for k, j in enumerate(kept)}
 
         def proj(x):
             return (at.get(x[0], origin),)
@@ -420,7 +420,7 @@ def _grid_steps(
                 memo[key] = derive_set(state, model, i, threshold(i, j))[-1]
         return memo[key]
 
-    return g, grid, step, tuple(frozenset(range(len(p))) for p in model.factor_points)
+    return g, grid, step, tuple(frozenset(range(len(n))) for n in model.norms)
 
 
 def _suite_techlem1(rng: random.Random) -> tuple:

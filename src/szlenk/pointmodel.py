@@ -6,15 +6,15 @@ mirror copies, and the best far pair across the two copies realizes the
 exact local diameter 2*reach just as infinitely many copies would.
 Derivation runs on a quotient of that set: one point per mirror orbit.
 
-A point is
-
-* its ``path`` — the structural branch steps with kinds "t" (tail copy:
-  cluster-continuing), "p" (prefix copy or positively offset component:
-  excludable by a neighborhood), "f" (transparent: a fan selector inside a
-  shared apex, or a zero-offset component), and
-* its carried ``norm_q`` — N, the norm^q: each copy step (a "t" or "p"
-  step) shifts the copy on a fresh axis of its own, so it adds its weight
-  to the parent's norm on the way down the walk.
+The arguments below name a point by its ``path``, the structural branch
+steps down the walk to it, with kinds "t" (tail copy: cluster-continuing),
+"p" (prefix copy or positively offset component: excludable by a
+neighborhood) and "f" (transparent: a fan selector inside a shared apex, or
+a zero-offset component).  Paths are the language of the proofs, not data:
+the model keeps, by position, each point's norm^q N, its nearest cluster
+parent and its orbit size, which is all a derivation reads.  Each copy step
+(a "t" or "p" step) shifts the copy on a fresh axis of its own, so it adds
+its weight to the parent's N on the way down the walk.
 
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
@@ -29,10 +29,7 @@ extends another point's path by "f" steps only: `materialize` emits a
 point only at `Sing`, `Fan` and `UnionApex` nodes, and below one of them
 a path takes a copy step, or a fan selector and then a copy step.  So p's
 path takes a non-"f" step beyond x's, which is also y's first non-"f"
-step beyond x: a tail step, and p is in C(x).  `checks.tvl_check` reads
-a subset of these points, plus an origin at path () when no kept point
-has norm 0; that origin is a root and nobody's parent, since a tail step
-below it would follow a kept `Fan` point of norm 0 on an all-"f" path.
+step beyond x: a tail step, and p is in C(x).
 
 So the model keeps one parent per point, and `materialize` hands it out
 during its pre-order walk, which carries down the parent that a point at
@@ -51,10 +48,25 @@ non-"f" step on x's path as on y's, so y's candidates are x's and so is
 the nearest of them.  A component step is never the first non-"f" step
 beyond a point, so it changes no candidate.  Positions are in pre-order,
 so p < y.  The same walk hands out each point's orbit size (below) and
-adds each fan's width once per fan, not once per copy.  `cluster_map`
-finds the same parents with one walk back along each path, for point
-lists that no walk made (`checks.tvl_check`'s projection); the
-benchmark's tracer (perfbench/tracing.py) wraps it by that name.
+adds each fan's width once per fan, not once per copy.
+
+Pre-order also makes every subtree of the walk one contiguous run of
+positions, whose length `count_points` gives: the points below the root's
+i-th component (or i-th fan, after the shared apex at position 0) follow
+those below the components (fans) before it.  So `checks` finds a union's
+pieces and a projection's kept components as runs of positions.  In
+`checks.tvl_check`'s projection of a disjoint union onto some components,
+the kept points keep their parents: a component step at the root passes
+no parent on, so every kept point's ancestors lie in its own component,
+and its paths below the component step are the same in the projected set.
+The projection adds an origin at path () when no kept point has norm 0;
+that origin is a root and nobody's parent, since a tail step below it
+would follow a kept `Fan` point of norm 0 on an all-"f" path.  So the
+projected forest is the model's parents remapped to the kept positions,
+plus the origin as a root (`cluster_map`).  `cluster_map` stays a function
+of its own only because the benchmark's tracer (perfbench/tracing.py)
+wraps it by that name, in this module and in `checks`, and counts its
+result.
 
 The orbit argument.  Swapping the two copies of one tail is an isometry of
 the two-copy model that maps paths to paths step kind by step kind, so it
@@ -78,18 +90,16 @@ same across its orbit.  Any set of representatives names the mirror-closed
 union of their orbits, so the kernel below is exact on every alive subset
 of the quotient, and each stage of the quotient is the fold of the
 two-copy stage.  The size of a two-copy set is the orbit-weighted count of
-its quotient (`ProductModel.count`).  The path and N are all a derivation
-reads; tests/oracle.py keeps the two-copy model with explicit coordinates
-as the independent slow check.
+its quotient (`ProductModel.count`).  tests/oracle.py keeps the two-copy
+model with explicit coordinates as the independent slow check, and a
+path-carrying walk with the cluster relation read off the paths as the
+reference for this one.
 
 One model serves sets and products: a set is the one-factor product
 ``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
-tuple of positions, one per factor, into that factor's `factor_points`;
-alive sets, staircase terms and factor states all hold positions, and
-`Point` exists only at the boundary (`materialize` builds it, and
-`checks` and `cluster_map` read its path).  Clusters multiply
-componentwise and distances^q add across the disjoint factor groups, and
-a product point's
+tuple of positions, one per factor; alive sets, staircase terms and factor
+states all hold positions.  Clusters multiply componentwise and
+distances^q add across the disjoint factor groups, and a product point's
 orbit is the product of its factors' orbits.  So the largest N over
 the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
 time, and on one axis a max over a subtree of that factor's forest.  One
@@ -110,8 +120,8 @@ A derivation sequence is one call: `derive_product_set` and `derive_set`
 return the stages alive, its derivation, and so on, for m steps or up to
 the first empty stage.  The call takes the bar once and, on a product,
 encodes the position tuples once and decodes each stage; the model builds
-each axis layout that the kernel reads once (`ProductModel.layout`).  The
-model gets its parents, orbit sizes and integer norms when it is built.
+each axis layout that the kernel reads once (`ProductModel.layout`).
+`ProductModel.of` takes the common denominator once, over every factor.
 """
 from __future__ import annotations
 
@@ -134,12 +144,6 @@ from .fansets import (
     UnionApex,
 )
 
-@dataclass(frozen=True)
-class Point:
-    path: tuple
-    norm_q: Fraction
-
-
 # the walk's starting N and scale; a sum or product with one of these
 # objects (identity, not value) is skipped
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -147,60 +151,59 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 def materialize(
     F: FanSet, parents: Optional[list[int]] = None, weights: Optional[list[int]] = None
-) -> tuple[Point, ...]:
+) -> list[Fraction]:
     """One point per mirror orbit of a non-product fan set, in pre-order:
-    every omega-tail is walked once, as its copy ("t", 0).  The walk
-    appends to `parents` each point's nearest cluster parent (itself for a
-    root) and to `weights` its orbit size, by position; it keeps its own
-    stack, so depth costs no recursion."""
+    every omega-tail is walked once, as its copy ("t", 0).  Returns each
+    point's norm^q by position, and appends to `parents` its nearest
+    cluster parent (itself for a root) and to `weights` its orbit size; it
+    keeps its own stack, so depth costs no recursion."""
     if isinstance(F, ProdQ):
         raise OutsideExactFragment("materialize products factor by factor")
-    out: list[Point] = []
+    norms: list[Fraction] = []
     parents = [] if parents is None else parents
     weights = [] if weights is None else weights
-    # a frame: node, path, N, scale, the parent a point here gets (None:
-    # none, a root) and the orbit size of a point here; frames are pushed
-    # in reverse, so they pop in pre-order
-    stack: list[tuple] = [(F, (), _ZERO, _ONE, None, 1)]
+    # a frame: node, N, scale, the parent a point here gets (None: none, a
+    # root) and the orbit size of a point here; frames are pushed in
+    # reverse, so they pop in pre-order
+    stack: list[tuple] = [(F, _ZERO, _ONE, None, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        node, path, norm, s, up, w = pop()
+        node, norm, s, up, w = pop()
         if isinstance(node, Fan):
-            fans: Sequence[tuple[tuple, Fan]] = ((path, node),)
+            fans: Sequence[Fan] = (node,)
         elif isinstance(node, Sing):
             fans = ()
         elif isinstance(node, UnionApex):
-            fans = [(path + (("f", ("fan", i)),), f) for i, f in enumerate(node.fans)]
+            fans = node.fans
         elif isinstance(node, Scale):
-            push((node.body, path, norm, s * node.a_q, up, w))
+            push((node.body, norm, s * node.a_q, up, w))
             continue
         elif isinstance(node, DisjUnion):
-            for i in range(len(node.components) - 1, -1, -1):
-                off, b = node.components[i]
+            for off, b in reversed(node.components):
                 if off > 0:
                     shift = off if s is _ONE else off * s
                     if norm is not _ZERO:
                         shift += norm
-                    push((b, path + (("p", ("comp", i)),), shift, s, up, w))
+                    push((b, shift, s, up, w))
                 else:
-                    push((b, path + (("f", ("comp", i)),), norm, s, up, w))
+                    push((b, norm, s, up, w))
             continue
         else:
             raise MalformedFanSet(f"not a fan set: {node!r}")
-        j = len(out)
-        out.append(Point(path, norm))
+        j = len(norms)
+        norms.append(norm)
         parents.append(j if up is None else up)
         weights.append(w)
-        for fpath, f in reversed(fans):
+        for f in reversed(fans):
             # every copy of the fan sits at N plus its width, each on an
             # axis of its own: one sum per fan
             nw = f.w_q if s is _ONE else f.w_q * s
             if norm is not _ZERO:
                 nw += norm
-            push((f.tail, fpath + (("t", 0),), nw, s, j, 2 * w))
-            for i in range(len(f.prefix) - 1, -1, -1):
-                push((f.prefix[i], fpath + (("p", ("pre", i)),), nw, s, up, w))
-    return tuple(out)
+            push((f.tail, nw, s, j, 2 * w))
+            for c in reversed(f.prefix):
+                push((c, nw, s, up, w))
+    return norms
 
 
 # Largest number of tuples a product model (of orbits), a grid or a cover may
@@ -209,7 +212,7 @@ ENUMERATION_LIMIT = 200_000
 
 
 def count_points(F: FanSet) -> int:
-    """len(materialize(F)), by the same walk without building points."""
+    """len(materialize(F)), by the same walk without the norms."""
     n, stack = 0, [F]
     while stack:
         node = stack.pop()
@@ -235,59 +238,43 @@ def count_points(F: FanSet) -> int:
     return n
 
 
-def cluster_map(points: Sequence[Point]) -> dict[int, tuple[int, ...]]:
-    """The cluster forest of a point list, read off the paths: by position
-    j, (j, p) with p the nearest cluster parent of points[j], the x with
-    the longest path such that points[j] is in C(x), or (j,) for a root (y
-    is in C(x) iff x's path is a proper prefix of y's and the first non-"f"
-    step of y's beyond it is a "t" step).  Paths must be unique and
-    positions in pre-order.  `materialize` hands out the same parents;
-    this serves point lists that no walk made (`checks.tvl_check`'s
-    projection)."""
-    at = {p.path: j for j, p in enumerate(points)}
-    assert len(at) == len(points), "cluster_map needs unique paths"
-    out = {}
-    for j, y in enumerate(points):
-        path, kind, out[j] = y.path, None, (j,)
-        for k in range(len(path) - 1, -1, -1):
-            if path[k][0] != "f":
-                kind = path[k][0]
-            if kind == "t" and (x := at.get(path[:k])) is not None:
-                assert x < j, "cluster_map needs points in pre-order"
-                out[j] = (j, x)
-                break
+def cluster_map(
+    parents: Sequence[int], at: dict[int, int], size: int
+) -> dict[int, tuple[int, ...]]:
+    """The cluster forest of a projection of one factor's points: `at`
+    sends the kept positions, a set closed under `parents`, to positions
+    0..size-1 in the same order, and a position it does not reach is an
+    added root.  By new position k: (k, p) with p the new position of k's
+    parent, or (k,) for a root."""
+    out = {k: (k,) for k in range(size)}
+    for j, k in at.items():
+        p = at[parents[j]]
+        if p != k:
+            out[k] = (k, p)
     return out
 
 
-# a product point: its position in each factor's `factor_points`
+# a product point: its position in each factor
 PPoint = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Materialized factors of a product with their cluster forests and
-    orbit sizes; a set is the one-factor product.  Points are orbit
-    representatives, and a count of points means the two-copy model's
-    count (`count`)."""
+    """The materialized factors of a product: by factor and position, each
+    point's norm^q, nearest cluster parent and orbit size; a set is the
+    one-factor product.  Points are orbit representatives, and a count of
+    points means the two-copy model's count (`count`)."""
 
-    factor_points: tuple[tuple[Point, ...], ...]
+    # a common denominator D of the points' norms^q
+    den: int
+    # per factor, by position: the point's norm^q times D (an integer)
+    norms: tuple[tuple[int, ...], ...]
     # per factor, by position: the nearest cluster parent (itself for a root)
     parents: tuple[tuple[int, ...], ...]
     # per factor, by position: the size of the point's mirror orbit
     weights: tuple[tuple[int, ...], ...]
-    # a common denominator D of the points' norms^q, and per factor, by
-    # position, each point's norm^q times D (an integer)
-    scaled_norms: tuple[int, tuple[tuple[int, ...], ...]] = field(init=False)
     # the kernel's per-axis tables, by the axes they serve (`layout`)
     _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        D = math.lcm(*(p.norm_q.denominator for pts in self.factor_points for p in pts))
-        norms = tuple(
-            tuple(p.norm_q.numerator * (D // p.norm_q.denominator) for p in pts)
-            for pts in self.factor_points
-        )
-        object.__setattr__(self, "scaled_norms", (D, norms))
 
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
@@ -296,17 +283,19 @@ class ProductModel:
             raise InvalidParams(
                 f"product enumeration too large ({size} orbits, limit {ENUMERATION_LIMIT})"
             )
-        points, parents, weights = [], [], []
+        norms, parents, weights = [], [], []
         for f in factors:
             up: list[int] = []
             w: list[int] = []
-            points.append(materialize(f, up, w))
+            norms.append(materialize(f, up, w))
             parents.append(tuple(up))
             weights.append(tuple(w))
-        return ProductModel(tuple(points), tuple(parents), tuple(weights))
+        D = math.lcm(*(n.denominator for ns in norms for n in ns))
+        scaled = tuple(tuple(n.numerator * (D // n.denominator) for n in ns) for ns in norms)
+        return ProductModel(D, scaled, tuple(parents), tuple(weights))
 
     def tuples(self) -> frozenset[PPoint]:
-        return frozenset(itertools.product(*(range(len(p)) for p in self.factor_points)))
+        return frozenset(itertools.product(*(range(len(n)) for n in self.norms)))
 
     def weight(self, x: PPoint) -> int:
         """The size of x's mirror orbit: the product of its factors'."""
@@ -317,7 +306,7 @@ class ProductModel:
         return sum(map(self.weight, alive))
 
     def norm_q(self, x: PPoint) -> Fraction:
-        return sum((pts[j].norm_q for pts, j in zip(self.factor_points, x)), Fraction(0))
+        return Fraction(sum(n[j] for n, j in zip(self.norms, x)), self.den)
 
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
@@ -330,16 +319,15 @@ class ProductModel:
         num = eps_q.numerator
         if num <= 0:
             raise InvalidParams("eps_q must be positive")
-        return num * self.scaled_norms[0] // eps_q.denominator
+        return num * self.den // eps_q.denominator
 
     def layout(self, axes: Sequence[int]) -> list[tuple]:
         """What `_local_diams` reads of each axis in `axes`: (N times D by
         position, parents by position, stride, size), built once per axes."""
         got = self._layouts.get(axes)
         if got is None:
-            norms = self.scaled_norms[1]
             got = self._layouts[axes] = [
-                (norms[a], self.parents[a], stride, len(norms[a]))
+                (self.norms[a], self.parents[a], stride, len(self.norms[a]))
                 for a, stride in zip(axes, _strides(self, axes))
             ]
         return got
@@ -352,7 +340,7 @@ def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:
     out, stride = [], 1
     for a in axes:
         out.append(stride)
-        stride *= len(model.factor_points[a])
+        stride *= len(model.norms[a])
     return out
 
 
@@ -421,7 +409,7 @@ def derive_product_set(
     a stage is empty (m = None: until then).  x survives a step iff its
     local diameter^q exceeds eps_q (`_local_diams` on every axis).  The
     tuples are encoded once for the whole sequence."""
-    axes = tuple(range(len(model.factor_points)))
+    axes = tuple(range(len(model.norms)))
     points = list(alive)
     codes = [0] * len(points)
     for n, stride in enumerate(_strides(model, axes)):
@@ -457,5 +445,5 @@ def sz_product_set(
 def model_sz(F: FanSet, eps_q: Fraction) -> int:
     """sz_eps of a non-product fan set on its one-factor model."""
     model = ProductModel.of([F])
-    whole = frozenset(range(len(model.factor_points[0])))
+    whole = frozenset(range(len(model.norms[0])))
     return max(len(derive_set(whole, model, 0, eps_q, None)) - 1, 1)

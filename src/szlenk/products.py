@@ -7,8 +7,9 @@ region {x : sum_i lam_i(x_i) > eps_q}, which decomposes exactly into a
 finite union of products of per-factor super-level sets indexed by the
 minimal value tuples of the (finitely-valued) factor functions lam_i.
 
-A term is a tuple of per-factor position sets (positions into the
-model's `factor_points`), and the union's point set holds position tuples.
+A term is a tuple of per-factor position sets (a factor's points by their
+pre-order positions in the model), and the union's point set holds position
+tuples.
 The undivided product is a one-term union, and every step derives a union
 the same way: each term is a full product, so its derived set splits by the
 same staircase, and the union of the per-term results is the exact derived
@@ -393,7 +394,7 @@ def _whole(factors: Sequence[tuple[Fraction, FanSet]]) -> ProductUnion:
     if not factors:
         raise InvalidParams("need at least one factor")
     model = ProductModel.of([_as_factor(a_q, K) for a_q, K in factors])
-    term = tuple(frozenset(range(len(pts))) for pts in model.factor_points)
+    term = tuple(frozenset(range(len(n))) for n in model.norms)
     table = tuple(FactorSets(model, i) for i in range(len(term)))
     return ProductUnion(model, (term,), model.tuples(), table)
 

@@ -19,21 +19,24 @@ no memo and no interning, as the reference for the shared engine.
 cluster relation and kernel as they were before the kernel walked the
 cluster forest: every x whose cluster holds y, found by looking up every
 prefix of y's path, and each value pushed to all of them at once, as the
-references for `cluster_map`'s forest and the one-edge `_local_diams`.
+references for the model's forest and the one-edge `_local_diams`.
 
 The `reference_*` functions at the end keep what the model build, the
 derivation sequences, `union_lemma_check` and `bq_member` were before each
-became one walk or one call: a recursive materializer with weights counted
-off the paths and parents from `cluster_map`'s prefix scan, one
-`derive_product_set` call per step, the union check on position tuples,
-and the least absorbing tuple computed per coordinate.
+became one walk or one call, or lost its paths: a recursive materializer
+whose points carry their paths, parents from the paths' prefix scan
+(`reference_cluster_map`, also the reference for `tvl_check`'s projected
+forest) and weights counted off the paths, one `derive_product_set` call
+per step, a union's pieces read off the first path step, the union check on
+position tuples, and the least absorbing tuple computed per coordinate.
 
 The engine materializes one point per mirror orbit (every tail step taken
-as copy ("t", 0)), carrying only a path and a norm, and its alive sets hold
-positions.  `oracle_orbits` groups the oracle's points by the engine
-position of their `fold`, `oracle_points` takes the orbit representatives,
-and `unfold` and `fold_points` move alive sets between engine positions and
-oracle points.
+as copy ("t", 0)) and keeps no paths; its alive sets hold positions, in
+the walk's pre-order.  `oracle_orbits` matches the oracle's orbit
+representatives to engine positions by that order and groups the oracle's
+points by the representative they `fold` onto, `oracle_points` takes the
+representatives, and `unfold` and `fold_points` move alive sets between
+engine positions and oracle points.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from szlenk.fansets import (
     radius_q,
     scaled,
 )
-from szlenk.pointmodel import Point, ProductModel, _strides, cluster_map, derive_product_set
+from szlenk.pointmodel import ProductModel, _strides, derive_product_set
 
 
 @dataclass(frozen=True)
@@ -118,24 +121,25 @@ def fold(path: tuple) -> tuple:
 
 def oracle_orbits(factors, model) -> tuple[tuple[tuple[OraclePoint, ...], ...], ...]:
     """Per factor of `model` (the engine's model of `factors`), by position,
-    every oracle point whose `fold` is that position's path, the
-    representative (the engine's path and norm) first."""
+    every oracle point whose `fold` is the path of the oracle's
+    representative at that pre-order position, the representative (with
+    the engine's norm) first."""
     out = []
-    for F, pts in zip(factors, model.factor_points, strict=True):
-        at = {p.path: j for j, p in enumerate(pts)}
-        assert len(at) == len(pts)
-        orbits: list[list[OraclePoint]] = [[] for _ in pts]
-        for p in oracle_materialize(F):
+    for F, norms in zip(factors, model.norms, strict=True):
+        pts = oracle_materialize(F)
+        reps = [p for p in pts if fold(p.path) == p.path]
+        assert [p.norm_q * model.den for p in reps] == list(norms)
+        at = {p.path: j for j, p in enumerate(reps)}
+        orbits: list[list[OraclePoint]] = [[] for _ in reps]
+        for p in pts:
             orbits[at[fold(p.path)]].append(p)
-        for p, orbit in zip(pts, orbits):
-            assert (orbit[0].path, orbit[0].norm_q) == (p.path, p.norm_q)
         out.append(tuple(map(tuple, orbits)))
     return tuple(out)
 
 
 def oracle_points(factors, model) -> tuple[tuple[OraclePoint, ...], ...]:
-    """Per factor of `model`, by position, the oracle's point at the same
-    path (the orbit representative)."""
+    """Per factor of `model`, by position, the oracle's orbit
+    representative at the same pre-order position."""
     return tuple(
         tuple(orbit[0] for orbit in orbits) for orbits in oracle_orbits(factors, model)
     )
@@ -315,14 +319,15 @@ def prefix_cluster_map(points) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def push_to_all_local_diams(model, axes, alive) -> dict[int, int]:
+def push_to_all_local_diams(model, factors, axes, alive) -> dict[int, int]:
     """`_local_diams` by pushing each value, one axis at a time, to every
-    code whose cluster on that axis holds it (`prefix_cluster_map`), in
-    one pass over a copy of the previous axis's values."""
-    _, norms = model.scaled_norms
+    code whose cluster on that axis holds it (`prefix_cluster_map` of the
+    paths of `reference_materialize`, `factors` being the model's), in one
+    pass over a copy of the previous axis's values."""
+    norms = model.norms
     layout = []
     for a, stride in zip(axes, _strides(model, axes)):
-        inv = prefix_cluster_map(model.factor_points[a])
+        inv = prefix_cluster_map(reference_materialize(factors[a]))
         deltas = [tuple(z - y for z in inv[y][1:]) for y in range(len(inv))]
         layout.append((norms[a], deltas, stride, len(norms[a])))
     own = dict.fromkeys(alive, 0)
@@ -344,13 +349,19 @@ def push_to_all_local_diams(model, axes, alive) -> dict[int, int]:
 # -- the point model's replaced implementations -----------------------------
 
 
-def reference_materialize(F) -> tuple[Point, ...]:
+@dataclass(frozen=True)
+class PathPoint:
+    path: tuple
+    norm_q: Fraction
+
+
+def reference_materialize(F) -> tuple[PathPoint, ...]:
     """The points of `materialize` by two mutually recursive walks (two
     frames per level), each copy adding its fan's width to the parent's
     norm on its own."""
     if isinstance(F, ProdQ):
         raise OutsideExactFragment("materialize products factor by factor")
-    out: list[Point] = []
+    out: list[PathPoint] = []
 
     def copies(f: Fan, path: tuple, norm: Fraction, s: Fraction) -> None:
         w = f.w_q * s
@@ -360,12 +371,12 @@ def reference_materialize(F) -> tuple[Point, ...]:
 
     def go(node, path: tuple, norm: Fraction, s: Fraction) -> None:
         if isinstance(node, Sing):
-            out.append(Point(path, norm))
+            out.append(PathPoint(path, norm))
         elif isinstance(node, Fan):
-            out.append(Point(path, norm))
+            out.append(PathPoint(path, norm))
             copies(node, path, norm, s)
         elif isinstance(node, UnionApex):
-            out.append(Point(path, norm))
+            out.append(PathPoint(path, norm))
             for i, f in enumerate(node.fans):
                 copies(f, path + (("f", ("fan", i)),), norm, s)
         elif isinstance(node, Scale):
@@ -383,10 +394,46 @@ def reference_materialize(F) -> tuple[Point, ...]:
     return tuple(out)
 
 
+def reference_cluster_map(points) -> dict[int, tuple[int, ...]]:
+    """The cluster forest of a point list, read off the paths: by position
+    j, (j, p) with p the nearest cluster parent of points[j], the x with
+    the longest path such that points[j] is in C(x), or (j,) for a root (y
+    is in C(x) iff x's path is a proper prefix of y's and the first non-"f"
+    step of y's beyond it is a "t" step).  Paths must be unique and
+    positions in pre-order."""
+    at = {p.path: j for j, p in enumerate(points)}
+    assert len(at) == len(points), "reference_cluster_map needs unique paths"
+    out = {}
+    for j, y in enumerate(points):
+        path, kind, out[j] = y.path, None, (j,)
+        for k in range(len(path) - 1, -1, -1):
+            if path[k][0] != "f":
+                kind = path[k][0]
+            if kind == "t" and (x := at.get(path[:k])) is not None:
+                assert x < j, "reference_cluster_map needs points in pre-order"
+                out[j] = (j, x)
+                break
+    return out
+
+
 def reference_parents(points) -> list[int]:
-    """`cluster_map`'s forest as a parent list, a root its own parent."""
-    cmap = cluster_map(points)
+    """`reference_cluster_map`'s forest as a parent list, a root its own
+    parent."""
+    cmap = reference_cluster_map(points)
     return [cmap[j][-1] for j in range(len(points))]
+
+
+def reference_projection(K, groups) -> list[PathPoint]:
+    """The points of `checks.tvl_check`'s projection of a disjoint union
+    onto the components `groups`, picked by the first step of their paths:
+    the kept components' points in order, then an origin at path () when a
+    component is dropped and no kept point has norm 0."""
+    keep = set(groups)
+    points = reference_materialize(K)
+    out = [p for p in points if p.path[0][1][1] in keep]
+    if len(out) < len(points) and all(p.norm_q for p in out):
+        out.append(PathPoint((), Fraction(0)))
+    return out
 
 
 def reference_weights(points) -> list[int]:
@@ -394,14 +441,14 @@ def reference_weights(points) -> list[int]:
     return [1 << sum(1 for kind, _ in p.path if kind == "t") for p in points]
 
 
-def reference_norms(factor_points) -> tuple[int, list[list[int]]]:
+def reference_norms(points_by_factor) -> tuple[int, list[list[int]]]:
     """The least common denominator D of the points' norms^q, and each
     norm^q times D."""
     D = 1
-    for pts in factor_points:
+    for pts in points_by_factor:
         for p in pts:
             D = math.lcm(D, p.norm_q.denominator)
-    return D, [[int(p.norm_q * D) for p in pts] for pts in factor_points]
+    return D, [[int(p.norm_q * D) for p in pts] for pts in points_by_factor]
 
 
 def reference_stages(alive, model, eps_q, m=None) -> list:
@@ -415,6 +462,24 @@ def reference_stages(alive, model, eps_q, m=None) -> list:
             break
         stages.append(derive_product_set(stages[-1], model, eps_q)[-1])
     return stages
+
+
+def reference_pieces(U) -> list[frozenset[int]]:
+    """The positions of each piece of a union, by the first step of their
+    paths: for a `UnionApex`, the shared apex (path ()) and the points
+    below fan i; for a `DisjUnion` of positive offsets, the points below
+    component i."""
+    points = reference_materialize(U)
+    if isinstance(U, UnionApex):
+        firsts = [(("f", ("fan", i)),) for i in range(len(U.fans))]
+        shared = {()}
+    else:
+        firsts = [(("p", ("comp", i)),) for i in range(len(U.components))]
+        shared = set()
+    return [
+        frozenset(j for j, p in enumerate(points) if p.path[:1] == first or p.path in shared)
+        for first in firsts
+    ]
 
 
 def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
@@ -442,22 +507,13 @@ def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
                 "an apex-glued union needs Fan pieces (they must share the apex)"
             )
         U = UnionApex(tuple(Ks))
-
-        def in_piece(path, i):
-            return path[:1] == (("f", ("fan", i)),) or path == ()
-
     elif mode == "disjoint":
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
-
-        def in_piece(path, i):
-            return path[:1] == (("p", ("comp", i)),)
-
     else:
         raise InvalidParams("mode must be auto, apex, or disjoint")
     model = ProductModel.of([U])
     whole = model.tuples()
-    points = model.factor_points[0]
-    pieces = [frozenset(x for x in whole if in_piece(points[x[0]].path, i)) for i in range(n)]
+    pieces = [frozenset((j,) for j in piece) for piece in reference_pieces(U)]
 
     def iterate(alive, e, k):
         return reference_stages(alive, model, e, k)[-1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_union_lemma_check
+from oracle import reference_pieces, reference_union_lemma_check
 from strategies import fan_sets, fracs
 from szlenk import checks, pointmodel
 from szlenk.calculus import InvalidParams
@@ -32,6 +32,7 @@ from szlenk.fansets import (
     OutsideExactFragment,
     ProdQ,
     Sing,
+    UnionApex,
     depth_fan,
     radius_q,
 )
@@ -147,13 +148,29 @@ class TestUnionAgainstReference:
         st.booleans(),
     )
     def test_reports_match(self, case, eps_q, m, q, broken):
+        """Also the pieces: the runs of positions that the check derives at
+        eps/2 and at eps are those the first path step picks."""
         mode, Ks = case
         args = (Ks, eps_q, m, len(Ks), q, mode)
         kernel = faulty_local_diams if broken else _KERNEL
+        derived = []
+        real = checks.derive_set
+
+        def spy(alive, model, i, eps_q, m=1):
+            derived.append(alive)
+            return real(alive, model, i, eps_q, m)
+
         with mock.patch.object(pointmodel, "_local_diams", kernel):
-            got = union_lemma_check(*args)
+            with mock.patch.object(checks, "derive_set", spy):
+                got = union_lemma_check(*args)
             want = reference_union_lemma_check(*args)
         event(f"{mode}, {'broken' if broken else 'real'} kernel, {len(got.violations)} violations")
+        U = UnionApex(tuple(Ks)) if mode == "apex" else DisjUnion(
+            tuple((Fraction(i + 1), K) for i, K in enumerate(Ks))
+        )
+        pieces = reference_pieces(U)
+        # the union, then each piece at eps/2, then each piece at eps
+        assert derived[1:] == pieces + pieces
         assert got == want
 
     def test_suite_instances_with_a_broken_kernel(self):

@@ -7,12 +7,13 @@ import math
 import signal
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -26,9 +27,11 @@ from oracle import (
     oracle_orbits,
     oracle_sz,
     prefix_cluster_map,
+    reference_cluster_map,
     reference_materialize,
     reference_norms,
     reference_parents,
+    reference_projection,
     reference_weights,
     unfold,
     unshared_derive,
@@ -211,8 +214,8 @@ def model_local_diam_q(factors, paths):
     factor has no point at its path)."""
     model = ProductModel.of(factors)
     x = []
-    for pts, path in zip(model.factor_points, paths):
-        at = [j for j, p in enumerate(pts) if p.path == path]
+    for f, path in zip(factors, paths):
+        at = [j for j, p in enumerate(reference_materialize(f)) if p.path == path]
         if not at:
             return None
         x.append(at[0])
@@ -220,7 +223,7 @@ def model_local_diam_q(factors, paths):
     strides = _strides(model, axes)
     codes = [sum(j * s for j, s in zip(y, strides)) for y in model.tuples()]
     d = _local_diams(model, axes, codes)[sum(j * s for j, s in zip(x, strides))]
-    return F(d, model.scaled_norms[0])
+    return F(d, model.den)
 
 
 def local_diam_at(K, path):
@@ -487,8 +490,8 @@ class TestModelFrozen:
     def test_union_apex_share(self):
         """One apex and one tail orbit per fan: 3 orbits, 5 two-copy points."""
         ua = UnionApex((F1, Fan(F(1, 3))))
-        pts = materialize(ua)
-        assert len(pts) == 3
+        pts = reference_materialize(ua)
+        assert len(pts) == 3 == len(materialize(ua))
         model = ProductModel.of([ua])
         assert model.count(model.tuples()) == 5 == len(oracle_materialize(ua))
         apex = next(p for p in pts if p.norm_q == 0)
@@ -533,17 +536,19 @@ class TestModelFrozen:
     @given(fan_sets(3))
     def test_points_are_the_oracle_materialization(self, K):
         """The oracle's orbit representatives (no tail step takes copy
-        ("t", 1)), with the same paths in the same order, each carrying the
-        norm^q that the oracle sums from its explicit coordinates; every
+        ("t", 1)), with the reference walk's paths in the same order, each
+        carrying the norm^q that the oracle sums from its explicit
+        coordinates and that `materialize` hands out at its position; every
         oracle point folds onto one of them."""
-        got = [(p.path, p.norm_q) for p in materialize(K)]
+        got = [(p.path, p.norm_q) for p in reference_materialize(K)]
+        assert materialize(K) == [norm_q for _, norm_q in got]
         opts = oracle_materialize(K)
         assert got == [(p.path, p.norm_q) for p in opts if fold(p.path) == p.path]
         assert {fold(p.path) for p in opts} == {path for path, _ in got}
 
 
 def oracle_cluster_map(points) -> dict:
-    """cluster_map's relation by the oracle: y's position to the set of
+    """The cluster relation by the oracle: y's position to the set of
     positions of every x with y in C(x)."""
     return {
         j: {i for i, x in enumerate(points) if oracle_in_cluster(x, y)}
@@ -551,25 +556,25 @@ def oracle_cluster_map(points) -> dict:
     }
 
 
-def forest_closure(cmap) -> dict:
-    """By position j: j and every ancestor of j in the forest `cmap`."""
+def forest_closure(parents) -> dict:
+    """By position j: j and every ancestor of j in the forest `parents`
+    (a root its own parent)."""
     out = {}
-    for j in cmap:
+    for j, p in enumerate(parents):
         # a parent precedes its child, so its closure is already there
-        out[j] = {j} | out[cmap[j][-1]] if len(cmap[j]) == 2 else {j}
+        out[j] = {j} | out[p] if p != j else {j}
     return out
 
 
-def assert_cluster_map_is_oracle(points) -> None:
-    """`cluster_map` is a forest whose closure is the oracle's relation:
-    each point's parent precedes it, no point's path extends another
-    point's by "f" steps only (the premise of the `pointmodel` docstring's
-    forest argument), the closure is the prefix scan's relation, and that
-    is the oracle's."""
-    cmap = cluster_map(points)
-    assert list(cmap) == list(range(len(points)))
-    for j, v in cmap.items():
-        assert v == (j,) or (len(v) == 2 and v[0] == j > v[1]), "not one earlier parent"
+def assert_forest_is_oracle(points, parents) -> None:
+    """`parents` is a forest on the path-carrying `points` whose closure is
+    the oracle's relation: each point's parent precedes it, no point's path
+    extends another point's by "f" steps only (the premise of the
+    `pointmodel` docstring's forest argument), the closure is the prefix
+    scan's relation, and that is the oracle's."""
+    assert len(parents) == len(points)
+    for j, p in enumerate(parents):
+        assert p <= j, "not one earlier parent"
     paths = {p.path for p in points}
     for p in points:
         k = len(p.path)
@@ -577,7 +582,7 @@ def assert_cluster_map_is_oracle(points) -> None:
             k -= 1
             assert p.path[:k] not in paths, "a path extends another by f steps only"
     reference = {j: set(v) for j, v in prefix_cluster_map(points).items()}
-    assert forest_closure(cmap) == reference
+    assert forest_closure(parents) == reference
     assert reference == oracle_cluster_map(points)
 
 
@@ -585,48 +590,49 @@ class TestClusterMap:
     @settings(max_examples=300, deadline=None)
     @given(fan_sets(3))
     def test_matches_oracle(self, K):
-        assert_cluster_map_is_oracle(materialize(K))
+        """The model's parents, on the reference walk's paths."""
+        assert_forest_is_oracle(reference_materialize(K), ProductModel.of([K]).parents[0])
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(fan_sets(2), min_size=2, max_size=3),
         st.lists(fracs(), min_size=2, max_size=3),
-        st.data(),
+        st.sets(st.integers(0, 2), min_size=1),
     )
-    def test_matches_oracle_on_tvl_projection(self, bodies, offs, data):
+    # the kept zero-offset root is the origin
+    @example([F1, Sing()], [F(1), F(1)], {0})
+    # the zero-offset component is dropped, so an origin is added
+    @example([F1, Sing(), F1], [F(1), F(1), F(2)], {1, 2})
+    def test_matches_oracle_on_tvl_projection(self, bodies, offs, keep):
         """The disjoint branch of tvl_check sends every dropped component
         to the one point of norm 0 (the kept zero-offset root, or an added
         point at path ()) and keeps zero-offset components behind "f"
-        steps."""
+        steps.  Its projected forest, the union's parents remapped by
+        `cluster_map`, is the one the path scan reads off the projected
+        points (`reference_projection`), and the oracle's."""
         comps = [(F(0) if i == 0 else o, b) for i, (o, b) in enumerate(zip(offs, bodies))]
         K = DisjUnion(tuple(comps))
-        groups = data.draw(
-            st.sets(
-                st.integers(0, len(comps) - 1), min_size=1, max_size=len(comps) - 1
-            ),
-            label="groups",
-        )
+        groups = sorted(g for g in keep if g < len(comps))
+        assume(groups and len(groups) < len(comps))
         seen = []
 
-        def spy(points):
-            seen.append(points)
-            return cluster_map(points)
+        def spy(parents, at, size):
+            seen.append(cluster_map(parents, at, size))
+            return seen[-1]
 
         with mock.patch.object(checks, "cluster_map", spy):
-            tvl_check(K, sorted(groups), F(1), F(1, 2), F(1), alpha=0)
-        (points,) = seen
+            tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
+        (cmap,) = seen
+        points = reference_projection(K, groups)
+        event("kept zero-offset root" if points[-1].path else "added origin")
+        assert cmap == reference_cluster_map(points)
         assert sum(1 for p in points if p.norm_q == 0) == 1
-        assert_cluster_map_is_oracle(points)
+        assert_forest_is_oracle(points, [cmap[k][-1] for k in cmap])
 
     @settings(max_examples=300, deadline=None)
     @given(fan_sets(3))
     def test_count_points_is_materialized_size(self, K):
         assert count_points(K) == len(materialize(K))
-
-    def test_duplicate_paths_rejected(self):
-        p = materialize(F1)[0]
-        with pytest.raises(AssertionError):
-            cluster_map((p, p))
 
 
 def engine_chain(F0, eps_q):
@@ -668,15 +674,19 @@ def unions_and_groups(draw):
     return K, sorted(groups)
 
 
-def assert_model_is_reference(model: ProductModel, factor_points) -> None:
-    """The model holds these points, with the prefix scan's parents, the
-    weights counted off the paths and the norms^q over their least common
-    denominator."""
-    assert model.factor_points == tuple(map(tuple, factor_points))
-    assert model.parents == tuple(tuple(reference_parents(p)) for p in factor_points)
-    assert model.weights == tuple(tuple(reference_weights(p)) for p in factor_points)
-    D, norms = reference_norms(factor_points)
-    assert model.scaled_norms == (D, tuple(map(tuple, norms)))
+def assert_model_is_reference(model: ProductModel, points_by_factor, den=None) -> None:
+    """The model holds these points, by position: the prefix scan's
+    parents, the weights counted off the paths and the norms^q over their
+    least common denominator (over `den`, the whole model's, for a
+    projection)."""
+    assert tuple(map(len, model.norms)) == tuple(map(len, points_by_factor))
+    assert model.parents == tuple(tuple(reference_parents(p)) for p in points_by_factor)
+    assert model.weights == tuple(tuple(reference_weights(p)) for p in points_by_factor)
+    D, norms = reference_norms(points_by_factor)
+    if den is not None:
+        assert den % D == 0
+        D, norms = den, [[n * (den // D) for n in ns] for ns in norms]
+    assert (model.den, model.norms) == (D, tuple(map(tuple, norms)))
 
 
 def projected_models(K, groups) -> list[ProductModel]:
@@ -694,9 +704,10 @@ def projected_models(K, groups) -> list[ProductModel]:
 
 
 class TestModelWalk:
-    """The model build's one walk (parents and weights handed down, widths
-    added once per fan) against the recursive materializer, `cluster_map`'s
-    prefix scan and the weights counted off the paths (tests/oracle.py)."""
+    """The model build's one walk (norms, parents and weights handed down,
+    widths added once per fan) against the recursive materializer, in the
+    same pre-order, the path scan's parents and the weights counted off the
+    paths (tests/oracle.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(fan_sets(3), min_size=1, max_size=2))
@@ -704,18 +715,20 @@ class TestModelWalk:
         assume(math.prod(map(count_points, factors)) <= 4000)
         model = ProductModel.of(factors)
         assert_model_is_reference(model, [reference_materialize(f) for f in factors])
-        assert [materialize(f) for f in factors] == list(model.factor_points)
+        got = [[F(n, model.den) for n in norms] for norms in model.norms]
+        assert [materialize(f) for f in factors] == got
 
     @settings(max_examples=150, deadline=None)
     @given(unions_and_groups())
     def test_matches_reference_on_disjoint_projection(self, case):
-        """The projected model is built from the union's points (parents by
-        `cluster_map`, weights and norms from the union's model), plus the
-        added origin at path () when no kept point has norm 0."""
+        """The projected model is built from runs of the union's positions
+        (parents remapped by `cluster_map`, weights and norms from the
+        union's model), plus the added origin when no kept point has norm
+        0: the points that the path rule picks (`reference_projection`)."""
         K, groups = case
         whole, sub = projected_models(K, groups)
         assert_model_is_reference(whole, [reference_materialize(K)])
-        assert_model_is_reference(sub, sub.factor_points)
+        assert_model_is_reference(sub, [reference_projection(K, groups)], whole.den)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(fan_sets(2), min_size=2, max_size=3), st.data())
@@ -726,7 +739,8 @@ class TestModelWalk:
         )
         whole, sub = projected_models(ProdQ(tuple(factors)), sorted(groups))
         assert_model_is_reference(whole, [reference_materialize(f) for f in factors])
-        assert_model_is_reference(sub, [reference_materialize(factors[i]) for i in sorted(groups)])
+        points = [reference_materialize(factors[i]) for i in sorted(groups)]
+        assert_model_is_reference(sub, points, whole.den)
 
     def test_depth_thousand_chain(self):
         """The walk and `count_points` keep their own stacks: a chain of
@@ -736,13 +750,26 @@ class TestModelWalk:
         assert model_sz(depth_fan(1000, F(1, 2)), F(1, 2)) == 1001
         assert time.perf_counter() - start < 5
 
+    def test_depth_eight_thousand_chain_memory(self):
+        """The model keeps no paths: building a chain of depth 8000 peaks
+        below 32 MiB (every point holding its whole path took 251 MiB)."""
+        chain = depth_fan(8000, F(1, 2))
+        tracemalloc.start()
+        try:
+            model = ProductModel.of([chain])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.norms[0]) == 8001
+        assert peak < 32 * 2**20
+
 
 class TestTvlProjection:
     @settings(max_examples=100, deadline=None)
     @given(unions_and_groups(), fracs(max_den=4))
     def test_stages_match_the_projected_set(self, case, eps_q):
-        """tvl_check's projected model (the second one it derives), read
-        off the paths of the materialized union, derives stage by stage like
+        """tvl_check's projected model (the second one it derives), built
+        from runs of the union's positions, derives stage by stage like
         the model of `project`: the same norms^q and two-copy counts at
         stages 0..3."""
         K, groups = case
@@ -798,7 +825,7 @@ class TestEngineVsModel:
             model.tuples(), eps_q, lambda a, e: derive_product_set(a, model, e)[-1]
         )
         schain = model_chain(
-            frozenset(range(len(model.factor_points[0]))),
+            frozenset(range(len(model.norms[0]))),
             eps_q,
             lambda a, e: derive_set(a, model, 0, e)[-1],
         )
@@ -883,21 +910,21 @@ class TestSharedStructure:
         assume(model.count(model.tuples()) <= 60)
         orbits = oracle_orbits([f], model)
         stages = model_chain(
-            frozenset(range(len(model.factor_points[0]))),
+            frozenset(range(len(model.norms[0]))),
             eps_q,
             lambda a, e: derive_set(a, model, 0, e)[-1],
         )
         _, trace = derive_steps(f, eps_q, len(stages))
         assert len(trace.steps) == len(stages) and trace.steps[-1].snapshot is None
-        pts, weights = model.factor_points[0], model.weights[0]
+        norms, weights = model.norms[0], model.weights[0]
         for step, stage in zip(trace.steps, stages):
             snap = step.snapshot
             got = Counter()
-            for p in materialize(snap) if snap is not None else ():
+            for p in reference_materialize(snap) if snap is not None else ():
                 got[p.norm_q] += 1 << sum(1 for kind, _ in p.path if kind == "t")
             want = Counter()
             for j in stage:
-                want[pts[j].norm_q] += weights[j]
+                want[F(norms[j], model.den)] += weights[j]
             assert got == want
             clustered = [j for j, d in _local_diams(model, (0,), stage).items() if d > 0]
             assert step.apex_count == model.count((j,) for j in clustered)

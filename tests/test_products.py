@@ -27,6 +27,7 @@ from oracle import (
     prefix_cluster_map,
     push_to_all_local_diams,
     reference_bq_member,
+    reference_materialize,
     reference_stages,
     unfold,
 )
@@ -397,7 +398,7 @@ class TestDeriveProductStep:
         pu = derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
         assert len(pu.alive) == 1
         (x,) = pu.alive
-        assert all(pts[j].norm_q == 0 for pts, j in zip(pu.model.factor_points, x))
+        assert all(norms[j] == 0 for norms, j in zip(pu.model.norms, x))
         assert len(pu.terms) == 1
         # alive sets and terms hold positions, not points
         assert all(type(j) is int for x in pu.alive for j in x)
@@ -407,7 +408,7 @@ class TestDeriveProductStep:
         pu = derive_product_step([(F(1), F1), (F(1), Sing())], F(1, 2))
         assert len(pu.alive) == 1
         (x,) = pu.alive
-        assert all(pts[j].norm_q == 0 for pts, j in zip(pu.model.factor_points, x))
+        assert all(norms[j] == 0 for norms, j in zip(pu.model.norms, x))
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -489,7 +490,7 @@ class TestFactorTable:
         assume(len(model.tuples()) <= 2000)
         eps_q = eps_at(factors, k, 16)
         pu = derive_product_step(factors, eps_q)
-        whole = tuple(frozenset(range(len(pts))) for pts in pu.model.factor_points)
+        whole = tuple(frozenset(range(len(norms))) for norms in pu.model.norms)
         want = reference_derive_terms(pu.model, [whole], eps_q)
         steps = 1
         while True:
@@ -509,7 +510,7 @@ class TestFactorTable:
         factors = [(F(1), chain)] * 3
         eps_q = F(1, 2)
         model = ProductModel.of([chain] * 3)
-        terms = [tuple(frozenset(range(len(pts))) for pts in model.factor_points)]
+        terms = [tuple(frozenset(range(len(norms))) for norms in model.norms)]
         read = set()
         while terms:
             read.update((i, G) for term in terms for i, G in enumerate(term))
@@ -574,7 +575,7 @@ class TestScaledBar:
         "eps_q, value", [(1, F(1)), (F(5, 7), F(5, 7)), ("7/5", F(7, 5)), (F(1, 24), F(1, 24))]
     )
     def test_floor_of_eps_q_times_d(self, eps_q, value):
-        D = self.MODEL.scaled_norms[0]
+        D = self.MODEL.den
         assert D == 12
         assert self.MODEL.scaled_bar(eps_q) == math.floor(value * D)
 
@@ -665,7 +666,7 @@ class TestDeriveProductSet:
         it sits at the apex on some axis: its reach lies along those axes
         alone."""
         model = ProductModel.of([F1] * n)
-        apex = next(j for j, p in enumerate(model.factor_points[0]) if p.norm_q == 0)
+        apex = model.norms[0].index(0)
         alive = model.tuples()
         want = frozenset(x for x in alive if apex in x)
         assert derive_product_set(alive, model, F(1, 2))[-1] == want
@@ -673,15 +674,16 @@ class TestDeriveProductSet:
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), F(1, 2))) == want
 
 
-def reference_local_diams(model, axes, alive):
+def reference_local_diams(model, factors, axes, alive):
     """The tuple-keyed kernel: the push-to-all kernel on position tuples,
     building head + (z,) + tail for every x whose cluster on the axis holds
-    the value's point (`prefix_cluster_map`)."""
-    _, norms = model.scaled_norms
+    the value's point (`prefix_cluster_map` of the paths of the reference
+    walk of `factors`, the model's)."""
+    norms = model.norms
     own = {k: sum(norms[a][j] for a, j in zip(axes, k)) for k in alive}
     best = own
     for n, a in enumerate(axes):
-        inv = prefix_cluster_map(model.factor_points[a])
+        inv = prefix_cluster_map(reference_materialize(factors[a]))
         pushed = {}
         for y, v in best.items():
             head, tail = y[:n], y[n + 1 :]
@@ -705,7 +707,7 @@ def unequal_model(bodies):
     """The product model of three factors with at least two point counts,
     small enough for the oracle."""
     model = ProductModel.of(bodies)
-    sizes = [len(p) for p in model.factor_points]
+    sizes = [len(norms) for norms in model.norms]
     assume(len(set(sizes)) > 1 and model.count(model.tuples()) <= 150)
     return model
 
@@ -718,13 +720,13 @@ class TestIntegerCodeKernel:
     @given(st.lists(fan_sets(1), min_size=3, max_size=3), fracs(max_den=4))
     def test_every_stage_of_an_unequal_product(self, bodies, eps_q):
         model = unequal_model(bodies)
-        D = model.scaled_norms[0]
+        D = model.den
         orbits = oracle_orbits(bodies, model)
         axes = range(3)
         alive, stages = model.tuples(), 0
         while alive:
             got = code_diams(model, axes, alive)
-            assert got == reference_local_diams(model, axes, alive)
+            assert got == reference_local_diams(model, bodies, axes, alive)
             pts = unfold(orbits, alive)
             for x, d in got.items():
                 px = tuple(o[j][0] for o, j in zip(orbits, x))
@@ -741,10 +743,10 @@ class TestIntegerCodeKernel:
         model = unequal_model(bodies)
         alive = draw_subset(data, model)
         axes = range(3)
-        assert code_diams(model, axes, alive) == reference_local_diams(model, axes, alive)
+        assert code_diams(model, axes, alive) == reference_local_diams(model, bodies, axes, alive)
         # the axes in another order, as a sub-product of two factors
         sub = frozenset((x[2], x[0]) for x in alive)
-        assert code_diams(model, (2, 0), sub) == reference_local_diams(model, (2, 0), sub)
+        assert code_diams(model, (2, 0), sub) == reference_local_diams(model, bodies, (2, 0), sub)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(fan_sets(2), min_size=2, max_size=3), fracs(max_den=4))
@@ -752,14 +754,14 @@ class TestIntegerCodeKernel:
         """One-axis calls on axis i > 0, as `_staircase` makes them: a code
         is the position, at every stage of `derive_set` on that factor."""
         model = ProductModel.of(bodies)
-        D = model.scaled_norms[0]
+        D = model.den
         orbits = oracle_orbits(bodies, model)
         for i in range(1, len(bodies)):
             assume(sum(model.weights[i]) <= 60)
-            alive = frozenset(range(len(model.factor_points[i])))
+            alive = frozenset(range(len(model.norms[i])))
             while alive:
                 got = _local_diams(model, (i,), alive)
-                want = reference_local_diams(model, (i,), [(j,) for j in alive])
+                want = reference_local_diams(model, bodies, (i,), [(j,) for j in alive])
                 assert got == {j: d for (j,), d in want.items()}
                 live = frozenset(p for j in alive for p in orbits[i][j])
                 for j, d in got.items():
@@ -798,7 +800,8 @@ class TestForestKernel:
         every = tuple(range(n))
         for axes in (every, every[::-1], *((i,) for i in every)):
             sub = codes(model, axes, alive)
-            assert _local_diams(model, axes, sub) == push_to_all_local_diams(model, axes, sub)
+            want = push_to_all_local_diams(model, bodies, axes, sub)
+            assert _local_diams(model, axes, sub) == want
 
     @pytest.mark.parametrize("n, factors", [(40, 1), (8, 2), (4, 3)])
     def test_no_code_is_raised_twice(self, n, factors):
@@ -814,12 +817,15 @@ class TestForestKernel:
                 lookups[0] += 1
                 return super().__getitem__(y)
 
-        model = ProductModel.of([depth_fan(n, F(1, 2))] * factors)
-        counted = ProductModel(model.factor_points, tuple(map(Counted, model.parents)), model.weights)
+        chains = [depth_fan(n, F(1, 2))] * factors
+        model = ProductModel.of(chains)
+        counted = ProductModel(
+            model.den, model.norms, tuple(map(Counted, model.parents)), model.weights
+        )
         axes = range(factors)
         alive = codes(model, axes, model.tuples())
         got = _local_diams(counted, axes, alive)
-        assert got == push_to_all_local_diams(model, axes, alive)
+        assert got == push_to_all_local_diams(model, chains, axes, alive)
         assert lookups[0] <= 2 * factors * len(alive)
 
 
@@ -1222,7 +1228,7 @@ def walk_terms(factors, eps_q) -> int:
     y in C(x), which `prefix_cluster_map` lists).  Returns the number of
     steps."""
     pu = derive_product_step(factors, eps_q)
-    invs = [prefix_cluster_map(pts) for pts in pu.model.factor_points]
+    invs = [prefix_cluster_map(reference_materialize(scaled(a_q, K))) for a_q, K in factors]
     steps = 1
     while True:
         union = set()

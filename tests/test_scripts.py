@@ -51,7 +51,8 @@ def test_one_a7_table(bench):
 def test_product_sweep_prints_one_json_line():
     """scripts/product_sweep.py at a tiny size: one JSON line, one row per
     product, the same sz from `product_sz` and the kernel-only loop, and
-    one row for a one-factor chain of depth 3."""
+    one row for a one-factor chain of depth 3, with its build's peak
+    memory."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "2", "3", "--four", "2",
          "--ones", "3"],
@@ -68,3 +69,4 @@ def test_product_sweep_prints_one_json_line():
     (one,) = doc["ones"]
     assert (one["depth"], one["sz"]) == (3, 4)
     assert one["build_s"] >= 0 and one["kernel_s"] >= 0
+    assert one["build_peak_mib"] >= 0

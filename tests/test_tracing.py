@@ -73,7 +73,8 @@ def test_point_model_spans_on_verify(capsys, monkeypatch, suite):
     """One verify op per suite, traced: the tracer installs, and the
     `pointmodel.materialize` and `pointmodel.derive` spans still record,
     with `pointmodel.points` the number of points the built models hold
-    (each model's factors are materialized once, by `ProductModel.of`)."""
+    (each model's factors are materialized once, by `ProductModel.of`);
+    `tvl` also records `pointmodel.cluster_map`, its projected forest."""
     built = []
     of = szlenk.pointmodel.ProductModel.of
 
@@ -92,5 +93,7 @@ def test_point_model_spans_on_verify(capsys, monkeypatch, suite):
     assert code == EXIT_OK
     names = {span[0] for span in tracer.spans}
     assert {"pointmodel.materialize", "pointmodel.derive"} <= names
-    held = sum(len(pts) for model in built for pts in model.factor_points)
+    held = sum(len(norms) for model in built for norms in model.norms)
     assert built and tracer.counts["pointmodel.points"] == held
+    if suite == "tvl":
+        assert "pointmodel.cluster_map" in names
