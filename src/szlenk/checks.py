@@ -391,9 +391,7 @@ def _grid_steps(
     Grid columns hold integer multipliers j_i of the grid step.  The grid
     is up-closed in its box, and derivation is monotone in its threshold,
     so step(i, state, j) shrinks as j grows: whatever some column covers,
-    each minimal column below it (`a_eps_minimal`) covers too.  A
-    threshold depends on the factor and the multiplier only, so each one
-    is computed once, on its first use, and shared by every state.
+    each minimal column below it (`a_eps_minimal`) covers too.
     """
     iq = int(q)
     g = AEpsGrid(
@@ -405,20 +403,12 @@ def _grid_steps(
     )
     grid = a_eps_grid(g)
     step_q = g.step**iq
-    memo: dict = {}
 
     @functools.cache
-    def threshold(i: int, j: int) -> Fraction:
-        return factors[i][0] * step_q * j**iq
-
     def step(i: int, state: frozenset, j: int) -> frozenset:
-        key = (i, state, j)
-        if key not in memo:
-            if j == 0:
-                memo[key] = state
-            else:
-                memo[key] = derive_set(state, model, i, threshold(i, j))[-1]
-        return memo[key]
+        if j == 0:
+            return state
+        return derive_set(state, model, i, factors[i][0] * step_q * j**iq)[-1]
 
     return g, grid, step, tuple(frozenset(range(len(n))) for n in model.norms)
 

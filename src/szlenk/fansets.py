@@ -353,23 +353,14 @@ def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[Fa
     share = memo.share
     if isinstance(F, Sing):
         out = share(Sing()) if 0 > t_q else None
-    elif isinstance(F, Fan):
-        remnants = [(F.w_q, _filter_reach(c, t_q, memo)) for c in F.prefix]
-        tail = _filter_reach(F.tail, t_q, memo)
-        apex_alive = F.w_q + radius_q(F.tail) > t_q
-        if not apex_alive:
-            assert tail is None  # reach inside the tail is below the apex reach
-            out = share(disj(remnants))
-        elif tail is not None:
-            kept = tuple(r for _, r in remnants if r is not None)
-            out = share(Fan(F.w_q, kept, tail))
-        else:
-            out = share(disj([(Fraction(0), share(Sing()))] + remnants))
-    elif isinstance(F, UnionApex):
-        apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in F.fans)
+    elif isinstance(F, (Fan, UnionApex)):
+        # a fan is the one-arm apex (F,); with no leftovers the apex part
+        # is the whole result, as disj([(0, zero)]) would return it
+        fans = (F,) if isinstance(F, Fan) else F.fans
+        apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in fans)
         cores: list[Fan] = []
         leftovers: list[tuple[Fraction, Optional[FanSet]]] = []
-        for f in F.fans:
+        for f in fans:
             tail = _filter_reach(f.tail, t_q, memo)
             remnants = [(f.w_q, _filter_reach(c, t_q, memo)) for c in f.prefix]
             if tail is not None:
@@ -385,7 +376,7 @@ def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[Fa
                 zero: FanSet = cores[0] if len(cores) == 1 else share(UnionApex(tuple(cores)))
             else:
                 zero = share(Sing())
-            out = share(disj([(Fraction(0), zero)] + leftovers))
+            out = share(disj([(Fraction(0), zero)] + leftovers)) if leftovers else zero
     elif isinstance(F, Scale):
         out = share(scaled(F.a_q, _filter_reach(F.body, t_q / F.a_q, memo)))
     elif isinstance(F, DisjUnion):

@@ -218,13 +218,9 @@ def count_points(F: FanSet) -> int:
         node = stack.pop()
         if isinstance(node, Sing):
             n += 1
-        elif isinstance(node, Fan):
+        elif isinstance(node, (Fan, UnionApex)):
             n += 1
-            stack += node.prefix
-            stack.append(node.tail)
-        elif isinstance(node, UnionApex):
-            n += 1
-            for f in node.fans:
+            for f in (node,) if isinstance(node, Fan) else node.fans:
                 stack += f.prefix
                 stack.append(f.tail)
         elif isinstance(node, Scale):

@@ -47,13 +47,14 @@ the model's common denominator, and its minimal value tuples from a pruned
 prefix walk (`_minimal_tuples`).
 
 One derivation sequence shares one factor-set table (`FactorSets`, one per
-factor; `_whole` makes it and every step passes it on).  It interns each
-factor set as a small id and computes, once per id, lam, its sorted values
-and the id of each super-level set {lam >= v}; so a set that many terms
-share is read once, and a term inside the staircase is a tuple of ids.  The prune that drops terms contained in another (`_prune`) tests
-containment once per pair of ids, only among one factor's distinct sets.
-`pu.terms` holds the interned frozensets.  The table lives as long as its
-sequence, as `DerivationMemo` does for the symbolic half.
+factor; `_whole` makes it and every step passes it on).  A factor set is
+its own key: the table computes, once per distinct set, lam, its sorted
+values and its super-level sets {lam >= v}, so a set that many terms share
+is read once.  Frozensets cache their hash, and an equal set built twice
+costs one equality check on lookup.  The prune that drops terms contained
+in another (`_prune`) tests containment only among one factor's distinct
+sets.  The table lives as long as its sequence, as `DerivationMemo` does
+for the symbolic half.
 
 Each job has one walk.  The A-grid (`a_eps_grid`) is a prefix walk on its
 integer `levels`, and its minimal columns are the staircase's minimal
@@ -258,52 +259,33 @@ class ProductUnion:
 
 
 class FactorSets:
-    """One factor's sets in one product derivation sequence, interned as
-    small ids, with what the staircase reads of a set computed once: the
-    sorted values of its lam (`_local_diams`) and, by value v, the id of
-    its super-level set {lam >= v}; and containment per pair of ids.  lam
-    does not depend on the threshold, so the table serves steps at any
-    eps_q."""
+    """One factor's sets in one product derivation sequence, with what the
+    staircase reads of a set computed once and keyed by the set itself: the
+    sorted values of its lam (`_local_diams`) and, by value v, its
+    super-level set {lam >= v}.  lam does not depend on the threshold, so
+    the table serves steps at any eps_q."""
 
     def __init__(self, model: ProductModel, i: int) -> None:
         self.model, self.i = model, i
-        self.ids: dict[frozenset[int], int] = {}
-        self.sets: list[frozenset[int]] = []  # by id
-        self.levels: dict[int, tuple[list[int], dict[int, int]]] = {}
-        self.subsets: dict[tuple[int, int], bool] = {}
+        self.levels: dict[frozenset[int], tuple[list[int], dict[int, frozenset[int]]]] = {}
 
-    def intern(self, G: frozenset[int]) -> int:
-        g = self.ids.get(G)
-        if g is None:
-            g = self.ids[G] = len(self.sets)
-            self.sets.append(G)
-        return g
-
-    def level_sets(self, g: int) -> tuple[list[int], dict[int, int]]:
-        """The sorted distinct values of lam on set g (D times the local
-        diameter^q of each point inside g), and by value v the id of
-        {x in g : lam(x) >= v}."""
-        got = self.levels.get(g)
+    def level_sets(self, G: frozenset[int]) -> tuple[list[int], dict[int, frozenset[int]]]:
+        """The sorted distinct values of lam on G (D times the local
+        diameter^q of each point inside G), and by value v the set
+        {x in G : lam(x) >= v}."""
+        got = self.levels.get(G)
         if got is None:
-            lam = _local_diams(self.model, (self.i,), self.sets[g])
+            lam = _local_diams(self.model, (self.i,), G)
             values = sorted(set(lam.values()))
-            got = self.levels[g] = values, {
-                v: self.intern(frozenset(x for x, d in lam.items() if d >= v)) for v in values
+            got = self.levels[G] = values, {
+                v: frozenset(x for x, d in lam.items() if d >= v) for v in values
             }
         return got
 
-    def subset(self, a: int, b: int) -> bool:
-        got = self.subsets.get((a, b))
-        if got is None:
-            got = self.subsets[a, b] = self.sets[a] <= self.sets[b]
-        return got
 
-
-def _prune(
-    table: Sequence[FactorSets], terms: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Dedupe terms (tuples of set ids) and drop those componentwise
-    contained in another, keeping the first-seen order.
+def _prune(terms: list[tuple[frozenset[int], ...]]) -> list[tuple[frozenset[int], ...]]:
+    """Dedupe terms and drop those componentwise contained in another,
+    keeping the first-seen order.
 
     Per factor, each distinct set maps to the bitmask of the terms whose set
     on that factor contains it, so subset tests run only among one factor's
@@ -311,19 +293,19 @@ def _prune(
     over the factors holds a bit besides its own."""
     uniq = list(dict.fromkeys(terms))
     inside = [-1] * len(uniq)
-    for i, f in enumerate(table):
-        by_set: dict[int, int] = {}
-        for b, t in enumerate(uniq):
-            by_set[t[i]] = by_set.get(t[i], 0) | 1 << b
+    for column in zip(*uniq):
+        by_set: dict[frozenset[int], int] = {}
+        for b, G in enumerate(column):
+            by_set[G] = by_set.get(G, 0) | 1 << b
         holders = {}
         for a in by_set:
             mask = 0
             for c, m in by_set.items():
-                if f.subset(a, c):
+                if a <= c:
                     mask |= m
             holders[a] = mask
-        for b, t in enumerate(uniq):
-            inside[b] &= holders[t[i]]
+        for b, G in enumerate(column):
+            inside[b] &= holders[G]
     return [t for b, t in enumerate(uniq) if inside[b] == 1 << b]
 
 
@@ -369,12 +351,12 @@ def _minimal_tuples(values: Sequence[Sequence[int]], bar: int) -> list[tuple[int
 
 
 def _staircase(
-    table: Sequence[FactorSets], term: tuple[int, ...], bar: int
-) -> list[tuple[int, ...]]:
-    """Exact one-step derivation of the full product of a term's sets, as
-    set ids: one product of super-level sets per minimal value tuple (each
-    value is taken, so no such set is empty)."""
-    values, levels = zip(*(f.level_sets(g) for f, g in zip(table, term)))
+    table: Sequence[FactorSets], term: tuple[frozenset[int], ...], bar: int
+) -> list[tuple[frozenset[int], ...]]:
+    """Exact one-step derivation of the full product of a term's sets: one
+    product of super-level sets per minimal value tuple (each value is
+    taken, so no such set is empty)."""
+    values, levels = zip(*(f.level_sets(G) for f, G in zip(table, term)))
     return [tuple(map(dict.__getitem__, levels, v)) for v in _minimal_tuples(values, bar)]
 
 
@@ -403,7 +385,7 @@ def derive_product_step(
     factors: Sequence[tuple[Fraction, FanSet]], eps_q: Fraction
 ) -> ProductUnion:
     """Exact s_eps of prod_i a_i K_i as a union of products of super-level
-    subsets of the factors (one product per minimal threshold tuple)."""
+    sets of the factors (one product per minimal threshold tuple)."""
     return product_union_derive(_whole(factors), eps_q)
 
 
@@ -416,12 +398,8 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     """
     alive = derive_product_set(pu.alive, pu.model, eps_q)[-1]
     table, bar = pu.table, pu.model.scaled_bar(eps_q)
-    raw = [
-        t
-        for term in pu.terms
-        for t in _staircase(table, tuple(f.intern(G) for f, G in zip(table, term)), bar)
-    ]
-    terms = tuple(tuple(f.sets[g] for f, g in zip(table, t)) for t in _prune(table, raw))
+    raw = [t for term in pu.terms for t in _staircase(table, term, bar)]
+    terms = tuple(_prune(raw))
     return ProductUnion(pu.model, terms, alive, table)
 
 

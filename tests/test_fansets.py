@@ -317,6 +317,14 @@ class TestFilterDerive:
             (Fan(F(1, 2), (), Sing()), Fan(F(1, 3), (), Sing()))
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(Fan, fracs(), st.lists(fan_sets(2), max_size=2).map(tuple), fan_sets(2)),
+        fracs(),
+    )
+    def test_fan_derives_as_its_one_arm_apex(self, K, eps_q):
+        assert derive(K, eps_q) == derive(UnionApex((K,)), eps_q)
+
     def test_scale(self):
         assert derive(Scale(F(1, 4), F1), F(1, 2)) is None
         assert derive(Scale(F(1, 4), F1), F(1, 8)) == Sing()

@@ -471,10 +471,7 @@ class TestFactorTable:
         picks = data.draw(st.lists(st.integers(0, max(len(terms) - 1, 0)), max_size=6), label="picks")
         for j in picks if terms else ():
             terms.append(tuple(frozenset(list(G)) for G in terms[j]))
-        # the prune reads only the interned sets, never the model
-        table = [products.FactorSets(None, i) for i in range(n)]
-        ids = [tuple(f.intern(G) for f, G in zip(table, t)) for t in terms]
-        got = [tuple(f.sets[g] for f, g in zip(table, t)) for t in products._prune(table, ids)]
+        got = products._prune(terms)
         event(f"{len(terms) - len(got)} dropped")
         assert got == reference_prune(terms)
 
@@ -501,6 +498,25 @@ class TestFactorTable:
             want = reference_derive_terms(pu.model, want, eps_q)
             steps += 1
         event(f"steps={steps}")
+
+    def test_equal_sets_share_one_level_entry(self, monkeypatch):
+        """Two equal frozensets that are distinct objects read one cached
+        entry: the table keys a set by its value, not its identity."""
+        model = ProductModel.of([depth_fan(3, F(1, 2))])
+        table = products.FactorSets(model, 0)
+        calls = []
+        kernel = products._local_diams
+
+        def counted(model, axes, alive):
+            calls.append(alive)
+            return kernel(model, axes, alive)
+
+        monkeypatch.setattr(products, "_local_diams", counted)
+        G = frozenset(range(len(model.norms[0])))
+        H = frozenset(list(G))
+        assert G == H and G is not H
+        assert table.level_sets(G) is table.level_sets(H)
+        assert calls == [G]
 
     def test_one_lam_per_distinct_factor_set(self, monkeypatch):
         """On three depth-8 chains every (factor, set) that the staircase
