@@ -10,6 +10,11 @@ The calculus works on two levels:
   exact ordinal index or a not-Asplund verdict with a rule tag saying which
   evaluation rule fired.
 
+Expressions are evaluated in one post-order pass: each node's result carries
+its index, rule and compactness, and a sum reads its summands' results.  A
+sum is compact iff its norms vanish at infinity and every summand's result
+is compact.
+
 Scalar thresholds are carried as q-th powers of rationals ("eps_q" values), so
 every comparison is exact rational arithmetic.
 """
@@ -25,10 +30,12 @@ from .ordinal import (
     ZERO,
     Ordinal,
     add,
+    fundamental_sequence,
     is_power_of_omega,
     least_omega_power_above,
     mul,
     omega_pow,
+    predecessor,
     sup_affine,
 )
 
@@ -176,11 +183,6 @@ def profile_total_sup(profile: EpsProfile) -> Ordinal:
     return sup_affine(profile.tail.slope, profile.tail.offset)
 
 
-def _lopa_weak(x: Ordinal) -> Ordinal:
-    """Least power of w that is >= x."""
-    return x if is_power_of_omega(x) else least_omega_power_above(x)
-
-
 # ---------------------------------------------------------------------------
 # parametric summand families
 # ---------------------------------------------------------------------------
@@ -223,10 +225,18 @@ NormSeq = Union[ConstNorms, GeometricNorms]
 
 @dataclass(frozen=True)
 class Copies:
-    """Every member of the family has the same profile."""
+    """Every member of the family has the same profile.
+
+    Compact members must have a trivial profile (index 1), as compact atoms
+    must.
+    """
 
     profile: EpsProfile
     compact: bool = False
+
+    def __post_init__(self) -> None:
+        if self.compact and profile_total_sup(self.profile) != ONE:
+            raise MalformedExpr("compact family members must have index 1")
 
 
 @dataclass(frozen=True)
@@ -386,28 +396,6 @@ class DirectSum:
 SpaceExpr = Union[Atom, CSpace, FiniteSum, DirectSum]
 
 
-def norms_in_c0(e: DirectSum) -> bool:
-    if isinstance(e.summands, ParamFamily):
-        return e.summands.norms.in_c0()
-    return True  # finitely many summands always vanish at infinity
-
-
-def is_compact_expr(e: SpaceExpr) -> bool:
-    if isinstance(e, Atom):
-        return e.compact
-    if isinstance(e, CSpace):
-        return e.gamma.is_finite()
-    if isinstance(e, FiniteSum):
-        return all(is_compact_expr(p) for p in e.parts)
-    if isinstance(e, DirectSum):
-        if not norms_in_c0(e):
-            return False
-        if isinstance(e.summands, ParamFamily):
-            return e.summands.compact_members()
-        return all(is_compact_expr(s) for s in e.summands)
-    raise MalformedExpr(f"not a space expression: {e!r}")
-
-
 @dataclass(frozen=True)
 class SpaceIndex:
     """Evaluation result: an exact ordinal index or a not-Asplund verdict,
@@ -441,24 +429,16 @@ def c_space_index(gamma: Ordinal) -> Ordinal:
     return omega_pow(add(alpha, ONE))
 
 
-def _punibound_candidate(r: SpaceIndex) -> Ordinal:
-    """Contribution of one noncompact summand to the p in {0} u (1, oo) rule.
+def _punibound_candidate(x: Ordinal) -> Ordinal:
+    """Index of a p-sum (p in {0} u (1, oo)) whose largest summand index is x.
 
     A summand with attained (successor) index S has some eps-derivation of
     length exactly S, so the sum needs the least w-power strictly above S; a
-    limit index is never attained at fixed eps, so the least w-power >= S
-    suffices.
+    limit index is never attained at fixed eps, so a limit power of w bounds
+    the sum itself.  The candidate is monotone in x, so the largest summand
+    decides, and it is at least w for x >= 1: a noncompact sum reaches w.
     """
-    assert r.index is not None
-    if r.index.is_successor() or r.index.is_zero():
-        return least_omega_power_above(r.index)
-    return _lopa_weak(r.index)
-
-
-def _family_candidate(fam: ParamFamily) -> Ordinal:
-    sup = family_index_sup(fam)
-    r = SpaceIndex.of(sup, "family")
-    return _punibound_candidate(r)
+    return x if x.is_limit() and is_power_of_omega(x) else least_omega_power_above(x)
 
 
 def direct_sum_index(e: SpaceExpr) -> SpaceIndex:
@@ -467,51 +447,43 @@ def direct_sum_index(e: SpaceExpr) -> SpaceIndex:
     Rules: "identity" (atoms), "c_space", "collection(v)" (finite max),
     "nonascase" (p in {1, inf}: not-Asplund gate / plain sup), "compactbound"
     (all parts compact with c0 norms), "punibound" (p in {0} u (1, oo)).
+
+    One post-order pass: a sum evaluates its summands in order and stops
+    at the first not-Asplund one.  A sum is compact iff its norms vanish at
+    infinity (finitely many always do) and every summand's result is
+    compact; a family whose norms are not in c0 is not Asplund for p in
+    {1, inf}.
     """
     if isinstance(e, Atom):
         return SpaceIndex.of(profile_total_sup(e.profile), "identity", e.compact)
     if isinstance(e, CSpace):
         return SpaceIndex.of(c_space_index(e.gamma), "c_space", e.gamma.is_finite())
     if isinstance(e, FiniteSum):
-        parts = [direct_sum_index(p) for p in e.parts]
-        if any(r.kind == "not_asplund" for r in parts):
-            return SpaceIndex.not_asplund("collection(v)")
-        idx = max(r.index for r in parts)
-        return SpaceIndex.of(idx, "collection(v)", all(r.compact for r in parts))
-    if not isinstance(e, DirectSum):
+        parts, rule = e.parts, "collection(v)"
+    elif isinstance(e, DirectSum):
+        parts, rule = e.summands, "nonascase"
+    else:
         raise MalformedExpr(f"not a space expression: {e!r}")
 
-    c0 = norms_in_c0(e)
-    compact = is_compact_expr(e)
-    fam = e.summands if isinstance(e.summands, ParamFamily) else None
-
-    if e.p in ("1", "inf"):
-        if not c0:
-            return SpaceIndex.not_asplund("nonascase")
-        if compact:
-            return SpaceIndex.of(ONE, "compactbound", True)
-        if fam is not None:
-            return SpaceIndex.of(family_index_sup(fam), "nonascase")
-        parts = [direct_sum_index(s) for s in e.summands]
-        if any(r.kind == "not_asplund" for r in parts):
-            return SpaceIndex.not_asplund("nonascase")
-        return SpaceIndex.of(max(r.index for r in parts), "nonascase")
-
-    # p = "0" or rational in (1, oo)
-    if compact:
-        return SpaceIndex.of(ONE, "compactbound", True)
-    candidates = [omega_pow(ONE)]  # a noncompact sum always reaches w
-    if fam is not None:
-        if not fam.compact_members():
-            candidates.append(_family_candidate(fam))
+    if isinstance(parts, ParamFamily):
+        c0 = parts.norms.in_c0()
+        if not c0 and e.p in ("1", "inf"):
+            return SpaceIndex.not_asplund(rule)
+        index, compact = family_index_sup(parts), c0 and parts.compact_members()
     else:
-        for s in e.summands:
+        index, compact = ZERO, True
+        for s in parts:  # a loop, not a comprehension: one frame per level
             r = direct_sum_index(s)
             if r.kind == "not_asplund":
-                return SpaceIndex.not_asplund("nonascase")
-            if not r.compact:
-                candidates.append(_punibound_candidate(r))
-    return SpaceIndex.of(max(candidates), "punibound")
+                return SpaceIndex.not_asplund(rule)
+            index, compact = max(index, r.index), compact and r.compact
+    if isinstance(e, FiniteSum):
+        return SpaceIndex.of(index, rule, compact)
+    if compact:
+        return SpaceIndex.of(ONE, "compactbound", True)
+    if e.p in ("1", "inf"):
+        return SpaceIndex.of(index, "nonascase")
+    return SpaceIndex.of(_punibound_candidate(index), "punibound")
 
 
 def admissible_index_value(x: Ordinal) -> str:
@@ -666,8 +638,6 @@ def szlenk_space_construct(
     `node_cap` distinct stage expressions.  The returned lower_bound records
     the design constraint index(E_beta) > beta.
     """
-    from .ordinal import fundamental_sequence
-
     zero = Atom("zero", Fraction(0), EpsProfile((), ConstTail(ONE)), compact=True)
     cache: dict[Ordinal, SpaceExpr] = {}
     truncated = False
@@ -679,8 +649,6 @@ def szlenk_space_construct(
         if b.is_zero():
             out: SpaceExpr = zero
         elif b.is_successor():
-            from .ordinal import predecessor
-
             out = DirectSum("1", (build(predecessor(b)), atom))
         else:
             truncated = True

@@ -37,6 +37,11 @@ representatives to engine positions by that order and groups the oracle's
 points by the representative they `fold` onto, `oracle_points` takes the
 representatives, and `unfold` and `fold_points` move alive sets between
 engine positions and oracle points.
+
+`reference_direct_sum_index` keeps the space calculus's evaluator as it was
+before compactness came from the summands' results: a second recursive walk,
+`reference_is_compact`, decides compactness at every sum level, and the
+punibound rule takes one candidate per noncompact summand over a floor of w.
 """
 from __future__ import annotations
 
@@ -45,7 +50,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from szlenk.calculus import InvalidParams
+from szlenk.calculus import (
+    Atom,
+    CSpace,
+    DirectSum,
+    FiniteSum,
+    InvalidParams,
+    MalformedExpr,
+    ParamFamily,
+    SpaceIndex,
+    c_space_index,
+    family_index_sup,
+    profile_total_sup,
+)
 from szlenk.checks import UnionLemmaReport
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import (
@@ -61,6 +78,7 @@ from szlenk.fansets import (
     radius_q,
     scaled,
 )
+from szlenk.ordinal import ONE, is_power_of_omega, least_omega_power_above, omega_pow
 from szlenk.pointmodel import ProductModel, _strides, derive_product_set
 
 
@@ -564,3 +582,82 @@ def reference_bq_member(scales, den, nonzero, cover) -> bool:
         max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
     )
     return least in cover.tuple_set
+
+
+def reference_norms_in_c0(e: DirectSum) -> bool:
+    if isinstance(e.summands, ParamFamily):
+        return e.summands.norms.in_c0()
+    return True  # finitely many summands always vanish at infinity
+
+
+def reference_is_compact(e) -> bool:
+    if isinstance(e, Atom):
+        return e.compact
+    if isinstance(e, CSpace):
+        return e.gamma.is_finite()
+    if isinstance(e, FiniteSum):
+        return all(reference_is_compact(p) for p in e.parts)
+    if isinstance(e, DirectSum):
+        if not reference_norms_in_c0(e):
+            return False
+        if isinstance(e.summands, ParamFamily):
+            return e.summands.compact_members()
+        return all(reference_is_compact(s) for s in e.summands)
+    raise MalformedExpr(f"not a space expression: {e!r}")
+
+
+def reference_punibound_candidate(r: SpaceIndex):
+    """The least w-power strictly above an attained (successor) index, and
+    the least w-power >= a limit index."""
+    if r.index.is_successor() or r.index.is_zero():
+        return least_omega_power_above(r.index)
+    return r.index if is_power_of_omega(r.index) else least_omega_power_above(r.index)
+
+
+def reference_direct_sum_index(e) -> SpaceIndex:
+    """`calculus.direct_sum_index` with compactness decided by its own walk."""
+    if isinstance(e, Atom):
+        return SpaceIndex.of(profile_total_sup(e.profile), "identity", e.compact)
+    if isinstance(e, CSpace):
+        return SpaceIndex.of(c_space_index(e.gamma), "c_space", e.gamma.is_finite())
+    if isinstance(e, FiniteSum):
+        parts = [reference_direct_sum_index(p) for p in e.parts]
+        if any(r.kind == "not_asplund" for r in parts):
+            return SpaceIndex.not_asplund("collection(v)")
+        idx = max(r.index for r in parts)
+        return SpaceIndex.of(idx, "collection(v)", all(r.compact for r in parts))
+    if not isinstance(e, DirectSum):
+        raise MalformedExpr(f"not a space expression: {e!r}")
+
+    c0 = reference_norms_in_c0(e)
+    compact = reference_is_compact(e)
+    fam = e.summands if isinstance(e.summands, ParamFamily) else None
+
+    if e.p in ("1", "inf"):
+        if not c0:
+            return SpaceIndex.not_asplund("nonascase")
+        if compact:
+            return SpaceIndex.of(ONE, "compactbound", True)
+        if fam is not None:
+            return SpaceIndex.of(family_index_sup(fam), "nonascase")
+        parts = [reference_direct_sum_index(s) for s in e.summands]
+        if any(r.kind == "not_asplund" for r in parts):
+            return SpaceIndex.not_asplund("nonascase")
+        return SpaceIndex.of(max(r.index for r in parts), "nonascase")
+
+    # p = "0" or rational in (1, oo)
+    if compact:
+        return SpaceIndex.of(ONE, "compactbound", True)
+    candidates = [omega_pow(ONE)]  # a noncompact sum always reaches w
+    if fam is not None:
+        if not fam.compact_members():
+            sup = SpaceIndex.of(family_index_sup(fam), "family")
+            candidates.append(reference_punibound_candidate(sup))
+    else:
+        for s in e.summands:
+            r = reference_direct_sum_index(s)
+            if r.kind == "not_asplund":
+                return SpaceIndex.not_asplund("nonascase")
+            if not r.compact:
+                candidates.append(reference_punibound_candidate(r))
+    return SpaceIndex.of(max(candidates), "punibound")

@@ -5,8 +5,22 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from szlenk.calculus import (
+    Atom,
+    ConstNorms,
+    ConstTail,
+    Copies,
+    CSpace,
+    DirectSum,
+    EpsProfile,
+    FiniteSum,
+    GeometricNorms,
+    LadderMembers,
+    LadderTail,
+    ParamFamily,
+)
 from szlenk.fansets import DisjUnion, Fan, Scale, Sing, UnionApex
-from szlenk.ordinal import ZERO, Ordinal, add, mul, omega_pow
+from szlenk.ordinal import OMEGA, ONE, ZERO, Ordinal, add, mul, omega_pow
 
 
 def fin(n: int) -> Ordinal:
@@ -65,3 +79,58 @@ def fan_sets(max_depth: int = 2) -> st.SearchStrategy:
         max_size=2,
     ).map(mk_disj)
     return st.one_of(st.just(Sing()), fan, apex, scale, disj)
+
+
+SLOPES = (ONE, fin(2), OMEGA, omega_pow(fin(2)))
+OFFSETS = (ONE, fin(3), add(OMEGA, ONE))
+
+
+def eps_profiles() -> st.SearchStrategy[EpsProfile]:
+    """Constant profiles (finite values) and ladder profiles."""
+    const = st.integers(1, 6).map(lambda n: EpsProfile((), ConstTail(fin(n))))
+    ladder = st.builds(
+        lambda slope, offset: EpsProfile((), LadderTail(slope, offset, Fraction(1), Fraction(1, 2))),
+        st.sampled_from(SLOPES),
+        st.sampled_from(OFFSETS),
+    )
+    return st.one_of(const, ladder)
+
+
+def param_families() -> st.SearchStrategy[ParamFamily]:
+    """Families with constant (0 or 1) or geometric norms, and compact or
+    noncompact copies or ladder members."""
+    norms = st.sampled_from(
+        [ConstNorms(Fraction(0)), ConstNorms(Fraction(1)), GeometricNorms(Fraction(1), Fraction(1, 2))]
+    )
+    copies = st.one_of(
+        st.just(Copies(EpsProfile(), compact=True)), eps_profiles().map(Copies)
+    )
+    ladder = st.builds(
+        lambda slope, low_offset: LadderMembers(
+            slope, low_offset[1], low_offset[0], Fraction(1), Fraction(1, 4)
+        ),
+        st.sampled_from(SLOPES),
+        st.sampled_from([(ONE, ONE), (ONE, fin(3)), (fin(3), fin(3)), (ONE, add(OMEGA, ONE))]),
+    )
+    return st.builds(ParamFamily, norms, st.one_of(copies, ladder))
+
+
+def space_exprs(max_depth: int = 2) -> st.SearchStrategy:
+    """Space expressions: compact and noncompact atoms, C(gamma+1) for finite
+    and infinite gamma, finite sums, and p-sums (p in 0, 1, inf, 2, 3/2) of
+    explicit summands or of a parametric family, nested up to max_depth."""
+    compact = st.just(Atom("k", Fraction(1), EpsProfile(), compact=True))
+    noncompact = eps_profiles().map(lambda prof: Atom("a", Fraction(1), prof))
+    c_space = st.one_of(st.integers(0, 9).map(fin), ordinals(2)).map(CSpace)
+    leaves = st.one_of(compact, noncompact, c_space)
+    if max_depth == 0:
+        return leaves
+    sub = space_exprs(max_depth - 1)
+    parts = st.lists(sub, min_size=1, max_size=3).map(tuple)
+    p = st.sampled_from(["0", "1", "inf", Fraction(2), Fraction(3, 2)])
+    return st.one_of(
+        st.builds(DirectSum, p, parts),
+        st.builds(DirectSum, p, param_families()),
+        st.builds(FiniteSum, parts),
+        leaves,
+    )

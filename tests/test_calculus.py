@@ -30,7 +30,6 @@ from szlenk.calculus import (
     family_index_sup,
     frount_M,
     frount_M_qpow,
-    is_compact_expr,
     postdoc2_bound,
     profile_eval,
     profile_sup,
@@ -39,6 +38,8 @@ from szlenk.calculus import (
     sigma_qpow,
     szlenk_space_construct,
 )
+from oracle import reference_direct_sum_index
+from strategies import space_exprs
 from szlenk.ordinal import (
     ONE,
     OMEGA,
@@ -343,13 +344,27 @@ class TestCompactness:
     def test_sum_compactness_propagation(self):
         k = const_atom("k", ONE, compact=True)
         nk = ladder_atom("nk", ONE)
-        assert is_compact_expr(DirectSum("2", (k, k)))
-        assert not is_compact_expr(DirectSum("2", (k, nk)))
+        assert direct_sum_index(DirectSum("2", (k, k))).compact
+        assert not direct_sum_index(DirectSum("2", (k, nk))).compact
         # compact members with non-vanishing norms: not compact
         fam = ParamFamily(ConstNorms(F(1)), Copies(EpsProfile((), ConstTail(ONE)), compact=True))
-        assert not is_compact_expr(DirectSum("2", fam))
+        assert not direct_sum_index(DirectSum("2", fam)).compact
         fam2 = ParamFamily(GeometricNorms(F(1), F(1, 2)), Copies(EpsProfile((), ConstTail(ONE)), compact=True))
-        assert is_compact_expr(DirectSum("2", fam2))
+        assert direct_sum_index(DirectSum("2", fam2)).compact
+
+    def test_compact_copies_need_trivial_profile(self):
+        with pytest.raises(MalformedExpr, match="compact family members must have index 1"):
+            Copies(EpsProfile((), ConstTail(fin(5))), compact=True)
+        with pytest.raises(MalformedExpr):
+            Copies(ladder_atom("a", ONE).profile, compact=True)
+        Copies(EpsProfile((), ConstTail(fin(5))))
+        Copies(EpsProfile(), compact=True)
+
+    @given(space_exprs(3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_evaluator(self, e):
+        # every SpaceIndex field: kind, index, rule and compactness
+        assert direct_sum_index(e) == reference_direct_sum_index(e)
 
 
 class TestDirectSumIndex:
@@ -556,8 +571,8 @@ class TestConstruct:
 
     def test_index_grows_with_stage(self):
         # every positive finite stage contains a noncompact piece of index w
-        for n in (1, 2, 5):
-            r = szlenk_space_construct(fin(n), ell2_upper_atom())
+        for n in (1, 2, 5, 399):
+            r = szlenk_space_construct(fin(n), ell2_upper_atom(), node_cap=400)
             assert direct_sum_index(r.expr).index == W
 
 

@@ -23,6 +23,7 @@ from szlenk.calculus import (
     CSpace,
     DirectSum,
     EpsProfile,
+    GeometricNorms,
     LadderMembers,
     ParamFamily,
 )
@@ -166,6 +167,16 @@ class TestSpaceEval:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "copies compact" in err
+
+    def test_compact_copies_with_nontrivial_profile_exit_2(self, capsys, tmp_path):
+        profile = EpsProfile((), ConstTail(Ordinal.from_int(5)))
+        fam = ParamFamily(GeometricNorms(F(1), F(1, 2)), Copies(profile, compact=False))
+        doc = space_to_doc(DirectSum("0", fam))
+        doc["space"]["sum"]["family"]["members"]["copies"]["compact"] = True
+        code, out, err = run(capsys, "space", "eval", write_doc(tmp_path, "bad.json", doc))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: compact family members must have index 1\n"
 
     def test_bad_document_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
