@@ -7,9 +7,9 @@ and the staircase's terms at every step, and the kernel-only loop: the same
 model build and `pointmodel.sz_product_set`, which derives the point set
 alone.  Both give the same sz.  The ratio is the staircase's cost on top of
 the exact derivation.  For each one-factor chain of --ones it times the
-model build and the kernel loop (one `derive_set` sequence to the empty
-stage) apart, and takes the tracemalloc peak of one more build, outside
-the timed runs; sz is depth + 1.  Prints one JSON line.
+model build and the derivation (one `derive_set` rank pass, whose largest
+rank is sz) apart, and takes the tracemalloc peak of one more build,
+outside the timed runs; sz is depth + 1.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
@@ -69,7 +69,7 @@ def row(factors: int, depth: int, repeats: int) -> dict:
 
 
 def one_row(depth: int, repeats: int) -> dict:
-    """The least model build and kernel loop times of one chain, and the
+    """The least model build and rank pass times of one chain, and the
     peak memory of one build."""
     chain = depth_fan(depth, HALF)
     build = loop = float("inf")
@@ -77,10 +77,11 @@ def one_row(depth: int, repeats: int) -> dict:
         start = time.perf_counter()
         model = ProductModel.of([chain])
         built = time.perf_counter()
-        stages = derive_set(frozenset(range(len(model.norms[0]))), model, 0, HALF, None)
+        ranks = derive_set(frozenset(range(len(model.norms[0]))), model, 0, HALF)
         build, loop = min(build, built - start), min(loop, time.perf_counter() - built)
-    if len(stages) - 1 != depth + 1:
-        raise SystemExit(f"d{depth}: sz {len(stages) - 1} != {depth + 1}")
+    sz = max(ranks.values())
+    if sz != depth + 1:
+        raise SystemExit(f"d{depth}: sz {sz} != {depth + 1}")
     tracemalloc.start()
     ProductModel.of([chain])
     peak = tracemalloc.get_traced_memory()[1]

@@ -642,22 +642,35 @@ def szlenk_space_construct(
     cache: dict[Ordinal, SpaceExpr] = {}
     truncated = False
 
-    def build(b: Ordinal) -> SpaceExpr:
-        nonlocal truncated
-        if b in cache:
-            return cache[b]
+    def parts(b: Ordinal) -> tuple[Ordinal, ...]:
+        """The stages E_b is built from."""
+        if b.is_zero():
+            return ()
+        if b.is_successor():
+            return (predecessor(b),)
+        return tuple(fundamental_sequence(b, k) for k in range(limit_width))
+
+    # an explicit stack of (stage, its parts) in place of recursion, so a
+    # successor chain costs one frame per stage and no Python stack; a stage
+    # is built once its parts are, in the post-order a recursion would take
+    stack = [(beta, parts(beta))]
+    while stack:
+        b, needs = stack[-1]
+        todo = next((a for a in needs if a not in cache), None)
+        if todo is not None:
+            stack.append((todo, parts(todo)))
+            continue
+        stack.pop()
         if b.is_zero():
             out: SpaceExpr = zero
         elif b.is_successor():
-            out = DirectSum("1", (build(predecessor(b)), atom))
+            out = DirectSum("1", (cache[needs[0]], atom))
         else:
             truncated = True
-            members = tuple(build(fundamental_sequence(b, k)) for k in range(limit_width))
-            out = DirectSum(Fraction(2), members)
+            out = DirectSum(Fraction(2), tuple(cache[a] for a in needs))
         if len(cache) >= node_cap:
             raise DepthCapExceeded(f"more than {node_cap} construction stages")
         cache[b] = out
-        return out
 
-    expr = build(beta)
+    expr = cache[beta]
     return ConstructResult(expr, beta, truncated, len(cache))

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow, sigma_qpow
 from .exactmath import pow_bounds
@@ -45,6 +45,7 @@ from .pointmodel import (
     count_points,
     derive_set,
     iterate_product_set,
+    iterate_set,
     model_sz,
     sz_product_set,
 )
@@ -153,45 +154,56 @@ def union_lemma_check(
     ends = list(itertools.accumulate(runs, initial=len(shared)))
     pieces = [frozenset((*shared, *range(a, b))) for a, b in zip(ends, ends[1:])]
 
-    def count(positions: frozenset[int]) -> int:
+    def count(positions: Iterable[int]) -> int:
         return sum(map(weights.__getitem__, positions))
 
     _, hi2 = pow_bounds(Fraction(2), q)
     half_q = eps_q / hi2
     violations: list[str] = []
 
-    # three kinds of derivation sequence, one call each: the union at eps
-    # to its empty stage, each piece at eps/2 as far, each piece at eps m
-    # steps; a sequence that empties early stays empty
-    stages = derive_set(whole, model, 0, eps_q, None)
-    last = len(stages) - 1
+    # three kinds of derivation sequence, one rank pass each: the union at
+    # eps, each piece at eps/2 with ranks capped past the union's last
+    # stage, each piece at eps capped past m steps; stage k of a sequence
+    # is its points of rank > k
+    ranks = derive_set(whole, model, 0, eps_q)
+    last = max(ranks.values())
     halves = [derive_set(p, model, 0, half_q, last) for p in pieces]
     fulls = [derive_set(p, model, 0, eps_q, m) for p in pieces]
 
-    def union_at(seqs: list, k: int) -> frozenset[int]:
-        return frozenset().union(*(s[min(k, len(s) - 1)] for s in seqs))
+    def best(seqs: list) -> dict[int, int]:
+        """By point, the largest rank over the pieces (0 outside them)."""
+        out: dict[int, int] = {}
+        for seq in seqs:
+            for x, d in seq.items():
+                if d > out.get(x, 0):
+                    out[x] = d
+        return out
 
     # stage k of the union against the union of the pieces' stages k at
-    # eps/2, up to the first escape or the empty stage
-    half_ok = True
-    for alphas, lhs in enumerate(stages):
-        escaped = lhs - union_at(halves, alphas)
-        if escaped:
-            half_ok = False
-            violations.append(f"stagewise: alpha={alphas}, {count(escaped)} points uncovered")
-            break
+    # eps/2: it escapes at the points with ranks[x] > k >= half[x], so the
+    # first escape is at the least half[x] below ranks[x]; with none, the
+    # walk reaches the empty stage, `last`
+    half = best(halves)
+    late = {x: h for x, d in ranks.items() if d > (h := half.get(x, 0))}
+    half_ok = not late
+    alphas = min(late.values(), default=last)
+    if late:
+        escaped = (x for x, h in late.items() if ranks[x] > alphas >= h)
+        violations.append(f"stagewise: alpha={alphas}, {count(escaped)} points uncovered")
 
-    lhs2 = stages[min(m * n, last)]
-    rhs2 = union_at(fulls, m)
-    mn_ok = lhs2 <= rhs2
+    # the (m*n)-fold derivation of the union against the union of the
+    # pieces' m-fold ones
+    full = best(fulls)
+    uncovered = [x for x, d in ranks.items() if d > m * n and full.get(x, 0) <= m]
+    mn_ok = not uncovered
     if not mn_ok:
         violations.append(
-            f"mn-fold: {count(lhs2 - rhs2)} points uncovered at m={m}, n={n}"
+            f"mn-fold: {count(uncovered)} points uncovered at m={m}, n={n}"
         )
 
     comp_eq: Optional[bool] = None
     if mode == "disjoint":
-        comp_eq = stages[min(1, last)] == union_at(fulls, 1)
+        comp_eq = all((d > 1) == (full.get(x, 0) > 1) for x, d in ranks.items())
         if not comp_eq:
             violations.append("componentwise: one-step derivation differs")
 
@@ -408,7 +420,7 @@ def _grid_steps(
     def step(i: int, state: frozenset, j: int) -> frozenset:
         if j == 0:
             return state
-        return derive_set(state, model, i, factors[i][0] * step_q * j**iq)[-1]
+        return iterate_set(state, model, i, factors[i][0] * step_q * j**iq, 1)
 
     return g, grid, step, tuple(frozenset(range(len(n))) for n in model.norms)
 

@@ -109,24 +109,80 @@ walks that value up the forest, one edge at a time, until it meets a
 point that holds at least as much, so no point is raised twice and an axis
 costs one sort and one push per point (the points a walk creates
 included).  It derives subsets of the product (`derive_product_set`, every
-axis) and of one factor's points (`derive_set`, one axis), and gives
-`products` its per-factor local diameters.  Inside the kernel a point is
-one integer, its mixed-radix code sum_n j_n * stride_n (`_strides`), so a
-step adds (p - y) * stride to a code instead of building a tuple.
-A one-axis code is the position itself, so `derive_set` and the staircase
-pass positions straight in.
+axis) and gives `products` its per-factor local diameters.  Inside the
+kernel a point is one integer, its mixed-radix code sum_n j_n * stride_n
+(`_strides`), so a step adds (p - y) * stride to a code instead of
+building a tuple.  A one-axis code is the position itself, so the
+staircase passes positions straight in.  A product derivation sequence is
+one call: `derive_product_set` returns the stages alive, its derivation,
+and so on, for m steps or up to the first empty stage.  The call takes the
+bar once, encodes the position tuples once and decodes each stage; the
+model builds each axis layout that the kernel reads once
+(`ProductModel.layout`).  `ProductModel.of` takes the common denominator
+once, over every factor.
 
-A derivation sequence is one call: `derive_product_set` and `derive_set`
-return the stages alive, its derivation, and so on, for m steps or up to
-the first empty stage.  The call takes the bar once and, on a product,
-encodes the position tuples once and decodes each stage; the model builds
-each axis layout that the kernel reads once (`ProductModel.layout`).
-`ProductModel.of` takes the common denominator once, over every factor.
+The rank recursion.  On one factor a whole derivation sequence is one pass
+(`derive_set`).  Fix an alive set S of positions, any set at all (cluster-
+or mirror-closed or not), and let S_0 = S and S_k be the derivation of
+S_(k-1).  The rank d(x) of a point is the least k with x outside S_k, so
+d(x) = 0 off S, stage k is {x : d(x) > k}, and the sequence empties after
+max d steps.  With N the norm^q times D and bar = floor(eps_q * D):
+
+    d(x) = 1 + max{d(y) : y a proper descendant of x, N(y) - N(x) > bar // 2}
+
+for x in S, with max of nothing 0.  (2 * (N(y) - N(x)) > bar iff
+N(y) - N(x) > bar // 2, both sides being integers.)  By induction on k,
+S_k = {x : d(x) > k}, the recursion's d: at k = 0 both sides are S, as
+d >= 1 on S.  For k >= 1, x is in S_k iff it is in S_(k-1) and some point
+y of its cluster alive in S_(k-1) has 2 * (N(y) - N(x)) > bar (the local
+diameter above, which holds on any subset of the quotient), and that y is
+not x itself, since 2 * 0 > bar fails (bar >= 0).  By the hypothesis for
+k - 1, that says d(x) > k - 1 and some proper descendant y with
+N(y) - N(x) > bar // 2 has d(y) > k - 1.  The second part implies the
+first, since then d(x) >= 1 + d(y), and it says exactly d(x) > k.
+
+`derive_set` evaluates the recursion once per point, taking positions in
+decreasing order, so every child comes before its parent (p < y).  It
+hands each point a list whose entry k is the largest N over the points of
+the point's subtree that have rank > k; the list does not increase with k,
+and it is kept negated, so it does not decrease and a bisection can search
+it.  The max in the recursion is then the number of entries greater than
+N(x) + bar // 2, one bisection.  N does not decrease down the forest, so
+x raises no entry of its children's merged list and appends at most one,
+N(x) itself at k = d(x) - 1.  A parent adopts the longest list handed up
+to it and merges the others into it entrywise, each at the cost of the
+shorter list: a long-path merge.  A list is at most as long as the height
+h(c) of its subtree (the most points on a downward path from c), since
+d(y) <= h(y).  At each point the merges cost at most the lengths of every
+child's list but the longest, which is at most the sum of h(c) over every
+child c but one of greatest height.  Summed over the forest that is at most
+P, the number of points: each point lies on exactly one path of the
+long-path decomposition (each point continues the path of a child of
+greatest height), and those paths start at the roots and at exactly those
+children, with h(c) points each.  So the pass costs O(P log P): one
+bisection and at most one append per point, and O(P) for the merges.  With
+a step cap m the lists keep their first m entries, which answer every rank
+up to m + 1, the cap.  Every one-factor sequence reads ranks: `iterate_set`
+keeps the points of rank > m, and `iterate_product_set` and
+`sz_product_set` take the pass on a one-axis model.
+
+Products of two or more factors keep the staged kernel.  The same
+recursion holds on a product,
+but its descendants form a DAG: the points whose clusters hold y are the
+tuples of ancestors-or-selves of y's positions, so a product point has up
+to one parent per axis, and one child per axis and per forest child.  The
+subtrees of two children then overlap, so no parent can adopt a child's
+list in place while another parent still needs it: each list is copied
+once per parent, and the long-path bound above fails.  The merges then cost
+about what the stages cost, one kernel run per step.  tests/oracle.py keeps
+the stage loop (`reference_stages`, one `derive_product_set` step at a
+time) as the slow check on the ranks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -382,21 +438,6 @@ def _local_diams(
     return {c: 2 * (best[c] - v) for c, v in own.items()}
 
 
-def _derive_codes(
-    model: ProductModel, axes: tuple[int, ...], codes: list[int], eps_q: Fraction, m: Optional[int]
-) -> list[list[int]]:
-    """codes over `axes`, then the codes of each derivation of the last
-    stage: m steps, or fewer if a stage is empty (m = None: until one is).
-    The bar is taken once for the whole sequence."""
-    bar = model.scaled_bar(eps_q)
-    steps = math.inf if m is None else m
-    out = [codes]
-    while codes and len(out) <= steps:
-        codes = [c for c, d in _local_diams(model, axes, codes).items() if d > bar]
-        out.append(codes)
-    return out
-
-
 def derive_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: Optional[int] = 1
 ) -> list[frozenset[PPoint]]:
@@ -404,42 +445,89 @@ def derive_product_set(
     then each exact derivation step of the last stage, for m steps or until
     a stage is empty (m = None: until then).  x survives a step iff its
     local diameter^q exceeds eps_q (`_local_diams` on every axis).  The
-    tuples are encoded once for the whole sequence."""
+    tuples are encoded once and the bar is taken once for the whole
+    sequence."""
     axes = tuple(range(len(model.norms)))
     points = list(alive)
     codes = [0] * len(points)
     for n, stride in enumerate(_strides(model, axes)):
         codes = [c + x[n] * stride for c, x in zip(codes, points)]
     by_code = dict(zip(codes, points))
-    stages = _derive_codes(model, axes, codes, eps_q, m)
-    return [alive, *(frozenset(map(by_code.__getitem__, s)) for s in stages[1:])]
+    bar = model.scaled_bar(eps_q)
+    steps = math.inf if m is None else m
+    out = [alive]
+    while codes and len(out) <= steps:
+        codes = [c for c, d in _local_diams(model, axes, codes).items() if d > bar]
+        out.append(frozenset(map(by_code.__getitem__, codes)))
+    return out
 
 
 def derive_set(
-    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: Optional[int] = 1
-) -> list[frozenset[int]]:
-    """The derivation sequence of a set of factor i's positions, as
-    `derive_product_set` gives it (a one-axis code is the position)."""
-    stages = _derive_codes(model, (i,), list(alive), eps_q, m)
-    return [alive, *map(frozenset, stages[1:])]
+    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: Optional[int] = None
+) -> dict[int, int]:
+    """The rank of each point of a set of factor i's positions: the least k
+    with the point outside the k-th derivation of `alive`, capped at m + 1
+    (m = None: no cap).  Stage k is {x : rank > k}.  One pass over the
+    cluster forest (the module docstring's rank recursion): `held` keeps, by
+    position, the negated list handed up to it so far."""
+    half = model.scaled_bar(eps_q) // 2
+    norm, parent = model.norms[i], model.parents[i]
+    cap = len(norm) if m is None else m
+    ranks: dict[int, int] = {}
+    held: dict[int, list[int]] = {}
+    take, put = held.pop, held.setdefault
+    for x in range(max(alive), min(alive) - 1, -1) if alive else ():
+        got = take(x, None)
+        if x in alive:
+            if got is None:
+                ranks[x], got = 1, ([-norm[x]] if cap else [])
+            else:
+                d = ranks[x] = 1 + bisect_left(got, -norm[x] - half)
+                if d > len(got) < cap:
+                    got.append(-norm[x])
+        elif got is None:
+            continue
+        p = parent[x]
+        if p != x:
+            kept = put(p, got)
+            if kept is not got:
+                if len(kept) < len(got):
+                    held[p], kept, got = got, got, kept
+                kept[: len(got)] = map(min, kept, got)
+    return ranks
+
+
+def iterate_set(
+    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: int
+) -> frozenset[int]:
+    """The m-fold derivation of a set of factor i's positions: its points
+    of rank > m."""
+    return frozenset(x for x, d in derive_set(alive, model, i, eps_q, m).items() if d > m)
 
 
 def iterate_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: int
 ) -> frozenset[PPoint]:
-    """The m-fold derivation of an alive subset of the product."""
+    """The m-fold derivation of an alive subset of the product (on one axis,
+    the rank pass)."""
+    if len(model.norms) == 1:
+        kept = iterate_set(frozenset(x for (x,) in alive), model, 0, eps_q, m)
+        return frozenset((x,) for x in kept)
     return derive_product_set(alive, model, eps_q, m)[-1]
 
 
 def sz_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> int:
-    """Least m with the m-fold derivation empty (1 for a nonempty dead set)."""
+    """Least m with the m-fold derivation empty (1 for a nonempty dead set;
+    on one axis, the largest rank)."""
+    if len(model.norms) == 1:
+        ranks = derive_set(frozenset(x for (x,) in alive), model, 0, eps_q)
+        return max(ranks.values(), default=1)
     return max(len(derive_product_set(alive, model, eps_q, None)) - 1, 1)
 
 
 def model_sz(F: FanSet, eps_q: Fraction) -> int:
     """sz_eps of a non-product fan set on its one-factor model."""
     model = ProductModel.of([F])
-    whole = frozenset(range(len(model.norms[0])))
-    return max(len(derive_set(whole, model, 0, eps_q, None)) - 1, 1)
+    return max(derive_set(frozenset(range(len(model.norms[0]))), model, 0, eps_q).values())

@@ -27,8 +27,10 @@ became one walk or one call, or lost its paths: a recursive materializer
 whose points carry their paths, parents from the paths' prefix scan
 (`reference_cluster_map`, also the reference for `tvl_check`'s projected
 forest) and weights counted off the paths, one `derive_product_set` call
-per step, a union's pieces read off the first path step, the union check on
-position tuples, and the least absorbing tuple computed per coordinate.
+per step (`reference_stages`, also the reference for the one-factor ranks
+as `reference_ranks`), a union's pieces read off the first path step, the
+union check on position tuples, and the least absorbing tuple computed per
+coordinate.
 
 The engine materializes one point per mirror orbit (every tail step taken
 as copy ("t", 0)) and keeps no paths; its alive sets hold positions, in
@@ -480,6 +482,15 @@ def reference_stages(alive, model, eps_q, m=None) -> list:
             break
         stages.append(derive_product_set(stages[-1], model, eps_q)[-1])
     return stages
+
+
+def reference_ranks(alive, model, i, eps_q, m=None) -> dict[int, int]:
+    """`pointmodel.derive_set`'s ranks read off the stage loop: by point of
+    `alive` (positions of factor i), the number of stages of
+    `reference_stages` on factor i alone that hold it, so m + 1 at most."""
+    one = ProductModel(model.den, (model.norms[i],), (model.parents[i],), (model.weights[i],))
+    stages = reference_stages(frozenset((x,) for x in alive), one, eps_q, m)
+    return {x: sum((x,) in s for s in stages) for x in alive}
 
 
 def reference_pieces(U) -> list[frozenset[int]]:

@@ -569,6 +569,33 @@ class TestConstruct:
         r = szlenk_space_construct(fin(30), ell2_upper_atom(), node_cap=40)
         assert r.nodes == 31  # stages 0..30, one expression each
 
+    def test_deep_finite_stage_builds_without_recursion(self):
+        """The build walks a successor chain with a loop: stage 2000 (past
+        the default recursion limit) builds with a node cap of its 2001
+        stages, and one stage more than the cap raises DepthCapExceeded."""
+        r = szlenk_space_construct(fin(2000), ell2_upper_atom(), node_cap=2001)
+        assert r.nodes == 2001 and not r.truncated
+        e, depth = r.expr, 0
+        while isinstance(e, DirectSum):
+            e, depth = e.summands[0], depth + 1
+        assert depth == 2000 and e.name == "zero"
+        with pytest.raises(DepthCapExceeded):
+            szlenk_space_construct(fin(2000), ell2_upper_atom(), node_cap=2000)
+
+    def test_limit_stages_share_their_members(self):
+        """A limit's members are built on the explicit stack, each stage
+        once: w + 3 holds w + 2, w + 1 and w, whose five members are
+        stages 0..4, so it takes 4 + 5 stages; and w * 2, whose members
+        w + k hold w, builds and truncates."""
+        r = szlenk_space_construct(add(W, fin(3)), ell2_upper_atom())
+        assert r.nodes == 9 and r.truncated
+        inner = r.expr
+        for _ in range(3):
+            inner = inner.summands[0]
+        assert inner.p == F(2) and len(inner.summands) == 5
+        r = szlenk_space_construct(mul(W, fin(2)), ell2_upper_atom())
+        assert r.truncated and r.expr.p == F(2)
+
     def test_index_grows_with_stage(self):
         # every positive finite stage contains a noncompact piece of index w
         for n in (1, 2, 5, 399):

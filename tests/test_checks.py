@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_pieces, reference_union_lemma_check
+from oracle import reference_pieces, reference_ranks, reference_union_lemma_check
 from strategies import fan_sets, fracs
 from szlenk import checks, pointmodel
 from szlenk.calculus import InvalidParams
@@ -72,9 +72,10 @@ class TestUnionLemmaCheck:
         clean = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
         real = checks.derive_set
 
-        def starved(alive, model, i, eps_q, m=1):
-            # the (eps/2)-side empties, so stage 1 of the union escapes
-            return [alive, frozenset()] if eps_q < F(1, 2) else real(alive, model, i, eps_q, m)
+        def starved(alive, model, i, eps_q, m=None):
+            # the (eps/2)-side empties after one step (every rank is 1), so
+            # stage 1 of the union escapes
+            return dict.fromkeys(alive, 1) if eps_q < F(1, 2) else real(alive, model, i, eps_q, m)
 
         monkeypatch.setattr(checks, "derive_set", starved)
         rep = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
@@ -118,7 +119,9 @@ _KERNEL = pointmodel._local_diams
 def faulty_local_diams(model, axes, alive):
     """A broken kernel for the comparisons below: a set without position 0
     loses every reach, and one with it gets thrice its reach.  Points of
-    reach 0 still die, so every sequence still empties."""
+    reach 0 still die, so every sequence still empties.  The check reads
+    ranks, so under this kernel it reads them off the stage loop
+    (`reference_ranks`), which derives with the kernel."""
     got = _KERNEL(model, axes, alive)
     return {c: 3 * d if 0 in got else 0 for c, d in got.items()}
 
@@ -134,10 +137,11 @@ def union_cases():
 
 
 class TestUnionAgainstReference:
-    """`union_lemma_check` (positions, three derivation sequences) against
-    the tuple-based check that derived one step at a time (tests/oracle.py):
+    """`union_lemma_check` (positions, three rank passes) against the
+    tuple-based check that derived one step at a time (tests/oracle.py):
     the whole report, violation strings included, with the real kernel and
-    with a broken one."""
+    rank pass, and with a broken kernel whose stages give both checks their
+    ranks and stages."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -154,9 +158,9 @@ class TestUnionAgainstReference:
         args = (Ks, eps_q, m, len(Ks), q, mode)
         kernel = faulty_local_diams if broken else _KERNEL
         derived = []
-        real = checks.derive_set
+        real = reference_ranks if broken else checks.derive_set
 
-        def spy(alive, model, i, eps_q, m=1):
+        def spy(alive, model, i, eps_q, m=None):
             derived.append(alive)
             return real(alive, model, i, eps_q, m)
 
@@ -178,7 +182,8 @@ class TestUnionAgainstReference:
         broken kernel every kind of violation occurs, and both checks
         report the same."""
         kinds: Counter = Counter()
-        with mock.patch.object(pointmodel, "_local_diams", faulty_local_diams):
+        with mock.patch.object(pointmodel, "_local_diams", faulty_local_diams), \
+                mock.patch.object(checks, "derive_set", reference_ranks):
             for index in range(200):
                 args = _union_instance(case_rng(1, index))
                 got = union_lemma_check(*args)

@@ -54,6 +54,7 @@ from szlenk.pointmodel import (
     derive_product_set,
     derive_set,
     iterate_product_set,
+    iterate_set,
     sz_product_set,
 )
 from szlenk.products import (
@@ -628,7 +629,7 @@ class TestDeriveProductSet:
         orbits = oracle_orbits(bodies, model)
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), eps_q)) == got
         first = frozenset(x[:1] for x in alive)
-        got = derive_set(frozenset(j for (j,) in first), model, 0, eps_q)[-1]
+        got = iterate_set(frozenset(j for (j,) in first), model, 0, eps_q, 1)
         want = oracle_derive(frozenset(p for (p,) in unfold(orbits[:1], first)), eps_q)
         assert fold_points(orbits[:1], ((p,) for p in want)) == {(j,) for j in got}
 
@@ -644,7 +645,7 @@ class TestDeriveProductSet:
         assert derive_product_set(alive, model, eps_q)[-1] == want
         first = frozenset((x[0],) for x in alive)
         want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, opoints) > eps_q)
-        assert derive_set(frozenset(x for (x,) in first), model, 0, eps_q)[-1] == want
+        assert iterate_set(frozenset(x for (x,) in first), model, 0, eps_q, 1) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -782,7 +783,7 @@ class TestIntegerCodeKernel:
                 live = frozenset(p for j in alive for p in orbits[i][j])
                 for j, d in got.items():
                     assert d == D * oracle_local_diam_q(orbits[i][j][0], live)
-                alive = derive_set(alive, model, i, eps_q)[-1]
+                alive = iterate_set(alive, model, i, eps_q, 1)
 
 
 def codes(model, axes, alive):
@@ -858,8 +859,8 @@ class TestDerivationSequence:
     )
     def test_stages_match_one_call_per_step(self, bodies, data):
         """On random alive subsets of 1-3 factor products, with a step cap
-        or to the empty stage; and per factor, `derive_set` on that
-        factor's positions against its own one-step calls."""
+        or to the empty stage; and per factor, the ranks `derive_set`
+        gives that factor's positions against its own one-step calls."""
         model = ProductModel.of(bodies)
         alive = draw_subset(data, model)
         eps_q = draw_eps_q(data, model, alive)
@@ -876,8 +877,9 @@ class TestDerivationSequence:
             for _ in range(len(seq[0]) if m is None else m):
                 if not seq[-1]:
                     break
-                seq.append(derive_set(seq[-1], model, i, eps_q)[-1])
-            assert derive_set(seq[0], model, i, eps_q, m) == seq
+                seq.append(iterate_set(seq[-1], model, i, eps_q, 1))
+            ranks = derive_set(seq[0], model, i, eps_q, m)
+            assert ranks == {x: sum(x in s for s in seq) for x in seq[0]}
 
 
 class TestProductIterationAgainstModel:
