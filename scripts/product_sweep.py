@@ -2,11 +2,11 @@
 """Time `product_sz` against the kernel-only loop on products of chains.
 
 For each product of equal chains (`depth_fan(d, 1/2)`, scale 1, at
-eps_q = 1/2) it times `products.product_sz`, which derives the point set
-and the staircase's terms at every step, and the kernel-only loop: the same
-model build and `pointmodel.sz_product_set`, which derives the point set
-alone.  Both give the same sz.  The ratio is the staircase's cost on top of
-the exact derivation.  For each one-factor chain of --ones it times the
+eps_q = 1/2) it times `products.product_sz`, which derives the staircase's
+terms at every step and builds no point set, and the kernel-only loop: the
+same model build and `pointmodel.sz_product_set`, which derives the point
+set of every stage.  Both give the same sz.  The ratio is the staircase's
+time over the point-set derivation's.  For each one-factor chain of --ones it times the
 model build and the derivation (one `derive_set` rank pass, whose largest
 rank is sz) apart, and takes the tracemalloc peak of one more build,
 outside the timed runs; sz is depth + 1.  Prints one JSON line.

@@ -78,6 +78,7 @@ from .products import (
     bq_cover,
     derive_product_step,
     product_union_derive,
+    union_count,
 )
 
 LOG = logging.getLogger("szlenk.cli")
@@ -286,8 +287,8 @@ def _derive_product(
     """Product documents: iterate the union-of-products form.
 
     The trace records term/point counts per step rather than snapshots
-    (derived products need not stay products); a point count is the
-    orbit-weighted one (`ProductModel.count`)."""
+    (derived products need not stay products); a step's point count is the
+    orbit-weighted size of the union of its terms (`union_count`)."""
     factors = [(Fraction(1), f) for f in F.factors]
     pu: Optional[ProductUnion] = None
     entries: list[dict] = []
@@ -297,7 +298,7 @@ def _derive_product(
             pu = derive_product_step(factors, eps_q)
         else:
             pu = product_union_derive(pu, eps_q)
-        entries.append({"step": k, "terms": len(pu.terms), "points": pu.model.count(pu.alive)})
+        entries.append({"step": k, "terms": len(pu.terms), "points": union_count(pu.model, pu.terms)})
         if pu.is_empty():
             settled = k
             break

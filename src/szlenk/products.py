@@ -35,16 +35,30 @@ set of the whole union.  The argument, with C the cluster map of the model
    s_eps(U) = the union over T of s_eps(T), which is exactly the union of
    the per-term staircases.
 
-So the terms are never compared with the point set: each step takes its
-point set from one exact derivation, `pointmodel.derive_product_set`,
-whose per-axis cluster max walks each value up the factor's cluster
-forest and raises no point twice, so an axis costs one sort and one push
-per product point, and its terms from the staircases
-(tests/test_products.py walks random products step by step and checks
-both the agreement and the closure).  The staircase's per-factor local
-diameters come from the same kernel, one axis at a time, as integers over
-the model's common denominator, and its minimal value tuples from a pruned
-prefix walk (`_minimal_tuples`).
+So the terms are the derived set, and no step builds a point set: each
+step derives every term by its own staircase and prunes the terms
+contained in another (tests/test_products.py walks random products step
+by step, checks the closure, and holds the union of the terms equal to the
+stage of the exact point-set derivation).  The staircase's per-factor
+local diameters come from the point model's kernel (`_local_diams`), one
+axis at a time, as integers over the model's common denominator, and its
+minimal value tuples from a pruned prefix walk (`_minimal_tuples`).
+
+A step's point count, the two-copy points of the union, is the
+orbit-weighted size of the union of the terms' boxes (`union_count`),
+read without listing a product point.  Per factor, the positions fall
+into atoms by the bitmask of the boxes whose set on that factor holds
+them, and an atom weighs the sum of its positions' orbit sizes.  A pass
+over the factors keeps, for each mask of boxes that hold every
+coordinate chosen so far, the weight of those prefixes; the next factor
+ANDs each mask with each atom's mask and drops an empty AND, so a point
+is counted once, under the boxes that hold it.  Equal masks merge, so
+at factor i the pass holds at most the product of the atom counts of the
+factors before it, and factor i costs at most the product of the atom
+counts up to i itself.  Atoms are disjoint and nonempty, so a factor has
+no more atoms than positions, and the pass costs at most the number of
+factors times the orbit count, and far less when the terms share their
+sets.
 
 One derivation sequence shares one factor-set table (`FactorSets`, one per
 factor; `_whole` makes it and every step passes it on).  A factor set is
@@ -78,13 +92,12 @@ from typing import Optional, Sequence
 from .calculus import InvalidParams, check_power, frount_M_qpow
 from .exactmath import ROOT_BITS, int_nth_root_floor, pow_bounds
 from .fansets import DerivationMemo, FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
-from .pointmodel import (
-    ENUMERATION_LIMIT,
-    PPoint,
-    ProductModel,
-    _local_diams,
-    derive_product_set,
-)
+from . import pointmodel
+from .pointmodel import ENUMERATION_LIMIT, ProductModel, _local_diams
+
+# No product step runs the point-set derivation; this name stays only
+# because the benchmark's tracer (perfbench/tracing.py) wraps it here.
+derive_product_set = pointmodel.derive_product_set
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +258,13 @@ def a_eps_minimal(g: AEpsGrid) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ProductUnion:
-    """A union of products of per-factor position sets, plus the model, the
-    union's point set (computed by the exact point-set derivation) and the
-    factor-set table of the derivation sequence (`_whole` makes it)."""
+    """A union of products of per-factor position sets (the terms, whose
+    union is the derived set), plus the model and the factor-set table of
+    the derivation sequence (`_whole` makes it).  Its point count is
+    `union_count(model, terms)`."""
 
     model: ProductModel
     terms: tuple[tuple[frozenset[int], ...], ...]
-    alive: frozenset[PPoint]
     table: tuple[FactorSets, ...]
 
     def is_empty(self) -> bool:
@@ -307,6 +320,35 @@ def _prune(terms: list[tuple[frozenset[int], ...]]) -> list[tuple[frozenset[int]
         for b, G in enumerate(column):
             inside[b] &= holders[G]
     return [t for b, t in enumerate(uniq) if inside[b] == 1 << b]
+
+
+def union_count(model: ProductModel, boxes: Sequence[tuple[frozenset[int], ...]]) -> int:
+    """The number of two-copy points in the union of the boxes' products,
+    each box a tuple of per-factor position sets (the module docstring's
+    box count): atoms per factor, then one pass over the factors carrying
+    a weight per mask of boxes still holding the prefix."""
+    if not boxes:
+        return 0
+    level = {(1 << len(boxes)) - 1: 1}
+    for column, weight in zip(zip(*boxes), model.weights):
+        by_set: dict[frozenset[int], int] = {}
+        for b, G in enumerate(column):
+            by_set[G] = by_set.get(G, 0) | 1 << b
+        holders: dict[int, int] = {}
+        for G, mask in by_set.items():
+            for x in G:
+                holders[x] = holders.get(x, 0) | mask
+        atoms: dict[int, int] = {}
+        for x, mask in holders.items():
+            atoms[mask] = atoms.get(mask, 0) + weight[x]
+        nxt: dict[int, int] = {}
+        for mask, acc in level.items():
+            for held, w in atoms.items():
+                both = mask & held
+                if both:
+                    nxt[both] = nxt.get(both, 0) + acc * w
+        level = nxt
+    return sum(level.values())
 
 
 def _minimal_tuples(values: Sequence[Sequence[int]], bar: int) -> list[tuple[int, ...]]:
@@ -378,7 +420,7 @@ def _whole(factors: Sequence[tuple[Fraction, FanSet]]) -> ProductUnion:
     model = ProductModel.of([_as_factor(a_q, K) for a_q, K in factors])
     term = tuple(frozenset(range(len(n))) for n in model.norms)
     table = tuple(FactorSets(model, i) for i in range(len(term)))
-    return ProductUnion(model, (term,), model.tuples(), table)
+    return ProductUnion(model, (term,), table)
 
 
 def derive_product_step(
@@ -390,17 +432,12 @@ def derive_product_step(
 
 
 def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
-    """One more derivation step, keeping the union-of-products form.
-
-    Each term derives by its own staircase, and the point set comes from
-    the exact point-set derivation of the whole union; the two agree by the
-    module docstring's argument.
-    """
-    alive = derive_product_set(pu.alive, pu.model, eps_q)[-1]
+    """One more derivation step, keeping the union-of-products form: each
+    term derives by its own staircase, and the union of the results is the
+    derived set of the union (the module docstring's argument)."""
     table, bar = pu.table, pu.model.scaled_bar(eps_q)
     raw = [t for term in pu.terms for t in _staircase(table, term, bar)]
-    terms = tuple(_prune(raw))
-    return ProductUnion(pu.model, terms, alive, table)
+    return ProductUnion(pu.model, tuple(_prune(raw)), table)
 
 
 def product_union_sz(pu: ProductUnion, eps_q: Fraction) -> int:

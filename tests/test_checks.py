@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_pieces, reference_ranks, reference_union_lemma_check
+from oracle import reference_pieces, reference_ranks, reference_stages, reference_union_lemma_check
 from strategies import fan_sets, fracs
 from szlenk import checks, pointmodel
 from szlenk.calculus import InvalidParams
@@ -38,7 +38,7 @@ from szlenk.fansets import (
 )
 from szlenk.generators import case_rng
 from szlenk.pointmodel import ProductModel
-from szlenk.products import _as_factor, a_eps_minimal, derive_product_step
+from szlenk.products import _as_factor, a_eps_minimal, derive_product_step, union_count
 
 F = Fraction
 F1 = Fan(F(1, 2), (), Sing())
@@ -314,23 +314,33 @@ class TestGridFastPaths:
     suites' own instances (cases 0..99 of seed 1)."""
 
     def test_techlem1_minimal_columns_cover_as_all_columns(self):
+        """Also the suite's box count of the uncovered survivors,
+        |L u C| - |C| over the terms L and the minimal columns' boxes C,
+        against the weighted scan of the survivors by the exact point-set
+        derivation (`reference_stages`)."""
         for index in range(100):
             factors, eps, delta, q = _grid_instance(case_rng(1, index))
-            pu = derive_product_step(factors, eps ** int(q))
-            g, grid, step, full = _grid_steps(pu.model, factors, eps, delta, q)
+            eps_q = eps ** int(q)
+            pu = derive_product_step(factors, eps_q)
+            model = pu.model
+            alive = reference_stages(model.tuples(), model, eps_q, 1)[-1]
+            g, grid, step, full = _grid_steps(model, factors, eps, delta, q)
+
+            def boxes(columns):
+                return [tuple(step(i, full[i], j) for i, j in enumerate(col)) for col in columns]
 
             def uncovered(points, columns):
-                sets = [tuple(step(i, full[i], j) for i, j in enumerate(col)) for col in columns]
-                return sum(
-                    1
-                    for x in points
-                    if not any(all(c in s for c, s in zip(x, st)) for st in sets)
-                )
+                sets = boxes(columns)
+                return [x for x in points if not any(all(c in s for c, s in zip(x, st)) for st in sets)]
 
             minimal = a_eps_minimal(g)
             # the survivors, as the suite counts them, and every product point
-            for points in (pu.alive, pu.model.tuples()):
-                assert uncovered(points, minimal) == uncovered(points, grid), index
+            for points in (alive, model.tuples()):
+                assert len(uncovered(points, minimal)) == len(uncovered(points, grid)), index
+            C = boxes(minimal)
+            got = union_count(model, pu.terms + tuple(C)) - union_count(model, C)
+            assert got == model.count(uncovered(alive, minimal)), index
+            assert union_count(model, pu.terms) == model.count(alive), index
 
     def test_techlem2_states_match_the_all_columns_loop(self):
         report = run_suite("techlem2", 100, seed=1)

@@ -69,6 +69,7 @@ from szlenk.products import (
     product_sz,
     product_union_derive,
     product_union_sz,
+    union_count,
 )
 
 F1 = Fan(F(1, 2), (), Sing())
@@ -393,23 +394,28 @@ class TestDeriveProductStep:
     def test_scaled_pair_empty(self):
         pu = derive_product_step([(F(1, 2), F1), (F(1, 2), F1)], F(3, 2))
         assert pu.is_empty()
-        assert pu.alive == frozenset()
+        assert first_stage(pu, F(3, 2)) == frozenset()
+        assert union_count(pu.model, pu.terms) == 0
 
     def test_unscaled_pair_origin(self):
         pu = derive_product_step([(F(1), F1), (F(1), F1)], F(3, 2))
-        assert len(pu.alive) == 1
-        (x,) = pu.alive
+        alive = first_stage(pu, F(3, 2))
+        assert len(alive) == 1
+        (x,) = alive
         assert all(norms[j] == 0 for norms, j in zip(pu.model.norms, x))
         assert len(pu.terms) == 1
+        assert term_points(pu) == alive
         # alive sets and terms hold positions, not points
-        assert all(type(j) is int for x in pu.alive for j in x)
+        assert all(type(j) is int for x in alive for j in x)
         assert all(type(j) is int for term in pu.terms for G in term for j in G)
 
     def test_sing_factor_degenerates(self):
         pu = derive_product_step([(F(1), F1), (F(1), Sing())], F(1, 2))
-        assert len(pu.alive) == 1
-        (x,) = pu.alive
+        alive = first_stage(pu, F(1, 2))
+        assert len(alive) == 1
+        (x,) = alive
         assert all(norms[j] == 0 for norms, j in zip(pu.model.norms, x))
+        assert term_points(pu) == alive
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -433,6 +439,44 @@ class TestDeriveProductStep:
         assert product_sz(factors, F(1, 2)) == sz_product_set(
             model.tuples(), model, F(1, 2)
         )
+
+
+def first_stage(pu, eps_q):
+    """The exact one-step derivation of the whole product of pu's model,
+    by the point-set reference."""
+    return reference_stages(pu.model.tuples(), pu.model, eps_q, 1)[-1]
+
+
+def term_points(pu):
+    """The union of the terms' products, as position tuples."""
+    return frozenset(x for term in pu.terms for x in itertools.product(*term))
+
+
+@st.composite
+def weighted_boxes(draw, factors):
+    """A product model whose factors have 1-5 positions with random orbit
+    sizes (the box count reads nothing else of a model), and 0-6 boxes of
+    random position sets, empty ones included: not closed, and
+    overlapping at random."""
+    sizes = [draw(st.integers(1, 5), label=f"size{i}") for i in range(factors)]
+    weights = tuple(
+        tuple(draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=n, max_size=n))) for n in sizes
+    )
+    model = ProductModel(1, tuple((0,) * n for n in sizes), tuple(tuple(range(n)) for n in sizes), weights)
+    box = st.tuples(*(st.frozensets(st.integers(0, n - 1)) for n in sizes))
+    return model, draw(st.lists(box, max_size=6), label="boxes")
+
+
+class TestUnionCount:
+    """The box count of a union against listing its points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4).flatmap(weighted_boxes))
+    def test_matches_the_enumeration(self, drawn):
+        model, boxes = drawn
+        points = {x for box in boxes for x in itertools.product(*box)}
+        event(f"{len(boxes)} boxes")
+        assert union_count(model, boxes) == model.count(points)
 
 
 def reference_prune(terms):
@@ -1241,20 +1285,21 @@ class TestBqCover:
 def walk_terms(factors, eps_q) -> int:
     """Derive the product of the scaled factors step by step until it is
     empty, checking the products module's argument at every step: the
-    union of the terms' products is the exact derived set `pu.alive`, and
-    every factor set of every term is closed (with y it holds every x with
-    y in C(x), which `prefix_cluster_map` lists).  Returns the number of
-    steps."""
+    union of the terms' products is the stage of the exact point-set
+    derivation (`reference_stages`), the terms' box count is that stage's
+    orbit-weighted size, and every factor set of every term is closed
+    (with y it holds every x with y in C(x), which `prefix_cluster_map`
+    lists).  Returns the number of steps."""
     pu = derive_product_step(factors, eps_q)
+    stages = reference_stages(pu.model.tuples(), pu.model, eps_q)
     invs = [prefix_cluster_map(reference_materialize(scaled(a_q, K))) for a_q, K in factors]
     steps = 1
     while True:
-        union = set()
         for term in pu.terms:
-            union.update(itertools.product(*term))
             for G, cmap in zip(term, invs):
                 assert all(x in G for y in G for x in cmap[y]), "a term's factor set is not closed"
-        assert union == pu.alive
+        assert term_points(pu) == stages[steps]
+        assert union_count(pu.model, pu.terms) == pu.model.count(stages[steps])
         if pu.is_empty():
             return steps
         pu = product_union_derive(pu, eps_q)

@@ -42,15 +42,16 @@ def test_tracer_install_and_uninstall(capsys, tmp_path):
         tracer.uninstall()
     capsys.readouterr()
     assert code == EXIT_OK
-    # one staircase span and one exact derivation per step (sz_eps = 3)
+    # one staircase span per step (sz_eps = 3), and no exact point-set
+    # derivation: the terms are the derived set
     assert tracer.counts["products.staircase.calls"] == 3
-    assert tracer.counts["products.certify.calls"] == 3
+    assert tracer.counts["products.certify.calls"] == 0
     assert snapshot() == before
 
 
-def test_one_exact_derivation_per_step_with_several_terms(capsys, tmp_path):
-    """The `products.certify` span times the one exact derivation of each
-    step, however many terms the step's staircases produce: two depth-2
+def test_no_exact_derivation_per_step_with_several_terms(capsys, tmp_path):
+    """No step runs the exact point-set derivation (the `products.certify`
+    span), however many terms the step's staircases produce: two depth-2
     chains at eps_q = 1/2 hold 2, 3, 2, 1 and 0 terms over five steps."""
     tracer = load_tracing().Tracer()
     tracer.install(szlenk)
@@ -65,7 +66,7 @@ def test_one_exact_derivation_per_step_with_several_terms(capsys, tmp_path):
     assert code == EXIT_OK
     assert [s["terms"] for s in doc["steps"]] == [1, 2, 3, 2, 1, 0]
     assert tracer.counts["products.staircase.calls"] == 5
-    assert tracer.counts["products.certify.calls"] == tracer.counts["products.staircase.calls"]
+    assert tracer.counts["products.certify.calls"] == 0
 
 
 @pytest.mark.parametrize("suite", ["unionlemma1", "tvl"])
