@@ -17,22 +17,13 @@ from .ordinal import (  # noqa: F401
     OMEGA,
     ONE,
     ZERO,
-    AffineInN,
-    Const,
-    NotALimit,
     Ordinal,
     ParseError,
     add,
-    cmp,
-    cofinality_class,
-    fundamental_sequence,
-    is_limit,
     is_power_of_omega,
-    is_successor,
     least_omega_power_above,
     mul,
     omega_pow,
-    sup_family,
 )
 
 from .calculus import (  # noqa: F401
@@ -41,7 +32,6 @@ from .calculus import (  # noqa: F401
     ConstTail,
     Copies,
     CSpace,
-    DepthCapExceeded,
     DirectSum,
     EpsProfile,
     FiniteSum,
@@ -52,19 +42,14 @@ from .calculus import (  # noqa: F401
     MalformedExpr,
     ParamFamily,
     SpaceIndex,
-    admissible_index_value,
     c_space_index,
     direct_sum_index,
-    ell2_upper_atom,
     frount_M,
     frount_M_qpow,
-    postdoc2_bound,
     profile_eval,
-    profile_sup,
     profile_total_sup,
     sigma,
     sigma_qpow,
-    szlenk_space_construct,
 )
 
 from .fansets import (  # noqa: F401

@@ -30,12 +30,10 @@ from .ordinal import (
     ZERO,
     Ordinal,
     add,
-    fundamental_sequence,
     is_power_of_omega,
     least_omega_power_above,
     mul,
     omega_pow,
-    predecessor,
     sup_affine,
 )
 
@@ -46,10 +44,6 @@ class InvalidParams(ValueError):
 
 class MalformedExpr(ValueError):
     """A space expression or profile violates a structural invariant."""
-
-
-class DepthCapExceeded(RuntimeError):
-    """Space construction grew past the configured node budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +296,6 @@ def family_index_sup(fam: ParamFamily) -> Ordinal:
     return max(m.low, sup_affine(m.slope, m.offset))
 
 
-def profile_sup(
-    profiles: Union[list[EpsProfile], tuple[EpsProfile, ...], ParamFamily],
-    eps_q: Fraction,
-) -> Ordinal:
-    """Exact sup at eps over a finite profile list or a parametric family."""
-    if isinstance(profiles, ParamFamily):
-        return family_sup_at(profiles, eps_q)
-    if not profiles:
-        raise InvalidParams("profile_sup needs at least one profile")
-    out = ZERO
-    for p in profiles:
-        out = max(out, profile_eval(p, eps_q))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # space expressions
 # ---------------------------------------------------------------------------
@@ -486,15 +465,6 @@ def direct_sum_index(e: SpaceExpr) -> SpaceIndex:
     return SpaceIndex.of(_punibound_candidate(index), "punibound")
 
 
-def admissible_index_value(x: Ordinal) -> str:
-    """Classify an ordinal as a possible index of a (nonzero) operator.
-
-    Indices are exactly the powers of w ("attained"); everything else is
-    "not_power_of_omega".
-    """
-    return "attained" if is_power_of_omega(x) else "not_power_of_omega"
-
-
 # ---------------------------------------------------------------------------
 # quantitative bounds
 # ---------------------------------------------------------------------------
@@ -584,93 +554,3 @@ def frount_M_qpow(d_q: Fraction, eps_q: Fraction, q: Fraction, m: int) -> int:
     lo_2q, _ = pow_bounds(Fraction(2), q)
     need = hi_8q * d_q * (m - 1) / ((lo_2q - 1) * eps_q)
     return max(m, ceil_frac(need))
-
-
-def postdoc2_bound(
-    eta: Ordinal, k_abs: Fraction, eps: Fraction, delta: Fraction, q: Fraction
-) -> Ordinal:
-    """eta * sigma(|K|, eps, delta, q): an index bound from finite-subset data."""
-    if eta < ONE:
-        raise InvalidParams("postdoc2_bound needs eta >= 1")
-    return mul(eta, Ordinal.from_int(sigma(k_abs, eps, delta, q)))
-
-
-# ---------------------------------------------------------------------------
-# transfinite test-space construction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstructResult:
-    expr: SpaceExpr
-    lower_bound: Ordinal  # the built space has 1-Szlenk index above this
-    truncated: bool
-    nodes: int
-
-
-def ell2_upper_atom() -> Atom:
-    """A preset ell_2 atom with an upper-bound profile.
-
-    The model climbs the ladder n+1 as eps halves, with total index w
-    (the true index of ell_2).  The per-eps values are a declared model,
-    not a computed truth; anything built on them is an upper-bound story.
-    """
-    return Atom(
-        "ell2_upper",
-        Fraction(1),
-        EpsProfile((), LadderTail(ONE, ONE, Fraction(1), Fraction(1, 2))),
-    )
-
-
-def szlenk_space_construct(
-    beta: Ordinal,
-    atom: Atom,
-    node_cap: int = 400,
-    limit_width: int = 5,
-) -> ConstructResult:
-    """Build the transfinite test family E_beta as a space expression.
-
-    E_0 is the zero space, E_{b+1} = E_b (+)_1 `atom`, and at limits E_b is
-    the 2-sum over a fundamental sequence of b.  The atom (its profile in
-    particular) is caller-supplied; see ell2_upper_atom for a preset.  Limit
-    stages can only be expanded to finite width, so any limit in beta marks
-    the result truncated.  Construction stops with DepthCapExceeded beyond
-    `node_cap` distinct stage expressions.  The returned lower_bound records
-    the design constraint index(E_beta) > beta.
-    """
-    zero = Atom("zero", Fraction(0), EpsProfile((), ConstTail(ONE)), compact=True)
-    cache: dict[Ordinal, SpaceExpr] = {}
-    truncated = False
-
-    def parts(b: Ordinal) -> tuple[Ordinal, ...]:
-        """The stages E_b is built from."""
-        if b.is_zero():
-            return ()
-        if b.is_successor():
-            return (predecessor(b),)
-        return tuple(fundamental_sequence(b, k) for k in range(limit_width))
-
-    # an explicit stack of (stage, its parts) in place of recursion, so a
-    # successor chain costs one frame per stage and no Python stack; a stage
-    # is built once its parts are, in the post-order a recursion would take
-    stack = [(beta, parts(beta))]
-    while stack:
-        b, needs = stack[-1]
-        todo = next((a for a in needs if a not in cache), None)
-        if todo is not None:
-            stack.append((todo, parts(todo)))
-            continue
-        stack.pop()
-        if b.is_zero():
-            out: SpaceExpr = zero
-        elif b.is_successor():
-            out = DirectSum("1", (cache[needs[0]], atom))
-        else:
-            truncated = True
-            out = DirectSum(Fraction(2), tuple(cache[a] for a in needs))
-        if len(cache) >= node_cap:
-            raise DepthCapExceeded(f"more than {node_cap} construction stages")
-        cache[b] = out
-
-    expr = cache[beta]
-    return ConstructResult(expr, beta, truncated, len(cache))

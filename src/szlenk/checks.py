@@ -99,13 +99,14 @@ def union_lemma_check(
     eps_q: Fraction,
     m: int,
     n: int,
-    q: Fraction = Fraction(1),
-    mode: str = "auto",
+    q: Fraction,
+    mode: str,
 ) -> UnionLemmaReport:
     """Exact union containments for the union of the Ks.
 
-    Builds the union (fans glued at a shared apex, or components placed at
-    positive offsets) and verifies on materialized points:
+    Builds the union (`mode` "apex": fans glued at a shared apex, or
+    "disjoint": components placed at positive offsets) and verifies on
+    materialized points:
 
     * every stage of the eps-derivation of the union is covered by the
       union of the same-stage (eps/2)-derivations of the pieces, where
@@ -128,8 +129,6 @@ def union_lemma_check(
     for K in Ks:
         if isinstance(K, ProdQ):
             raise OutsideExactFragment("union pieces must be non-product sets")
-    if mode == "auto":
-        mode = "apex" if all(isinstance(K, Fan) for K in Ks) else "disjoint"
     if mode == "apex":
         if not all(isinstance(K, Fan) for K in Ks):
             raise OutsideExactFragment(
@@ -143,7 +142,7 @@ def union_lemma_check(
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
         shared, runs = (), [count_points(K) for K in Ks]
     else:
-        raise InvalidParams("mode must be auto, apex, or disjoint")
+        raise InvalidParams("mode must be apex or disjoint")
     model = ProductModel.of([U])
     weights = model.weights[0]
     whole = frozenset(range(len(weights)))

@@ -17,10 +17,6 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 
-class NotALimit(ValueError):
-    """Raised when a fundamental sequence is requested for 0 or a successor."""
-
-
 class ParseError(ValueError):
     """Raised on malformed ordinal text; carries the offending position."""
 
@@ -59,10 +55,6 @@ class Ordinal:
         if n == 0:
             return ZERO
         return Ordinal(((ZERO, n),))
-
-    @staticmethod
-    def omega() -> "Ordinal":
-        return OMEGA
 
     # -- predicates and accessors -----------------------------------------
 
@@ -151,11 +143,6 @@ OMEGA = Ordinal(((ONE, 1),))
 # -- core operations -------------------------------------------------------
 
 
-def cmp(a: Ordinal, b: Ordinal) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    return _coerce(a)._cmp(_coerce(b))
-
-
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b (left-absorbing, not commutative)."""
     a, b = _coerce(a), _coerce(b)
@@ -196,42 +183,10 @@ def omega_pow(a: Ordinal) -> Ordinal:
     return Ordinal(((a, 1),))
 
 
-def is_limit(a: Ordinal) -> bool:
-    return _coerce(a).is_limit()
-
-
-def is_successor(a: Ordinal) -> bool:
-    return _coerce(a).is_successor()
-
-
 def is_power_of_omega(a: Ordinal) -> bool:
     """True iff a = w^e for some e (this includes 1 = w^0)."""
     a = _coerce(a)
     return len(a.cnf) == 1 and a.cnf[0][1] == 1
-
-
-def predecessor(a: Ordinal) -> Ordinal:
-    """The b with b + 1 = a; requires a to be a successor."""
-    a = _coerce(a)
-    if not a.is_successor():
-        raise ValueError(f"{a} is not a successor")
-    exp, coeff = a.cnf[-1]
-    if coeff > 1:
-        return Ordinal(a.cnf[:-1] + ((exp, coeff - 1),))
-    return Ordinal(a.cnf[:-1])
-
-
-def cofinality_class(a: Ordinal) -> str:
-    """One of "zero", "one", "omega".
-
-    Every ordinal below epsilon_0 has countable cofinality, so limits are
-    always cofinality omega here; uncountable-cofinality ordinals are outside
-    the representable range altogether.
-    """
-    a = _coerce(a)
-    if a.is_zero():
-        return "zero"
-    return "one" if a.is_successor() else "omega"
 
 
 def least_omega_power_above(x: Ordinal) -> Ordinal:
@@ -246,79 +201,18 @@ def least_omega_power_above(x: Ordinal) -> Ordinal:
     return omega_pow(add(x.leading_exponent(), ONE))
 
 
-# -- indexed families and their suprema ------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    """The constant family n |-> value."""
-
-    value: Ordinal
-
-
-@dataclass(frozen=True)
-class AffineInN:
-    """The family n |-> slope * n + offset (n ranges over 0, 1, 2, ...)."""
-
-    slope: Ordinal
-    offset: Ordinal
-
-    def __post_init__(self) -> None:
-        if self.slope.is_zero():
-            raise ValueError("AffineInN requires a nonzero slope; use Const")
-
-    def at(self, n: int) -> Ordinal:
-        return add(mul(self.slope, Ordinal.from_int(n)), self.offset)
-
-
-OrdFamily = Union[Const, AffineInN]
-
-
-def sup_family(fam: OrdFamily) -> Ordinal:
-    """Exact supremum of the family over n < omega.
-
-    For AffineInN(s, o) the supremum is s * w = w^(lead(s)+1) whenever the
-    offset does not dominate; if lead(o) > lead(s) then s*n + o = o for every
-    n and the supremum is o itself.
-    """
-    if isinstance(fam, Const):
-        return fam.value
-    s, o = fam.slope, fam.offset
-    if not o.is_zero() and o.leading_exponent() > s.leading_exponent():
-        return o
-    return omega_pow(add(s.leading_exponent(), ONE))
-
-
 def sup_affine(slope: Ordinal, offset: Ordinal) -> Ordinal:
-    """sup_n (slope*n + offset); tolerates slope = 0 (then it's the offset)."""
-    if slope.is_zero():
-        return offset
-    return sup_family(AffineInN(slope, offset))
+    """sup_n (slope*n + offset) over n < w.
 
-
-# -- fundamental sequences -------------------------------------------------
-
-
-def fundamental_sequence(a: Ordinal, k: int) -> Ordinal:
-    """The k-th member of the canonical fundamental sequence of a limit a.
-
-    Rules: (d + w^(b+1))[k] = d + w^b * k, and (d + w^l)[k] = d + w^(l[k])
-    for limit exponents l.  The sequence is strictly increasing in k with
-    supremum a.
+    With slope 0, or lead(offset) > lead(slope), every member is the offset
+    (s*n + o = o), so the sup is the offset itself; otherwise the members
+    climb to slope * w = w^(lead(slope)+1).
     """
-    a = _coerce(a)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not a.is_limit():
-        raise NotALimit(f"{a} is not a limit ordinal")
-    exp, coeff = a.cnf[-1]
-    head = a.cnf[:-1] if coeff == 1 else a.cnf[:-1] + ((exp, coeff - 1),)
-    delta = Ordinal(head)
-    if exp.is_successor():
-        step = mul(omega_pow(predecessor(exp)), Ordinal.from_int(k))
-    else:
-        step = omega_pow(fundamental_sequence(exp, k))
-    return add(delta, step)
+    if slope.is_zero() or (
+        not offset.is_zero() and offset.leading_exponent() > slope.leading_exponent()
+    ):
+        return offset
+    return omega_pow(add(slope.leading_exponent(), ONE))
 
 
 # -- text syntax -----------------------------------------------------------

@@ -44,6 +44,12 @@ engine positions and oracle points.
 before compactness came from the summands' results: a second recursive walk,
 `reference_is_compact`, decides compactness at every sum level, and the
 punibound rule takes one candidate per noncompact summand over a floor of w.
+
+`fundamental_sequence` (with `predecessor`) gives a limit ordinal's
+canonical fundamental sequence, the independent reference for the
+least-upper-bound tests of `ordinal.sup_affine` and
+`ordinal.least_omega_power_above`: whatever lies below a limit lies below
+some member of its sequence.
 """
 from __future__ import annotations
 
@@ -80,7 +86,15 @@ from szlenk.fansets import (
     radius_q,
     scaled,
 )
-from szlenk.ordinal import ONE, is_power_of_omega, least_omega_power_above, omega_pow
+from szlenk.ordinal import (
+    ONE,
+    Ordinal,
+    add,
+    is_power_of_omega,
+    least_omega_power_above,
+    mul,
+    omega_pow,
+)
 from szlenk.pointmodel import ProductModel, _strides, derive_product_set
 
 
@@ -511,7 +525,7 @@ def reference_pieces(U) -> list[frozenset[int]]:
     ]
 
 
-def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
+def reference_union_lemma_check(Ks, eps_q, m, n, q, mode):
     """`checks.union_lemma_check` on position tuples, deriving one step at
     a time in lockstep: the union at eps and the pieces at eps/2 while the
     stagewise walk lasts, the union on to the m*n-th stage, and each piece
@@ -528,8 +542,6 @@ def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
     for K in Ks:
         if isinstance(K, ProdQ):
             raise OutsideExactFragment("union pieces must be non-product sets")
-    if mode == "auto":
-        mode = "apex" if all(isinstance(K, Fan) for K in Ks) else "disjoint"
     if mode == "apex":
         if not all(isinstance(K, Fan) for K in Ks):
             raise OutsideExactFragment(
@@ -539,7 +551,7 @@ def reference_union_lemma_check(Ks, eps_q, m, n, q=Fraction(1), mode="auto"):
     elif mode == "disjoint":
         U = DisjUnion(tuple((Fraction(i + 1), K) for i, K in enumerate(Ks)))
     else:
-        raise InvalidParams("mode must be auto, apex, or disjoint")
+        raise InvalidParams("mode must be apex or disjoint")
     model = ProductModel.of([U])
     whole = model.tuples()
     pieces = [frozenset((j,) for j in piece) for piece in reference_pieces(U)]
@@ -672,3 +684,41 @@ def reference_direct_sum_index(e) -> SpaceIndex:
             if not r.compact:
                 candidates.append(reference_punibound_candidate(r))
     return SpaceIndex.of(max(candidates), "punibound")
+
+
+# -- fundamental sequences of limit ordinals --------------------------------
+
+
+class NotALimit(ValueError):
+    """Raised when a fundamental sequence is requested for 0 or a successor."""
+
+
+def predecessor(a: Ordinal) -> Ordinal:
+    """The b with b + 1 = a; requires a to be a successor."""
+    if not a.is_successor():
+        raise ValueError(f"{a} is not a successor")
+    exp, coeff = a.cnf[-1]
+    if coeff > 1:
+        return Ordinal(a.cnf[:-1] + ((exp, coeff - 1),))
+    return Ordinal(a.cnf[:-1])
+
+
+def fundamental_sequence(a: Ordinal, k: int) -> Ordinal:
+    """The k-th member of the canonical fundamental sequence of a limit a.
+
+    Rules: (d + w^(b+1))[k] = d + w^b * k, and (d + w^l)[k] = d + w^(l[k])
+    for limit exponents l.  The sequence is strictly increasing in k with
+    supremum a.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if not a.is_limit():
+        raise NotALimit(f"{a} is not a limit ordinal")
+    exp, coeff = a.cnf[-1]
+    head = a.cnf[:-1] if coeff == 1 else a.cnf[:-1] + ((exp, coeff - 1),)
+    delta = Ordinal(head)
+    if exp.is_successor():
+        step = mul(omega_pow(predecessor(exp)), Ordinal.from_int(k))
+    else:
+        step = omega_pow(fundamental_sequence(exp, k))
+    return add(delta, step)

@@ -13,7 +13,6 @@ from szlenk.calculus import (
     ConstTail,
     Copies,
     CSpace,
-    DepthCapExceeded,
     DirectSum,
     EpsProfile,
     FiniteSum,
@@ -23,20 +22,16 @@ from szlenk.calculus import (
     LadderTail,
     MalformedExpr,
     ParamFamily,
-    admissible_index_value,
     c_space_index,
     direct_sum_index,
-    ell2_upper_atom,
     family_index_sup,
+    family_sup_at,
     frount_M,
     frount_M_qpow,
-    postdoc2_bound,
     profile_eval,
-    profile_sup,
     profile_total_sup,
     sigma,
     sigma_qpow,
-    szlenk_space_construct,
 )
 from oracle import reference_direct_sum_index
 from strategies import space_exprs
@@ -165,26 +160,6 @@ class TestFrountM:
             assert lhs * (M - 1) < rhs
 
 
-class TestPostdoc2Bound:
-    def test_sigma_one_collapses_to_eta(self):
-        assert postdoc2_bound(W, 1, 3, 1, 1) == W
-
-    def test_sigma_three(self):
-        assert postdoc2_bound(W2, 1, 1, F(1, 2), 1) == mul(W2, fin(3))
-
-    def test_degenerate_set(self):
-        assert postdoc2_bound(ONE, 0, 1, F(1, 2), 1) == ONE
-
-    def test_eta_lower_bound_property(self):
-        for eta in [ONE, W, add(W2, ONE)]:
-            for args in [(1, 3, 1, 1), (2, 1, F(1, 2), 2), (0, 1, F(1, 2), 1)]:
-                assert postdoc2_bound(eta, *args) >= eta
-
-    def test_eta_zero_rejected(self):
-        with pytest.raises(InvalidParams):
-            postdoc2_bound(ZERO, 1, 3, 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -272,15 +247,7 @@ class TestProfileSup:
             ConstNorms(F(1)),
             LadderMembers(ONE, ONE, ONE, F(1), F(1, 2)),
         )
-        assert profile_sup(fam, F(1, 8)) == fin(4)
-
-    def test_finite_list_max(self):
-        p1 = EpsProfile((), ConstTail(add(W, ONE)))
-        p2 = EpsProfile((), ConstTail(add(mul(W, fin(2)), ONE)))
-        assert profile_sup([p1, p2], 1) == add(mul(W, fin(2)), ONE)
-
-    def test_trivial(self):
-        assert profile_sup([EpsProfile((), ConstTail(ONE))], 1) == ONE
+        assert family_sup_at(fam, F(1, 8)) == fin(4)
 
     def test_family_total_sup(self):
         fam = ParamFamily(
@@ -308,7 +275,7 @@ class TestProfileSup:
             LadderMembers(mul(W, fin(slope_k)), ONE, ONE, F(1, 2), F(1, 3)),
         )
         eps_q = data.draw(st.fractions(min_value=F(1, 200), max_value=2))
-        at_eps = profile_sup(fam, eps_q)
+        at_eps = family_sup_at(fam, eps_q)
         total = family_index_sup(fam)
         assert at_eps <= total
         # the value at eps really is a member value or the shared low value
@@ -460,6 +427,17 @@ class TestDirectSumIndex:
         with pytest.raises(MalformedExpr):
             FiniteSum(())
 
+    def test_deep_chain_keeps_index_omega(self):
+        """E_0 a compact atom and E_{n+1} = E_n (+)_1 a ladder atom of
+        index w, built by a loop: every positive stage has index w, and
+        stage 399 evaluates at the default recursion limit."""
+        e = const_atom("zero", ONE, compact=True)
+        for n in range(1, 400):
+            e = DirectSum("1", (e, ladder_atom("a", ONE)))
+            if n in (1, 2, 5, 399):
+                r = direct_sum_index(e)
+                assert (r.index, r.rule, r.compact) == (W, "nonascase", False)
+
     @given(data=st.data())
     @settings(max_examples=80)
     def test_single_genuine_summand_invariant(self, data):
@@ -534,78 +512,3 @@ class TestCSpaceIndex:
         if g1 > g2:
             g1, g2 = g2, g1
         assert c_space_index(g1) <= c_space_index(g2)
-
-
-class TestConstruct:
-    def test_zero_stage(self):
-        r = szlenk_space_construct(ZERO, ell2_upper_atom())
-        assert isinstance(r.expr, Atom) and r.expr.compact
-        assert direct_sum_index(r.expr).index == ONE
-        assert not r.truncated and r.lower_bound == ZERO
-
-    def test_successor_stage(self):
-        r = szlenk_space_construct(ONE, ell2_upper_atom())
-        e = r.expr
-        assert isinstance(e, DirectSum) and e.p == "1"
-        assert isinstance(e.summands[0], Atom) and e.summands[0].compact
-        assert e.summands[1].name == "ell2_upper"
-        assert not r.truncated
-
-    def test_limit_stage_truncates(self):
-        r = szlenk_space_construct(W, ell2_upper_atom(), limit_width=5)
-        e = r.expr
-        assert isinstance(e, DirectSum) and e.p == F(2)
-        assert len(e.summands) == 5
-        assert r.truncated and r.lower_bound == W
-        # members are the finite stages E_0 .. E_4
-        assert isinstance(e.summands[0], Atom)
-        assert isinstance(e.summands[4], DirectSum)
-
-    def test_depth_cap(self):
-        with pytest.raises(DepthCapExceeded):
-            szlenk_space_construct(fin(50), ell2_upper_atom(), node_cap=10)
-
-    def test_structure_is_shared(self):
-        r = szlenk_space_construct(fin(30), ell2_upper_atom(), node_cap=40)
-        assert r.nodes == 31  # stages 0..30, one expression each
-
-    def test_deep_finite_stage_builds_without_recursion(self):
-        """The build walks a successor chain with a loop: stage 2000 (past
-        the default recursion limit) builds with a node cap of its 2001
-        stages, and one stage more than the cap raises DepthCapExceeded."""
-        r = szlenk_space_construct(fin(2000), ell2_upper_atom(), node_cap=2001)
-        assert r.nodes == 2001 and not r.truncated
-        e, depth = r.expr, 0
-        while isinstance(e, DirectSum):
-            e, depth = e.summands[0], depth + 1
-        assert depth == 2000 and e.name == "zero"
-        with pytest.raises(DepthCapExceeded):
-            szlenk_space_construct(fin(2000), ell2_upper_atom(), node_cap=2000)
-
-    def test_limit_stages_share_their_members(self):
-        """A limit's members are built on the explicit stack, each stage
-        once: w + 3 holds w + 2, w + 1 and w, whose five members are
-        stages 0..4, so it takes 4 + 5 stages; and w * 2, whose members
-        w + k hold w, builds and truncates."""
-        r = szlenk_space_construct(add(W, fin(3)), ell2_upper_atom())
-        assert r.nodes == 9 and r.truncated
-        inner = r.expr
-        for _ in range(3):
-            inner = inner.summands[0]
-        assert inner.p == F(2) and len(inner.summands) == 5
-        r = szlenk_space_construct(mul(W, fin(2)), ell2_upper_atom())
-        assert r.truncated and r.expr.p == F(2)
-
-    def test_index_grows_with_stage(self):
-        # every positive finite stage contains a noncompact piece of index w
-        for n in (1, 2, 5, 399):
-            r = szlenk_space_construct(fin(n), ell2_upper_atom(), node_cap=400)
-            assert direct_sum_index(r.expr).index == W
-
-
-class TestAdmissibleIndexValue:
-    def test_values(self):
-        assert admissible_index_value(mul(W2, fin(3))) == "not_power_of_omega"
-        assert admissible_index_value(omega_pow(W)) == "attained"
-        assert admissible_index_value(ONE) == "attained"
-        assert admissible_index_value(add(W, ONE)) == "not_power_of_omega"

@@ -46,20 +46,20 @@ F1 = Fan(F(1, 2), (), Sing())
 
 class TestUnionLemmaCheck:
     def test_single_fan_trivial(self):
-        rep = union_lemma_check([F1], F(1, 2), m=2, n=1)
+        rep = union_lemma_check([F1], F(1, 2), m=2, n=1, q=F(1), mode="apex")
         assert rep.mode == "apex"
         assert rep.ok and rep.half_ok and rep.mn_ok
         assert rep.componentwise_equal is None
         assert rep.violations == ()
 
     def test_two_apex_fans(self):
-        rep = union_lemma_check([F1, Fan(F(1, 3), (), Sing())], F(1, 2), 1, 2)
+        rep = union_lemma_check([F1, Fan(F(1, 3), (), Sing())], F(1, 2), 1, 2, F(1), "apex")
         assert rep.mode == "apex"
         assert rep.ok
         assert rep.half_alphas >= 1
 
     def test_disjoint_components(self):
-        rep = union_lemma_check([F1, Sing()], F(1, 2), 1, 2)
+        rep = union_lemma_check([F1, Sing()], F(1, 2), 1, 2, F(1), "disjoint")
         assert rep.mode == "disjoint"
         assert rep.ok
         assert rep.componentwise_equal is True
@@ -69,7 +69,7 @@ class TestUnionLemmaCheck:
         stages; when the walk stops at its first escape, they still reach
         every stage they need."""
         Ks = [depth_fan(3, F(1, 2)), F1]
-        clean = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
+        clean = union_lemma_check(Ks, F(1, 2), 2, 2, F(1), "disjoint")
         real = checks.derive_set
 
         def starved(alive, model, i, eps_q, m=None):
@@ -78,39 +78,39 @@ class TestUnionLemmaCheck:
             return dict.fromkeys(alive, 1) if eps_q < F(1, 2) else real(alive, model, i, eps_q, m)
 
         monkeypatch.setattr(checks, "derive_set", starved)
-        rep = union_lemma_check(Ks, F(1, 2), 2, 2, mode="disjoint")
+        rep = union_lemma_check(Ks, F(1, 2), 2, 2, F(1), "disjoint")
         assert clean.ok
         assert rep.half_alphas == 1 and len(rep.violations) == 1
         assert rep.violations[0].startswith("stagewise: alpha=1,")
         assert (rep.mn_ok, rep.componentwise_equal) == (True, True)
 
     def test_forced_disjoint_mode_for_fans(self):
-        rep = union_lemma_check([F1, F1], F(1, 2), 1, 2, mode="disjoint")
+        rep = union_lemma_check([F1, F1], F(1, 2), 1, 2, F(1), "disjoint")
         assert rep.mode == "disjoint"
         assert rep.ok
 
     def test_apex_mode_needs_fans(self):
         with pytest.raises(OutsideExactFragment):
-            union_lemma_check([F1, Sing()], F(1, 2), 1, 2, mode="apex")
+            union_lemma_check([F1, Sing()], F(1, 2), 1, 2, F(1), "apex")
 
     def test_product_member_rejected(self):
         with pytest.raises(OutsideExactFragment):
-            union_lemma_check([ProdQ((F1, F1))], F(1, 2), 1, 1)
+            union_lemma_check([ProdQ((F1, F1))], F(1, 2), 1, 1, F(1), "disjoint")
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
-            union_lemma_check([F1], F(1, 2), 1, 2)
+            union_lemma_check([F1], F(1, 2), 1, 2, F(1), "apex")
         with pytest.raises(InvalidParams):
-            union_lemma_check([F1], F(1, 2), 0, 1)
+            union_lemma_check([F1], F(1, 2), 0, 1, F(1), "apex")
         with pytest.raises(InvalidParams):
-            union_lemma_check([F1], F(0), 1, 1)
+            union_lemma_check([F1], F(0), 1, 1, F(1), "apex")
         with pytest.raises(InvalidParams):
-            union_lemma_check([F1], F(1, 2), 1, 1, mode="sideways")
+            union_lemma_check([F1], F(1, 2), 1, 1, F(1), "sideways")
 
     def test_report_is_frozen_data(self):
-        rep = union_lemma_check([F1], F(1, 2), 1, 1)
+        rep = union_lemma_check([F1], F(1, 2), 1, 1, F(1), "apex")
         assert isinstance(rep, UnionLemmaReport)
-        assert rep == union_lemma_check([F1], F(1, 2), 1, 1)
+        assert rep == union_lemma_check([F1], F(1, 2), 1, 1, F(1), "apex")
 
 
 _KERNEL = pointmodel._local_diams

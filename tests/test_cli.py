@@ -25,6 +25,7 @@ from szlenk.calculus import (
     EpsProfile,
     GeometricNorms,
     LadderMembers,
+    LadderTail,
     ParamFamily,
 )
 from szlenk import fansets, pointmodel, products
@@ -32,7 +33,7 @@ from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
-from szlenk.ordinal import Ordinal
+from szlenk.ordinal import ONE, Ordinal
 
 F = Fraction
 W = ordinal.parse("w")
@@ -177,6 +178,31 @@ class TestSpaceEval:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: compact family members must have index 1\n"
+
+    @staticmethod
+    def l1_chain(tmp_path, n: int) -> str:
+        """A document of n nested 1-sums, each of one summand, around one
+        ladder atom of index w."""
+        atom = Atom("a", F(1), EpsProfile((), LadderTail(ONE, ONE, F(1), F(1, 2))))
+        inner = dumps_canonical(space_to_doc(atom)["space"])
+        text = '{"space":' + '{"sum":{"p":"1","summands":[' * n + inner + "]}}" * n + ',"v":1}'
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_deep_sum_chain_evaluates(self, capsys, tmp_path):
+        """300 levels evaluate; the readers' recursion stops the CLI at
+        about 330, where it exits 2 (the next test)."""
+        code, out, _ = run(capsys, "space", "eval", self.l1_chain(tmp_path, 300))
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert (result["index_text"], result["rule"]) == ("w", "nonascase")
+
+    def test_deeply_nested_sum_chain_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "space", "eval", self.l1_chain(tmp_path, 3000))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_document_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

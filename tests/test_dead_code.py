@@ -1,19 +1,25 @@
 """No dead code: every import of a package module, test or script is used
-in it, and every top-level name of the package is referenced somewhere
-besides its own definition.
+in it, and every top-level name of the package is reached by what the
+package is for.
 
-References are looked up by identifier in the ASTs of src/, tests/, scripts/
-and perfbench/*.py: names, attributes, imported names, and string constants
-that are identifiers (perfbench/tracing.py patches functions by name).
+The users of a name are the package's own modules, the scripts, the
+benchmark (perfbench/*.py) and the A1-A8 acceptance gate
+(tests/test_acceptance.py).  A name that only other tests or the
+re-exports of `__init__.py` reach is dead: a test of it tests nothing that
+a command, script, benchmark or acceptance criterion runs.
+
+References are looked up by identifier in the users' ASTs: names,
+attributes, imported names, and string constants that are identifiers
+(perfbench/tracing.py patches functions by name).
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "szlenk").glob("*.py") if p.name != "__init__.py")
-SOURCES = sorted(
-    [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
-     *(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+USERS = sorted(
+    [*MODULES, *(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+     ROOT / "tests" / "test_acceptance.py"]
 )
 
 
@@ -82,6 +88,6 @@ def test_every_import_is_used():
 
 
 def test_every_top_level_name_is_referenced():
-    refs_by_file = {p: references(parse(p)) for p in SOURCES}
+    refs_by_file = {p: references(parse(p)) for p in USERS}
     bad = [f"{p.name}: {name}" for p in MODULES for name in unreferenced_names(p, refs_by_file)]
     assert bad == []

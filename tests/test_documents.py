@@ -35,13 +35,13 @@ from szlenk.documents import (
     trace_to_doc,
 )
 from szlenk.fansets import Fan, ProdQ, Sing, derive_steps
-from szlenk.ordinal import Ordinal
+from szlenk.ordinal import OMEGA, Ordinal
 
 from strategies import fan_sets, fracs
 
 F = Fraction
 F1 = Fan(F(1, 2), (), Sing())
-W = Ordinal.omega()
+W = OMEGA
 
 
 def n(k: int) -> Ordinal:

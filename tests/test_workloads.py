@@ -1,7 +1,7 @@
-"""The benchmark checks its smallest products with the point model
-(perfbench/run.py, ``sz_product_set``), which shares its derivation with
-``product_sz``; here the same products go against the slow oracle instead, on
-its own two-copy materialization.
+"""The benchmark checks the `set derive` reports of its smallest products
+(``product_sz``, which derives on the staircase) with the point model's
+``sz_product_set`` (perfbench/run.py); here the slow oracle, on its own
+two-copy materialization, checks both on the same products.
 perfbench/workloads.py is only read."""
 import importlib.util
 import itertools
@@ -11,6 +11,7 @@ from pathlib import Path
 
 from oracle import oracle_materialize, oracle_p_sz
 from szlenk.documents import fanset_from_doc
+from szlenk.pointmodel import ProductModel, sz_product_set
 from szlenk.products import product_sz
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -42,5 +43,7 @@ def test_small_benchmark_products_match_oracle():
         whole = frozenset(itertools.product(*map(oracle_materialize, F.factors)))
         want = oracle_p_sz(whole, eps_q)
         assert product_sz([(Fraction(1), f) for f in F.factors], eps_q) == want, op.key
+        model = ProductModel.of(list(F.factors))
+        assert sz_product_set(model.tuples(), model, eps_q) == want, op.key
         checked += 1
     assert checked == 44
