@@ -63,14 +63,12 @@ from .fansets import (  # noqa: F401
     Scale,
     Sing,
     TraceStep,
-    contains_origin,
     count_apexes,
     depth_fan,
     derive,
     derive_steps,
     diam_q,
     disj,
-    project,
     radius_q,
     scaled,
     sz_eps,

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow, sigma_qpow
 from .exactmath import pow_bounds
-from . import fansets
+from . import fansets, pointmodel
 from .fansets import (
     DisjUnion,
     Fan,
@@ -27,7 +27,6 @@ from .fansets import (
     ProdQ,
     UnionApex,
     diam_q,
-    project,
     radius_q,
     sz_eps,
 )
@@ -41,12 +40,10 @@ from .generators import (
 )
 from .pointmodel import (
     ProductModel,
-    cluster_map,
     count_points,
     derive_set,
     iterate_product_set,
     iterate_set,
-    model_sz,
     sz_product_set,
 )
 from .products import (
@@ -62,9 +59,11 @@ from .products import (
 )
 
 
-# No check derives a fan set itself (`sz_eps` does); this name stays only
-# because the benchmark's tracer (perfbench/tracing.py) wraps it here.
+# No check derives a fan set itself (`sz_eps` does), and none builds a
+# projected cluster forest; these names stay only because the benchmark's
+# tracer (perfbench/tracing.py) wraps them here.
 derive = fansets.derive
+cluster_map = pointmodel.cluster_map
 
 
 class UnknownSuite(ValueError):
@@ -212,6 +211,13 @@ def union_lemma_check(
 # ---------------------------------------------------------------------------
 
 
+def _component_runs(K: DisjUnion) -> list[range]:
+    """The positions of the points below each component of K in K's model:
+    one run each (the `pointmodel` docstring)."""
+    ends = list(itertools.accumulate((count_points(b) for _, b in K.components), initial=0))
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
 @dataclass(frozen=True)
 class TvlReport:
     checked: int
@@ -259,54 +265,44 @@ def tvl_check(
     if not sel or any(not 0 <= g < len(pool) for g in sel):
         raise GroupNotFound(f"{kind} indices must be within 0..{len(pool) - 1}")
 
-    # the model, the model of the projected set, and the projection
+    model = ProductModel.of(K.factors if isinstance(K, ProdQ) else [K])
+    A = iterate_product_set(model.tuples(), model, eps_q, alpha)
     if isinstance(K, ProdQ):
-        model = ProductModel.of(K.factors)
+        # the projection keeps the selected factors: their sub-model
         sub = ProductModel(
             model.den,
             *(tuple(t[i] for i in sel) for t in (model.norms, model.parents, model.weights)),
         )
+        B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
+        norm_q = sub.norm_q
 
         def proj(x):
             return tuple(x[i] for i in sel)
 
     else:
-        model = ProductModel.of([K])
-        norms, weights = model.norms[0], model.weights[0]
-        # the points below component i are one run of positions
-        ends = list(itertools.accumulate((count_points(b) for _, b in K.components), initial=0))
-        kept = [j for i in sel for j in range(ends[i], ends[i + 1])]
-        at = {j: k for k, j in enumerate(kept)}
-        proj_norms = [norms[j] for j in kept]
-        proj_weights = [weights[j] for j in kept]
+        # the kept runs keep their parents (the `pointmodel` docstring), so
+        # the projection's derivation is the kept positions' own
+        runs = _component_runs(K)
+        kept = frozenset(j for i in sel for j in runs[i])
+        B = {(j,) for j in iterate_set(kept, model, 0, delta_q, alpha)}
+        norm_q = model.norm_q
         # a kept point projects to itself, a dropped one to the origin: the
         # kept point of norm 0 (the root of a kept zero-offset component)
-        # if there is one, else an added root
-        origin = next((k for k, n in enumerate(proj_norms) if n == 0), None)
-        if origin is None and len(kept) < len(norms):
-            origin = len(kept)
-            proj_norms.append(0)
-            proj_weights.append(1)
-        cmap = cluster_map(model.parents[0], at, len(proj_norms))
-        sub = ProductModel(
-            model.den,
-            (tuple(proj_norms),),
-            (tuple(cmap[k][-1] for k in cmap),),
-            (tuple(proj_weights),),
-        )
+        # if there is one, else an added childless root, here (), of rank 1
+        origin = min(((j,) for j in kept if model.norms[0][j] == 0), default=())
+        if alpha == 0:
+            B.add(())
 
         def proj(x):
-            return (at.get(x[0], origin),)
+            return x if x[0] in kept else origin
 
-    A = iterate_product_set(model.tuples(), model, eps_q, alpha)
-    B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
     filtered = 0
     violations: list[str] = []
     # in position order, so the first violations do not depend on how the
     # frozenset iterates
     for x in sorted(A):
         px = proj(x)
-        px_q = sub.norm_q(px)
+        px_q = norm_q(px)
         if px_q > rad_q - cut_q:
             w = model.weight(x)
             filtered += w
@@ -528,26 +524,35 @@ def _suite_tvl(rng: random.Random) -> tuple:
     return rep.ok, detail, "; ".join(rep.violations[:2])
 
 
-def _suite_postdoc2(rng: random.Random) -> tuple:
+def _postdoc2_instance(rng):
     q = rand_q(rng)
-    iq = int(q)
     eps = rand_frac(rng, max_num=2, max_den=4)
     delta = eps * Fraction(rng.randint(1, 7), 8)
     comps = []
     for j in range(rng.randint(2, 3)):
         off = Fraction(0) if j == 0 and rng.random() < 0.5 else rand_frac(rng, max_num=2)
         comps.append((off, rand_fan_set(rng, 2)))
-    K = DisjUnion(tuple(comps))
-    idx = range(len(comps))
+    return DisjUnion(tuple(comps)), q, eps, delta
+
+
+def _suite_postdoc2(rng: random.Random) -> tuple:
+    K, q, eps, delta = _postdoc2_instance(rng)
+    iq = int(q)
+    model = ProductModel.of([K])
+    # a projection onto some components is their runs of positions; the
+    # origin it may add is a childless root of rank 1, which never raises
+    # the largest rank
+    runs = _component_runs(K)
     eta = 0
-    for r in range(1, len(comps) + 1):
-        for G in itertools.combinations(idx, r):
-            eta = max(eta, model_sz(project(K, G), delta**iq))
+    for r in range(1, len(runs) + 1):
+        for G in itertools.combinations(runs, r):
+            kept = frozenset(itertools.chain(*G))
+            eta = max(eta, *derive_set(kept, model, 0, delta**iq).values())
     sig = sigma_qpow(radius_q(K), eps, delta, q)
-    sz = model_sz(K, eps**iq)
+    sz = max(derive_set(frozenset(range(len(model.norms[0]))), model, 0, eps**iq).values())
     passed = sz <= eta * sig
     detail = (
-        f"n={len(comps)} q={q} eps={eps} delta={delta} "
+        f"n={len(runs)} q={q} eps={eps} delta={delta} "
         f"eta={eta} sigma={sig} sz={sz}"
     )
     return passed, detail, "" if passed else f"sz {sz} exceeds eta*sigma = {eta * sig}"

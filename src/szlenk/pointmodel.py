@@ -54,19 +54,17 @@ Pre-order also makes every subtree of the walk one contiguous run of
 positions, whose length `count_points` gives: the points below the root's
 i-th component (or i-th fan, after the shared apex at position 0) follow
 those below the components (fans) before it.  So `checks` finds a union's
-pieces and a projection's kept components as runs of positions.  In
-`checks.tvl_check`'s projection of a disjoint union onto some components,
-the kept points keep their parents: a component step at the root passes
-no parent on, so every kept point's ancestors lie in its own component,
-and its paths below the component step are the same in the projected set.
-The projection adds an origin at path () when no kept point has norm 0;
-that origin is a root and nobody's parent, since a tail step below it
-would follow a kept `Fan` point of norm 0 on an all-"f" path.  So the
-projected forest is the model's parents remapped to the kept positions,
-plus the origin as a root (`cluster_map`).  `cluster_map` stays a function
-of its own only because the benchmark's tracer (perfbench/tracing.py)
-wraps it by that name, in this module and in `checks`, and counts its
-result.
+pieces and a projection's kept components as runs of positions.  The
+projection of a disjoint union onto some components (`checks.tvl_check`,
+the `postdoc2` suite) is a set of the union's own positions: a component
+step at the root passes no parent on, so every kept point's ancestors lie
+in its own component, and its paths below the component step are the same
+in the projected set.  The projection adds an origin at path () when no
+kept point has norm 0; that origin is nobody's parent, since a tail step
+below it would follow a kept `Fan` point of norm 0 on an all-"f" path, so
+it is a childless root, of rank 1 (below).  `cluster_map` stays only
+because the benchmark's tracer (perfbench/tracing.py) wraps it by that
+name, in this module and in `checks`; nothing in the package calls it.
 
 The orbit argument.  Swapping the two copies of one tail is an isometry of
 the two-copy model that maps paths to paths step kind by step kind, so it
@@ -116,10 +114,8 @@ building a tuple.  A one-axis code is the position itself, so the
 staircase passes positions straight in.  A product derivation sequence is
 one call: `derive_product_set` returns the stages alive, its derivation,
 and so on, for m steps or up to the first empty stage.  The call takes the
-bar once, encodes the position tuples once and decodes each stage; the
-model builds each axis layout that the kernel reads once
-(`ProductModel.layout`).  `ProductModel.of` takes the common denominator
-once, over every factor.
+bar once, encodes the position tuples once and decodes each stage.
+`ProductModel.of` takes the common denominator once, over every factor.
 
 The rank recursion.  On one factor a whole derivation sequence is one pass
 (`derive_set`).  Fix an alive set S of positions, any set at all (cluster-
@@ -183,7 +179,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -325,8 +321,6 @@ class ProductModel:
     parents: tuple[tuple[int, ...], ...]
     # per factor, by position: the size of the point's mirror orbit
     weights: tuple[tuple[int, ...], ...]
-    # the kernel's per-axis tables, by the axes they serve (`layout`)
-    _layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
@@ -373,17 +367,6 @@ class ProductModel:
             raise InvalidParams("eps_q must be positive")
         return num * self.den // eps_q.denominator
 
-    def layout(self, axes: Sequence[int]) -> list[tuple]:
-        """What `_local_diams` reads of each axis in `axes`: (N times D by
-        position, parents by position, stride, size), built once per axes."""
-        got = self._layouts.get(axes)
-        if got is None:
-            got = self._layouts[axes] = [
-                (self.norms[a], self.parents[a], stride, len(self.norms[a]))
-                for a, stride in zip(axes, _strides(self, axes))
-            ]
-        return got
-
 
 def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:
     """Place values of a mixed-radix code over the factors `axes`: the
@@ -418,7 +401,10 @@ def _local_diams(
     twice.  After the last axis each point holds the max over its whole
     product cluster.  On codes a step adds (parent - y) * stride_a.
     """
-    layout = model.layout(axes)
+    layout = [
+        (model.norms[a], model.parents[a], stride, len(model.norms[a]))
+        for a, stride in zip(axes, _strides(model, axes))
+    ]
     norm, _, _, size = layout[0]  # the first axis has stride 1
     own = {c: norm[c % size] for c in alive}
     for norm, _, stride, size in layout[1:]:

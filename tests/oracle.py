@@ -40,6 +40,12 @@ points by the representative they `fold` onto, `oracle_points` takes the
 representatives, and `unfold` and `fold_points` move alive sets between
 engine positions and oracle points.
 
+`project` keeps the symbolic projection onto axis groups, which builds the
+projected fan set: the reference for `checks.tvl_check` and the `postdoc2`
+suite, which take a projection of a disjoint union as the kept runs of the
+union's own positions (with `contains_origin` and `_flat`, which decide
+where the origin joins).
+
 `reference_direct_sum_index` keeps the space calculus's evaluator as it was
 before compactness came from the summands' results: a second recursive walk,
 `reference_is_compact`, decides compactness at every sum level, and the
@@ -76,6 +82,7 @@ from szlenk.exactmath import pow_bounds
 from szlenk.fansets import (
     DisjUnion,
     Fan,
+    GroupNotFound,
     MalformedFanSet,
     OutsideExactFragment,
     ProdQ,
@@ -458,16 +465,75 @@ def reference_parents(points) -> list[int]:
 
 
 def reference_projection(K, groups) -> list[PathPoint]:
-    """The points of `checks.tvl_check`'s projection of a disjoint union
-    onto the components `groups`, picked by the first step of their paths:
-    the kept components' points in order, then an origin at path () when a
-    component is dropped and no kept point has norm 0."""
+    """The points of the projection of a disjoint union onto the components
+    `groups` (`project`), picked by the first step of their paths: the kept
+    components' points in order, then an origin at path () when a component
+    is dropped and no kept point has norm 0."""
     keep = set(groups)
     points = reference_materialize(K)
     out = [p for p in points if p.path[0][1][1] in keep]
     if len(out) < len(points) and all(p.norm_q for p in out):
         out.append(PathPoint((), Fraction(0)))
     return out
+
+
+def contains_origin(F) -> bool:
+    if isinstance(F, Sing):
+        return True
+    if isinstance(F, (Fan, UnionApex)):
+        return True  # the apex
+    if isinstance(F, Scale):
+        return contains_origin(F.body)
+    if isinstance(F, ProdQ):
+        return all(contains_origin(f) for f in F.factors)
+    if isinstance(F, DisjUnion):
+        return any(off == 0 and contains_origin(b) for off, b in F.components)
+    raise MalformedFanSet(f"not a fan set: {F!r}")
+
+
+def _flat(F, a_q: Fraction = Fraction(1)) -> list:
+    """The components of the a_q-scaled union F, which lacks the origin,
+    with every union at offset 0 merged in: Scale(a, DU((o, b), ...)) is
+    DU((a*o, a*b), ...)."""
+    while isinstance(F, Scale):
+        a_q, F = a_q * F.a_q, F.body
+    return [
+        c
+        for off, b in F.components
+        for c in ([(a_q * off, scaled(a_q, b))] if off else _flat(b, a_q))
+    ]
+
+
+def project(F, groups):
+    """Project onto the named axis groups (exact on the fan class).
+
+    For a product the groups are factor indices and projection keeps those
+    factors.  For a disjoint union the groups are component indices: kept
+    components survive unchanged and every dropped component collapses to
+    the origin (its support is disjoint from the kept axes).  When the
+    kept components lack the origin, a kept union at offset 0 is merged
+    into its components before the origin is added.
+    """
+    sel = sorted(set(groups))
+    if isinstance(F, ProdQ):
+        n = len(F.factors)
+        if not sel or any(not 0 <= g < n for g in sel):
+            raise GroupNotFound(f"factor indices must be within 0..{n - 1}")
+        kept = [F.factors[g] for g in sel]
+        return kept[0] if len(kept) == 1 else ProdQ(tuple(kept))
+    if isinstance(F, DisjUnion):
+        n = len(F.components)
+        if not sel or any(not 0 <= g < n for g in sel):
+            raise GroupNotFound(f"component indices must be within 0..{n - 1}")
+        comps = [F.components[g] for g in sel]
+        if len(sel) < n and not any(off == 0 and contains_origin(b) for off, b in comps):
+            # the origin joins at offset 0, where a kept component may sit:
+            # a union lacking the origin (nested or scaled), so flatten first
+            comps = _flat(DisjUnion(tuple(comps))) + [(Fraction(0), Sing())]
+        out = disj(comps)
+        assert out is not None
+        return out
+    raise GroupNotFound("only products and disjoint unions carry axis groups")
 
 
 def reference_weights(points) -> list[int]:

@@ -85,6 +85,31 @@ SLOPES = (ONE, fin(2), OMEGA, omega_pow(fin(2)))
 OFFSETS = (ONE, fin(3), add(OMEGA, ONE))
 
 
+def origin_free_unions():
+    """Unions without the origin: positive offsets only, possibly around a
+    zero-offset part that is itself such a union, possibly scaled."""
+    positive = st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2)
+
+    def extend(inner):
+        nested = st.builds(lambda z, rest: DisjUnion(((Fraction(0), z), *rest)), inner, positive)
+        return st.one_of(nested, st.builds(Scale, fracs(max_num=4), inner))
+
+    return st.recursive(positive.map(lambda cs: DisjUnion(tuple(cs))), extend, max_leaves=3)
+
+
+@st.composite
+def unions_and_groups(draw):
+    """A disjoint union, its zero-offset component (if any) possibly a
+    nested or scaled union without the origin, and a nonempty set of
+    component indices."""
+    zero = draw(st.one_of(st.none(), fan_sets(1), origin_free_unions()), label="zero")
+    rest = draw(st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2), label="rest")
+    K = DisjUnion(tuple(rest) if zero is None else ((Fraction(0), zero), *rest))
+    n = len(K.components)
+    groups = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="groups")
+    return K, sorted(groups)
+
+
 def eps_profiles() -> st.SearchStrategy[EpsProfile]:
     """Constant profiles (finite values) and ladder profiles."""
     const = st.integers(1, 6).map(lambda n: EpsProfile((), ConstTail(fin(n))))

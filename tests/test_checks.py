@@ -1,4 +1,5 @@
 """Tests for the containment checks and the verification suites."""
+import itertools
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -7,8 +8,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_pieces, reference_ranks, reference_stages, reference_union_lemma_check
-from strategies import fan_sets, fracs
+from oracle import (
+    project,
+    reference_pieces,
+    reference_ranks,
+    reference_stages,
+    reference_union_lemma_check,
+)
+from strategies import fan_sets, fracs, unions_and_groups
 from szlenk import checks, pointmodel
 from szlenk.calculus import InvalidParams
 from szlenk.checks import (
@@ -37,7 +44,7 @@ from szlenk.fansets import (
     radius_q,
 )
 from szlenk.generators import case_rng
-from szlenk.pointmodel import ProductModel
+from szlenk.pointmodel import ProductModel, model_sz
 from szlenk.products import _as_factor, a_eps_minimal, derive_product_step, union_count
 
 F = Fraction
@@ -262,6 +269,29 @@ class TestTvlCheck:
             tvl_check(K, [], F(1), F(1, 2), F(1), 1)
         with pytest.raises(GroupNotFound):
             tvl_check(F1, [0], F(1), F(1, 2), F(1), 1)
+
+
+class TestPostdoc2:
+    @settings(max_examples=150, deadline=None)
+    @given(unions_and_groups(), st.sampled_from([F(1), F(2)]), fracs(max_den=4), st.integers(1, 7))
+    def test_eta_is_the_largest_projected_sz(self, case, q, eps, k):
+        """The suite takes each subset projection as the kept runs of the
+        union's own positions.  Its eta is the largest `model_sz` over the
+        models of `project` onto every nonempty subset of the components,
+        including zero-offset unions, nested or scaled, that lack the
+        origin; its sz is the union's."""
+        K = case[0]
+        delta = eps * F(k, 8)
+        with mock.patch.object(checks, "_postdoc2_instance", lambda rng: (K, q, eps, delta)):
+            _, detail, _ = checks._suite_postdoc2(None)
+        n = len(K.components)
+        eta = max(
+            model_sz(project(K, G), delta ** int(q))
+            for r in range(1, n + 1)
+            for G in itertools.combinations(range(n), r)
+        )
+        assert f" eta={eta} " in detail
+        assert detail.endswith(f" sz={model_sz(K, eps ** int(q))}")
 
 
 class TestRunSuite:

@@ -17,6 +17,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    contains_origin,
     fold,
     fold_points,
     oracle_derive,
@@ -27,6 +28,7 @@ from oracle import (
     oracle_orbits,
     oracle_sz,
     prefix_cluster_map,
+    project,
     reference_cluster_map,
     reference_materialize,
     reference_norms,
@@ -36,7 +38,7 @@ from oracle import (
     unfold,
     unshared_derive,
 )
-from strategies import fan_sets, fracs
+from strategies import fan_sets, fracs, unions_and_groups
 from szlenk import checks
 from szlenk.calculus import InvalidParams
 from szlenk.checks import tvl_check
@@ -50,14 +52,12 @@ from szlenk.fansets import (
     Scale,
     Sing,
     UnionApex,
-    contains_origin,
     count_apexes,
     depth_fan,
     derive,
     derive_steps,
     diam_q,
     disj,
-    project,
     radius_q,
     scaled,
     sz_eps,
@@ -612,30 +612,27 @@ class TestClusterMap:
     # the zero-offset component is dropped, so an origin is added
     @example([F1, Sing(), F1], [F(1), F(1), F(2)], {1, 2})
     def test_matches_oracle_on_tvl_projection(self, bodies, offs, keep):
-        """The disjoint branch of tvl_check sends every dropped component
-        to the one point of norm 0 (the kept zero-offset root, or an added
-        point at path ()) and keeps zero-offset components behind "f"
-        steps.  Its projected forest, the union's parents remapped by
-        `cluster_map`, is the one the path scan reads off the projected
-        points (`reference_projection`), and the oracle's."""
+        """The disjoint branch of tvl_check derives the projection on the
+        kept positions of the union's own model, with every dropped
+        component sent to the one point of norm 0 (the kept zero-offset
+        root, or an added root at path ()).  The kept positions are closed
+        under parents, and their forest, plus that root, is the one the
+        path scan reads off the projected points (`reference_projection`),
+        and the oracle's."""
         comps = [(F(0) if i == 0 else o, b) for i, (o, b) in enumerate(zip(offs, bodies))]
         K = DisjUnion(tuple(comps))
         groups = sorted(g for g in keep if g < len(comps))
         assume(groups and len(groups) < len(comps))
-        seen = []
-
-        def spy(parents, at, size):
-            seen.append(cluster_map(parents, at, size))
-            return seen[-1]
-
-        with mock.patch.object(checks, "cluster_map", spy):
-            tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
-        (cmap,) = seen
+        whole, at, sub = kept_model(K, groups)
         points = reference_projection(K, groups)
         event("kept zero-offset root" if points[-1].path else "added origin")
-        assert cmap == reference_cluster_map(points)
+        cmap = reference_cluster_map(points)
+        assert sub.parents[0] == tuple(cmap[k][-1] for k in cmap)
         assert sum(1 for p in points if p.norm_q == 0) == 1
-        assert_forest_is_oracle(points, [cmap[k][-1] for k in cmap])
+        assert_forest_is_oracle(points, sub.parents[0])
+        # `cluster_map`, which only the benchmark's tracer still names,
+        # remaps the same forest
+        assert cluster_map(whole.parents[0], at, len(points)) == cmap
 
     @settings(max_examples=300, deadline=None)
     @given(fan_sets(3))
@@ -657,31 +654,6 @@ def model_chain(alive, eps_q, via):
     return chain
 
 
-def origin_free_unions():
-    """Unions without the origin: positive offsets only, possibly around a
-    zero-offset part that is itself such a union, possibly scaled."""
-    positive = st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2)
-
-    def extend(inner):
-        nested = st.builds(lambda z, rest: DisjUnion(((F(0), z), *rest)), inner, positive)
-        return st.one_of(nested, st.builds(Scale, fracs(max_num=4), inner))
-
-    return st.recursive(positive.map(lambda cs: DisjUnion(tuple(cs))), extend, max_leaves=3)
-
-
-@st.composite
-def unions_and_groups(draw):
-    """A disjoint union, its zero-offset component (if any) possibly a
-    nested or scaled union without the origin, and a nonempty set of
-    component indices."""
-    zero = draw(st.one_of(st.none(), fan_sets(1), origin_free_unions()), label="zero")
-    rest = draw(st.lists(st.tuples(fracs(), fan_sets(1)), min_size=1, max_size=2), label="rest")
-    K = DisjUnion(tuple(rest) if zero is None else ((F(0), zero), *rest))
-    n = len(K.components)
-    groups = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="groups")
-    return K, sorted(groups)
-
-
 def assert_model_is_reference(model: ProductModel, points_by_factor, den=None) -> None:
     """The model holds these points, by position: the prefix scan's
     parents, the weights counted off the paths and the norms^q over their
@@ -698,7 +670,8 @@ def assert_model_is_reference(model: ProductModel, points_by_factor, den=None) -
 
 
 def projected_models(K, groups) -> list[ProductModel]:
-    """The models tvl_check derives: K's, then its projection's."""
+    """The models tvl_check derives for a product: K's, then the sub-model
+    of the kept factors."""
     seen = []
     real = checks.iterate_product_set
 
@@ -709,6 +682,32 @@ def projected_models(K, groups) -> list[ProductModel]:
     with mock.patch.object(checks, "iterate_product_set", spy):
         tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
     return seen
+
+
+def kept_model(K, groups) -> tuple[ProductModel, dict, ProductModel]:
+    """The model tvl_check derives for a disjoint union, the new position of
+    each kept position, and the model the kept positions make: their norms,
+    weights and parents in position order (a parent must be kept too), then
+    an origin (norm 0, weight 1, a root) when a component is dropped and no
+    kept point has norm 0."""
+    seen = []
+    real = checks.iterate_set
+
+    def spy(alive, model, i, eps_q, m):
+        seen.append((model, alive))
+        return real(alive, model, i, eps_q, m)
+
+    with mock.patch.object(checks, "iterate_set", spy):
+        tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
+    ((whole, kept),) = seen
+    norms, parents, weights = whole.norms[0], whole.parents[0], whole.weights[0]
+    order = sorted(kept)
+    at = {j: k for k, j in enumerate(order)}
+    sub = ([norms[j] for j in order], [at[parents[j]] for j in order], [weights[j] for j in order])
+    if len(order) < len(norms) and all(sub[0]):
+        for column, value in zip(sub, (0, len(order), 1)):
+            column.append(value)
+    return whole, at, ProductModel(whole.den, *((tuple(column),) for column in sub))
 
 
 class TestModelWalk:
@@ -729,12 +728,13 @@ class TestModelWalk:
     @settings(max_examples=150, deadline=None)
     @given(unions_and_groups())
     def test_matches_reference_on_disjoint_projection(self, case):
-        """The projected model is built from runs of the union's positions
-        (parents remapped by `cluster_map`, weights and norms from the
-        union's model), plus the added origin when no kept point has norm
-        0: the points that the path rule picks (`reference_projection`)."""
+        """tvl_check derives a disjoint union's projection on the union's
+        own model, built by the walk, and its kept positions, plus the
+        added origin when no kept point has norm 0, hold the points that
+        the path rule picks (`reference_projection`): their parents,
+        weights and norms."""
         K, groups = case
-        whole, sub = projected_models(K, groups)
+        whole, _, sub = kept_model(K, groups)
         assert_model_is_reference(whole, [reference_materialize(K)])
         assert_model_is_reference(sub, [reference_projection(K, groups)], whole.den)
 
@@ -781,21 +781,50 @@ class TestModelWalk:
 
 
 class TestTvlProjection:
-    @settings(max_examples=100, deadline=None)
-    @given(unions_and_groups(), fracs(max_den=4))
-    def test_stages_match_the_projected_set(self, case, eps_q):
-        """tvl_check's projected model (the second one it derives), built
-        from runs of the union's positions, derives stage by stage like
-        the model of `project`: the same norms^q and two-copy counts at
-        stages 0..3."""
+    @settings(max_examples=150, deadline=None)
+    @given(unions_and_groups(), fracs(max_den=4), st.integers(0, 3))
+    # the zero-offset component is dropped: the added origin is in stage 0
+    # of the projection only
+    @example((DisjUnion(((F(0), F1), (F(1), CHAIN2))), [1]), F(1, 4), 1)
+    @example((DisjUnion(((F(0), F1), (F(1), CHAIN2))), [1]), F(1, 4), 0)
+    # the kept zero-offset root is the origin
+    @example((DisjUnion(((F(0), CHAIN2), (F(1), F1))), [0]), F(1, 4), 1)
+    def test_stages_match_the_projected_set(self, case, delta, alpha):
+        """Stage alpha of the projection at delta, as tvl_check derives it,
+        against the model of `project`.  The check's own survivors are
+        replaced by the whole union, and q = 1 with eps = delta + 2 *
+        (radius_q + 1) puts the cut below 0, so the violations list, once
+        per two-copy point in position order, every point whose projection
+        (a kept point itself, a dropped one the origin) is not in the stage,
+        with that projection's norm^q.  The model of `project` holds the
+        kept points in order, with their norms^q and orbit sizes, and then
+        the origin when it is added."""
         K, groups = case
-        _, got = projected_models(K, groups)
+        model = ProductModel.of([K])
+        keep = set(groups)
+        kept = [j for j, p in enumerate(reference_materialize(K)) if p.path[0][1][1] in keep]
         want = ProductModel.of([project(K, groups)])
-        a, b = got.tuples(), want.tuples()
-        for _ in range(4):
-            assert sorted(map(got.norm_q, a)) == sorted(map(want.norm_q, b))
-            assert got.count(a) == want.count(b)
-            a, b = derive_product_set(a, got, eps_q)[-1], derive_product_set(b, want, eps_q)[-1]
+        norms = [F(n, want.den) for n in want.norms[0]]
+        assert norms[: len(kept)] == [model.norm_q((j,)) for j in kept]
+        assert want.weights[0][: len(kept)] == tuple(model.weights[0][j] for j in kept)
+        added = len(kept) < len(model.norms[0]) and 0 not in norms[: len(kept)]
+        assert (norms[len(kept) :], want.weights[0][len(kept) :]) == (
+            ([0], (1,)) if added else ([], ())
+        )
+        stage = iterate_set(frozenset(range(len(norms))), want, 0, delta, alpha)
+        at = {j: k for k, j in enumerate(kept)}
+        origin = norms.index(0) if 0 in norms else None
+        want_violations = []
+        for j, w in enumerate(model.weights[0]):
+            k = at.get(j, origin)
+            if k not in stage:
+                want_violations += [
+                    f"survivor with projected norm_q={norms[k]} escapes the projected derivation"
+                ] * w
+        with mock.patch.object(checks, "iterate_product_set", lambda alive, *_: alive):
+            rep = tvl_check(K, groups, delta + 2 * (radius_q(K) + 1), delta, F(1), alpha)
+        assert rep.filtered == model.count(model.tuples())
+        assert rep.violations == tuple(want_violations)
 
     @settings(max_examples=100, deadline=None)
     @given(unions_and_groups(), st.data())
