@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `product_sz` against the kernel-only loop on products of chains.
+"""Time `product_sz`, the kernel-only loop and the `cover` command on chains.
 
 For each product of equal chains (`depth_fan(d, 1/2)`, scale 1, at
 eps_q = 1/2) it times `products.product_sz`, which derives the staircase's
@@ -9,19 +9,25 @@ set of every stage.  Both give the same sz.  The ratio is the staircase's
 time over the point-set derivation's.  For each one-factor chain of --ones it times the
 model build and the derivation (one `derive_set` rank pass, whose largest
 rank is sz) apart, and takes the tracemalloc peak of one more build,
-outside the timed runs; sz is depth + 1.  Prints one JSON line.
+outside the timed runs; sz is depth + 1.  For each L of --covers it times
+the in-process command `cover L f f f`, f a depth-2 chain document at q = 2,
+report included, and gives the cover's tuple and run counts and the
+report's bytes.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
-        [--ones 64 128 256 512 1000]
+        [--ones 64 128 256 512 1000] [--covers 8 16 32 52]
 
 Three chains at each of --depths (add 24 for the deep end), four chains
-of depth --four (0 leaves them out), and one chain at each of --ones (none
-by default).
+of depth --four (0 leaves them out), one chain at each of --ones and one
+cover at each of --covers (none of either by default).
 """
 import argparse
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -29,9 +35,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from szlenk.cli import main as cli_main  # noqa: E402
+from szlenk.documents import dumps_canonical, fanset_to_doc  # noqa: E402
 from szlenk.fansets import depth_fan  # noqa: E402
 from szlenk.pointmodel import ProductModel, derive_set, sz_product_set  # noqa: E402
-from szlenk.products import product_sz  # noqa: E402
+from szlenk.products import bq_cover, product_sz  # noqa: E402
 
 HALF = Fraction(1, 2)
 
@@ -95,17 +103,45 @@ def one_row(depth: int, repeats: int) -> dict:
     }
 
 
+def cover_row(l: int, path: str, repeats: int) -> dict:
+    """The least wall time of the `cover` command on three copies of the
+    chain document at path, its report's bytes, and the cover's counts."""
+    argv = ["cover", str(l), path, path, path]
+    best = float("inf")
+    for _ in range(repeats):
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        best = min(best, time.perf_counter() - start)
+        if code != 0:
+            raise SystemExit(f"cover L={l}: exit {code}")
+    cover = bq_cover([depth_fan(2, HALF)] * 3, l, Fraction(2))
+    return {
+        "l": l,
+        "tuples": sum(m for _, m in cover.runs),
+        "runs": len(cover.runs),
+        "report_bytes": len(out.getvalue().encode("utf-8")),
+        "cover_s": round(best, 4),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depths", type=int, nargs="*", default=[8, 12, 16], help="depths of the 3-chain products")
     ap.add_argument("--four", type=int, default=6, help="depth of the 4-chain product (0: none)")
     ap.add_argument("--repeats", type=int, default=1, help="runs per timing; the least is kept")
     ap.add_argument("--ones", type=int, nargs="*", default=[], help="depths of one-factor chains")
+    ap.add_argument("--covers", type=int, nargs="*", default=[], help="L of the 3-chain covers")
     ns = ap.parse_args()
     sizes = [(3, d) for d in ns.depths] + ([(4, ns.four)] if ns.four else [])
     rows = [row(n, d, ns.repeats) for n, d in sizes]
     ones = [one_row(d, ns.repeats) for d in ns.ones]
-    print(json.dumps({"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_text(dumps_canonical(fanset_to_doc(depth_fan(2, HALF), Fraction(2))), encoding="utf-8")
+        covers = [cover_row(l, str(path), ns.repeats) for l in ns.covers]
+    print(json.dumps({"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers}))
     return 0
 
 

@@ -539,20 +539,20 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
     K, q, eps, delta = _postdoc2_instance(rng)
     iq = int(q)
     model = ProductModel.of([K])
-    # a projection onto some components is their runs of positions; the
-    # origin it may add is a childless root of rank 1, which never raises
-    # the largest rank
-    runs = _component_runs(K)
-    eta = 0
-    for r in range(1, len(runs) + 1):
-        for G in itertools.combinations(runs, r):
-            kept = frozenset(itertools.chain(*G))
-            eta = max(eta, *derive_set(kept, model, 0, delta**iq).values())
+    every = frozenset(range(len(model.norms[0])))
+    # eta is the largest sz over the projections onto the nonempty subsets
+    # of the components.  A projection is its components' runs of positions
+    # plus, at most, an origin, a childless root of rank 1 that never raises
+    # the largest rank.  The runs are separate trees of the forest (a
+    # component step at the root passes no parent on), so a point's rank on
+    # any union of runs is its rank on all positions; the subset of every
+    # component is one of them, so eta is the largest rank of one pass
+    eta = max(derive_set(every, model, 0, delta**iq).values())
     sig = sigma_qpow(radius_q(K), eps, delta, q)
-    sz = max(derive_set(frozenset(range(len(model.norms[0]))), model, 0, eps**iq).values())
+    sz = max(derive_set(every, model, 0, eps**iq).values())
     passed = sz <= eta * sig
     detail = (
-        f"n={len(runs)} q={q} eps={eps} delta={delta} "
+        f"n={len(K.components)} q={q} eps={eps} delta={delta} "
         f"eta={eta} sigma={sig} sz={sz}"
     )
     return passed, detail, "" if passed else f"sz {sz} exceeds eta*sigma = {eta * sig}"
@@ -602,7 +602,7 @@ def _suite_lecondsast(rng: random.Random) -> tuple:
     samples = (_bq_sample(rng, n, powers) for _ in range(_LECONDSAST_POINTS))
     bad = sum(1 for ks, nonzero in samples if not bq_member(ks, 16, nonzero, cover))
     detail = (
-        f"n={n} l={l} q={q} cover={len(cover.tuples)} "
+        f"n={n} l={l} q={q} cover={sum(m for _, m in cover.runs)} "
         f"points={_LECONDSAST_POINTS}"
     )
     return bad == 0, detail, f"{bad} sampled points uncovered" if bad else ""

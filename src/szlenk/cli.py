@@ -16,9 +16,11 @@ Subcommands
     The quantitative stage bounds, echoing their inputs.
 ``cover L FILE...``
     Integer-tuple cover of the q-ball spanned by factor set documents.  Its
-    ``products`` array holds one scaled copy per factor and row; each
-    (factor, k) copy is built as a document once and reaches the renderer as
-    `SharedRows`, which encodes it once and splices its text into every row.
+    ``tuples`` array holds the tuples k and its ``products`` array one
+    scaled copy per factor and row; each (factor, k) copy is built as a
+    document once.  Both reach the renderer as `SharedRows` over the
+    cover's runs (a prefix and the count of last coordinates 1..m), which
+    encodes each entry once and joins it into the rows run by run.
 
 Each subcommand has one handler (``cmd_*``), which reads the parsed
 arguments directly and returns the report document and the exit code;
@@ -387,18 +389,19 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
         for c in per:
             if isinstance(c, Scale):
                 _printable(max(c.a_q.numerator, c.a_q.denominator), args.cmd)
+    ks = range(1, len(cover.copies[0]) + 1)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
         "l": cover.l,
         "q": frac_to_str(cover.q),
         "n": cover.n,
-        "tuples": cover.tuples,
+        "tuples": SharedRows([dict(zip(ks, ks))] * cover.n, cover.runs),
         # row k of the products holds factor i's (k_i/l)-scaled copy, one
         # document per (factor, k) that the renderer encodes once
         "products": SharedRows(
-            [{k: fan_node_to_doc(c) for k, c in enumerate(per, 1)} for per in cover.copies],
-            cover.tuples,
+            [{k: fan_node_to_doc(c) for k, c in zip(ks, per)} for per in cover.copies],
+            cover.runs,
         ),
     }
     return doc, EXIT_OK
@@ -461,12 +464,16 @@ def _render_text(command: str, doc: dict) -> str:
             f"M(d={p['d']}, eps={p['eps']}, q={p['q']}, m={p['m']}) = {doc['value']}"
         )
     elif command == "cover":
-        lines.append(
-            f"cover: n={doc['n']} l={doc['l']} q={doc['q']} tuples={len(doc['tuples'])}"
-        )
-        for k in doc["tuples"]:
-            scales = ", ".join(frac_to_str(Fraction(ki, doc["l"])) for ki in k)
-            lines.append(f"  k=({', '.join(map(str, k))})  scales=({scales})")
+        rows = doc["tuples"]
+        lines.append(f"cover: n={doc['n']} l={doc['l']} q={doc['q']} tuples={len(rows)}")
+        # a line is its prefix's texts, built once per run, around the last
+        # k's texts; the tuples' columns hold each k as itself
+        ks = range(1, len(rows.columns[-1]) + 1)
+        scales = [frac_to_str(Fraction(k, doc["l"])) for k in ks]
+        for prefix, m in rows.runs:
+            head = "".join(f"{k}, " for k in prefix)
+            mid = "".join(f"{scales[k - 1]}, " for k in prefix)
+            lines += [f"  k=({head}{k})  scales=({mid}{s})" for k, s in zip(ks[:m], scales)]
     else:  # pragma: no cover - parser restricts commands
         raise InvalidParams(f"unknown command {command!r}")
     return "\n".join(lines) + "\n"

@@ -7,17 +7,20 @@ serialization, and set documents fix q once in the header ({"q": "2"}).
 fixed separators), which is what makes repeated runs diff-clean.
 
 A report whose top-level array repeats the same entries many times (the
-``cover`` report's ``products``: each row is one scaled copy per factor,
-picked by the row's tuple k) carries it as `SharedRows`: ``dumps_canonical``
-encodes each distinct entry once and splices that text into every row that
-holds it, so the bytes are those of the plain array without a walk over
-each copy.
+``cover`` report's ``tuples``, and its ``products``: each row is one scaled
+copy per factor, picked by the row's tuple k) carries it as `SharedRows`,
+its rows given by runs: a run is a key prefix and the count m of rows whose
+last key runs over 1..m.  ``dumps_canonical`` encodes each distinct entry
+once, builds each run's prefix text once and joins it around the last
+column's texts, so the bytes are those of the plain array at one Python
+step per run, not per row.  Every report goes through one reused encoder.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Mapping, Optional, Sequence
 
 from . import ordinal
@@ -428,27 +431,35 @@ def suite_report_to_doc(report: SuiteReport, seed: int) -> dict:
 @dataclass(frozen=True)
 class SharedRows:
     """A JSON array of rows whose entries recur, as a top-level value of a
-    report: row r is [columns[0][keys[r][0]], columns[1][keys[r][1]], ...],
-    so each distinct entry is held once, in its column."""
+    report, given by runs: a run (prefix, m) stands for the rows of the key
+    tuples prefix + (k,), k = 1..m, in order, and the row of a key tuple t
+    is [columns[0][t[0]], columns[1][t[1]], ...], so each distinct entry is
+    held once, in its column."""
 
     columns: Sequence[Mapping[int, object]]
-    keys: Sequence[Sequence[int]]
+    runs: Sequence[tuple[Sequence[int], int]]
+
+    def __len__(self) -> int:
+        return sum(m for _, m in self.runs)
 
     def render(self) -> str:
-        """The canonical text of the array, each entry encoded once: per
-        column, the texts of its entries row by row, then one format per
-        row."""
-        texts = [
-            map({k: _canonical(x) for k, x in col.items()}.__getitem__, ks)
-            for col, ks in zip(self.columns, zip(*self.keys))
-        ]
-        rows = zip(*texts) if texts else [()] * len(self.keys)
-        row = "[" + ",".join(["%s"] * len(self.columns)) + "]"
-        return "[" + ",".join(map(row.__mod__, rows)) + "]"
+        """The canonical text of the array, each entry encoded once: per run,
+        the prefix's text P = "[a,b," is built once and the rows are P
+        joined around the last column's texts for k = 1..m."""
+        *heads, last = self.columns
+        heads = [{k: _canonical(x) + "," for k, x in col.items()} for col in heads]
+        longest = max((m for _, m in self.runs), default=0)
+        tail = [_canonical(last[k]) for k in range(1, longest + 1)]
+        out = []
+        for prefix, m in self.runs:
+            p = "[" + "".join(map(getitem, heads, prefix))
+            out.append(p + ("]," + p).join(tail[:m]) + "]")
+        return "[" + ",".join(out) + "]"
 
 
-def _canonical(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# one encoder for every report: json.dumps builds a new one per call once
+# any option is set, and these are its defaults otherwise
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def dumps_canonical(doc: object) -> str:

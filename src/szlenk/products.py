@@ -525,12 +525,16 @@ def bound_product_derivation(
 
 @dataclass(frozen=True)
 class BqCover:
-    """The integer-tuple cover of the q-convex hull ball of the factors."""
+    """The integer-tuple cover of the q-convex hull ball of the factors.
+
+    A cover is down-closed and walked in lexicographic order, so for each
+    prefix k_1..k_{n-1} its last coordinate runs over 1..m.  It is held as
+    those runs, (prefix, m) in increasing prefix order, one per prefix."""
 
     l: int
     q: Fraction
     n: int
-    tuples: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[tuple[int, ...], int], ...]
     # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
     # from one power ladder for all k
     copies: tuple[tuple[FanSet, ...], ...]
@@ -538,8 +542,15 @@ class BqCover:
     _least: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
-    def tuple_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.tuples)
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Every tuple of the cover, in lexicographic order, expanded from
+        the runs."""
+        return tuple(p + (k,) for p, m in self.runs for k in range(1, m + 1))
+
+    @cached_property
+    def ends(self) -> dict[tuple[int, ...], int]:
+        """By prefix, the largest last coordinate (its run's m)."""
+        return dict(self.runs)
 
     def least(self, den: int) -> "_LeastScales":
         """The cover's table of least absorbing k for scales s/den, one per
@@ -550,13 +561,6 @@ class BqCover:
                 raise InvalidParams("scales must lie in [0, 1]")
             got = self._least[den] = _LeastScales(self.l, den)
         return got
-
-    @cached_property
-    def products(self) -> tuple[tuple[FanSet, ...], ...]:
-        """By tuple k, the product of the (k_i/l)-scaled factors."""
-        return tuple(
-            tuple(c[ki - 1] for c, ki in zip(self.copies, k)) for k in self.tuples
-        )
 
 
 class _LeastScales(dict):
@@ -583,10 +587,11 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     come from a prefix walk on the integer lower bounds of k^q (one
     `_power_floors` ladder, k = 0..k_max): a factor's
     k runs up to the largest one that, with the prefix's sum and the least
-    the later factors add (1^q each), stays within the bound.  So the walk
-    costs one bisection per prefix and one step per tuple, in lexicographic
-    order.  The copies' scales hi((k/l)^q) are a second ladder, with step
-    1/l."""
+    the later factors add (1^q each), stays within the bound.  The walk
+    stops one factor early: the last k runs over 1..m, m read from the
+    prefix's own bisection, so the cover comes out as runs (`BqCover`), one
+    step per prefix, in lexicographic order.  The copies' scales
+    hi((k/l)^q) are a second ladder, with step 1/l."""
     q = Fraction(q)
     if not isinstance(l, int) or l < 1:
         raise InvalidParams("l must be an integer >= 1")
@@ -620,12 +625,14 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
         raise InvalidParams("cover enumeration too large")
     cap = bound_hi.numerator * S // bound_hi.denominator
     rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for later in range(n - 1, -1, -1):
+    for later in range(n - 1, 0, -1):
         rows = [
             (p + (k,), acc + lo_d[k])
             for p, acc in rows
             for k in range(1, bisect.bisect_right(lo_d, cap - acc - later * lo_d[1]))
         ]
+    # each prefix left room for k = 1 of the last factor, so every m >= 1
+    runs = tuple((p, bisect.bisect_right(lo_d, cap - acc) - 1) for p, acc in rows)
     # the scales hi((k/l)^q), k = 1..k_max: one ladder with step 1/l, its
     # denominator and gap chosen as in `AEpsGrid.levels` (k_max^u caps all k)
     k_max, u = len(lo_d) - 1, q.numerator
@@ -636,7 +643,7 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     scales = [Fraction(x + gap, den) for x in lo_s[1:]]
     assert scales[0] > 0
     copies = tuple(tuple(scaled(a_q, K) for a_q in scales) for K in factors)
-    return BqCover(l, q, n, tuple(p for p, _ in rows), copies)
+    return BqCover(l, q, n, runs, copies)
 
 
 def bq_member(
@@ -651,9 +658,11 @@ def bq_member(
     their points), and absorbs it trivially when x_i = 0.  The least
     absorbing tuple is k_i = max(1, ceil(a_i * l)) for nonzero x_i and 1
     otherwise; a cover from `bq_cover` is down-closed (its lower power
-    bounds grow with k_i), so the point is covered iff that tuple is in it.
-    Each k_i is read from the cover's table for den (`BqCover.least`),
-    which also refuses a scale outside [0, den]."""
+    bounds grow with k_i), so the point is covered iff that tuple is in it,
+    that is iff its last k is at most its prefix's run end
+    (`BqCover.ends`; a prefix with no run has none).  Each k_i is read from
+    the cover's table for den (`BqCover.least`), which also refuses a scale
+    outside [0, den]."""
     if len(scales) != cover.n or len(nonzero) != cover.n:
         raise InvalidParams("point arity does not match the cover")
     least = cover.least(den)
@@ -661,4 +670,5 @@ def bq_member(
         ks = [least[s] for s in scales]
     except KeyError:
         raise InvalidParams("scales must lie in [0, 1]") from None
-    return tuple([k if nz else 1 for k, nz in zip(ks, nonzero)]) in cover.tuple_set
+    ks = [k if nz else 1 for k, nz in zip(ks, nonzero)]
+    return ks.pop() <= cover.ends.get(tuple(ks), 0)

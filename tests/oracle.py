@@ -670,7 +670,7 @@ def reference_bq_member(scales, den, nonzero, cover) -> bool:
     least = tuple(
         max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
     )
-    return least in cover.tuple_set
+    return least in frozenset(cover.tuples)
 
 
 def reference_norms_in_c0(e: DirectSum) -> bool:

@@ -34,6 +34,7 @@ from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, sp
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
 from szlenk.ordinal import ONE, Ordinal
+from test_products import reference_bq_cover
 
 F = Fraction
 W = ordinal.parse("w")
@@ -557,34 +558,43 @@ class TestCover:
             write_doc(tmp_path, f"f{i}.json", fanset_to_doc(K, F(q)))
             for i, K in enumerate(factors)
         ]
-        for n in (1, 2, 3):
-            for l in (1, 2, 5):
-                code, out, _ = run(capsys, "cover", str(l), *paths[:n])
-                assert code == EXIT_OK
-                cover = products.bq_cover(factors[:n], l, F(q))
-                full = {
-                    "v": 1,
-                    "command": "cover",
-                    "l": l,
-                    "q": q,
-                    "n": n,
-                    "tuples": [list(k) for k in cover.tuples],
-                    "products": [[fan_node_to_doc(f) for f in prod] for prod in cover.products],
-                }
-                assert out == json.dumps(full, sort_keys=True, separators=(",", ":")) + "\n"
+        # l = 16 at n = 3 is the largest cover in the benchmark's catalogue
+        for n, l in [(n, l) for n in (1, 2, 3) for l in (1, 2, 5)] + [(3, 16)]:
+            code, out, _ = run(capsys, "cover", str(l), *paths[:n])
+            assert code == EXIT_OK
+            cover = products.bq_cover(factors[:n], l, F(q))
+            full = {
+                "v": 1,
+                "command": "cover",
+                "l": l,
+                "q": q,
+                "n": n,
+                "tuples": [list(k) for k in cover.tuples],
+                "products": [
+                    [fan_node_to_doc(c[ki - 1]) for c, ki in zip(cover.copies, k)]
+                    for k in cover.tuples
+                ],
+            }
+            assert out == json.dumps(full, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_text_format(self, capsys, tmp_path):
+        """One line per tuple of the filtered cover, in order, each with its
+        scales k_i/l."""
         path = write_doc(tmp_path, "f.json", fanset_to_doc(F1, F(2)))
-        code, out, _ = run(capsys, "cover", "2", path, path, "--format", "text")
-        assert code == EXIT_OK
-        tuples = products.bq_cover([F1, F1], 2, F(2)).tuples
-        lines = out.splitlines()
-        assert lines[0] == f"cover: n=2 l=2 q=2 tuples={len(tuples)}"
-        assert lines[1:] == [
-            f"  k=({a}, {b})  scales=({ordinal.frac_to_str(F(a, 2))}, {ordinal.frac_to_str(F(b, 2))})"
-            for a, b in tuples
-        ]
-        assert "  k=(1, 1)  scales=(1/2, 1/2)" in lines
+        for n in (1, 2, 3):
+            for l in (1, 2, 5):
+                code, out, _ = run(capsys, "cover", str(l), *[path] * n, "--format", "text")
+                assert code == EXIT_OK
+                tuples, _ = reference_bq_cover([F1] * n, l, F(2))
+                lines = out.splitlines()
+                assert lines[0] == f"cover: n={n} l={l} q=2 tuples={len(tuples)}"
+                assert lines[1:] == [
+                    f"  k=({', '.join(map(str, k))})  "
+                    f"scales=({', '.join(ordinal.frac_to_str(F(ki, l)) for ki in k)})"
+                    for k in tuples
+                ]
+                if (n, l) == (2, 2):
+                    assert "  k=(1, 1)  scales=(1/2, 1/2)" in lines
 
     def test_scale_over_the_digit_limit_exits_2(self, capsys, tmp_path):
         """At q = 10000 the copy at k = 3 is scaled by (3/2)^10000, whose

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szlenk import ordinal
 from szlenk.calculus import (
@@ -179,6 +180,15 @@ class TestTraceDocs:
         assert doc["steps"][0]["diam_q"] == "1"
 
 
+def expand_runs(cols, runs):
+    """The rows that runs of keys stand for, each entry picked in full."""
+    return [
+        [col[k] for col, k in zip(cols, (*prefix, last))]
+        for prefix, m in runs
+        for last in range(1, m + 1)
+    ]
+
+
 class TestCanonical:
     def test_key_order_is_canonical(self):
         a = dumps_canonical({"b": 1, "a": [{"y": 2, "x": 3}]})
@@ -187,14 +197,17 @@ class TestCanonical:
         assert a.endswith("\n")
 
     def test_shared_rows_render_as_the_plain_array(self):
-        """Entries are picked per column by each row's keys; the rendering
-        sorts the top-level keys around the spliced value."""
-        cols = [{1: {"b": [1, 2], "a": "x"}, 2: {"z": {}}}, {0: [], 5: {"q": "é"}}]
-        keys = [(1, 0), (2, 5), (1, 5), (2, 0)]
+        """Entries are picked per column by each row's keys, a run's rows in
+        order; the rendering sorts the top-level keys around the spliced
+        value."""
+        cols = [{1: {"b": [1, 2], "a": "x"}, 2: {"z": {}}}, {1: [], 2: {"q": "é"}}]
+        runs = [((1,), 2), ((2,), 1), ((1,), 1)]
+        keys = [(1, 1), (1, 2), (2, 1), (1, 1)]
         plain = {"z": 0, "rows": [[cols[0][i], cols[1][j]] for i, j in keys], "a": [None, True]}
-        spliced = dict(plain, rows=SharedRows(cols, keys))
+        spliced = dict(plain, rows=SharedRows(cols, runs))
         want = json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
         assert dumps_canonical(spliced) == want == dumps_canonical(plain)
+        assert len(spliced["rows"]) == 4
         assert dumps_canonical({"rows": SharedRows(cols, [])}) == '{"rows":[]}\n'
 
     @pytest.mark.parametrize(
@@ -202,18 +215,48 @@ class TestCanonical:
         [
             ([{1: "a"}], []),
             ([{1: "a"}, {2: 0}], []),
-            ([], [(), ()]),
-            ([{1: [1, {"k": "v"}], 2: {}}], [(2,), (1,), (2,)]),
-            ([{0: 0, 7: -12}, {3: 10**30}], [(7, 3), (0, 3)]),
-            ([{1: "50%", 2: "%s%d%%"}, {1: "{}", 2: '{"a": 1}'}, {5: '"quoted"'}],
-             [(1, 2, 5), (2, 1, 5), (2, 2, 5)]),
+            ([{1: "a"}], [((), 1)]),
+            ([{1: [1, {"k": "v"}], 2: {}}], [((), 2), ((), 1)]),
+            ([{0: 0, 7: -12}, {1: 10**30, 2: -1}], [((7,), 2), ((0,), 1)]),
+            ([{1: "50%", 2: "%s%d%%"}, {1: "{}", 2: '{"a": 1}'}, {1: '"quoted"', 2: "],["}],
+             [((1, 2), 1), ((2, 1), 2), ((2, 2), 1)]),
         ],
     )
     def test_shared_rows_render_matches_the_rows_in_full(self, cols, keys):
-        """Empty keys, no columns, one column, int entries, and strings
-        holding the characters of format strings and JSON."""
-        full = [[col[k] for col, k in zip(cols, row)] for row in keys]
-        assert SharedRows(cols, keys).render() == _canonical(full)
+        """Rows by runs of keys: no runs, a one-row run, one column, int
+        entries, and strings holding the characters of format strings and
+        JSON."""
+        assert SharedRows(cols, keys).render() == _canonical(expand_runs(cols, keys))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shared_rows_render_is_json_dumps(self, data):
+        """Any 1-3 columns of int and dict entries, any runs (none
+        included): the rendering is json.dumps of the rows in full, with
+        sorted keys and compact separators."""
+        entry = st.one_of(
+            st.integers(-(10**20), 10**20),
+            st.dictionaries(
+                st.text(max_size=3),
+                st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+                max_size=3,
+            ),
+        )
+        n = data.draw(st.integers(1, 3), label="columns")
+        heads = [
+            data.draw(st.dictionaries(st.integers(0, 6), entry, min_size=1, max_size=4), label="head")
+            for _ in range(n - 1)
+        ]
+        last = data.draw(st.lists(entry, min_size=1, max_size=5), label="last")
+        cols = [*heads, dict(enumerate(last, 1))]
+        run = st.tuples(
+            st.tuples(*(st.sampled_from(sorted(h)) for h in heads)), st.integers(1, len(last))
+        )
+        runs = data.draw(st.lists(run, max_size=5), label="runs")
+        rows = SharedRows(cols, runs)
+        full = expand_runs(cols, runs)
+        assert rows.render() == json.dumps(full, sort_keys=True, separators=(",", ":"))
+        assert len(rows) == len(full)
 
     def test_loads_error(self):
         with pytest.raises(DocumentError):

@@ -1070,12 +1070,9 @@ COVER_FACTORS = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1), Sing()]
 class TestBqCover:
     def test_single_factor(self):
         cover = bq_cover([F1], 2, F(1))
+        assert cover.runs == (((), 3),)
         assert cover.tuples == ((1,), (2,), (3,))
-        assert cover.products == (
-            (Scale(F(1, 2), F1),),
-            (F1,),
-            (Scale(F(3, 2), F1),),
-        )
+        assert cover.copies == ((Scale(F(1, 2), F1), F1, Scale(F(3, 2), F1)),)
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -1187,9 +1184,9 @@ class TestBqCover:
                     if sum(lo(ki) for ki in k) <= bound
                 )
                 assert cover.tuples == tuples
-                assert cover.products == tuple(
-                    tuple(scaled(pow_bounds(F(ki, l), q)[1], K) for ki, K in zip(k, factors))
-                    for k in tuples
+                assert cover.copies == tuple(
+                    tuple(scaled(pow_bounds(F(k, l), q)[1], K) for k in range(1, k_max + 1))
+                    for K in factors[:n]
                 )
 
     @settings(max_examples=150, deadline=None)
@@ -1254,6 +1251,34 @@ class TestBqCover:
             want = outcome(reference_bq_member)
             event(f"{want}")
             assert outcome(bq_member) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
+        st.data(),
+    )
+    def test_runs_are_the_cover(self, n, l, q, data):
+        """The runs' prefixes strictly increase, each run has m >= 1 and
+        ends where the filter's cover does (prefix + (m + 1,) is out of it),
+        and membership read from the runs' ends agrees with the reference's
+        set of the filtered tuples."""
+        cover = bq_cover(COVER_FACTORS[:n], l, q)
+        tuples = frozenset(reference_bq_cover(COVER_FACTORS[:n], l, q)[0])
+        prefixes = [p for p, _ in cover.runs]
+        assert all(len(p) == n - 1 for p in prefixes)
+        assert all(a < b for a, b in zip(prefixes, prefixes[1:]))
+        assert all(m >= 1 for _, m in cover.runs)
+        assert all(p + (m,) in tuples and p + (m + 1,) not in tuples for p, m in cover.runs)
+        assert sum(m for _, m in cover.runs) == len(tuples)
+        den = data.draw(st.integers(1, 16), label="den")
+        for _ in range(20):
+            scales = tuple(data.draw(st.integers(0, den), label="k") for _ in range(n))
+            nonzero = tuple(data.draw(st.booleans(), label="nz") for _ in range(n))
+            want = reference_bq_member(scales, den, nonzero, cover)
+            event(f"covered={want}")
+            assert bq_member(scales, den, nonzero, cover) == want
 
     def test_member_arity(self):
         cover = bq_cover([F1], 2, F(1))

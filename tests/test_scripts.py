@@ -70,3 +70,21 @@ def test_product_sweep_prints_one_json_line():
     assert (one["depth"], one["sz"]) == (3, 4)
     assert one["build_s"] >= 0 and one["kernel_s"] >= 0
     assert one["build_peak_mib"] >= 0
+
+
+def test_product_sweep_times_a_cover():
+    """scripts/product_sweep.py --covers at L = 2: one row with the cover's
+    tuple and run counts and the bytes of the report it times."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "--four", "0", "--covers", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert doc["rows"] == [] and doc["ones"] == []
+    (cover,) = doc["covers"]
+    assert (cover["l"], cover["tuples"], cover["runs"]) == (2, 11, 6)
+    assert cover["report_bytes"] > 0 and cover["cover_s"] >= 0
