@@ -17,10 +17,12 @@ Subcommands
 ``cover L FILE...``
     Integer-tuple cover of the q-ball spanned by factor set documents.  Its
     ``tuples`` array holds the tuples k and its ``products`` array one
-    scaled copy per factor and row; each (factor, k) copy is built as a
-    document once.  Both reach the renderer as `SharedRows` over the
-    cover's runs (a prefix and the count of last coordinates 1..m), which
-    encodes each entry once and joins it into the rows run by run.
+    scaled copy per factor and row.  Each factor is encoded as a document
+    once, and its copies' texts are spliced from that text and the cover's
+    one scale ladder, up to the largest k a tuple uses.  Both arrays reach
+    the renderer as `SharedRows` over the cover's runs (a prefix and the
+    count of last coordinates 1..m), which joins the texts into the rows
+    run by run.
 
 Each subcommand has one handler (``cmd_*``), which reads the parsed
 arguments directly and returns the report document and the exit code;
@@ -66,13 +68,14 @@ from .documents import (
     fan_node_to_doc,
     fanset_from_doc,
     loads,
+    scaled_copy_texts,
     space_from_doc,
     space_index_to_doc,
     suite_report_to_doc,
     trace_to_doc,
 )
 from .exactmath import ROOT_BITS, pow_bounds
-from .fansets import ProdQ, Scale, derive_steps
+from .fansets import ProdQ, Scale, Sing, derive_steps
 from .ordinal import frac_from_str, frac_to_str
 from .pointmodel import ProductModel
 from .products import (
@@ -384,24 +387,26 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
         raise DocumentError("all factor documents must share the same q")
     cover = bq_cover(factors, args.l, qs[0])
     # a copy's scale is the one number of its document that no input
-    # document held, so it is the one that can be too long to print
-    for per in cover.copies:
-        for c in per:
-            if isinstance(c, Scale):
-                _printable(max(c.a_q.numerator, c.a_q.denominator), args.cmd)
-    ks = range(1, len(cover.copies[0]) + 1)
+    # document held, so it is the one that can be too long to print: a on
+    # a plain factor, a * b on a Scale(b, .), none on a Sing.  Every ladder
+    # scale is checked, the ones past the largest k a tuple uses included.
+    bs = (K.a_q if isinstance(K, Scale) else 1 for K in factors if not isinstance(K, Sing))
+    for b in dict.fromkeys(bs):
+        for a in cover.scales:
+            c = a * b
+            _printable(max(c.numerator, c.denominator), args.cmd)
+    scales = cover.scales[: cover.top]
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
         "l": cover.l,
         "q": frac_to_str(cover.q),
         "n": cover.n,
-        "tuples": SharedRows([dict(zip(ks, ks))] * cover.n, cover.runs),
-        # row k of the products holds factor i's (k_i/l)-scaled copy, one
-        # document per (factor, k) that the renderer encodes once
+        "tuples": SharedRows([[str(k) for k in range(1, cover.top + 1)]] * cover.n, cover.runs),
+        # row k of the products holds factor i's (k_i/l)-scaled copy,
+        # spliced from the factor's one document
         "products": SharedRows(
-            [{k: fan_node_to_doc(c) for k, c in zip(ks, per)} for per in cover.copies],
-            cover.runs,
+            [scaled_copy_texts(K, fan_node_to_doc(K), scales) for K in factors], cover.runs
         ),
     }
     return doc, EXIT_OK

@@ -8,12 +8,15 @@ fixed separators), which is what makes repeated runs diff-clean.
 
 A report whose top-level array repeats the same entries many times (the
 ``cover`` report's ``tuples``, and its ``products``: each row is one scaled
-copy per factor, picked by the row's tuple k) carries it as `SharedRows`,
-its rows given by runs: a run is a key prefix and the count m of rows whose
-last key runs over 1..m.  ``dumps_canonical`` encodes each distinct entry
-once, builds each run's prefix text once and joins it around the last
-column's texts, so the bytes are those of the plain array at one Python
-step per run, not per row.  Every report goes through one reused encoder.
+copy per factor, picked by the row's tuple k) carries it as `SharedRows`:
+columns of canonical texts, one per key k, and rows given by runs.  A run
+is a key prefix and the count m of rows whose last key runs over 1..m.
+``dumps_canonical`` builds each run's prefix text once and joins it around
+the last column's texts, so the bytes are those of the plain array at one
+Python step per run, not per row.  A cover's copy texts come from
+`scaled_copy_texts`: each factor is encoded once and the copies' scales,
+one ladder for every factor, are spliced into its text.  Every report goes
+through one reused encoder.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import ordinal
 from .calculus import (
@@ -433,28 +436,44 @@ class SharedRows:
     """A JSON array of rows whose entries recur, as a top-level value of a
     report, given by runs: a run (prefix, m) stands for the rows of the key
     tuples prefix + (k,), k = 1..m, in order, and the row of a key tuple t
-    is [columns[0][t[0]], columns[1][t[1]], ...], so each distinct entry is
-    held once, in its column."""
+    is [columns[0][t[0] - 1], columns[1][t[1] - 1], ...], where each column
+    holds, by k - 1, the canonical text of its entry for key k."""
 
-    columns: Sequence[Mapping[int, object]]
+    columns: Sequence[Sequence[str]]
     runs: Sequence[tuple[Sequence[int], int]]
 
     def __len__(self) -> int:
         return sum(m for _, m in self.runs)
 
     def render(self) -> str:
-        """The canonical text of the array, each entry encoded once: per run,
-        the prefix's text P = "[a,b," is built once and the rows are P
-        joined around the last column's texts for k = 1..m."""
+        """The canonical text of the array: per run, the prefix's text
+        P = "[a,b," is built once and the rows are P joined around the last
+        column's texts for k = 1..m."""
         *heads, last = self.columns
-        heads = [{k: _canonical(x) + "," for k, x in col.items()} for col in heads]
-        longest = max((m for _, m in self.runs), default=0)
-        tail = [_canonical(last[k]) for k in range(1, longest + 1)]
+        # a leading pad lets each key index its own text
+        heads = [["", *(t + "," for t in col)] for col in heads]
         out = []
         for prefix, m in self.runs:
             p = "[" + "".join(map(getitem, heads, prefix))
-            out.append(p + ("]," + p).join(tail[:m]) + "]")
+            out.append(p + ("]," + p).join(last[:m]) + "]")
         return "[" + ",".join(out) + "]"
+
+
+def scaled_copy_texts(K: FanSet, doc: dict, scales: Sequence[Fraction]) -> list[str]:
+    """By k - 1, the canonical text of scaled(scales[k - 1], K), given K's
+    document: K (or the body of a `Scale` K) is encoded once and each
+    copy's scale is spliced around it.  A `Sing` copy is K itself, as is a
+    copy at scale 1; a copy of Scale(b, body) at scale a is scaled by a * b
+    around body, and any other copy by a around K."""
+    own = _canonical(doc)
+    if isinstance(K, Sing):
+        return [own] * len(scales)
+    if isinstance(K, Scale):
+        body, texts = doc["scale"]["body"], (frac_to_str(a * K.a_q) for a in scales)
+    else:
+        body, texts = doc, map(frac_to_str, scales)
+    head, tail = '{"scale":{"a_q":"', '","body":' + _canonical(body) + "}}"
+    return [own if a == 1 else head + t + tail for a, t in zip(scales, texts)]
 
 
 # one encoder for every report: json.dumps builds a new one per call once

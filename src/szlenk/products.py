@@ -529,15 +529,18 @@ class BqCover:
 
     A cover is down-closed and walked in lexicographic order, so for each
     prefix k_1..k_{n-1} its last coordinate runs over 1..m.  It is held as
-    those runs, (prefix, m) in increasing prefix order, one per prefix."""
+    those runs, (prefix, m) in increasing prefix order, one per prefix.
+    The products' (k/l)-scaled copies are not held: every factor's copy at
+    k is scaled(scales[k - 1], K), from one ladder of scales for all
+    factors, and a report splices each copy's text from its factor's one
+    document."""
 
     l: int
     q: Fraction
     n: int
     runs: tuple[tuple[tuple[int, ...], int], ...]
-    # per factor, by k - 1: the (k/l)-scaled copy, built once per (factor, k)
-    # from one power ladder for all k
-    copies: tuple[tuple[FanSet, ...], ...]
+    # by k - 1, hi((k/l)^q) for k = 1..k_max
+    scales: tuple[Fraction, ...]
     # by denominator, its table of least absorbing k (`least`)
     _least: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -546,6 +549,13 @@ class BqCover:
         """Every tuple of the cover, in lexicographic order, expanded from
         the runs."""
         return tuple(p + (k,) for p, m in self.runs for k in range(1, m + 1))
+
+    @property
+    def top(self) -> int:
+        """The largest k of any coordinate of any tuple: the first run's m.
+        Its prefix is all ones, and every other coordinate of a tuple adds
+        at least lo(1^q) to the sum, so no coordinate passes m."""
+        return self.runs[0][1]
 
     @cached_property
     def ends(self) -> dict[tuple[int, ...], int]:
@@ -581,7 +591,7 @@ class _LeastScales(dict):
 
 def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     """Integer tuples k with sum_i k_i^q <= (l + n^(1/q))^q (outward-rounded)
-    and the corresponding products of (k_i/l)-scaled factors.
+    and the scales of the (k_i/l)-scaled factors of their products.
 
     The power budget is checked once, before the first power.  The tuples
     come from a prefix walk on the integer lower bounds of k^q (one
@@ -590,8 +600,9 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     the later factors add (1^q each), stays within the bound.  The walk
     stops one factor early: the last k runs over 1..m, m read from the
     prefix's own bisection, so the cover comes out as runs (`BqCover`), one
-    step per prefix, in lexicographic order.  The copies' scales
-    hi((k/l)^q) are a second ladder, with step 1/l."""
+    step per prefix, in lexicographic order.  The scales hi((k/l)^q) are a
+    second ladder, with step 1/l, one for every factor; no scaled copy is
+    built."""
     q = Fraction(q)
     if not isinstance(l, int) or l < 1:
         raise InvalidParams("l must be an integer >= 1")
@@ -638,12 +649,8 @@ def bq_cover(factors: Sequence[FanSet], l: int, q: Fraction) -> BqCover:
     k_max, u = len(lo_d) - 1, q.numerator
     den, gap = (l**u, 0) if q.denominator == 1 else (R, 1)
     lo_s = _power_floors(Fraction(1, l), q, den, Fraction(k_max) ** u, k_max)
-    # every scale is positive and every factor passed the ProdQ check above,
-    # so each copy is one `scaled`
-    scales = [Fraction(x + gap, den) for x in lo_s[1:]]
-    assert scales[0] > 0
-    copies = tuple(tuple(scaled(a_q, K) for a_q in scales) for K in factors)
-    return BqCover(l, q, n, runs, copies)
+    scales = tuple(Fraction(x + gap, den) for x in lo_s[1:])
+    return BqCover(l, q, n, runs, scales)
 
 
 def bq_member(

@@ -551,27 +551,32 @@ class TestCover:
 
     @pytest.mark.parametrize("q", ["1", "2", "3", "3/2"])
     def test_spliced_report_is_the_plain_json(self, capsys, tmp_path, q):
-        """The products array is spliced from one text per (factor, k); the
-        report equals the plain rendering of every product's documents."""
-        factors = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1)]
+        """The products array is spliced from one text per factor and the
+        cover's scales; the report equals the plain rendering of every
+        product's copies, each built with `scaled`."""
+        factors = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1), Sing(), Scale(F(2), F1)]
         paths = [
             write_doc(tmp_path, f"f{i}.json", fanset_to_doc(K, F(q)))
             for i, K in enumerate(factors)
         ]
         # l = 16 at n = 3 is the largest cover in the benchmark's catalogue
-        for n, l in [(n, l) for n in (1, 2, 3) for l in (1, 2, 5)] + [(3, 16)]:
-            code, out, _ = run(capsys, "cover", str(l), *paths[:n])
+        picks = [(range(n), l) for n in (1, 2, 3) for l in (1, 2, 5)] + [(range(3), 16)]
+        picks += [((3,), 2), ((4,), 2), ((4, 3), 5), ((2, 4), 5), ((3, 0, 4, 2), 2)]
+        for idx, l in picks:
+            chosen = [factors[i] for i in idx]
+            code, out, _ = run(capsys, "cover", str(l), *[paths[i] for i in idx])
             assert code == EXIT_OK
-            cover = products.bq_cover(factors[:n], l, F(q))
+            cover = products.bq_cover(chosen, l, F(q))
+            copies = [[fansets.scaled(a, K) for a in cover.scales] for K in chosen]
             full = {
                 "v": 1,
                 "command": "cover",
                 "l": l,
                 "q": q,
-                "n": n,
+                "n": len(idx),
                 "tuples": [list(k) for k in cover.tuples],
                 "products": [
-                    [fan_node_to_doc(c[ki - 1]) for c, ki in zip(cover.copies, k)]
+                    [fan_node_to_doc(c[ki - 1]) for c, ki in zip(copies, k)]
                     for k in cover.tuples
                 ],
             }

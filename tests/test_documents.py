@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from szlenk import ordinal
@@ -26,17 +26,20 @@ from szlenk.documents import (
     SharedRows,
     _canonical,
     dumps_canonical,
+    fan_node_to_doc,
     fanset_from_doc,
     fanset_to_doc,
     loads,
     profile_from_doc,
     profile_to_doc,
+    scaled_copy_texts,
     space_from_doc,
     space_to_doc,
     trace_to_doc,
 )
-from szlenk.fansets import Fan, ProdQ, Sing, derive_steps
+from szlenk.fansets import Fan, ProdQ, Scale, Sing, derive_steps, scaled
 from szlenk.ordinal import OMEGA, Ordinal
+from szlenk.products import bq_cover
 
 from strategies import fan_sets, fracs
 
@@ -181,12 +184,18 @@ class TestTraceDocs:
 
 
 def expand_runs(cols, runs):
-    """The rows that runs of keys stand for, each entry picked in full."""
+    """The rows that runs of keys stand for, each entry picked in full (key
+    k of a column at its index k - 1)."""
     return [
-        [col[k] for col, k in zip(cols, (*prefix, last))]
+        [col[k - 1] for col, k in zip(cols, (*prefix, last))]
         for prefix, m in runs
         for last in range(1, m + 1)
     ]
+
+
+def encode(cols):
+    """The columns as `SharedRows` holds them: each entry's canonical text."""
+    return [[_canonical(x) for x in col] for col in cols]
 
 
 class TestCanonical:
@@ -200,25 +209,29 @@ class TestCanonical:
         """Entries are picked per column by each row's keys, a run's rows in
         order; the rendering sorts the top-level keys around the spliced
         value."""
-        cols = [{1: {"b": [1, 2], "a": "x"}, 2: {"z": {}}}, {1: [], 2: {"q": "é"}}]
+        cols = [[{"b": [1, 2], "a": "x"}, {"z": {}}], [[], {"q": "é"}]]
         runs = [((1,), 2), ((2,), 1), ((1,), 1)]
         keys = [(1, 1), (1, 2), (2, 1), (1, 1)]
-        plain = {"z": 0, "rows": [[cols[0][i], cols[1][j]] for i, j in keys], "a": [None, True]}
-        spliced = dict(plain, rows=SharedRows(cols, runs))
+        plain = {
+            "z": 0,
+            "rows": [[cols[0][i - 1], cols[1][j - 1]] for i, j in keys],
+            "a": [None, True],
+        }
+        spliced = dict(plain, rows=SharedRows(encode(cols), runs))
         want = json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
         assert dumps_canonical(spliced) == want == dumps_canonical(plain)
         assert len(spliced["rows"]) == 4
-        assert dumps_canonical({"rows": SharedRows(cols, [])}) == '{"rows":[]}\n'
+        assert dumps_canonical({"rows": SharedRows(encode(cols), [])}) == '{"rows":[]}\n'
 
     @pytest.mark.parametrize(
         "cols, keys",
         [
-            ([{1: "a"}], []),
-            ([{1: "a"}, {2: 0}], []),
-            ([{1: "a"}], [((), 1)]),
-            ([{1: [1, {"k": "v"}], 2: {}}], [((), 2), ((), 1)]),
-            ([{0: 0, 7: -12}, {1: 10**30, 2: -1}], [((7,), 2), ((0,), 1)]),
-            ([{1: "50%", 2: "%s%d%%"}, {1: "{}", 2: '{"a": 1}'}, {1: '"quoted"', 2: "],["}],
+            ([["a"]], []),
+            ([["a"], [0, 0]], []),
+            ([["a"]], [((), 1)]),
+            ([[[1, {"k": "v"}], {}]], [((), 2), ((), 1)]),
+            ([[0, 1, 2, 3, 4, 5, -12], [10**30, -1]], [((7,), 2), ((1,), 1)]),
+            ([["50%", "%s%d%%"], ["{}", '{"a": 1}'], ['"quoted"', "],["]],
              [((1, 2), 1), ((2, 1), 2), ((2, 2), 1)]),
         ],
     )
@@ -226,7 +239,7 @@ class TestCanonical:
         """Rows by runs of keys: no runs, a one-row run, one column, int
         entries, and strings holding the characters of format strings and
         JSON."""
-        assert SharedRows(cols, keys).render() == _canonical(expand_runs(cols, keys))
+        assert SharedRows(encode(cols), keys).render() == _canonical(expand_runs(cols, keys))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -243,20 +256,35 @@ class TestCanonical:
             ),
         )
         n = data.draw(st.integers(1, 3), label="columns")
-        heads = [
-            data.draw(st.dictionaries(st.integers(0, 6), entry, min_size=1, max_size=4), label="head")
-            for _ in range(n - 1)
-        ]
-        last = data.draw(st.lists(entry, min_size=1, max_size=5), label="last")
-        cols = [*heads, dict(enumerate(last, 1))]
+        cols = [data.draw(st.lists(entry, min_size=1, max_size=5), label="column") for _ in range(n)]
+        *heads, last = cols
         run = st.tuples(
-            st.tuples(*(st.sampled_from(sorted(h)) for h in heads)), st.integers(1, len(last))
+            st.tuples(*(st.integers(1, len(h)) for h in heads)), st.integers(1, len(last))
         )
         runs = data.draw(st.lists(run, max_size=5), label="runs")
-        rows = SharedRows(cols, runs)
+        rows = SharedRows(encode(cols), runs)
         full = expand_runs(cols, runs)
         assert rows.render() == json.dumps(full, sort_keys=True, separators=(",", ":"))
         assert len(rows) == len(full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(fan_sets(2), st.builds(Scale, fracs(max_num=4), fan_sets(1))),
+        st.integers(1, 8),
+        st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]),
+        st.data(),
+    )
+    def test_scaled_copy_texts_are_the_copies_documents(self, K, l, q, data):
+        """Each spliced text is the canonical document of scaled(a, K): on
+        a cover's ladder (a = 1 at k = l at integer q) and on drawn scales,
+        among them 1 and, for a Scale(b, .) factor, 1/b (a * b = 1)."""
+        scales = list(bq_cover([K], l, q).scales)
+        scales += data.draw(st.lists(st.one_of(fracs(), st.just(Fraction(1))), max_size=3))
+        if isinstance(K, Scale):
+            scales.append(1 / K.a_q)
+        event(type(K).__name__)
+        texts = scaled_copy_texts(K, fan_node_to_doc(K), scales)
+        assert texts == [_canonical(fan_node_to_doc(scaled(a, K))) for a in scales]
 
     def test_loads_error(self):
         with pytest.raises(DocumentError):

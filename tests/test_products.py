@@ -1037,8 +1037,8 @@ class TestBoundAgainstTheSzLoop:
 
 
 def reference_bq_cover(factors, l, q):
-    """(tuples, copies) of the cover by filtering every tuple of
-    1..k_max, with one power per (factor, k) for the copies."""
+    """(tuples, scales) of the cover by filtering every tuple of
+    1..k_max, with one power per k for the scales."""
     n = len(factors)
     _, root_hi = pow_bounds(F(n), 1 / q)
     _, bound_hi = pow_bounds(l + root_hi, q)
@@ -1057,11 +1057,8 @@ def reference_bq_cover(factors, l, q):
         )
         if sum(vals) <= cap
     )
-    copies = tuple(
-        tuple(products._as_factor(pow_bounds(F(k, l), q)[1], K) for k in range(1, k_max + 1))
-        for K in factors
-    )
-    return tuples, copies
+    scales = tuple(pow_bounds(F(k, l), q)[1] for k in range(1, k_max + 1))
+    return tuples, scales
 
 
 COVER_FACTORS = [F1, depth_fan(2, F(1, 3)), Scale(F(1, 2), F1), Sing()]
@@ -1072,7 +1069,8 @@ class TestBqCover:
         cover = bq_cover([F1], 2, F(1))
         assert cover.runs == (((), 3),)
         assert cover.tuples == ((1,), (2,), (3,))
-        assert cover.copies == ((Scale(F(1, 2), F1), F1, Scale(F(3, 2), F1)),)
+        assert cover.scales == (F(1, 2), F(1), F(3, 2))
+        assert cover.top == 3
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
@@ -1105,7 +1103,7 @@ class TestBqCover:
         with the search for k_max that the power ladder replaced."""
         if accepted:
             cover = bq_cover([Sing()] * n, l, q)
-            assert len(cover.copies[0]) ** n <= products.ENUMERATION_LIMIT
+            assert len(cover.scales) ** n <= products.ENUMERATION_LIMIT
         else:
             with pytest.raises(InvalidParams, match="cover enumeration too large"):
                 bq_cover([Sing()] * n, l, q)
@@ -1127,13 +1125,15 @@ class TestBqCover:
         st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3)]),
     )
     def test_walk_matches_the_tuple_filter(self, n, l, q):
-        """The prefix walk gives the filter's tuples in the same order, and
-        one power per k gives the same copies."""
+        """The prefix walk gives the filter's tuples in the same order, one
+        power per k gives the same scales, and `top` is the largest k of any
+        tuple."""
         cover = bq_cover(COVER_FACTORS[:n], l, q)
-        tuples, copies = reference_bq_cover(COVER_FACTORS[:n], l, q)
+        tuples, scales = reference_bq_cover(COVER_FACTORS[:n], l, q)
         event(f"{len(tuples)} tuples")
         assert cover.tuples == tuples
-        assert cover.copies == copies
+        assert cover.scales == scales
+        assert cover.top == max(map(max, tuples))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1143,16 +1143,13 @@ class TestBqCover:
         st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 3), F(7, 4), F(11, 10)]),
     )
     def test_scales_are_one_power_per_k(self, n_l, q):
-        """The copies' scales, one ladder with step 1/l, are hi((k/l)^q)
-        from `pow_bounds`, one power per k, up to l in the thousands."""
+        """The scales, one ladder with step 1/l, are hi((k/l)^q) from
+        `pow_bounds`, one power per k, up to l in the thousands."""
         n, l = n_l
         cover = bq_cover([F1] * n, l, q)
-        k_max = len(cover.copies[0])
+        k_max = len(cover.scales)
         assert k_max >= l
-        want = tuple(
-            products._as_factor(pow_bounds(F(k, l), q)[1], F1) for k in range(1, k_max + 1)
-        )
-        assert cover.copies == (want,) * n
+        assert cover.scales == tuple(pow_bounds(F(k, l), q)[1] for k in range(1, k_max + 1))
 
     @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(3, 2)])
     def test_cover_is_down_closed(self, q):
@@ -1184,9 +1181,8 @@ class TestBqCover:
                     if sum(lo(ki) for ki in k) <= bound
                 )
                 assert cover.tuples == tuples
-                assert cover.copies == tuple(
-                    tuple(scaled(pow_bounds(F(k, l), q)[1], K) for k in range(1, k_max + 1))
-                    for K in factors[:n]
+                assert cover.scales == tuple(
+                    pow_bounds(F(k, l), q)[1] for k in range(1, k_max + 1)
                 )
 
     @settings(max_examples=150, deadline=None)
