@@ -12,15 +12,19 @@ rank is sz) apart, and takes the tracemalloc peak of one more build,
 outside the timed runs; sz is depth + 1.  For each L of --covers it times
 the in-process command `cover L f f f`, f a depth-2 chain document at q = 2,
 report included, and gives the cover's tuple and run counts and the
-report's bytes.  Prints one JSON line.
+report's bytes.  For each depth d of --derives it times the in-process
+command `set derive f --eps-q 1/2 --steps d+1`, f the document of
+`depth_fan(d, 1/2)` at q = 2, report included, through the whole trace to
+sz = d + 1, and gives the report's bytes.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
-        [--ones 64 128 256 512 1000] [--covers 8 16 32 52]
+        [--ones 64 128 256 512 1000] [--covers 8 16 32 52] [--derives 16 64 256]
 
 Three chains at each of --depths (add 24 for the deep end), four chains
-of depth --four (0 leaves them out), one chain at each of --ones and one
-cover at each of --covers (none of either by default).
+of depth --four (0 leaves them out), one chain at each of --ones, one
+cover at each of --covers and one derivation at each of --derives (none of
+the last three by default).
 """
 import argparse
 import contextlib
@@ -126,6 +130,31 @@ def cover_row(l: int, path: str, repeats: int) -> dict:
     }
 
 
+def derive_row(depth: int, path: Path, repeats: int) -> dict:
+    """The least wall time of `set derive` on the depth-d chain document
+    written to path, through the whole trace, and its report's bytes."""
+    path.write_text(dumps_canonical(fanset_to_doc(depth_fan(depth, HALF), Fraction(2))), encoding="utf-8")
+    argv = ["set", "derive", str(path), "--eps-q", "1/2", "--steps", str(depth + 1)]
+    best = float("inf")
+    for _ in range(repeats):
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        best = min(best, time.perf_counter() - start)
+        if code != 0:
+            raise SystemExit(f"set derive d{depth}: exit {code}")
+    sz = json.loads(out.getvalue())["trace"]["sz_eps"]
+    if sz != depth + 1:
+        raise SystemExit(f"set derive d{depth}: sz {sz} != {depth + 1}")
+    return {
+        "depth": depth,
+        "sz": sz,
+        "report_bytes": len(out.getvalue().encode("utf-8")),
+        "derive_s": round(best, 4),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depths", type=int, nargs="*", default=[8, 12, 16], help="depths of the 3-chain products")
@@ -133,6 +162,7 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=1, help="runs per timing; the least is kept")
     ap.add_argument("--ones", type=int, nargs="*", default=[], help="depths of one-factor chains")
     ap.add_argument("--covers", type=int, nargs="*", default=[], help="L of the 3-chain covers")
+    ap.add_argument("--derives", type=int, nargs="*", default=[], help="depths of the derived chains")
     ns = ap.parse_args()
     sizes = [(3, d) for d in ns.depths] + ([(4, ns.four)] if ns.four else [])
     rows = [row(n, d, ns.repeats) for n, d in sizes]
@@ -141,7 +171,10 @@ def main() -> int:
         path = Path(tmp) / "chain.json"
         path.write_text(dumps_canonical(fanset_to_doc(depth_fan(2, HALF), Fraction(2))), encoding="utf-8")
         covers = [cover_row(l, str(path), ns.repeats) for l in ns.covers]
-    print(json.dumps({"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers}))
+        derives = [derive_row(d, Path(tmp) / f"d{d}.json", ns.repeats) for d in ns.derives]
+    print(json.dumps(
+        {"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers, "derives": derives}
+    ))
     return 0
 
 

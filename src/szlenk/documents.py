@@ -15,14 +15,22 @@ is a key prefix and the count m of rows whose last key runs over 1..m.
 the last column's texts, so the bytes are those of the plain array at one
 Python step per run, not per row.  A cover's copy texts come from
 `scaled_copy_texts`: each factor is encoded once and the copies' scales,
-one ladder for every factor, are spliced into its text.  Every report goes
-through one reused encoder.
+one ladder for every factor, are spliced into its text.
+
+A ``set derive`` trace holds each step's set as `SplicedText`: each
+distinct snapshot node is written once as canonical text, straight from
+the nodes and without a document dict, last step first, so a snapshot
+that holds a later one (step k of a chain holds step k + 1) splices that
+text in.  `SharedRows` and `SplicedText` are the two kinds of `Spliced`
+value, and ``dumps_canonical`` writes each one's text where its JSON would
+go, at any depth.  Every report goes through one reused encoder.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import getitem
 from typing import Optional, Sequence
 
@@ -108,45 +116,79 @@ def _ord(doc: object, what: str) -> Ordinal:
 
 def fan_node_to_doc(F: FanSet) -> dict:
     """Serialize a bare set node (no version/q header)."""
-    return _node_doc(F, {})
-
-
-def _node_doc(F: FanSet, docs: dict[int, dict]) -> dict:
-    """`fan_node_to_doc` building each distinct node once: `docs` maps the
-    id of every node serialized so far (all alive in the caller's nodes) to
-    its document, which every later occurrence reuses."""
-    doc = docs.get(id(F))
-    if doc is not None:
-        return doc
     if isinstance(F, Sing):
-        doc = {"sing": {}}
-    elif isinstance(F, Fan):
-        doc = {
+        return {"sing": {}}
+    if isinstance(F, Fan):
+        return {
             "fan": {
                 "w_q": frac_to_str(F.w_q),
-                "prefix": [_node_doc(c, docs) for c in F.prefix],
-                "tail": _node_doc(F.tail, docs),
+                "prefix": [fan_node_to_doc(c) for c in F.prefix],
+                "tail": fan_node_to_doc(F.tail),
             }
         }
-    elif isinstance(F, UnionApex):
-        doc = {"apex": {"fans": [_node_doc(f, docs) for f in F.fans]}}
-    elif isinstance(F, Scale):
-        doc = {"scale": {"a_q": frac_to_str(F.a_q), "body": _node_doc(F.body, docs)}}
-    elif isinstance(F, ProdQ):
-        doc = {"prod": {"factors": [_node_doc(f, docs) for f in F.factors]}}
-    elif isinstance(F, DisjUnion):
-        doc = {
+    if isinstance(F, UnionApex):
+        return {"apex": {"fans": [fan_node_to_doc(f) for f in F.fans]}}
+    if isinstance(F, Scale):
+        return {"scale": {"a_q": frac_to_str(F.a_q), "body": fan_node_to_doc(F.body)}}
+    if isinstance(F, ProdQ):
+        return {"prod": {"factors": [fan_node_to_doc(f) for f in F.factors]}}
+    if isinstance(F, DisjUnion):
+        return {
             "disj": {
-                "components": [
-                    [frac_to_str(off), _node_doc(b, docs)]
-                    for off, b in F.components
-                ]
+                "components": [[frac_to_str(off), fan_node_to_doc(b)] for off, b in F.components]
             }
         }
+    raise DocumentError(f"not a fan set: {F!r}")
+
+
+def _node_text(F: FanSet, texts: dict[int, str]) -> str:
+    """The canonical text of `fan_node_to_doc(F)`, written directly: `texts`
+    maps the ids of nodes whose text is known (all alive in the caller's
+    nodes) to that text, which is spliced in wherever the node occurs."""
+    out: list[str] = []
+    _node_pieces(F, texts, out)
+    return "".join(out)
+
+
+def _node_pieces(F: FanSet, texts: dict[int, str], out: list[str]) -> None:
+    """Append the pieces of F's canonical text to `out`, keys in sorted
+    order; one frame per nesting level.  A rational's text (digits, "-"
+    and "/") needs no JSON escaping."""
+    known = texts.get(id(F))
+    if known is not None:
+        out.append(known)
+    elif isinstance(F, Fan):
+        out.append('{"fan":{"prefix":[')
+        for i, c in enumerate(F.prefix):
+            if i:
+                out.append(",")
+            _node_pieces(c, texts, out)
+        out.append('],"tail":')
+        _node_pieces(F.tail, texts, out)
+        out.append(',"w_q":"' + frac_to_str(F.w_q) + '"}}')
+    elif isinstance(F, Sing):
+        out.append('{"sing":{}}')
+    elif isinstance(F, Scale):
+        out.append('{"scale":{"a_q":"' + frac_to_str(F.a_q) + '","body":')
+        _node_pieces(F.body, texts, out)
+        out.append("}}")
+    elif isinstance(F, DisjUnion):
+        out.append('{"disj":{"components":[')
+        for i, (off, b) in enumerate(F.components):
+            out.append(('["' if i == 0 else ',["') + frac_to_str(off) + '",')
+            _node_pieces(b, texts, out)
+            out.append("]")
+        out.append("]}}")
+    elif isinstance(F, (UnionApex, ProdQ)):
+        apex = isinstance(F, UnionApex)
+        out.append('{"apex":{"fans":[' if apex else '{"prod":{"factors":[')
+        for i, f in enumerate(F.fans if apex else F.factors):
+            if i:
+                out.append(",")
+            _node_pieces(f, texts, out)
+        out.append("]}}")
     else:
         raise DocumentError(f"not a fan set: {F!r}")
-    docs[id(F)] = doc
-    return doc
 
 
 def _fan_node_from_doc(doc: object) -> FanSet:
@@ -392,16 +434,24 @@ def space_index_to_doc(r: SpaceIndex) -> dict:
 
 
 def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> dict:
-    """The trace document; a node shared by several snapshots is built
-    once and its document appears at each of its places."""
-    docs: dict[int, dict] = {}
+    """The trace document, with each step's set as `SplicedText` (None for
+    an empty stage).
+
+    Each distinct snapshot node is written once as canonical text.  The
+    snapshots are written from the last step back, so one that holds a
+    later one (step k of a chain holds step k + 1) splices that text in,
+    and the work is that of the report's bytes, not of their nesting."""
+    texts: dict[int, str] = {}
+    for s in reversed(trace.steps):
+        if s.snapshot is not None:
+            texts[id(s.snapshot)] = _node_text(s.snapshot, texts)
     return {
         "v": SCHEMA_VERSION,
         "q": frac_to_str(Fraction(q)),
         "steps": [
             {
                 "step": s.step,
-                "set": None if s.snapshot is None else _node_doc(s.snapshot, docs),
+                "set": None if s.snapshot is None else SplicedText(texts[id(s.snapshot)]),
                 "apexes": s.apex_count,
                 "diam_q": frac_to_str(s.diam_q),
             }
@@ -431,10 +481,28 @@ def suite_report_to_doc(report: SuiteReport, seed: int) -> dict:
     }
 
 
+class Spliced:
+    """A report value given by its canonical text: `dumps_canonical` writes
+    `render()` where the value's JSON would go."""
+
+    def render(self) -> str:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class SharedRows:
-    """A JSON array of rows whose entries recur, as a top-level value of a
-    report, given by runs: a run (prefix, m) stands for the rows of the key
+class SplicedText(Spliced):
+    """A value whose canonical text is already written."""
+
+    text: str
+
+    def render(self) -> str:
+        return self.text
+
+
+@dataclass(frozen=True)
+class SharedRows(Spliced):
+    """A JSON array of rows whose entries recur, as a value of a report,
+    given by runs: a run (prefix, m) stands for the rows of the key
     tuples prefix + (k,), k = 1..m, in order, and the row of a key tuple t
     is [columns[0][t[0] - 1], columns[1][t[1] - 1], ...], where each column
     holds, by k - 1, the canonical text of its entry for key k."""
@@ -476,23 +544,51 @@ def scaled_copy_texts(K: FanSet, doc: dict, scales: Sequence[Fraction]) -> list[
     return [own if a == 1 else head + t + tail for a, t in zip(scales, texts)]
 
 
+class _HasSpliced(Exception):
+    """The encoder met a `Spliced` value."""
+
+
+def _refuse(o: object) -> object:
+    if isinstance(o, Spliced):
+        raise _HasSpliced
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 # one encoder for every report: json.dumps builds a new one per call once
 # any option is set, and these are its defaults otherwise
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_refuse).encode
 
 
 def dumps_canonical(doc: object) -> str:
     """Byte-deterministic rendering: sorted keys, fixed separators, LF end.
 
-    A top-level `SharedRows` value renders as the plain array it stands for.
+    A `Spliced` value, at any depth, renders as its own text.  A document
+    without one is encoded in one call; the encoder stops at the first
+    `Spliced` value it meets, and the document is then walked by
+    `_spliced`.
     """
-    if isinstance(doc, dict) and any(isinstance(v, SharedRows) for v in doc.values()):
-        body = ",".join(
-            _canonical(k) + ":" + (v.render() if isinstance(v, SharedRows) else _canonical(v))
-            for k, v in sorted(doc.items())
-        )
-        return "{" + body + "}\n"
-    return _canonical(doc) + "\n"
+    try:
+        return _canonical(doc) + "\n"
+    except _HasSpliced:
+        return _spliced(doc) + "\n"
+
+
+def _spliced(v: object) -> str:
+    """The canonical text of v, each `Spliced` value's own text in its place."""
+    if isinstance(v, Spliced):
+        return v.render()
+    if isinstance(v, dict):
+        return "{" + ",".join(
+            f"{encode_basestring_ascii(k)}:{_spliced(x)}" for k, x in sorted(v.items())
+        ) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(map(_spliced, v)) + "]"
+    return _LEAVES.get(type(v), _canonical)(v)
+
+
+# the encoder's own texts of the leaves a report holds most, without a call
+# through `_canonical` per leaf
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def loads(text: str) -> object:

@@ -40,11 +40,20 @@ O(the sum of their sizes).  Step k of a depth-n chain is the input's own
 depth-(n-k) subtree, which step k already filtered, so all n + 1 steps
 together cost O(n).  Radius, diameter and apex count are cached on each
 node, so a shared node is measured once.
+
+A node's radius and diameter are one integer record (D, R, M), radius_q =
+R/D and diam_q = M/D, computed lazily on first use and never when the node
+is built.  Each node combines its children's records: it picks the
+children that decide its own values (the largest radius, the two largest,
+the largest diameter) by integer cross-multiplication and takes the lcm of
+those winners' denominators only, so a wide node costs one pass of small
+integer products and its D stays the lcm of its own two denominators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .calculus import InvalidParams
@@ -203,78 +212,118 @@ def depth_fan(n: int, w_q: Fraction) -> FanSet:
 
 
 def radius_q(F: FanSet) -> Fraction:
-    """max ||x||^q over the set (exact).
+    """max ||x||^q over the set (exact): R/D of the node's measure.
 
-    Each node computes its radius once and keeps it as the instance
-    attribute ``_radius_q``; `diam_q` and `count_apexes` keep theirs as
-    ``_diam_q`` and ``_apexes``.  These attributes are not dataclass fields,
-    so equality, hashing and repr never see them.  A derivation sequence
-    shares its nodes across steps (`DerivationMemo`), so a subtree that
-    outlives a step is measured once, not once per step.  Nodes are never
-    hashed here: hashing a deep frozen dataclass is itself O(size).
+    Each node measures itself once, on first use, as one integer record
+    (D, R, M) with radius_q = R/D and diam_q = M/D, kept as the instance
+    attribute ``_measure``; `count_apexes` keeps its count as ``_apexes``.
+    These attributes are not dataclass fields, so equality, hashing and
+    repr never see them, and no node measures itself when it is built.  A
+    derivation sequence shares its nodes across steps (`DerivationMemo`),
+    so a subtree that outlives a step is measured once, not once per step.
+    Nodes are never hashed here: hashing a deep frozen dataclass is itself
+    O(size).
     """
-    r = getattr(F, "_radius_q", None)
-    if r is not None:
-        return r
-    if isinstance(F, Sing):
-        r = Fraction(0)
-    elif isinstance(F, Fan):
-        best = Fraction(0)
-        for c in F.prefix + (F.tail,):
-            best = max(best, radius_q(c))
-        r = F.w_q + best
-    elif isinstance(F, UnionApex):
-        r = max(radius_q(f) for f in F.fans)
-    elif isinstance(F, Scale):
-        r = F.a_q * radius_q(F.body)
-    elif isinstance(F, ProdQ):
-        r = sum((radius_q(f) for f in F.factors), Fraction(0))
-    elif isinstance(F, DisjUnion):
-        r = max(off + radius_q(b) for off, b in F.components)
-    else:
-        raise MalformedFanSet(f"not a fan set: {F!r}")
-    object.__setattr__(F, "_radius_q", r)  # frozen: set outside the fields
-    return r
+    D, R, _ = _measure(F)
+    return Fraction(R, D)
 
 
 def diam_q(F: FanSet) -> Fraction:
-    """max ||x - y||^q over pairs (exact), cached on the node.
+    """max ||x - y||^q over pairs (exact): M/D of the node's measure.
 
     Points in different copies have disjoint supports beyond the common
     prefix, so their distance^q is the sum of the two one-sided norms; the
     best cross pair combines the two largest copy radii, with the
     omega-repeated tail available twice.
     """
-    d = getattr(F, "_diam_q", None)
-    if d is not None:
-        return d
+    D, _, M = _measure(F)
+    return Fraction(M, D)
+
+
+def _measure(F: FanSet) -> tuple[int, int, int]:
+    """(D, R, M) with radius_q(F) = R/D and diam_q(F) = M/D, in lowest
+    terms together (gcd(D, R, M) = 1), cached on the node.
+
+    Each child enters as its own record; a `DisjUnion` component enters as
+    the record of offset + body, and a `Scale` multiplies its body's
+    numerators and denominator by the scale's.  `_join` picks the winners
+    among the children by cross-multiplication and takes the lcm of their
+    denominators only, so the integers stay those of a few children however
+    wide the node is, and once reduced D is lcm(den radius_q, den diam_q).
+    The children are measured in plain loops, one frame per level.
+    """
+    m = getattr(F, "_measure", None)
+    if m is not None:
+        return m
     if isinstance(F, Sing):
-        d = Fraction(0)
+        m = (1, 0, 0)
     elif isinstance(F, Fan):
-        radii = sorted(
-            (radius_q(c) for c in F.prefix + (F.tail, F.tail)), reverse=True
-        )
-        d = 2 * F.w_q + radii[0] + radii[1]
-        for c in F.prefix + (F.tail,):
-            d = max(d, diam_q(c))
+        t = _measure(F.tail)
+        kids = [t, t]  # the omega-repeated tail pairs with itself
+        for c in F.prefix:
+            kids.append(_measure(c))
+        m = _join(F.w_q, kids)
     elif isinstance(F, UnionApex):
-        d = max(diam_q(f) for f in F.fans)
-        if len(F.fans) > 1:
-            radii = sorted((radius_q(f) for f in F.fans), reverse=True)
-            d = max(d, radii[0] + radii[1])
+        kids = []
+        for f in F.fans:
+            kids.append(_measure(f))
+        m = _join(_ZERO, kids)
     elif isinstance(F, Scale):
-        d = F.a_q * diam_q(F.body)
+        D, R, M = _measure(F.body)
+        a = F.a_q
+        m = _lowest(D * a.denominator, R * a.numerator, M * a.numerator)
     elif isinstance(F, ProdQ):
-        d = sum((diam_q(f) for f in F.factors), Fraction(0))
+        kids = []
+        for f in F.factors:
+            kids.append(_measure(f))
+        D = lcm(*(k[0] for k in kids))
+        m = _lowest(D, sum(R * (D // d) for d, R, _ in kids), sum(M * (D // d) for d, _, M in kids))
     elif isinstance(F, DisjUnion):
-        d = max(diam_q(b) for _, b in F.components)
-        if len(F.components) > 1:
-            radii = sorted((off + radius_q(b) for off, b in F.components), reverse=True)
-            d = max(d, radii[0] + radii[1])
+        kids = []
+        for off, b in F.components:
+            D, R, M = _measure(b)
+            if off:
+                n, d = off.numerator, off.denominator
+                D, R, M = D * d, n * D + R * d, M * d
+            kids.append((D, R, M))
+        m = _join(_ZERO, kids)
     else:
         raise MalformedFanSet(f"not a fan set: {F!r}")
-    object.__setattr__(F, "_diam_q", d)
-    return d
+    object.__setattr__(F, "_measure", m)  # frozen: set outside the fields
+    return m
+
+
+_ZERO = Fraction(0)
+
+
+def _join(w: Fraction, kids: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The record of w plus the largest radius among `kids`, with diameter
+    the largest of theirs or, for two or more kids, 2w plus the two largest
+    radii.  The winners are picked by cross-multiplication, and D is the
+    lcm of w's denominator and the winners' denominators only."""
+    r1 = big = kids[0]
+    r2 = None
+    for k in kids[1:]:
+        D, R, M = k
+        if R * r1[0] > r1[1] * D:
+            r1, r2 = k, r1
+        elif r2 is None or R * r2[0] > r2[1] * D:
+            r2 = k
+        if M * big[0] > big[2] * D:
+            big = k
+    wd = w.denominator
+    D = lcm(wd, r1[0], big[0]) if r2 is None else lcm(wd, r1[0], r2[0], big[0])
+    wn = w.numerator * (D // wd)
+    R = wn + r1[1] * (D // r1[0])
+    M = big[2] * (D // big[0])
+    if r2 is not None:
+        M = max(M, wn + R + r2[1] * (D // r2[0]))
+    return _lowest(D, R, M)
+
+
+def _lowest(D: int, R: int, M: int) -> tuple[int, int, int]:
+    g = gcd(D, R, M)
+    return (D, R, M) if g == 1 else (D // g, R // g, M // g)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +381,8 @@ def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[Fa
     prefix remnants.  Each (node, threshold) is filtered once per memo, and
     every node built here is shared through it.
     """
-    key = (id(F), t_q.numerator, t_q.denominator)
+    tn, td = t_q.numerator, t_q.denominator
+    key = (id(F), tn, td)
     hit = memo.filtered.get(key)
     if hit is not None:
         return hit[1]
@@ -343,7 +393,14 @@ def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[Fa
         # a fan is the one-arm apex (F,); with no leftovers the apex part
         # is the whole result, as disj([(0, zero)]) would return it
         fans = (F,) if isinstance(F, Fan) else F.fans
-        apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in fans)
+        apex_alive = False
+        for f in fans:
+            # the apex's reach w + R/D against t, on integers
+            D, R, _ = _measure(f.tail)
+            w = f.w_q
+            if (w.numerator * D + R * w.denominator) * td > tn * w.denominator * D:
+                apex_alive = True
+                break
         cores: list[Fan] = []
         leftovers: list[tuple[Fraction, Optional[FanSet]]] = []
         for f in fans:

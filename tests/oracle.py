@@ -15,6 +15,16 @@ mechanics than the engine:
 derivation sequence shared its nodes: every step rebuilds every node, with
 no memo and no interning, as the reference for the shared engine.
 
+`reference_radius_q` and `reference_diam_q` keep the measures as they
+were before each node measured itself as one integer record: a Fraction
+recursion over the children, with no cache, as the reference for
+`fansets.radius_q` and `fansets.diam_q`; the unshared filtration reads
+them too.
+
+`reference_trace_doc` keeps the trace document as it was before its
+snapshots were written as text: each step's set as a document dict, which
+the plain JSON encoder renders.
+
 `prefix_cluster_map` and `push_to_all_local_diams` keep the point model's
 cluster relation and kernel as they were before the kernel walked the
 cluster forest: every x whose cluster holds y, found by looking up every
@@ -78,6 +88,7 @@ from szlenk.calculus import (
     profile_total_sup,
 )
 from szlenk.checks import UnionLemmaReport
+from szlenk.documents import SCHEMA_VERSION, fan_node_to_doc
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import (
     DisjUnion,
@@ -90,13 +101,13 @@ from szlenk.fansets import (
     Sing,
     UnionApex,
     disj,
-    radius_q,
     scaled,
 )
 from szlenk.ordinal import (
     ONE,
     Ordinal,
     add,
+    frac_to_str,
     is_power_of_omega,
     least_omega_power_above,
     mul,
@@ -286,6 +297,71 @@ def oracle_p_sz(alive: frozenset[PPoint], eps_q: Fraction) -> int:
     return max(count, 1)
 
 
+# -- the Fraction measures --------------------------------------------------
+
+
+def reference_radius_q(F) -> Fraction:
+    """max ||x||^q over F, by Fraction recursion with no cache."""
+    if isinstance(F, Sing):
+        return Fraction(0)
+    if isinstance(F, Fan):
+        return F.w_q + max(reference_radius_q(c) for c in F.prefix + (F.tail,))
+    if isinstance(F, UnionApex):
+        return max(reference_radius_q(f) for f in F.fans)
+    if isinstance(F, Scale):
+        return F.a_q * reference_radius_q(F.body)
+    if isinstance(F, ProdQ):
+        return sum((reference_radius_q(f) for f in F.factors), Fraction(0))
+    if isinstance(F, DisjUnion):
+        return max(off + reference_radius_q(b) for off, b in F.components)
+    raise MalformedFanSet(f"not a fan set: {F!r}")
+
+
+def reference_diam_q(F) -> Fraction:
+    """max ||x - y||^q over pairs of F, by Fraction recursion with no
+    cache: the best cross pair sums the two largest copy radii, the tail
+    counted twice."""
+    if isinstance(F, Sing):
+        return Fraction(0)
+    if isinstance(F, Fan):
+        radii = sorted(map(reference_radius_q, F.prefix + (F.tail, F.tail)), reverse=True)
+        return max(
+            [2 * F.w_q + radii[0] + radii[1], *map(reference_diam_q, F.prefix + (F.tail,))]
+        )
+    if isinstance(F, UnionApex):
+        d = max(map(reference_diam_q, F.fans))
+        radii = sorted(map(reference_radius_q, F.fans), reverse=True)
+        return max(d, radii[0] + radii[1]) if len(radii) > 1 else d
+    if isinstance(F, Scale):
+        return F.a_q * reference_diam_q(F.body)
+    if isinstance(F, ProdQ):
+        return sum(map(reference_diam_q, F.factors), Fraction(0))
+    if isinstance(F, DisjUnion):
+        d = max(reference_diam_q(b) for _, b in F.components)
+        radii = sorted((off + reference_radius_q(b) for off, b in F.components), reverse=True)
+        return max(d, radii[0] + radii[1]) if len(radii) > 1 else d
+    raise MalformedFanSet(f"not a fan set: {F!r}")
+
+
+def reference_trace_doc(trace, q: Fraction, sz_eps) -> dict:
+    """`documents.trace_to_doc` as it was before the snapshots were spliced
+    in as text: every step's set as its `fan_node_to_doc` document."""
+    return {
+        "v": SCHEMA_VERSION,
+        "q": frac_to_str(Fraction(q)),
+        "steps": [
+            {
+                "step": s.step,
+                "set": None if s.snapshot is None else fan_node_to_doc(s.snapshot),
+                "apexes": s.apex_count,
+                "diam_q": frac_to_str(s.diam_q),
+            }
+            for s in trace.steps
+        ],
+        "sz_eps": sz_eps,
+    }
+
+
 # -- the unshared filtration ------------------------------------------------
 
 
@@ -296,7 +372,7 @@ def unshared_filter_reach(F, t_q: Fraction):
     if isinstance(F, Fan):
         remnants = [(F.w_q, unshared_filter_reach(c, t_q)) for c in F.prefix]
         tail = unshared_filter_reach(F.tail, t_q)
-        apex_alive = F.w_q + radius_q(F.tail) > t_q
+        apex_alive = F.w_q + reference_radius_q(F.tail) > t_q
         if not apex_alive:
             assert tail is None  # reach inside the tail is below the apex reach
             return disj(remnants)
@@ -305,7 +381,7 @@ def unshared_filter_reach(F, t_q: Fraction):
             return Fan(F.w_q, kept, tail)
         return disj([(Fraction(0), Sing())] + remnants)
     if isinstance(F, UnionApex):
-        apex_alive = any(f.w_q + radius_q(f.tail) > t_q for f in F.fans)
+        apex_alive = any(f.w_q + reference_radius_q(f.tail) > t_q for f in F.fans)
         cores = []
         leftovers = []
         for f in F.fans:

@@ -19,7 +19,7 @@ from szlenk.calculus import (
     LadderTail,
     ParamFamily,
 )
-from szlenk.fansets import DisjUnion, Fan, Scale, Sing, UnionApex
+from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex
 from szlenk.ordinal import OMEGA, ONE, ZERO, Ordinal, add, mul, omega_pow
 
 
@@ -79,6 +79,23 @@ def fan_sets(max_depth: int = 2) -> st.SearchStrategy:
         max_size=2,
     ).map(mk_disj)
     return st.one_of(st.just(Sing()), fan, apex, scale, disj)
+
+
+def measured_sets(max_depth: int = 3) -> st.SearchStrategy:
+    """Sets of every node kind for the measures: `fan_sets`, with nested
+    scales, unions with a zero and positive offsets, apexes of two or three
+    fans, and products of two or three factors at the top."""
+    sub = fan_sets(max_depth - 1)
+    fan = st.builds(Fan, fracs(), st.lists(sub, max_size=3).map(tuple), sub)
+    nested = st.builds(lambda a, b, K: Scale(a, Scale(b, K)), fracs(max_num=4), fracs(max_num=4), sub)
+    union = st.builds(
+        lambda zero, rest: DisjUnion(((Fraction(0), zero), *rest)),
+        sub,
+        st.lists(st.tuples(fracs(), sub), min_size=1, max_size=2),
+    )
+    apex = st.builds(UnionApex, st.lists(fan, min_size=2, max_size=3).map(tuple))
+    node = st.one_of(fan_sets(max_depth), fan, nested, union, apex)
+    return st.one_of(node, st.lists(node, min_size=2, max_size=3).map(lambda fs: ProdQ(tuple(fs))))
 
 
 SLOPES = (ONE, fin(2), OMEGA, omega_pow(fin(2)))

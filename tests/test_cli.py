@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szlenk import ordinal
 from szlenk.calculus import (
@@ -29,11 +31,13 @@ from szlenk.calculus import (
     ParamFamily,
 )
 from szlenk import fansets, pointmodel, products
-from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, build_parser, main
+from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, _render_text, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
-from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan
+from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan, derive_steps
 from szlenk.ordinal import ONE, Ordinal
+from oracle import reference_trace_doc
+from strategies import fan_sets
 from test_products import reference_bq_cover
 
 F = Fraction
@@ -252,6 +256,46 @@ class TestSetDerive:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deepest_accepted_chain_still_derives(self, capsys, tmp_path):
+        """474 fan levels exit 0: the deepest chain the command accepted
+        here, at the default recursion limit, before its measures and trace
+        text were written node by node (475 exited 2).  Those walks take one
+        frame per level, like the ones they replaced."""
+        n = 474
+        text = '{"q":"2","set":' + '{"fan":{"prefix":[],"tail":' * n
+        text += '{"sing":{}}' + ',"w_q":"1/2"}}' * n + ',"v":1}'
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "set", "derive", str(path), "--eps-q", "1/2")
+        assert (code, err) == (EXIT_OK, "")
+        # the report nests as deep as the input, so it is not read back
+        assert out.count('"step":') == 33 and out.endswith(',"sz_eps":null,"v":1},"v":1}\n')
+
+    @settings(max_examples=60, deadline=None)
+    @given(fan_sets(3), st.sampled_from(["1/8", "1/2", "1"]), st.integers(0, 6))
+    def test_reports_match_the_dict_encoded_reference(self, tmp_path_factory, K, eps, m):
+        """Both formats of the report, with the snapshots spliced in as
+        text, are those of the report that holds each snapshot as a dict."""
+        path = tmp_path_factory.getbasetemp() / "derive.json"
+        path.write_text(dumps_canonical(fanset_to_doc(K, F(3))), encoding="utf-8")
+        _, trace = derive_steps(K, F(eps), m)
+        settled = next((s.step for s in trace.steps if s.snapshot is None), None)
+        want = {
+            "v": 1,
+            "command": "set derive",
+            "eps_q": eps,
+            "trace": reference_trace_doc(trace, F(3), settled),
+        }
+        texts = {
+            "json": json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n",
+            "text": _render_text("set derive", want),
+        }
+        for fmt, text in texts.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["set", "derive", str(path), "--eps-q", eps, "--steps", str(m), "--format", fmt])
+            assert (code, out.getvalue()) == (EXIT_OK, text)
 
     def test_sing_empties_at_one(self, capsys, tmp_path):
         path = write_doc(tmp_path, "s.json", fanset_to_doc(Sing(), F(1)))

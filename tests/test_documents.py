@@ -25,6 +25,7 @@ from szlenk.documents import (
     DocumentError,
     SharedRows,
     _canonical,
+    _node_text,
     dumps_canonical,
     fan_node_to_doc,
     fanset_from_doc,
@@ -37,11 +38,12 @@ from szlenk.documents import (
     space_to_doc,
     trace_to_doc,
 )
-from szlenk.fansets import Fan, ProdQ, Scale, Sing, derive_steps, scaled
-from szlenk.ordinal import OMEGA, Ordinal
+from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex, derive_steps, scaled
+from szlenk.ordinal import OMEGA, Ordinal, frac_to_str
 from szlenk.products import bq_cover
 
-from strategies import fan_sets, fracs
+from oracle import reference_trace_doc
+from strategies import fan_sets, fracs, measured_sets
 
 F = Fraction
 F1 = Fan(F(1, 2), (), Sing())
@@ -181,6 +183,49 @@ class TestTraceDocs:
         assert doc["steps"][-1]["set"] is None
         assert doc["steps"][0]["apexes"] == 1
         assert doc["steps"][0]["diam_q"] == "1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(measured_sets(), st.data())
+    def test_node_text_is_the_canonical_document(self, K, data):
+        """The text written node by node is the canonical encoding of the
+        node's document, for every node kind, also with a known subnode's
+        text spliced in at each place that subnode occurs."""
+        event(type(K).__name__)
+        want = _canonical(fan_node_to_doc(K))
+        assert _node_text(K, {}) == want
+        nodes = list(subnodes(K))
+        sub = nodes[data.draw(st.integers(0, len(nodes) - 1), label="spliced subnode")]
+        assert _node_text(K, {id(sub): _canonical(fan_node_to_doc(sub))}) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(fan_sets(3), st.sampled_from([F(1, 8), F(1, 2), F(1)]), st.integers(0, 6))
+    def test_spliced_trace_renders_as_the_dict_document(self, K, eps_q, m):
+        """A trace with its snapshots spliced in as text renders to the
+        bytes of the document that holds each snapshot as a dict."""
+        _, trace = derive_steps(K, eps_q, m)
+        settled = next((s.step for s in trace.steps if s.snapshot is None), None)
+        doc = {"eps_q": frac_to_str(eps_q), "trace": trace_to_doc(trace, F(2), settled)}
+        want = {"eps_q": frac_to_str(eps_q), "trace": reference_trace_doc(trace, F(2), settled)}
+        assert dumps_canonical(doc) == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def subnodes(K):
+    """K and every node below it, in pre-order."""
+    yield K
+    if isinstance(K, Fan):
+        kids = (*K.prefix, K.tail)
+    elif isinstance(K, UnionApex):
+        kids = K.fans
+    elif isinstance(K, ProdQ):
+        kids = K.factors
+    elif isinstance(K, Scale):
+        kids = (K.body,)
+    elif isinstance(K, DisjUnion):
+        kids = tuple(b for _, b in K.components)
+    else:
+        kids = ()
+    for c in kids:
+        yield from subnodes(c)
 
 
 def expand_runs(cols, runs):

@@ -30,15 +30,17 @@ from oracle import (
     prefix_cluster_map,
     project,
     reference_cluster_map,
+    reference_diam_q,
     reference_materialize,
     reference_norms,
     reference_parents,
     reference_projection,
+    reference_radius_q,
     reference_weights,
     unfold,
     unshared_derive,
 )
-from strategies import fan_sets, fracs, unions_and_groups
+from strategies import fan_sets, fracs, measured_sets, unions_and_groups
 from szlenk import checks
 from szlenk.calculus import InvalidParams
 from szlenk.checks import tvl_check
@@ -206,6 +208,50 @@ class TestRadiusDiam:
         assert diam_q(p) == 2
         assert contains_origin(p)
         assert not contains_origin(ProdQ((F1, DisjUnion(((F(1), F1),)))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(measured_sets())
+    def test_integer_measures_match_the_fraction_recursion(self, K):
+        """radius_q and diam_q, read off one integer record per node, equal
+        the Fraction recursion kept in tests/oracle.py, and the record is
+        in lowest terms: D is the lcm of the two results' denominators."""
+        event(type(K).__name__)
+        r, d = reference_radius_q(K), reference_diam_q(K)
+        assert radius_q(K) == r and diam_q(K) == d
+        assert K._measure[0] == math.lcm(r.denominator, d.denominator)
+
+    @settings(max_examples=150, deadline=None)
+    @given(measured_sets(max_depth=2))
+    def test_integer_measures_match_the_points(self, K):
+        """On small sets, radius_q is the largest norm^q and diam_q the
+        largest distance^q between two points of the oracle's two-copy
+        materialization (a product's points are tuples of its factors')."""
+        factors = K.factors if isinstance(K, ProdQ) else (K,)
+        points = list(itertools.product(*map(oracle_materialize, factors)))
+        assume(len(points) <= 300)
+        event(type(K).__name__)
+        assert radius_q(K) == max(sum(p.norm_q for p in x) for x in points)
+        pairs = itertools.combinations(points, 2)
+        assert diam_q(K) == max((sum(map(oracle_dist_q, x, y)) for x, y in pairs), default=0)
+
+    def test_wide_node_measures_on_its_winners(self):
+        """A fan of 8 000 prefix fans whose widths have distinct prime
+        denominators measures and derives in well under a second, and its
+        D is no larger than the Fraction results' denominators: an lcm
+        over every child would run to about 10**5 bits."""
+        sieve = bytearray([1]) * 90_000
+        for k in range(2, 300):
+            sieve[k * k :: k] = bytes(len(range(k * k, 90_000, k)))
+        primes = [p for p in range(3, 90_000) if sieve[p]]
+        K = Fan(F(1, 2), tuple(Fan(F(1, p)) for p in primes[:8000]), Sing())
+        start = time.perf_counter()
+        r, d = radius_q(K), diam_q(K)
+        sz = sz_eps(K, F(1, 8))
+        elapsed = time.perf_counter() - start
+        assert (r, d) == (F(5, 6), F(23, 15))
+        assert sz == fin(2)
+        assert K._measure[0] <= math.lcm(r.denominator, d.denominator) == 30
+        assert elapsed < 1.0
 
 
 def model_local_diam_q(factors, paths):
@@ -430,7 +476,7 @@ class TestRadiusCache:
     def test_cache_is_invisible(self):
         for a, b in zip(self.nodes(), self.nodes()):
             self.fill(a)
-            assert {"_radius_q", "_diam_q"} <= set(vars(a))
+            assert "_measure" in vars(a)
             assert isinstance(a, ProdQ) or "_apexes" in vars(a)
             assert a == b and b == a
             assert hash(a) == hash(b)

@@ -1,15 +1,21 @@
 """The scripts write the same reports as the command line, at the sample
 counts of the acceptance gate and the benchmark; the product sweep runs at a
 tiny size."""
+import contextlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from test_acceptance import FULL_SCALE
 from szlenk.checks import SUITES
 from szlenk.cli import EXIT_OK, main
+from szlenk.documents import dumps_canonical, fanset_to_doc
+from szlenk.fansets import depth_fan
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -73,10 +79,13 @@ def test_product_sweep_prints_one_json_line():
 
 
 def test_product_sweep_times_a_cover():
-    """scripts/product_sweep.py --covers at L = 2: one row with the cover's
-    tuple and run counts and the bytes of the report it times."""
+    """scripts/product_sweep.py --covers at L = 2 and --derives at depth 3:
+    one row with the cover's tuple and run counts and the bytes of the
+    report it times, and one with the chain's sz and its report's bytes,
+    those of the command's own report."""
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "--four", "0", "--covers", "2"],
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "--four", "0", "--covers", "2",
+         "--derives", "3"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -88,3 +97,12 @@ def test_product_sweep_times_a_cover():
     (cover,) = doc["covers"]
     assert (cover["l"], cover["tuples"], cover["runs"]) == (2, 11, 6)
     assert cover["report_bytes"] > 0 and cover["cover_s"] >= 0
+    (derive,) = doc["derives"]
+    assert (derive["depth"], derive["sz"]) == (3, 4) and derive["derive_s"] >= 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d3.json"
+        path.write_text(dumps_canonical(fanset_to_doc(depth_fan(3, Fraction(1, 2)), Fraction(2))), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["set", "derive", str(path), "--eps-q", "1/2", "--steps", "4"]) == EXIT_OK
+    assert derive["report_bytes"] == len(out.getvalue().encode("utf-8"))
