@@ -357,8 +357,10 @@ class DirectSum:
             if p not in ("0", "1", "inf"):
                 try:
                     p = Fraction(p)
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise MalformedExpr(f"bad direct-sum exponent {self.p!r}") from None
+        elif type(p) is not int and not isinstance(p, Fraction):  # not a bool or a float
+            raise MalformedExpr(f"direct-sum exponents must be strings, ints or Fractions, got {p!r}")
         if isinstance(p, (int, Fraction)):
             p = Fraction(p)
             if p == 0:

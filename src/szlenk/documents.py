@@ -78,9 +78,16 @@ def _expect_dict(doc: object, what: str) -> dict:
     return doc
 
 
+def _expect_list(doc: object, what: str) -> list:
+    if not isinstance(doc, list):
+        raise DocumentError(f"{what} must be a list, got {type(doc).__name__}")
+    return doc
+
+
 def _expect_version(doc: dict) -> None:
-    if doc.get("v") != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported document version {doc.get('v')!r}")
+    v = doc.get("v")
+    if type(v) is not int or v != SCHEMA_VERSION:  # not true or 1.0
+        raise DocumentError(f"unsupported document version {v!r}")
 
 
 def _one_key(doc: dict, what: str) -> str:
@@ -198,14 +205,15 @@ def _fan_node_from_doc(doc: object) -> FanSet:
     if kind == "sing":
         return Sing()
     if kind == "fan":
+        prefix = _expect_list(body.get("prefix", []), "fan prefix")
         return Fan(
             _frac(body.get("w_q"), "fan w_q"),
-            tuple(_fan_node_from_doc(c) for c in body.get("prefix", [])),
+            tuple(_fan_node_from_doc(c) for c in prefix),
             _fan_node_from_doc(body.get("tail")),
         )
     if kind == "apex":
         fans = []
-        for f in body.get("fans", []):
+        for f in _expect_list(body.get("fans", []), "apex fans"):
             sub = _fan_node_from_doc(f)
             if not isinstance(sub, Fan):
                 raise DocumentError("apex members must be fan nodes")
@@ -214,10 +222,11 @@ def _fan_node_from_doc(doc: object) -> FanSet:
     if kind == "scale":
         return Scale(_frac(body.get("a_q"), "scale a_q"), _fan_node_from_doc(body.get("body")))
     if kind == "prod":
-        return ProdQ(tuple(_fan_node_from_doc(f) for f in body.get("factors", [])))
+        factors = _expect_list(body.get("factors", []), "prod factors")
+        return ProdQ(tuple(_fan_node_from_doc(f) for f in factors))
     if kind == "disj":
         comps = []
-        for item in body.get("components", []):
+        for item in _expect_list(body.get("components", []), "disj components"):
             if not isinstance(item, list) or len(item) != 2:
                 raise DocumentError("disj components must be [offset, node] pairs")
             comps.append((_frac(item[0], "disj offset"), _fan_node_from_doc(item[1])))
@@ -284,7 +293,7 @@ def profile_to_doc(p: EpsProfile) -> dict:
 def profile_from_doc(doc: object) -> EpsProfile:
     body = _expect_dict(doc, "profile")
     steps = []
-    for item in body.get("steps", []):
+    for item in _expect_list(body.get("steps", []), "profile steps"):
         if not isinstance(item, list) or len(item) != 2:
             raise DocumentError("profile steps must be [threshold, ordinal] pairs")
         steps.append((_frac(item[0], "step threshold"), _ord(item[1], "step value")))
@@ -394,7 +403,8 @@ def _space_node_from_doc(doc: object) -> SpaceExpr:
     if kind == "cspace":
         return CSpace(_ord(body.get("gamma"), "cspace gamma"))
     if kind == "finite_sum":
-        return FiniteSum(tuple(_space_node_from_doc(s) for s in body.get("parts", [])))
+        parts = _expect_list(body.get("parts", []), "finite_sum parts")
+        return FiniteSum(tuple(_space_node_from_doc(s) for s in parts))
     if kind == "sum":
         if "p" not in body:
             raise DocumentError("direct sums need 'p'")
@@ -402,9 +412,8 @@ def _space_node_from_doc(doc: object) -> SpaceExpr:
             raise DocumentError("direct sums need exactly one of 'family' or 'summands'")
         if "family" in body:
             return DirectSum(body["p"], _family_from_doc(body["family"]))
-        return DirectSum(
-            body["p"], tuple(_space_node_from_doc(s) for s in body["summands"])
-        )
+        summands = _expect_list(body["summands"], "sum summands")
+        return DirectSum(body["p"], tuple(_space_node_from_doc(s) for s in summands))
     raise DocumentError(f"unknown space node kind {kind!r}")
 
 

@@ -85,7 +85,7 @@ below x, so no pair is farther apart than 2 * (max - N(x)); and the mirror
 of the farthest y across the first tail step below x is that far from y.
 So a point's survival depends only on the representatives of S, and is the
 same across its orbit.  Any set of representatives names the mirror-closed
-union of their orbits, so the kernel below is exact on every alive subset
+union of their orbits, so 2 * (max - N(x)) is exact on every alive subset
 of the quotient, and each stage of the quotient is the fold of the
 two-copy stage.  The size of a two-copy set is the orbit-weighted count of
 its quotient (`ProductModel.count`).  tests/oracle.py keeps the two-copy
@@ -102,20 +102,43 @@ orbit is the product of its factors' orbits.  So the largest N over
 the product cluster C(x_1) x ... x C(x_n) is a max taken one axis at a
 time, and on one axis a max over a subtree of that factor's forest.  One
 kernel, `_local_diams`, takes it on integer norms over the model's common
-denominator: on each axis, every point in decreasing order of its value
-walks that value up the forest, one edge at a time, until it meets a
-point that holds at least as much, so no point is raised twice and an axis
-costs one sort and one push per point (the points a walk creates
-included).  It derives subsets of the product (`derive_product_set`, every
-axis) and gives `products` its per-factor local diameters.  Inside the
-kernel a point is one integer, its mixed-radix code sum_n j_n * stride_n
-(`_strides`), so a step adds (p - y) * stride to a code instead of
-building a tuple.  A one-axis code is the position itself, so the
-staircase passes positions straight in.  A product derivation sequence is
-one call: `derive_product_set` returns the stages alive, its derivation,
-and so on, for m steps or up to the first empty stage.  The call takes the
-bar once, encodes the position tuples once and decodes each stage.
-`ProductModel.of` takes the common denominator once, over every factor.
+denominator, on closed sets.
+
+The closure argument.  Call a set of product points closed when with y it
+holds every x whose product cluster holds y (step 2 of the `products`
+docstring, on a product).  With a point, a closed set holds the point's
+parent on every axis: the tuple with that one position replaced by its
+nearest cluster parent.  Every set the package hands the kernel is closed.
+A whole product (`ProductModel.tuples`) and a whole factor are.  So are
+the super-level sets of lam that the staircase reads (step 2), and every
+stage derived from a closed set: lam can only fall along a cluster
+(step 1), so if y survives and y is in C(x), then x is alive and survives
+too.  On a closed set an axis is one pass over the points in decreasing
+order of their codes (below), and each point pushes its value to its
+parent on that axis when it is larger.  A parent's code is the smaller
+(p < y), so every child on the axis pushes before its parent does, and a
+point holds the max over its alive subtree on the axis by its own turn:
+the points between an alive descendant and it on the axis are its
+descendant's ancestors, so they are alive and pass the max on edge by
+edge.  After the last axis each point x holds the max over its whole
+product cluster: for y alive in it, the tuple that takes y's positions on
+the axes done so far and x's on the others is an ancestor-or-self of y,
+so it is alive and the passes carry N(y) to x through it.  A set that is
+not closed fails: looking up a missing parent raises KeyError, so no
+wrong value comes back.  tests/oracle.py keeps the walk kernel that serves
+any subset (`walk_local_diams`) as the reference.
+
+The kernel derives closed subsets of the product (`derive_product_set`,
+every axis) and gives `products` its per-factor local diameters.  Inside
+the kernel a point is one integer, its mixed-radix code
+sum_n j_n * stride_n (`_strides`), so a step adds (p - y) * stride to a
+code instead of building a tuple.  A one-axis code is the position itself,
+so the staircase passes positions straight in.  A product derivation
+sequence is one call: `derive_product_set` returns the stages alive, its
+derivation, and so on, for m steps or up to the first empty stage.  The
+call takes the bar once, encodes the position tuples once and decodes each
+stage.  `ProductModel.of` takes the common denominator once, over every
+factor.
 
 The rank recursion.  On one factor a whole derivation sequence is one pass
 (`derive_set`).  Fix an alive set S of positions, any set at all (cluster-
@@ -171,8 +194,8 @@ subtrees of two children then overlap, so no parent can adopt a child's
 list in place while another parent still needs it: each list is copied
 once per parent, and the long-path bound above fails.  The merges then cost
 about what the stages cost, one kernel run per step.  tests/oracle.py keeps
-the stage loop (`reference_stages`, one `derive_product_set` step at a
-time) as the slow check on the ranks.
+the stage loop (`reference_stages`, one step of its walk kernel at a
+time) as the slow check on the ranks, on any subset.
 """
 from __future__ import annotations
 
@@ -382,24 +405,20 @@ def _strides(model: ProductModel, axes: Sequence[int]) -> list[int]:
 def _local_diams(
     model: ProductModel, axes: Sequence[int], alive: Iterable[int]
 ) -> dict[int, int]:
-    """D times the local diameter^q of every point of an alive set.
+    """D times the local diameter^q of every point of a closed alive set.
 
     Each alive point is its code over the factors `axes` (`_strides`); the
     result maps it to 2 * (max N over its alive cluster - its own N),
     with N the norm^q times D: the local diameter inside the union of the
     alive points' mirror orbits (the module docstring's orbit argument).
 
-    The max is taken one axis at a time: starting from N on the alive set,
-    on axis a each code, in decreasing order of its value, walks that value
-    up the forest, to the code with its position y replaced by the parent
-    of y (created when missing), and on, until it meets a code that holds
-    at least as much.  A root is its own parent, so a walk ends there.
-    Every code present before the walks walks itself, and a created code
-    only lies inside a walk that went on past it, so the code a walk stops
-    at hands at least as much to its ancestors: afterwards each code holds
-    the max over its subtree on axis a.  In that order no code is raised
-    twice.  After the last axis each point holds the max over its whole
-    product cluster.  On codes a step adds (parent - y) * stride_a.
+    The set must be closed (the module docstring's closure argument): with
+    a code it holds the code's parent on each axis, its position y there
+    replaced by the parent of y, which on codes adds (parent - y) * stride.
+    Starting from N, one pass per axis over the codes in decreasing order
+    pushes each code's value to that parent when it is larger; a root is
+    its own parent.  A set that is not closed raises KeyError at its first
+    missing parent.
     """
     layout = [
         (model.norms[a], model.parents[a], stride, len(model.norms[a]))
@@ -411,28 +430,26 @@ def _local_diams(
         for c in own:
             own[c] += norm[c // stride % size]
     best = own.copy()
-    get = best.get
+    order = sorted(best, reverse=True)
     for _, parent, stride, size in layout:
-        for c in sorted(best, key=get, reverse=True):
-            v, y = best[c], c // stride % size
-            while True:
-                p = parent[y]
-                c += (p - y) * stride
-                if get(c, -1) >= v:
-                    break
-                best[c], y = v, p
+        for c in order:
+            y = c // stride % size
+            p = c + (parent[y] - y) * stride
+            if best[p] < best[c]:
+                best[p] = best[c]
     return {c: 2 * (best[c] - v) for c, v in own.items()}
 
 
 def derive_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: Optional[int] = 1
 ) -> list[frozenset[PPoint]]:
-    """The derivation sequence of an alive subset of the product: alive,
-    then each exact derivation step of the last stage, for m steps or until
-    a stage is empty (m = None: until then).  x survives a step iff its
-    local diameter^q exceeds eps_q (`_local_diams` on every axis).  The
-    tuples are encoded once and the bar is taken once for the whole
-    sequence."""
+    """The derivation sequence of a closed alive subset of the product:
+    alive, then each exact derivation step of the last stage, for m steps
+    or until a stage is empty (m = None: until then).  x survives a step
+    iff its local diameter^q exceeds eps_q (`_local_diams` on every axis);
+    each stage of a closed set is closed (the module docstring's closure
+    argument).  The tuples are encoded once and the bar is taken once for
+    the whole sequence."""
     axes = tuple(range(len(model.norms)))
     points = list(alive)
     codes = [0] * len(points)
@@ -494,8 +511,8 @@ def iterate_set(
 def iterate_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction, m: int
 ) -> frozenset[PPoint]:
-    """The m-fold derivation of an alive subset of the product (on one axis,
-    the rank pass)."""
+    """The m-fold derivation of an alive subset of the product: on one axis
+    any subset, by the rank pass; on more, a closed one."""
     if len(model.norms) == 1:
         kept = iterate_set(frozenset(x for (x,) in alive), model, 0, eps_q, m)
         return frozenset((x,) for x in kept)
@@ -505,8 +522,8 @@ def iterate_product_set(
 def sz_product_set(
     alive: frozenset[PPoint], model: ProductModel, eps_q: Fraction
 ) -> int:
-    """Least m with the m-fold derivation empty (1 for a nonempty dead set;
-    on one axis, the largest rank)."""
+    """Least m with the m-fold derivation empty (1 for a nonempty dead set):
+    on one axis the largest rank, of any subset; on more, of a closed one."""
     if len(model.norms) == 1:
         ranks = derive_set(frozenset(x for (x,) in alive), model, 0, eps_q)
         return max(ranks.values(), default=1)

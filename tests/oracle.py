@@ -26,20 +26,27 @@ snapshots were written as text: each step's set as a document dict, which
 the plain JSON encoder renders.
 
 `prefix_cluster_map` and `push_to_all_local_diams` keep the point model's
-cluster relation and kernel as they were before the kernel walked the
+cluster relation and kernel as they were before the kernel used the
 cluster forest: every x whose cluster holds y, found by looking up every
 prefix of y's path, and each value pushed to all of them at once, as the
 references for the model's forest and the one-edge `_local_diams`.
+
+`walk_local_diams` keeps the kernel as it was before it required a closed
+set: each value walks up the forest until it meets as much, creating the
+codes it passes, so it is exact on any subset.  It is the kernel of the
+stage loop (`reference_stages`), and the one that tests patch to break
+the stages on purpose.
 
 The `reference_*` functions at the end keep what the model build, the
 derivation sequences, `union_lemma_check` and `bq_member` were before each
 became one walk or one call, or lost its paths: a recursive materializer
 whose points carry their paths, parents from the paths' prefix scan
 (`reference_cluster_map`, also the reference for `tvl_check`'s projected
-forest) and weights counted off the paths, one `derive_product_set` call
-per step (`reference_stages`, also the reference for the one-factor ranks
-as `reference_ranks`), a union's pieces read off the first path step, the
-union check on position tuples, and the least absorbing tuple computed per
+forest) and weights counted off the paths, one `walk_local_diams` call per
+step on any subset (`reference_stages`, the reference for the closed-set
+`derive_product_set` and, as `reference_ranks`, for the one-factor ranks
+of any subset), a union's pieces read off the first path step, the union
+check on position tuples, and the least absorbing tuple computed per
 coordinate.
 
 The engine materializes one point per mirror orbit (every tail step taken
@@ -73,6 +80,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from szlenk.calculus import (
     Atom,
@@ -113,7 +121,7 @@ from szlenk.ordinal import (
     mul,
     omega_pow,
 )
-from szlenk.pointmodel import ProductModel, _strides, derive_product_set
+from szlenk.pointmodel import ProductModel, _strides
 
 
 @dataclass(frozen=True)
@@ -627,16 +635,63 @@ def reference_norms(points_by_factor) -> tuple[int, list[list[int]]]:
     return D, [[int(p.norm_q * D) for p in pts] for pts in points_by_factor]
 
 
+def walk_local_diams(
+    model: ProductModel, axes: Sequence[int], alive: Iterable[int]
+) -> dict[int, int]:
+    """`pointmodel._local_diams` as it was before it required a closed set,
+    exact on any alive set of codes.
+
+    The max is taken one axis at a time: starting from N on the alive set,
+    on axis a each code, in decreasing order of its value, walks that value
+    up the forest, to the code with its position y replaced by the parent
+    of y (created when missing), and on, until it meets a code that holds
+    at least as much.  A root is its own parent, so a walk ends there.
+    Every code present before the walks walks itself, and a created code
+    only lies inside a walk that went on past it, so the code a walk stops
+    at hands at least as much to its ancestors: afterwards each code holds
+    the max over its subtree on axis a.  In that order no code is raised
+    twice.  After the last axis each point holds the max over its whole
+    product cluster.  On codes a step adds (parent - y) * stride_a.
+    """
+    layout = [
+        (model.norms[a], model.parents[a], stride, len(model.norms[a]))
+        for a, stride in zip(axes, _strides(model, axes))
+    ]
+    norm, _, _, size = layout[0]  # the first axis has stride 1
+    own = {c: norm[c % size] for c in alive}
+    for norm, _, stride, size in layout[1:]:
+        for c in own:
+            own[c] += norm[c // stride % size]
+    best = own.copy()
+    get = best.get
+    for _, parent, stride, size in layout:
+        for c in sorted(best, key=get, reverse=True):
+            v, y = best[c], c // stride % size
+            while True:
+                p = parent[y]
+                c += (p - y) * stride
+                if get(c, -1) >= v:
+                    break
+                best[c], y = v, p
+    return {c: 2 * (best[c] - v) for c, v in own.items()}
+
+
 def reference_stages(alive, model, eps_q, m=None) -> list:
-    """alive and its derivations, one one-step `derive_product_set` call per
-    step (each encoding the tuples and taking the bar afresh): m steps, or
-    up to the first empty stage (m = None: until then, which takes at most
-    len(alive) steps, since every step drops the points of largest N)."""
+    """alive, any subset of the product, and its derivations, one
+    `walk_local_diams` call on every axis per step (each step encoding the
+    tuples and taking the bar afresh): m steps, or up to the first empty
+    stage (m = None: until then, which takes at most len(alive) steps,
+    since every step drops the points of largest N)."""
+    axes = tuple(range(len(model.norms)))
+    strides = _strides(model, axes)
     stages = [alive]
     for _ in range(len(alive) if m is None else m):
         if not stages[-1]:
             break
-        stages.append(derive_product_set(stages[-1], model, eps_q)[-1])
+        by_code = {sum(j * s for j, s in zip(x, strides)): x for x in stages[-1]}
+        bar = model.scaled_bar(eps_q)
+        lam = walk_local_diams(model, axes, by_code)
+        stages.append(frozenset(by_code[c] for c, d in lam.items() if d > bar))
     return stages
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from oracle import (
     project,
     reference_pieces,
@@ -16,7 +17,7 @@ from oracle import (
     reference_union_lemma_check,
 )
 from strategies import fan_sets, fracs, unions_and_groups
-from szlenk import checks, pointmodel
+from szlenk import checks
 from szlenk.calculus import InvalidParams
 from szlenk.checks import (
     SUITES,
@@ -120,15 +121,16 @@ class TestUnionLemmaCheck:
         assert rep == union_lemma_check([F1], F(1, 2), 1, 1, F(1), "apex")
 
 
-_KERNEL = pointmodel._local_diams
+_KERNEL = oracle.walk_local_diams
 
 
 def faulty_local_diams(model, axes, alive):
-    """A broken kernel for the comparisons below: a set without position 0
-    loses every reach, and one with it gets thrice its reach.  Points of
-    reach 0 still die, so every sequence still empties.  The check reads
-    ranks, so under this kernel it reads them off the stage loop
-    (`reference_ranks`), which derives with the kernel."""
+    """A broken copy of the oracle's walk kernel for the comparisons below:
+    a set without position 0 loses every reach, and one with it gets thrice
+    its reach.  Points of reach 0 still die, so every sequence still
+    empties.  The check reads ranks, so under this kernel it reads them off
+    the stage loop (`reference_ranks`), which derives with the walk
+    kernel."""
     got = _KERNEL(model, axes, alive)
     return {c: 3 * d if 0 in got else 0 for c, d in got.items()}
 
@@ -171,7 +173,7 @@ class TestUnionAgainstReference:
             derived.append(alive)
             return real(alive, model, i, eps_q, m)
 
-        with mock.patch.object(pointmodel, "_local_diams", kernel):
+        with mock.patch.object(oracle, "walk_local_diams", kernel):
             with mock.patch.object(checks, "derive_set", spy):
                 got = union_lemma_check(*args)
             want = reference_union_lemma_check(*args)
@@ -189,7 +191,7 @@ class TestUnionAgainstReference:
         broken kernel every kind of violation occurs, and both checks
         report the same."""
         kinds: Counter = Counter()
-        with mock.patch.object(pointmodel, "_local_diams", faulty_local_diams), \
+        with mock.patch.object(oracle, "walk_local_diams", faulty_local_diams), \
                 mock.patch.object(checks, "derive_set", reference_ranks):
             for index in range(200):
                 args = _union_instance(case_rng(1, index))

@@ -25,6 +25,7 @@ from szlenk.calculus import (
     CSpace,
     DirectSum,
     EpsProfile,
+    FiniteSum,
     GeometricNorms,
     LadderMembers,
     LadderTail,
@@ -34,7 +35,7 @@ from szlenk import fansets, pointmodel, products
 from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, _render_text, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
-from szlenk.fansets import Fan, ProdQ, Scale, Sing, depth_fan, derive_steps
+from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex, depth_fan, derive_steps
 from szlenk.ordinal import ONE, Ordinal
 from oracle import reference_trace_doc
 from strategies import fan_sets
@@ -688,6 +689,84 @@ class TestCover:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.splitlines() == ["error: cover enumeration too large"]
+
+
+def _wrong_type_documents() -> list:
+    """(command, document) pairs that between them hold every field of set
+    and space documents: each node kind, profile steps and both tails,
+    both norm sequences and both kinds of family members."""
+    fan = Fan(F(1, 2), (Sing(),), Fan(F(1, 4), (), Sing()))
+    sets = [
+        fan,
+        UnionApex((Fan(F(1, 2), (), Sing()), Fan(F(1, 3), (Sing(),), Sing()))),
+        Scale(F(1, 2), fan),
+        ProdQ((F1, F1)),
+        DisjUnion(((F(0), Sing()), (F(1), fan))),
+    ]
+    steps = ((F(1, 2), Ordinal.from_int(2)),)
+    atom = Atom("E", F(1), EpsProfile(steps, LadderTail(ONE, ONE, F(1), F(1, 2))))
+    copies = Copies(EpsProfile(steps, ConstTail(Ordinal.from_int(3))), compact=False)
+    spaces = [
+        FiniteSum((atom, CSpace(W))),
+        DirectSum("3/2", (atom,)),
+        DirectSum("0", ParamFamily(GeometricNorms(F(1), F(1, 2)), LadderMembers(W, ONE, ONE, F(1), F(1, 4)))),
+        DirectSum("inf", ParamFamily(ConstNorms(F(1)), copies)),
+    ]
+    return [("set", fanset_to_doc(K, F(2))) for K in sets] + [
+        ("space", space_to_doc(e)) for e in spaces
+    ]
+
+
+def _fields(doc, path=()):
+    """The path to every value inside a document: each object key and each
+    list index, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+# the fields a reader iterates: a non-list there must exit 2
+ARRAY_FIELDS = {"prefix", "fans", "factors", "components", "parts", "summands", "steps"}
+# a value of each JSON type, with 1.0 and true for fields that read 1
+WRONG_VALUES = [1, 1.0, 2.5, "x", True, None, [1], {"k": 1}]
+
+
+class TestWrongJsonTypes:
+    @pytest.mark.parametrize("command, doc", _wrong_type_documents())
+    def test_every_field_takes_every_json_type(self, capsys, tmp_path, command, doc):
+        """Every field of the document, given each JSON type, exits 0 or
+        with one `error:` line and exit 2, never with a traceback.  An
+        array field that is not a list, a version that is not the integer
+        1 and a sum exponent that is neither a string nor an integer exit
+        2."""
+        argv = ["set", "derive", "--eps-q", "1/2", "--steps", "4"] if command == "set" else [
+            "space", "eval"
+        ]
+        text = dumps_canonical(doc)
+        code, _, _ = run(capsys, *argv, write_doc(tmp_path, "ok.json", doc))
+        assert code == EXIT_OK
+        for path in _fields(doc):
+            for value in WRONG_VALUES:
+                bad = json.loads(text)
+                at = bad
+                for key in path[:-1]:
+                    at = at[key]
+                at[path[-1]] = value
+                code, out, err = run(capsys, *argv, write_doc(tmp_path, "bad.json", bad))
+                where = f"{'/'.join(map(str, path))} = {value!r}"
+                assert code in (EXIT_OK, EXIT_USAGE), where
+                assert "Traceback" not in err, where
+                if code == EXIT_USAGE:
+                    assert out == "", where
+                    assert err.startswith("error:") and err.count("\n") == 1, where
+                refused = (
+                    (path[-1] in ARRAY_FIELDS and not isinstance(value, list))
+                    or (path[-1] == "v" and not (type(value) is int and value == 1))
+                    or (path[-1] == "p" and not isinstance(value, str) and type(value) is not int)
+                )
+                if refused:
+                    assert code == EXIT_USAGE, where
 
 
 class TestPlumbing:

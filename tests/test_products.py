@@ -617,6 +617,26 @@ def draw_subset(data, model):
     return frozenset(x for x, k in zip(everything, keep) if k)
 
 
+def ancestors(parent, j):
+    """j and its ancestors in one factor's cluster forest."""
+    out = [j]
+    while parent[j] != j:
+        j = parent[j]
+        out.append(j)
+    return out
+
+
+def closure(model, alive):
+    """The least closed set holding `alive`, the product kernel's domain:
+    with each point, every tuple of ancestors-or-selves of its positions
+    (the `pointmodel` docstring's closure argument)."""
+    return frozenset(
+        y
+        for x in alive
+        for y in itertools.product(*(ancestors(p, j) for p, j in zip(model.parents, x)))
+    )
+
+
 def draw_eps_q(data, model, alive):
     """Small fractions, or a threshold at an attained 2 * distance^q (which
     tests the strict inequality)."""
@@ -664,30 +684,36 @@ class TestDeriveProductSet:
         two-copy model, the union of its orbits: the oracle derives that
         union, and its survivors fold onto the engine's.  (Without that
         symmetry the local diameter can be less than 2 * reach, and the
-        point model does not claim it.)"""
+        point model does not claim it.)  The product kernel takes the
+        closure of a random subset; the rank pass takes the random subset's
+        first positions, any set."""
         model = ProductModel.of(bodies)
-        alive = draw_subset(data, model)
+        some = draw_subset(data, model)
+        alive = closure(model, some)
         eps_q = draw_eps_q(data, model, alive)
         got = derive_product_set(alive, model, eps_q)[-1]
         event(f"{len(bodies)} factors, {'some' if got else 'none'} kept")
         orbits = oracle_orbits(bodies, model)
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), eps_q)) == got
-        first = frozenset(x[:1] for x in alive)
+        first = frozenset(x[:1] for x in some)
         got = iterate_set(frozenset(j for (j,) in first), model, 0, eps_q, 1)
         want = oracle_derive(frozenset(p for (p,) in unfold(orbits[:1], first)), eps_q)
         assert fold_points(orbits[:1], ((p,) for p in want)) == {(j,) for j in got}
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fan_sets(1), min_size=1, max_size=3), st.data())
-    def test_matches_cluster_scan_on_any_subset(self, bodies, data):
+    def test_matches_cluster_scan_on_closed_subsets(self, bodies, data):
+        """The product kernel on the closure of a random subset, and the
+        rank pass on the random subset's first positions, any set."""
         model = ProductModel.of(bodies)
-        alive = draw_subset(data, model)
+        some = draw_subset(data, model)
+        alive = closure(model, some)
         eps_q = draw_eps_q(data, model, alive)
         opoints = oracle_points(bodies, model)
         want = frozenset(x for x in alive if 2 * scan_reach_q(x, alive, opoints) > eps_q)
         event(f"{len(bodies)} factors, {'some' if want else 'none'} kept")
         assert derive_product_set(alive, model, eps_q)[-1] == want
-        first = frozenset((x[0],) for x in alive)
+        first = frozenset((x[0],) for x in some)
         want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, opoints) > eps_q)
         assert iterate_set(frozenset(x for (x,) in first), model, 0, eps_q, 1) == want
 
@@ -798,11 +824,12 @@ class TestIntegerCodeKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(fan_sets(1), min_size=3, max_size=3), st.data())
-    def test_any_subset_of_an_unequal_product(self, bodies, data):
-        """Off the mirror-closed stages the kernel still computes 2 * reach,
-        the tuple-keyed kernel's value."""
+    def test_closed_subset_of_an_unequal_product(self, bodies, data):
+        """Off the mirror-closed stages, on the closure of a random subset,
+        the kernel still computes 2 * reach, the tuple-keyed kernel's
+        value."""
         model = unequal_model(bodies)
-        alive = draw_subset(data, model)
+        alive = closure(model, draw_subset(data, model))
         axes = range(3)
         assert code_diams(model, axes, alive) == reference_local_diams(model, bodies, axes, alive)
         # the axes in another order, as a sub-product of two factors
@@ -837,9 +864,9 @@ def codes(model, axes, alive):
 
 
 class TestForestKernel:
-    """`_local_diams` walks each value up the cluster forest until it meets
-    as much; the push-to-all kernel pushes it to every x whose cluster
-    holds it, read off the prefix scan."""
+    """`_local_diams` pushes each value one edge up the cluster forest, in
+    one pass per axis over a closed set; the push-to-all kernel pushes it to
+    every x whose cluster holds it, read off the prefix scan."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -849,13 +876,14 @@ class TestForestKernel:
         st.randoms(use_true_random=False),
         st.sampled_from([1, 2, 3, 5]),
     )
-    def test_matches_push_to_all_on_any_subset(self, bodies, rnd, sparsity):
-        """Random alive subsets of 1-3 factor products, over all axes (in
-        order and reversed) and over one axis at a time."""
+    def test_matches_push_to_all_on_closed_subsets(self, bodies, rnd, sparsity):
+        """The closures of random subsets of 1-3 factor products, over all
+        axes (in order and reversed) and over one axis at a time: each
+        projection of a closed set is closed."""
         model = ProductModel.of(bodies)
         everything = sorted(model.tuples())
         assume(len(everything) <= 4000)
-        alive = [x for x in everything if rnd.randrange(sparsity) == 0]
+        alive = closure(model, [x for x in everything if rnd.randrange(sparsity) == 0])
         n = len(bodies)
         event(f"{n} factors")
         every = tuple(range(n))
@@ -866,11 +894,9 @@ class TestForestKernel:
 
     @pytest.mark.parametrize("n, factors", [(40, 1), (8, 2), (4, 3)])
     def test_no_code_is_raised_twice(self, n, factors):
-        """Walks in decreasing value order: every walk raises codes no
-        other walk raises, and ends at its first code holding as much, so
-        an axis looks up at most two parents per code.  On chains of depth
-        n, where N grows with depth, walks in increasing order would raise
-        every ancestor again."""
+        """One pass per axis, with exactly one parent lookup per code and
+        axis and no code created.  On chains of depth n every code has at
+        most one child per axis, so a pass raises no code twice."""
         lookups = [0]
 
         class Counted(tuple):
@@ -887,12 +913,31 @@ class TestForestKernel:
         alive = codes(model, axes, model.tuples())
         got = _local_diams(counted, axes, alive)
         assert got == push_to_all_local_diams(model, chains, axes, alive)
-        assert lookups[0] <= 2 * factors * len(alive)
+        assert lookups[0] == factors * len(alive)
+        assert got.keys() == alive
+
+    @pytest.mark.parametrize("factors", [1, 2, 3])
+    def test_a_set_that_is_not_closed_raises(self, factors):
+        """A set that lacks a point's parent on some axis raises KeyError,
+        in the kernel and in a derivation, instead of returning values:
+        every point but a root alone, and the whole product less its
+        root."""
+        model = ProductModel.of([depth_fan(3, F(1, 2))] * factors)
+        whole = model.tuples()
+        root = min(whole)
+        axes = range(factors)
+        assert set(model.parents[0]) == {0, 1, 2} and root == (0,) * factors
+        for alive in [*(frozenset({x}) for x in whole if x != root), whole - {root}]:
+            with pytest.raises(KeyError):
+                _local_diams(model, axes, codes(model, axes, alive))
+            with pytest.raises(KeyError):
+                derive_product_set(alive, model, F(1, 2))
 
 
 class TestDerivationSequence:
-    """One call per derivation sequence (one bar, one encoding) against one
-    `derive_product_set` call per step (tests/oracle.py)."""
+    """One call per derivation sequence (one bar, one encoding) against the
+    stage loop, one call of the oracle's walk kernel per step
+    (`reference_stages`)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -902,11 +947,13 @@ class TestDerivationSequence:
         st.data(),
     )
     def test_stages_match_one_call_per_step(self, bodies, data):
-        """On random alive subsets of 1-3 factor products, with a step cap
-        or to the empty stage; and per factor, the ranks `derive_set`
-        gives that factor's positions against its own one-step calls."""
+        """On the closures of random subsets of 1-3 factor products, with a
+        step cap or to the empty stage; and per factor, the ranks
+        `derive_set` gives the random subset's positions on that factor, any
+        set, against its own one-step calls."""
         model = ProductModel.of(bodies)
-        alive = draw_subset(data, model)
+        some = draw_subset(data, model)
+        alive = closure(model, some)
         eps_q = draw_eps_q(data, model, alive)
         m = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="m")
         want = reference_stages(alive, model, eps_q, m)
@@ -917,7 +964,7 @@ class TestDerivationSequence:
         else:
             assert iterate_product_set(alive, model, eps_q, m) == want[-1]
         for i in range(len(bodies)):
-            seq = [frozenset(x[i] for x in alive)]
+            seq = [frozenset(x[i] for x in some)]
             for _ in range(len(seq[0]) if m is None else m):
                 if not seq[-1]:
                     break
