@@ -24,9 +24,18 @@ Subcommands
     count of last coordinates 1..m), which joins the texts into the rows
     run by run.
 
-Each subcommand has one handler (``cmd_*``), which reads the parsed
-arguments directly and returns the report document and the exit code;
-``main`` only sets up logging, calls the handler and writes the report.
+Each subcommand is one entry of the command table ``COMMANDS``: its words,
+its handler (``cmd_*``), its positionals and its options.  The handler
+reads the parsed arguments directly and returns the report document and
+the exit code; ``main`` only parses argv, sets up logging, calls the
+handler and writes the report.
+
+Plain argv (a command's exact words, its positionals as one run, and its
+exact flags each followed by one value) is matched straight from the
+table into the namespace argparse would return.  Any other argv goes to
+the argparse parser that `build_parser` builds from the same table, so
+argparse answers ``--help``, every usage error, ``--opt=value``, ``--``,
+abbreviated flags, negative numbers and the top-level ``--log``.
 
 Reports are canonical JSON (sorted keys, fixed separators, LF) so a fixed
 invocation is byte-identical across runs; anything time-dependent goes to
@@ -34,9 +43,10 @@ stderr through logging only.  Set ``SZLENK_LOG=info`` (or pass ``--log
 info``; the flag wins) to see wall-clock timings.
 
 One process may call ``main`` many times.  The parser is built on the first
-call and shared by the later ones.  Log lines go through one handler on the
-``szlenk`` logger to whatever ``sys.stderr`` is when each line is written,
-each call sets only that logger's level, and the root logger is left alone.
+call that needs it and shared by the later ones.  Log lines go through one
+handler on the ``szlenk`` logger to whatever ``sys.stderr`` is when each
+line is written, each call sets only that logger's level, and the root
+logger is left alone.
 
 Exit codes: 0 success, 1 a failed ``verify`` case, 2 usage,
 parse, or document errors (input nested past the recursion limit included,
@@ -100,8 +110,7 @@ EXIT_USAGE = 2
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; each subcommand sets ``cmd`` (its full name, as reports
-    carry it) and ``handler`` (the function that runs it).
+    """The parser of every command in `COMMANDS`.
 
     Built on the first call and shared after it: ``parse_args`` leaves the
     parser as it was and answers each call with a fresh namespace."""
@@ -115,50 +124,92 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="log level (debug/info/warning/error); overrides SZLENK_LOG",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
-        p = group.add_parser(name.split()[-1], help=help)
-        p.set_defaults(cmd=name, handler=handler)
-        p.add_argument("--out", metavar="FILE", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json", help="report format (default json)")
-        return p
-
-    p = command(sub, "ord", cmd_ord, "evaluate an ordinal expression to CNF")
-    p.add_argument("expr", help="expression over w, ^, *, +, integers")
-
-    p_space = sub.add_parser("space", help="space-document commands")
-    space_sub = p_space.add_subparsers(dest="space_command", required=True)
-    p = command(space_sub, "space eval", cmd_space_eval, "compute the index of a space document")
-    p.add_argument("file", help="space document (JSON), or - for stdin")
-
-    p_set = sub.add_parser("set", help="set-document commands")
-    set_sub = p_set.add_subparsers(dest="set_command", required=True)
-    p = command(set_sub, "set derive", cmd_set_derive, "iterate the eps-derivation of a set document")
-    p.add_argument("file", help="set document (JSON), or - for stdin")
-    p.add_argument("--eps-q", required=True, metavar="P/Q", help="eps^q as a fraction, e.g. 1/2")
-    p.add_argument("--steps", type=int, default=32, metavar="N", help="maximum steps (default 32)")
-
-    p = command(sub, "verify", cmd_verify, "run a randomized containment-check suite")
-    p.add_argument("suite", help="suite name (see the checks module)")
-    p.add_argument("--samples", type=int, default=100, metavar="N", help="number of cases (default 100)")
-    p.add_argument("--seed", type=int, default=0, metavar="N", help="generator seed (default 0)")
-
-    p = command(sub, "sigma", cmd_sigma, "stage bound: least n with n >= (2a/(b-c))^d - (b/(b-c))^d + 1")
-    for name in ("a", "b", "c", "d"):
-        p.add_argument(name, help=f"parameter {name} as a fraction")
-
-    p = command(sub, "frount", cmd_frount, "product emptiness bound M for m-fold derivations")
-    p.add_argument("d", help="diameter bound as a fraction")
-    p.add_argument("eps", help="eps as a fraction")
-    p.add_argument("q", help="norm exponent q >= 1 as a fraction")
-    p.add_argument("m", type=int, help="derivation depth m >= 2")
-
-    p = command(sub, "cover", cmd_cover, "integer-tuple cover of the q-ball of scaled factors")
-    p.add_argument("l", type=int, help="grid resolution l >= 1")
-    p.add_argument("files", nargs="+", metavar="FILE", help="factor set documents (same q)")
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for words, (handler, summary, positionals, options) in COMMANDS.items():
+        sub = top
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = top.add_parser(words[0], help=GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
+            sub = groups[words[0]]
+        p = sub.add_parser(words[-1], help=summary)
+        p.set_defaults(cmd=" ".join(words), handler=handler)
+        for name, kwargs in [*options.items(), *positionals.items()]:
+            p.add_argument(name, **kwargs)
     return parser
+
+
+def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for argv
+    of the plain shape; None for any other argv, which argparse then reads.
+
+    Plain argv is a command's exact words, then its positionals as one run,
+    with options before or after it.  Each option is one of the command's
+    exact flags followed by a value that is "-" or does not start with "-",
+    once at most, and every required option is there.  Values convert as
+    argparse converts them (`type`, then `choices`).  Everything else goes
+    to argparse: help, usage errors, ``--opt=value``, ``--``, abbreviated
+    flags, negative numbers, the top-level ``--log``; so does a run broken
+    by an option, which argparse refuses when the run ends in a
+    ``nargs="+"`` list."""
+    for n in (1, 2):
+        words = tuple(argv[:n])
+        if words in COMMANDS:
+            break
+    else:
+        return None
+    handler, _, positionals, options = COMMANDS[words]
+    ns: dict = {"log": None, "command": words[0], "cmd": " ".join(words), "handler": handler}
+    if n == 2:
+        ns[f"{words[0]}_command"] = words[1]
+    run: list[str] = []
+    closed = False  # an option came after the run
+    i = n
+    try:
+        while i < len(argv):
+            token = argv[i]
+            if token[:1] != "-" or token == "-":
+                if closed:
+                    return None
+                run.append(token)
+                i += 1
+                continue
+            o = options.get(token)
+            if o is None or o["dest"] in ns or i + 1 == len(argv):
+                return None
+            value = argv[i + 1]
+            if value[:1] == "-" and value != "-":
+                return None
+            ns[o["dest"]] = _convert(value, o)
+            closed = bool(run)
+            i += 2
+        *heads, (last, spec) = positionals.items()
+        plus = spec.get("nargs") == "+"
+        if len(run) < len(positionals) or (len(run) > len(positionals) and not plus):
+            return None
+        for (dest, a), value in zip(heads, run):
+            ns[dest] = _convert(value, a)
+        rest = [_convert(v, spec) for v in run[len(heads):]]
+        ns[last] = rest if plus else rest[0]
+    except ValueError:
+        return None
+    for o in options.values():
+        if o["dest"] not in ns:
+            if o.get("required"):
+                return None
+            ns[o["dest"]] = o.get("default")
+    return argparse.Namespace(**ns)
+
+
+def _convert(text: str, spec: dict) -> object:
+    """text as argparse stores it for the argument of these keyword
+    arguments (its `type`, then its `choices`); ValueError where argparse
+    reports a usage error."""
+    value = text if "type" not in spec else spec["type"](text)
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(f"invalid choice {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +228,8 @@ def _read_json(path: str) -> object:
     if path == "-":
         return loads(sys.stdin.read())
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     return loads(text)
@@ -413,6 +465,89 @@ def cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
+# the command table: `build_parser` and `_match` both read it
+# ---------------------------------------------------------------------------
+
+# every command takes these two
+_COMMON = {
+    "--out": dict(
+        dest="out", metavar="FILE", default=None, help="write the report here instead of stdout"
+    ),
+    "--format": dict(
+        dest="format", choices=("json", "text"), default="json", help="report format (default json)"
+    ),
+}
+
+# the parent words of two-word commands, with their help
+GROUPS = {"space": "space-document commands", "set": "set-document commands"}
+
+# words: (handler, help, positionals, options).  The positionals map each
+# dest, in order, and the options each flag, to the keyword arguments of
+# its ``add_argument``; each option gives its dest, and only the last
+# positional may take nargs="+".  A run sets ``cmd`` (the words joined, as
+# reports carry it) and ``handler``.
+COMMANDS = {
+    ("ord",): (
+        cmd_ord, "evaluate an ordinal expression to CNF",
+        {"expr": dict(help="expression over w, ^, *, +, integers")}, _COMMON,
+    ),
+    ("space", "eval"): (
+        cmd_space_eval, "compute the index of a space document",
+        {"file": dict(help="space document (JSON), or - for stdin")}, _COMMON,
+    ),
+    ("set", "derive"): (
+        cmd_set_derive, "iterate the eps-derivation of a set document",
+        {"file": dict(help="set document (JSON), or - for stdin")},
+        {
+            **_COMMON,
+            "--eps-q": dict(
+                dest="eps_q", required=True, metavar="P/Q", help="eps^q as a fraction, e.g. 1/2"
+            ),
+            "--steps": dict(
+                dest="steps", type=int, default=32, metavar="N", help="maximum steps (default 32)"
+            ),
+        },
+    ),
+    ("verify",): (
+        cmd_verify, "run a randomized containment-check suite",
+        {"suite": dict(help="suite name (see the checks module)")},
+        {
+            **_COMMON,
+            "--samples": dict(
+                dest="samples", type=int, default=100, metavar="N",
+                help="number of cases (default 100)",
+            ),
+            "--seed": dict(
+                dest="seed", type=int, default=0, metavar="N", help="generator seed (default 0)"
+            ),
+        },
+    ),
+    ("sigma",): (
+        cmd_sigma, "stage bound: least n with n >= (2a/(b-c))^d - (b/(b-c))^d + 1",
+        {name: dict(help=f"parameter {name} as a fraction") for name in "abcd"}, _COMMON,
+    ),
+    ("frount",): (
+        cmd_frount, "product emptiness bound M for m-fold derivations",
+        {
+            "d": dict(help="diameter bound as a fraction"),
+            "eps": dict(help="eps as a fraction"),
+            "q": dict(help="norm exponent q >= 1 as a fraction"),
+            "m": dict(type=int, help="derivation depth m >= 2"),
+        },
+        _COMMON,
+    ),
+    ("cover",): (
+        cmd_cover, "integer-tuple cover of the q-ball of scaled factors",
+        {
+            "l": dict(type=int, help="grid resolution l >= 1"),
+            "files": dict(nargs="+", metavar="FILE", help="factor set documents (same q)"),
+        },
+        _COMMON,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # text rendering
 # ---------------------------------------------------------------------------
 
@@ -490,11 +625,14 @@ def _render_text(command: str, doc: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _setup_logging(args.log)
         start = time.perf_counter()

@@ -90,10 +90,27 @@ def _expect_version(doc: dict) -> None:
         raise DocumentError(f"unsupported document version {v!r}")
 
 
+def _known(body: dict, keys: frozenset, what: str) -> dict:
+    """body, unless it holds a key outside `keys`: a misspelt field would
+    otherwise read as absent and take its default."""
+    if not keys.issuperset(body):
+        raise DocumentError(f"{what}: unknown keys {sorted(body.keys() - keys)}")
+    return body
+
+
 def _one_key(doc: dict, what: str) -> str:
     if len(doc) != 1:
         raise DocumentError(f"{what} must have exactly one variant key, got {sorted(doc)}")
     return next(iter(doc))
+
+
+def _variant(doc: object, what: str, kinds: dict[str, frozenset]) -> tuple[str, dict]:
+    """The kind of a node {kind: body} and its body, whose keys must be
+    among those `kinds` gives that kind."""
+    kind = _one_key(_expect_dict(doc, what), what)
+    if kind not in kinds:
+        raise DocumentError(f"unknown {what} kind {kind!r}")
+    return kind, _known(_expect_dict(doc[kind], f"{kind} body"), kinds[kind], f"{kind} body")
 
 
 def _frac(doc: object, what: str) -> Fraction:
@@ -198,10 +215,19 @@ def _node_pieces(F: FanSet, texts: dict[int, str], out: list[str]) -> None:
         raise DocumentError(f"not a fan set: {F!r}")
 
 
+# the keys of each set node kind's body
+_SET_KEYS = {
+    "sing": frozenset(),
+    "fan": frozenset({"w_q", "prefix", "tail"}),
+    "apex": frozenset({"fans"}),
+    "scale": frozenset({"a_q", "body"}),
+    "prod": frozenset({"factors"}),
+    "disj": frozenset({"components"}),
+}
+
+
 def _fan_node_from_doc(doc: object) -> FanSet:
-    node = _expect_dict(doc, "set node")
-    kind = _one_key(node, "set node")
-    body = _expect_dict(node[kind], f"{kind} body")
+    kind, body = _variant(doc, "set node", _SET_KEYS)
     if kind == "sing":
         return Sing()
     if kind == "fan":
@@ -224,22 +250,23 @@ def _fan_node_from_doc(doc: object) -> FanSet:
     if kind == "prod":
         factors = _expect_list(body.get("factors", []), "prod factors")
         return ProdQ(tuple(_fan_node_from_doc(f) for f in factors))
-    if kind == "disj":
-        comps = []
-        for item in _expect_list(body.get("components", []), "disj components"):
-            if not isinstance(item, list) or len(item) != 2:
-                raise DocumentError("disj components must be [offset, node] pairs")
-            comps.append((_frac(item[0], "disj offset"), _fan_node_from_doc(item[1])))
-        return DisjUnion(tuple(comps))
-    raise DocumentError(f"unknown set node kind {kind!r}")
+    comps = []  # kind == "disj"
+    for item in _expect_list(body.get("components", []), "disj components"):
+        if not isinstance(item, list) or len(item) != 2:
+            raise DocumentError("disj components must be [offset, node] pairs")
+        comps.append((_frac(item[0], "disj offset"), _fan_node_from_doc(item[1])))
+    return DisjUnion(tuple(comps))
 
 
 def fanset_to_doc(F: FanSet, q: Fraction) -> dict:
     return {"v": SCHEMA_VERSION, "q": frac_to_str(Fraction(q)), "set": fan_node_to_doc(F)}
 
 
+_SET_DOC_KEYS = frozenset({"v", "q", "set"})
+
+
 def fanset_from_doc(doc: object) -> tuple[FanSet, Fraction]:
-    top = _expect_dict(doc, "set document")
+    top = _known(_expect_dict(doc, "set document"), _SET_DOC_KEYS, "set document")
     _expect_version(top)
     if "q" not in top or "set" not in top:
         raise DocumentError("set documents need 'q' and 'set' fields")
@@ -267,6 +294,9 @@ def _tail_to_doc(tail: ProfileTail) -> dict:
     }
 
 
+_LADDER_TAIL_KEYS = frozenset({"slope", "offset", "base_q", "ratio_q"})
+
+
 def _tail_from_doc(doc: object) -> ProfileTail:
     node = _expect_dict(doc, "profile tail")
     kind = _one_key(node, "profile tail")
@@ -274,6 +304,7 @@ def _tail_from_doc(doc: object) -> ProfileTail:
         return ConstTail(_ord(node["const"], "const tail"))
     if kind == "ladder":
         body = _expect_dict(node["ladder"], "ladder tail")
+        _known(body, _LADDER_TAIL_KEYS, "ladder tail")
         return LadderTail(
             _ord(body.get("slope"), "ladder slope"),
             _ord(body.get("offset"), "ladder offset"),
@@ -290,8 +321,11 @@ def profile_to_doc(p: EpsProfile) -> dict:
     }
 
 
+_PROFILE_KEYS = frozenset({"steps", "tail"})
+
+
 def profile_from_doc(doc: object) -> EpsProfile:
-    body = _expect_dict(doc, "profile")
+    body = _known(_expect_dict(doc, "profile"), _PROFILE_KEYS, "profile")
     steps = []
     for item in _expect_list(body.get("steps", []), "profile steps"):
         if not isinstance(item, list) or len(item) != 2:
@@ -306,6 +340,9 @@ def _norms_to_doc(n) -> dict:
     return {"geometric": {"base": frac_to_str(n.base), "ratio": frac_to_str(n.ratio)}}
 
 
+_GEOMETRIC_KEYS = frozenset({"base", "ratio"})
+
+
 def _norms_from_doc(doc: object):
     node = _expect_dict(doc, "norm sequence")
     kind = _one_key(node, "norm sequence")
@@ -313,6 +350,7 @@ def _norms_from_doc(doc: object):
         return ConstNorms(_frac(node["const"], "const norm"))
     if kind == "geometric":
         body = _expect_dict(node["geometric"], "geometric norms")
+        _known(body, _GEOMETRIC_KEYS, "geometric norms")
         return GeometricNorms(
             _frac(body.get("base"), "norm base"), _frac(body.get("ratio"), "norm ratio")
         )
@@ -333,32 +371,38 @@ def _members_to_doc(m) -> dict:
     }
 
 
+# the keys of each kind of family members' body
+_MEMBER_KEYS = {
+    "copies": frozenset({"profile", "compact"}),
+    "ladder": frozenset({"slope", "offset", "low", "base_q", "ratio_q"}),
+}
+
+
 def _members_from_doc(doc: object):
-    node = _expect_dict(doc, "family members")
-    kind = _one_key(node, "family members")
-    body = _expect_dict(node[kind], f"{kind} members")
+    kind, body = _variant(doc, "family members", _MEMBER_KEYS)
     if kind == "copies":
         return Copies(
             profile_from_doc(body.get("profile")),
             _bool(body.get("compact", False), "copies compact"),
         )
-    if kind == "ladder":
-        return LadderMembers(
-            _ord(body.get("slope"), "members slope"),
-            _ord(body.get("offset"), "members offset"),
-            _ord(body.get("low"), "members low"),
-            _frac(body.get("base_q"), "members base_q"),
-            _frac(body.get("ratio_q"), "members ratio_q"),
-        )
-    raise DocumentError(f"unknown family members kind {kind!r}")
+    return LadderMembers(
+        _ord(body.get("slope"), "members slope"),
+        _ord(body.get("offset"), "members offset"),
+        _ord(body.get("low"), "members low"),
+        _frac(body.get("base_q"), "members base_q"),
+        _frac(body.get("ratio_q"), "members ratio_q"),
+    )
 
 
 def _family_to_doc(fam: ParamFamily) -> dict:
     return {"norms": _norms_to_doc(fam.norms), "members": _members_to_doc(fam.members)}
 
 
+_FAMILY_KEYS = frozenset({"norms", "members"})
+
+
 def _family_from_doc(doc: object) -> ParamFamily:
-    body = _expect_dict(doc, "family")
+    body = _known(_expect_dict(doc, "family"), _FAMILY_KEYS, "family")
     return ParamFamily(_norms_from_doc(body.get("norms")), _members_from_doc(body.get("members")))
 
 
@@ -387,15 +431,24 @@ def _space_node_to_doc(e: SpaceExpr) -> dict:
     raise DocumentError(f"not a space expression: {e!r}")
 
 
+# the keys of each space node kind's body
+_SPACE_KEYS = {
+    "atom": frozenset({"name", "norm", "profile", "compact"}),
+    "cspace": frozenset({"gamma"}),
+    "finite_sum": frozenset({"parts"}),
+    "sum": frozenset({"p", "family", "summands"}),
+}
+
+
 def _space_node_from_doc(doc: object) -> SpaceExpr:
-    node = _expect_dict(doc, "space node")
-    kind = _one_key(node, "space node")
-    body = _expect_dict(node[kind], f"{kind} body")
+    kind, body = _variant(doc, "space node", _SPACE_KEYS)
     if kind == "atom":
         if "name" not in body or "profile" not in body:
             raise DocumentError("atoms need 'name' and 'profile'")
+        if not isinstance(body["name"], str):
+            raise DocumentError(f"atom name must be a string, got {body['name']!r}")
         return Atom(
-            str(body["name"]),
+            body["name"],
             _frac(body.get("norm", "1"), "atom norm"),
             profile_from_doc(body["profile"]),
             _bool(body.get("compact", False), "atom compact"),
@@ -405,24 +458,25 @@ def _space_node_from_doc(doc: object) -> SpaceExpr:
     if kind == "finite_sum":
         parts = _expect_list(body.get("parts", []), "finite_sum parts")
         return FiniteSum(tuple(_space_node_from_doc(s) for s in parts))
-    if kind == "sum":
-        if "p" not in body:
-            raise DocumentError("direct sums need 'p'")
-        if ("family" in body) == ("summands" in body):
-            raise DocumentError("direct sums need exactly one of 'family' or 'summands'")
-        if "family" in body:
-            return DirectSum(body["p"], _family_from_doc(body["family"]))
-        summands = _expect_list(body["summands"], "sum summands")
-        return DirectSum(body["p"], tuple(_space_node_from_doc(s) for s in summands))
-    raise DocumentError(f"unknown space node kind {kind!r}")
+    if "p" not in body:  # kind == "sum"
+        raise DocumentError("direct sums need 'p'")
+    if ("family" in body) == ("summands" in body):
+        raise DocumentError("direct sums need exactly one of 'family' or 'summands'")
+    if "family" in body:
+        return DirectSum(body["p"], _family_from_doc(body["family"]))
+    summands = _expect_list(body["summands"], "sum summands")
+    return DirectSum(body["p"], tuple(_space_node_from_doc(s) for s in summands))
 
 
 def space_to_doc(e: SpaceExpr) -> dict:
     return {"v": SCHEMA_VERSION, "space": _space_node_to_doc(e)}
 
 
+_SPACE_DOC_KEYS = frozenset({"v", "space"})
+
+
 def space_from_doc(doc: object) -> SpaceExpr:
-    top = _expect_dict(doc, "space document")
+    top = _known(_expect_dict(doc, "space document"), _SPACE_DOC_KEYS, "space document")
     _expect_version(top)
     if "space" not in top:
         raise DocumentError("space documents need a 'space' field")

@@ -89,8 +89,10 @@ class Fan:
     tail: "FanSet" = Sing()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w_q", Fraction(self.w_q))
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+        if type(self.w_q) is not Fraction:
+            object.__setattr__(self, "w_q", Fraction(self.w_q))
+        if type(self.prefix) is not tuple:
+            object.__setattr__(self, "prefix", tuple(self.prefix))
         if self.w_q <= 0:
             raise MalformedFanSet("fan width w_q must be positive")
         for c in self.prefix:
@@ -117,7 +119,8 @@ class Scale:
     body: "FanSet"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_q", Fraction(self.a_q))
+        if type(self.a_q) is not Fraction:
+            object.__setattr__(self, "a_q", Fraction(self.a_q))
         if self.a_q <= 0:
             raise MalformedFanSet("scale factor a_q must be positive")
         _no_prod(self.body, "a scale")
@@ -140,7 +143,9 @@ class DisjUnion:
     components: tuple[tuple[Fraction, "FanSet"], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((Fraction(o), b) for o, b in self.components)
+        comps = tuple(
+            (o if type(o) is Fraction else Fraction(o), b) for o, b in self.components
+        )
         object.__setattr__(self, "components", comps)
         if not comps:
             raise MalformedFanSet("DisjUnion needs at least one component")
@@ -170,7 +175,8 @@ def scaled(a_q: Fraction, body: Optional[FanSet]) -> Optional[FanSet]:
     """Scale with the obvious normalizations (Sing fixed, factors merged)."""
     if body is None or isinstance(body, Sing):
         return body
-    a_q = Fraction(a_q)
+    if type(a_q) is not Fraction:
+        a_q = Fraction(a_q)
     if a_q == 1:
         return body
     if isinstance(body, Scale):
@@ -182,7 +188,8 @@ def disj(components: Sequence[tuple[Fraction, Optional[FanSet]]]) -> Optional[Fa
     """Build a disjoint union, dropping empty bodies and unwrapping trivia."""
     comps: list[tuple[Fraction, FanSet]] = []
     for off, body in components:
-        off = Fraction(off)
+        if type(off) is not Fraction:
+            off = Fraction(off)
         if body is None:
             continue
         if off == 0 and isinstance(body, DisjUnion):
@@ -344,12 +351,16 @@ class DerivationMemo:
     and `nodes` holds every node whose key it keeps, so each id the memo
     keys on belongs to a live node and cannot be reused while the memo
     lives.  A memo serves one sequence (`derive_steps`, `sz_eps`, a loop
-    over `derive`) and dies with it.
+    over `derive`) and dies with it.  `derive` keeps here the last eps_q
+    it was given and its threshold eps_q / 2, so a sequence halves eps_q
+    once.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[tuple, FanSet] = {}
         self.filtered: dict[tuple[int, int, int], tuple[FanSet, Optional[FanSet]]] = {}
+        self.eps_q: object = None
+        self.t_q = _ZERO
 
     def share(self, F: Optional[FanSet]) -> Optional[FanSet]:
         if F is None:
@@ -419,7 +430,7 @@ def _filter_reach(F: FanSet, t_q: Fraction, memo: DerivationMemo) -> Optional[Fa
                 zero: FanSet = cores[0] if len(cores) == 1 else share(UnionApex(tuple(cores)))
             else:
                 zero = share(Sing())
-            out = share(disj([(Fraction(0), zero)] + leftovers)) if leftovers else zero
+            out = share(disj([(_ZERO, zero)] + leftovers)) if leftovers else zero
     elif isinstance(F, Scale):
         out = share(scaled(F.a_q, _filter_reach(F.body, t_q / F.a_q, memo)))
     elif isinstance(F, DisjUnion):
@@ -446,12 +457,14 @@ def derive(
     there is no boundary subtlety to round.  Successive steps of one
     sequence pass the same `memo`, so they share nodes and filtrations.
     """
-    eps_q = Fraction(eps_q)
-    if eps_q <= 0:
-        raise InvalidParams("eps_q must be positive")
     if memo is None:
         memo = DerivationMemo()
-    return _filter_reach(F, eps_q / 2, memo)
+    if eps_q is not memo.eps_q:
+        e = eps_q if type(eps_q) is Fraction else Fraction(eps_q)
+        if e <= 0:
+            raise InvalidParams("eps_q must be positive")
+        memo.eps_q, memo.t_q = eps_q, e / 2
+    return _filter_reach(F, memo.t_q, memo)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szlenk import ordinal
@@ -31,8 +31,8 @@ from szlenk.calculus import (
     LadderTail,
     ParamFamily,
 )
-from szlenk import fansets, pointmodel, products
-from szlenk.cli import EXIT_OK, EXIT_USAGE, _printable, _render_text, build_parser, main
+from szlenk import cli, fansets, pointmodel, products
+from szlenk.cli import COMMANDS, EXIT_OK, EXIT_USAGE, _printable, _render_text, build_parser, main
 from szlenk.documents import dumps_canonical, fan_node_to_doc, fanset_to_doc, space_to_doc
 from szlenk.exactmath import pow_bounds
 from szlenk.fansets import DisjUnion, Fan, ProdQ, Scale, Sing, UnionApex, depth_fan, derive_steps
@@ -40,6 +40,7 @@ from szlenk.ordinal import ONE, Ordinal
 from oracle import reference_trace_doc
 from strategies import fan_sets
 from test_products import reference_bq_cover
+from test_workloads import load_workloads
 
 F = Fraction
 W = ordinal.parse("w")
@@ -739,7 +740,7 @@ class TestWrongJsonTypes:
         with one `error:` line and exit 2, never with a traceback.  An
         array field that is not a list, a version that is not the integer
         1 and a sum exponent that is neither a string nor an integer exit
-        2."""
+        2, and so does an atom name that is not a string."""
         argv = ["set", "derive", "--eps-q", "1/2", "--steps", "4"] if command == "set" else [
             "space", "eval"
         ]
@@ -764,9 +765,32 @@ class TestWrongJsonTypes:
                     (path[-1] in ARRAY_FIELDS and not isinstance(value, list))
                     or (path[-1] == "v" and not (type(value) is int and value == 1))
                     or (path[-1] == "p" and not isinstance(value, str) and type(value) is not int)
+                    or (path[-1] == "name" and not isinstance(value, str))
                 )
                 if refused:
                     assert code == EXIT_USAGE, where
+
+    @pytest.mark.parametrize("command, doc", _wrong_type_documents())
+    def test_every_object_refuses_an_unknown_key(self, capsys, tmp_path, command, doc):
+        """A key added to any object of the document, at any depth, exits 2
+        with one `error:` line that names it."""
+        argv = ["set", "derive", "--eps-q", "1/2"] if command == "set" else ["space", "eval"]
+        text = dumps_canonical(doc)
+        paths = [()] + [p for p in _fields(doc) if isinstance(_at(doc, p), dict)]
+        for path in paths:
+            bad = json.loads(text)
+            _at(bad, path)["prefx"] = []
+            code, out, err = run(capsys, *argv, write_doc(tmp_path, "bad.json", bad))
+            where = "/".join(map(str, path))
+            assert (code, out) == (EXIT_USAGE, ""), where
+            assert err.startswith("error:") and err.count("\n") == 1, where
+            assert "'prefx'" in err, where
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 class TestPlumbing:
@@ -809,6 +833,89 @@ class TestPlumbing:
         code, _, err = run(capsys, "--log", "loud", "sigma", "1", "3", "1", "2")
         assert code == EXIT_USAGE
         assert "log level" in err
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "sigma", "1", "3", "1", "2")
+        monkeypatch.setattr(sys, "argv", ["szlenk", "sigma", "1", "3", "1", "2"])
+        assert main() == code == EXIT_OK
+        assert capsys.readouterr().out == out
+
+
+# argv tokens: command words, exact and abbreviated flags, and values,
+# some of which argparse reads in its own ways
+ARGV_VALUES = ["-", "", "0", "3", "17", " 5", "x", "1/2", "w", "a.json", "json", "text", "xml"]
+ARGV_TOKENS = sorted({w for words in COMMANDS for w in words}) + ARGV_VALUES + [
+    "--out", "--format", "--eps-q", "--steps", "--samples", "--seed", "--log",
+    "--o", "--form", "--eps", "--st", "--sa", "--see", "-1", "--", "--out=f", "-h", "--help",
+]
+
+
+def _argparse(argv):
+    """vars of what argparse parses argv to, or None for a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestPlainArgv:
+    """`cli._match` reads plain argv from the command table and returns the
+    namespace argparse would, or None, which hands argv to argparse."""
+
+    @settings(max_examples=1500, deadline=None)
+    @example(("cover",), ["16", "a", "--out", "x", "b"])  # argparse ends the list at --out
+    @example(("set", "derive"), ["f"])  # --eps-q is required
+    @given(
+        st.sampled_from([(), *COMMANDS]),
+        st.lists(st.sampled_from(ARGV_TOKENS) | st.sampled_from(ARGV_VALUES), max_size=8),
+    )
+    def test_matcher_agrees_with_argparse(self, words, tokens):
+        argv = [*words, *tokens]
+        matched = cli._match(argv)
+        if matched is not None:
+            assert vars(matched) == _argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["set", "derive", "f", "--eps-q", "1/2", "--steps", "3"],
+        ["set", "derive", "--out", "r", "--eps-q", "1/2", "-"],
+        ["verify", "techlem1", "--samples", "3", "--seed", "0", "--format", "text"],
+        ["cover", "16", "a", "b", "c"],
+        ["cover", "--out", "r", "16", "a"],
+        ["frount", "1", "1/2", "2", "3"],
+        ["ord", ""],
+    ])
+    def test_plain_argv_is_matched(self, argv):
+        matched = cli._match(argv)
+        assert matched is not None
+        assert vars(matched) == _argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "16", "a", "--out", "x", "b"],  # argparse ends the list at --out
+        ["set", "derive", "f"],  # --eps-q is required
+        ["set", "derive", "f", "--eps", "1/2"],
+        ["set", "derive", "f", "--eps-q=1/2"],
+        ["set", "derive", "f", "--eps-q", "1/2", "--steps", "-1"],
+        ["set", "derive", "f", "--eps-q", "1/2", "--steps", "x"],
+        ["set", "derive", "f", "--eps-q", "1/2", "--steps", "2", "--steps", "3"],
+        ["ord", "w", "--format", "xml"],
+        ["ord", "--", "w"],
+        ["ord", "-h"],
+        ["sigma", "1", "3", "1"],
+        ["--log", "info", "ord", "w"],
+        ["set"],
+        [],
+    ])
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert cli._match(argv) is None
+
+    def test_every_benchmark_argv_is_matched(self):
+        """perfbench/workloads.py is only read: each op of its catalogues
+        is plain argv, so the benchmark never pays for argparse."""
+        workloads = load_workloads()
+        for name in workloads.WORKLOADS:
+            for op in workloads.catalogue(name).ops:
+                assert cli._match(list(op.argv)) is not None, op.key
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -858,11 +965,11 @@ class TestInProcess:
         assert counts[0] > 0 and counts[0] == counts[1]
         assert outs[0] == outs[1]
 
-    def test_no_state_leaks_through_the_shared_parser(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("SZLENK_LOG", raising=False)
+    @staticmethod
+    def argvs(tmp_path):
         fan = write_doc(tmp_path, "f.json", fanset_to_doc(depth_fan(3, F(1, 2)), F(2)))
         space = write_doc(tmp_path, "s.json", space_to_doc(CSpace(ordinal.parse("w^w"))))
-        argvs = [
+        return [
             ["--help"],
             ["frobnicate"],
             ["--log", "info", "sigma", "1", "3", "1", "2"],
@@ -875,21 +982,35 @@ class TestInProcess:
             ["cover", "2", fan, fan],
         ]
 
-        def outcome(argv):
-            code, out, err = run(capsys, *argv)
-            return code, out, LOG_LINE.sub("INFO szlenk.cli: \\1 finished\n", err)
+    @staticmethod
+    def outcome(capsys, argv):
+        code, out, err = run(capsys, *argv)
+        return code, out, LOG_LINE.sub("INFO szlenk.cli: \\1 finished\n", err)
 
+    def test_no_state_leaks_through_the_shared_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SZLENK_LOG", raising=False)
+        argvs = self.argvs(tmp_path)
         parser = build_parser()
-        shared = [outcome(argv) for argv in argvs]
+        shared = [self.outcome(capsys, argv) for argv in argvs]
         assert build_parser() is parser
         fresh = []
         for argv in argvs:
             build_parser.cache_clear()
-            fresh.append(outcome(argv))
+            fresh.append(self.outcome(capsys, argv))
         assert shared == fresh
         assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_USAGE] + [EXIT_OK] * 8
         assert shared[2][2] == "INFO szlenk.cli: sigma finished\n"
         assert all(err == "" for _, _, err in shared[3:])
+
+    def test_argparse_alone_answers_the_same(self, capsys, tmp_path, monkeypatch):
+        """With the matcher switched off, every argv of the list exits with
+        the same code and writes the same stdout and stderr."""
+        monkeypatch.delenv("SZLENK_LOG", raising=False)
+        argvs = self.argvs(tmp_path)
+        assert [cli._match(argv) is not None for argv in argvs] == [False] * 3 + [True] * 7
+        matched = [self.outcome(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_match", lambda argv: None)
+        assert [self.outcome(capsys, argv) for argv in argvs] == matched
 
     def test_fresh_process(self, capsys):
         env = {k: v for k, v in os.environ.items() if k != "SZLENK_LOG"}
