@@ -11,7 +11,6 @@ Usage:
 """
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -45,13 +44,6 @@ from szlenk.ordinal import ONE  # noqa: E402
 W = ordinal.parse("w")
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    out: Path
-    count: int = 12
-    seed: int = 2024
-
-
 def curated_sets() -> dict:
     fan2 = depth_fan(2, F(1, 2))
     return {
@@ -79,22 +71,20 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--count", type=int, default=12, help="random set documents to add")
     ap.add_argument("--seed", type=int, default=2024)
-    ns = ap.parse_args()
-    cfg = CorpusConfig(ns.out, ns.count, ns.seed)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    args = ap.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
 
     docs = curated_sets() | curated_spaces()
-    for i in range(cfg.count):
-        rng = case_rng(cfg.seed, i)
+    for i in range(args.count):
+        rng = case_rng(args.seed, i)
         docs[f"set_random_{i:02d}"] = fanset_to_doc(rand_fan_set(rng, 2), rand_q(rng))
 
     fan2 = depth_fan(2, F(1, 2))
-    _, trace = derive_steps(fan2, F(1, 2), 5)
     docs["trace_depth2"] = {
         "v": 1,
         "command": "set derive",
         "eps_q": "1/2",
-        "trace": trace_to_doc(trace, F(2), 3),
+        "trace": trace_to_doc(derive_steps(fan2, F(1, 2), 5), F(2), 3),
     }
 
     for name, doc in sorted(docs.items()):
@@ -104,8 +94,8 @@ def main() -> int:
             fanset_from_doc(reparsed)
         elif name.startswith("space_"):
             space_from_doc(reparsed)
-        (cfg.out / f"{name}.json").write_text(text, encoding="utf-8")
-    print(f"wrote {len(docs)} documents to {cfg.out}")
+        (args.out / f"{name}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(docs)} documents to {args.out}")
     return 0
 
 

@@ -30,6 +30,7 @@ from .ordinal import (
     ZERO,
     Ordinal,
     add,
+    brief,
     is_power_of_omega,
     least_omega_power_above,
     mul,
@@ -319,7 +320,7 @@ class Atom:
         if self.norm_bound < 0:
             raise MalformedExpr("atom norm bounds are non-negative")
         if self.compact and profile_total_sup(self.profile) != ONE:
-            raise MalformedExpr(f"compact atom {self.name!r} must have index 1")
+            raise MalformedExpr(f"compact atom {brief(self.name)} must have index 1")
 
 
 @dataclass(frozen=True)
@@ -358,9 +359,11 @@ class DirectSum:
                 try:
                     p = Fraction(p)
                 except (ValueError, ZeroDivisionError):
-                    raise MalformedExpr(f"bad direct-sum exponent {self.p!r}") from None
+                    raise MalformedExpr(f"bad direct-sum exponent {brief(self.p)}") from None
         elif type(p) is not int and not isinstance(p, Fraction):  # not a bool or a float
-            raise MalformedExpr(f"direct-sum exponents must be strings, ints or Fractions, got {p!r}")
+            raise MalformedExpr(
+                f"direct-sum exponents must be strings, ints or Fractions, got {brief(p)}"
+            )
         if isinstance(p, (int, Fraction)):
             p = Fraction(p)
             if p == 0:

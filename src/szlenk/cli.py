@@ -327,13 +327,13 @@ def cmd_set_derive(args: argparse.Namespace) -> tuple[dict, int]:
         raise InvalidParams("--steps must be >= 0")
     if isinstance(F, ProdQ):
         return _derive_product(F, q, eps_q, args)
-    _, trace = derive_steps(F, eps_q, args.steps)
-    settled = next((s.step for s in trace.steps if s.snapshot is None), None)
+    steps = derive_steps(F, eps_q, args.steps)
+    settled = next((k for k, s in enumerate(steps) if s.snapshot is None), None)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,
         "eps_q": frac_to_str(eps_q),
-        "trace": trace_to_doc(trace, q, settled),
+        "trace": trace_to_doc(steps, q, settled),
     }
     return doc, EXIT_OK
 

@@ -17,13 +17,14 @@ Python step per run, not per row.  A cover's copy texts come from
 `scaled_copy_texts`: each factor is encoded once and the copies' scales,
 one ladder for every factor, are spliced into its text.
 
-A ``set derive`` trace holds each step's set as `SplicedText`: each
-distinct snapshot node is written once as canonical text, straight from
-the nodes and without a document dict, last step first, so a snapshot
-that holds a later one (step k of a chain holds step k + 1) splices that
-text in.  `SharedRows` and `SplicedText` are the two kinds of `Spliced`
-value, and ``dumps_canonical`` writes each one's text where its JSON would
-go, at any depth.  Every report goes through one reused encoder.
+A ``set derive`` trace is a tuple of steps, step k at index k, and its
+document holds each step's set as `SplicedText`: each distinct snapshot
+node is written once as canonical text, straight from the nodes and
+without a document dict, last step first, so a snapshot that holds a
+later one (step k of a chain holds step k + 1) splices that text in.
+`SharedRows` and `SplicedText` are the two kinds of `Spliced` value, and
+``dumps_canonical`` writes each one's text where its JSON would go, at
+any depth.  Every report goes through one reused encoder.
 """
 from __future__ import annotations
 
@@ -54,16 +55,16 @@ from .calculus import (
 )
 from .checks import SuiteReport
 from .fansets import (
-    DerivationTrace,
     DisjUnion,
     Fan,
     FanSet,
     ProdQ,
     Scale,
     Sing,
+    TraceStep,
     UnionApex,
 )
-from .ordinal import Ordinal, frac_from_str, frac_to_str
+from .ordinal import Ordinal, brief, frac_from_str, frac_to_str
 
 SCHEMA_VERSION = 1
 
@@ -87,20 +88,20 @@ def _expect_list(doc: object, what: str) -> list:
 def _expect_version(doc: dict) -> None:
     v = doc.get("v")
     if type(v) is not int or v != SCHEMA_VERSION:  # not true or 1.0
-        raise DocumentError(f"unsupported document version {v!r}")
+        raise DocumentError(f"unsupported document version {brief(v)}")
 
 
 def _known(body: dict, keys: frozenset, what: str) -> dict:
     """body, unless it holds a key outside `keys`: a misspelt field would
     otherwise read as absent and take its default."""
     if not keys.issuperset(body):
-        raise DocumentError(f"{what}: unknown keys {sorted(body.keys() - keys)}")
+        raise DocumentError(f"{what}: unknown keys {brief(sorted(body.keys() - keys))}")
     return body
 
 
 def _one_key(doc: dict, what: str) -> str:
     if len(doc) != 1:
-        raise DocumentError(f"{what} must have exactly one variant key, got {sorted(doc)}")
+        raise DocumentError(f"{what} must have exactly one variant key, got {brief(sorted(doc))}")
     return next(iter(doc))
 
 
@@ -109,7 +110,7 @@ def _variant(doc: object, what: str, kinds: dict[str, frozenset]) -> tuple[str, 
     among those `kinds` gives that kind."""
     kind = _one_key(_expect_dict(doc, what), what)
     if kind not in kinds:
-        raise DocumentError(f"unknown {what} kind {kind!r}")
+        raise DocumentError(f"unknown {what} kind {brief(kind)}")
     return kind, _known(_expect_dict(doc[kind], f"{kind} body"), kinds[kind], f"{kind} body")
 
 
@@ -122,7 +123,7 @@ def _frac(doc: object, what: str) -> Fraction:
 
 def _bool(doc: object, what: str) -> bool:
     if type(doc) is not bool:  # "false" or 0 must not read as a flag value
-        raise DocumentError(f"{what}: expected true or false, got {doc!r}")
+        raise DocumentError(f"{what}: expected true or false, got {brief(doc)}")
     return doc
 
 
@@ -311,7 +312,7 @@ def _tail_from_doc(doc: object) -> ProfileTail:
             _frac(body.get("base_q"), "ladder base_q"),
             _frac(body.get("ratio_q"), "ladder ratio_q"),
         )
-    raise DocumentError(f"unknown profile tail kind {kind!r}")
+    raise DocumentError(f"unknown profile tail kind {brief(kind)}")
 
 
 def profile_to_doc(p: EpsProfile) -> dict:
@@ -354,7 +355,7 @@ def _norms_from_doc(doc: object):
         return GeometricNorms(
             _frac(body.get("base"), "norm base"), _frac(body.get("ratio"), "norm ratio")
         )
-    raise DocumentError(f"unknown norm sequence kind {kind!r}")
+    raise DocumentError(f"unknown norm sequence kind {brief(kind)}")
 
 
 def _members_to_doc(m) -> dict:
@@ -446,7 +447,7 @@ def _space_node_from_doc(doc: object) -> SpaceExpr:
         if "name" not in body or "profile" not in body:
             raise DocumentError("atoms need 'name' and 'profile'")
         if not isinstance(body["name"], str):
-            raise DocumentError(f"atom name must be a string, got {body['name']!r}")
+            raise DocumentError(f"atom name must be a string, got {brief(body['name'])}")
         return Atom(
             body["name"],
             _frac(body.get("norm", "1"), "atom norm"),
@@ -496,16 +497,16 @@ def space_index_to_doc(r: SpaceIndex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> dict:
-    """The trace document, with each step's set as `SplicedText` (None for
-    an empty stage).
+def trace_to_doc(steps: Sequence[TraceStep], q: Fraction, sz_eps: Optional[int]) -> dict:
+    """The trace document of `steps`, step k at index k, with each step's
+    set as `SplicedText` (None for an empty stage).
 
     Each distinct snapshot node is written once as canonical text.  The
     snapshots are written from the last step back, so one that holds a
     later one (step k of a chain holds step k + 1) splices that text in,
     and the work is that of the report's bytes, not of their nesting."""
     texts: dict[int, str] = {}
-    for s in reversed(trace.steps):
+    for s in reversed(steps):
         if s.snapshot is not None:
             texts[id(s.snapshot)] = _node_text(s.snapshot, texts)
     return {
@@ -513,12 +514,12 @@ def trace_to_doc(trace: DerivationTrace, q: Fraction, sz_eps: Optional[int]) -> 
         "q": frac_to_str(Fraction(q)),
         "steps": [
             {
-                "step": s.step,
+                "step": k,
                 "set": None if s.snapshot is None else SplicedText(texts[id(s.snapshot)]),
                 "apexes": s.apex_count,
                 "diam_q": frac_to_str(s.diam_q),
             }
-            for s in trace.steps
+            for k, s in enumerate(steps)
         ],
         "sz_eps": sz_eps,
     }

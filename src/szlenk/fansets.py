@@ -39,7 +39,9 @@ filtered, and a sequence costs O(distinct nodes over its snapshots), not
 O(the sum of their sizes).  Step k of a depth-n chain is the input's own
 depth-(n-k) subtree, which step k already filtered, so all n + 1 steps
 together cost O(n).  Radius, diameter and apex count are cached on each
-node, so a shared node is measured once.
+node, so a shared node is measured once.  `derive_steps` returns a
+sequence's trace as a tuple of `TraceStep`s, step k at index k: each
+step's snapshot, its apex count and its diameter.
 
 A node's radius and diameter are one integer record (D, R, M), radius_q =
 R/D and diam_q = M/D, computed lazily on first use and never when the node
@@ -469,15 +471,9 @@ def derive(
 
 @dataclass(frozen=True)
 class TraceStep:
-    step: int
     snapshot: Optional[FanSet]
     apex_count: int
     diam_q: Fraction
-
-
-@dataclass(frozen=True)
-class DerivationTrace:
-    steps: tuple[TraceStep, ...]
 
 
 def count_apexes(F: Optional[FanSet]) -> int:
@@ -516,25 +512,21 @@ def count_apexes(F: Optional[FanSet]) -> int:
     return n
 
 
-def derive_steps(
-    F: FanSet, eps_q: Fraction, m: int
-) -> tuple[Optional[FanSet], DerivationTrace]:
-    """m-fold derivation with a step-by-step trace; the steps share one
-    `DerivationMemo`, so a snapshot built like a subtree seen before is
-    that subtree."""
+def derive_steps(F: FanSet, eps_q: Fraction, m: int) -> tuple[TraceStep, ...]:
+    """The trace of the m-fold derivation: step k at index k, ending early
+    at the first empty stage.  The steps share one `DerivationMemo`, so a
+    snapshot built like a subtree seen before is that subtree."""
     if m < 0:
         raise InvalidParams("step count must be >= 0")
     memo = DerivationMemo()
     cur: Optional[FanSet] = F
-    steps = [TraceStep(0, cur, count_apexes(cur), diam_q(cur))]
-    for k in range(1, m + 1):
+    steps = [TraceStep(cur, count_apexes(cur), diam_q(cur))]
+    for _ in range(m):
         if cur is None:
             break
         cur = derive(cur, eps_q, memo)
-        steps.append(
-            TraceStep(k, cur, count_apexes(cur), diam_q(cur) if cur is not None else Fraction(0))
-        )
-    return cur, DerivationTrace(tuple(steps))
+        steps.append(TraceStep(cur, count_apexes(cur), diam_q(cur) if cur is not None else _ZERO))
+    return tuple(steps)
 
 
 def sz_eps(F: FanSet, eps_q: Fraction) -> Ordinal:

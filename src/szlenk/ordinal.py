@@ -12,6 +12,7 @@ multiplication, and w-powers exact and fast at the sizes this package needs.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -352,12 +353,12 @@ def to_json(a: Ordinal) -> dict:
 
 def from_json(doc: object) -> Ordinal:
     if not isinstance(doc, dict) or set(doc) != {"cnf"} or not isinstance(doc["cnf"], list):
-        raise ValueError(f"not an ordinal document: {doc!r}")
+        raise ValueError(f"not an ordinal document: {brief(doc)}")
     terms = []
     for item in doc["cnf"]:
         # type(...) is int: JSON true/false load as bool, an int subclass
         if not isinstance(item, list) or len(item) != 2 or type(item[1]) is not int:
-            raise ValueError(f"malformed cnf term: {item!r}")
+            raise ValueError(f"malformed cnf term: {brief(item)}")
         terms.append((from_json(item[0]), item[1]))
     return Ordinal(tuple(terms))
 
@@ -375,8 +376,27 @@ def frac_from_str(s: object) -> Fraction:
     if type(s) is int:  # not bool: JSON true/false are not numbers
         return Fraction(s)
     if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {s!r}")
+        raise ValueError(f"expected a rational string, got {brief(s)}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {s!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:  # exc may repeat s
+        raise ValueError(f"bad rational literal {brief(s)}: {_cut(str(exc))}") from None
+
+
+# -- values in error messages ------------------------------------------------
+
+_REPR = reprlib.Repr()
+_REPR.maxlist = _REPR.maxdict = 8
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 80
+
+
+def brief(x: object) -> str:
+    """repr(x) in at most 160 characters, for every error message that
+    echoes a document value.  A short value keeps its repr (`reprlib`
+    sorts dict keys); a long string or number keeps its ends around "...",
+    a list or dict its first 8 entries, to 6 levels deep."""
+    return _cut(_REPR.repr(x))
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= 160 else f"{text[:78]}...{text[-79:]}"

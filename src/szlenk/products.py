@@ -440,22 +440,17 @@ def product_union_derive(pu: ProductUnion, eps_q: Fraction) -> ProductUnion:
     return ProductUnion(pu.model, tuple(_prune(raw)), table)
 
 
-def product_union_sz(pu: ProductUnion, eps_q: Fraction) -> int:
-    """Least k >= 0 with the k-fold derivation of the union empty."""
-    count = 0
-    while not pu.is_empty():
-        pu = product_union_derive(pu, eps_q)
-        count += 1
-    return count
-
-
 def product_sz(
     factors: Sequence[tuple[Fraction, FanSet]], eps_q: Fraction
 ) -> int:
     """Least m with the m-fold derivation of prod_i a_i K_i empty, via the
     union-of-products iteration (products are never empty, so this is
     always >= 1)."""
-    return product_union_sz(_whole(factors), eps_q)
+    pu, count = _whole(factors), 0
+    while not pu.is_empty():
+        pu = product_union_derive(pu, eps_q)
+        count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

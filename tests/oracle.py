@@ -351,7 +351,7 @@ def reference_diam_q(F) -> Fraction:
     raise MalformedFanSet(f"not a fan set: {F!r}")
 
 
-def reference_trace_doc(trace, q: Fraction, sz_eps) -> dict:
+def reference_trace_doc(steps, q: Fraction, sz_eps) -> dict:
     """`documents.trace_to_doc` as it was before the snapshots were spliced
     in as text: every step's set as its `fan_node_to_doc` document."""
     return {
@@ -359,12 +359,12 @@ def reference_trace_doc(trace, q: Fraction, sz_eps) -> dict:
         "q": frac_to_str(Fraction(q)),
         "steps": [
             {
-                "step": s.step,
+                "step": k,
                 "set": None if s.snapshot is None else fan_node_to_doc(s.snapshot),
                 "apexes": s.apex_count,
                 "diam_q": frac_to_str(s.diam_q),
             }
-            for s in trace.steps
+            for k, s in enumerate(steps)
         ],
         "sz_eps": sz_eps,
     }

@@ -308,6 +308,10 @@ class TestCompactness:
             Atom("bad", F(1), EpsProfile((), ConstTail(fin(2))), compact=True)
         const_atom("ok", ONE, compact=True)
 
+    def test_compact_atom_error_echoes_a_long_name_in_brief(self):
+        with pytest.raises(MalformedExpr, match=r"^compact atom 'x+\.\.\.x+' must have index 1$"):
+            Atom("x" * 100_000, F(1), EpsProfile((), ConstTail(fin(2))), compact=True)
+
     def test_sum_compactness_propagation(self):
         k = const_atom("k", ONE, compact=True)
         nk = ladder_atom("nk", ONE)

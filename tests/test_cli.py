@@ -281,13 +281,13 @@ class TestSetDerive:
         text, are those of the report that holds each snapshot as a dict."""
         path = tmp_path_factory.getbasetemp() / "derive.json"
         path.write_text(dumps_canonical(fanset_to_doc(K, F(3))), encoding="utf-8")
-        _, trace = derive_steps(K, F(eps), m)
-        settled = next((s.step for s in trace.steps if s.snapshot is None), None)
+        steps = derive_steps(K, F(eps), m)
+        settled = next((k for k, s in enumerate(steps) if s.snapshot is None), None)
         want = {
             "v": 1,
             "command": "set derive",
             "eps_q": eps,
-            "trace": reference_trace_doc(trace, F(3), settled),
+            "trace": reference_trace_doc(steps, F(3), settled),
         }
         texts = {
             "json": json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n",
@@ -785,6 +785,37 @@ class TestWrongJsonTypes:
             assert (code, out) == (EXIT_USAGE, ""), where
             assert err.startswith("error:") and err.count("\n") == 1, where
             assert "'prefx'" in err, where
+
+    @pytest.mark.parametrize("command, doc", _wrong_type_documents())
+    def test_huge_values_give_a_short_error_line(self, capsys, tmp_path, command, doc):
+        """A 100 000-character string and a 30 000-element list at every
+        field, a 100 000-character unknown key in every object and a
+        100 000-character kind for every one-key node exit 0 or exit 2 with
+        one `error:` line under 500 bytes: a message echoes a document value
+        only in brief."""
+        argv = ["set", "derive", "--eps-q", "1/2", "--steps", "4"] if command == "set" else [
+            "space", "eval"
+        ]
+        text = dumps_canonical(doc)
+        objects = [()] + [p for p in _fields(doc) if isinstance(_at(doc, p), dict)]
+        cases = [(p, v) for p in _fields(doc) for v in ("x" * 100_000, ["x"] * 30_000)]
+        cases += [(p + ("k" * 100_000,), []) for p in objects]
+        cases += [
+            (p, {"k" * 100_000: body})
+            for p in objects[1:]
+            if len(_at(doc, p)) == 1
+            for body in _at(doc, p).values()
+        ]
+        for path, value in cases:
+            bad = json.loads(text)
+            _at(bad, path[:-1])[path[-1]] = value
+            code, out, err = run(capsys, *argv, write_doc(tmp_path, "bad.json", bad))
+            where = "/".join(str(key)[:20] for key in path)
+            assert code in (EXIT_OK, EXIT_USAGE), where
+            if code == EXIT_USAGE:
+                assert out == "", where
+                assert err.startswith("error:") and err.count("\n") == 1, where
+                assert len(err.encode()) < 500, where
 
 
 def _at(doc, path):

@@ -4,9 +4,10 @@ package is for.
 
 The users of a name are the package's own modules, the scripts, the
 benchmark (perfbench/*.py) and the A1-A8 acceptance gate
-(tests/test_acceptance.py).  A name that only other tests or the
-re-exports of `__init__.py` reach is dead: a test of it tests nothing that
-a command, script, benchmark or acceptance criterion runs.
+(tests/test_acceptance.py).  A name that only other tests reach is dead:
+a test of it tests nothing that a command, script, benchmark or acceptance
+criterion runs.  The package's `__init__.py` is its docstring only, so no
+name is re-exported and every use names its module.
 
 References are looked up by identifier in the users' ASTs: names,
 attributes, imported names, and string constants that are identifiers
@@ -91,3 +92,10 @@ def test_every_top_level_name_is_referenced():
     refs_by_file = {p: references(parse(p)) for p in USERS}
     bad = [f"{p.name}: {name}" for p in MODULES for name in unreferenced_names(p, refs_by_file)]
     assert bad == []
+
+
+def test_package_init_is_its_docstring():
+    body = parse(ROOT / "src" / "szlenk" / "__init__.py").body
+    assert len(body) == 1
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert isinstance(body[0].value.value, str)

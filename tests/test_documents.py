@@ -176,8 +176,7 @@ class TestSpaceDocs:
 
 class TestTraceDocs:
     def test_trace_doc_shape(self):
-        final, trace = derive_steps(F1, F(1, 2), 3)
-        doc = trace_to_doc(trace, F(1), sz_eps=2)
+        doc = trace_to_doc(derive_steps(F1, F(1, 2), 3), F(1), sz_eps=2)
         assert doc["v"] == 1 and doc["q"] == "1" and doc["sz_eps"] == 2
         assert [s["step"] for s in doc["steps"]] == [0, 1, 2]
         assert doc["steps"][-1]["set"] is None
@@ -202,10 +201,10 @@ class TestTraceDocs:
     def test_spliced_trace_renders_as_the_dict_document(self, K, eps_q, m):
         """A trace with its snapshots spliced in as text renders to the
         bytes of the document that holds each snapshot as a dict."""
-        _, trace = derive_steps(K, eps_q, m)
-        settled = next((s.step for s in trace.steps if s.snapshot is None), None)
-        doc = {"eps_q": frac_to_str(eps_q), "trace": trace_to_doc(trace, F(2), settled)}
-        want = {"eps_q": frac_to_str(eps_q), "trace": reference_trace_doc(trace, F(2), settled)}
+        steps = derive_steps(K, eps_q, m)
+        settled = next((k for k, s in enumerate(steps) if s.snapshot is None), None)
+        doc = {"eps_q": frac_to_str(eps_q), "trace": trace_to_doc(steps, F(2), settled)}
+        want = {"eps_q": frac_to_str(eps_q), "trace": reference_trace_doc(steps, F(2), settled)}
         assert dumps_canonical(doc) == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -405,17 +405,17 @@ class TestSz:
 
 class TestTrace:
     def test_depth_two_trace(self):
-        final, trace = derive_steps(depth_fan(2, F(1, 2)), F(1, 2), 5)
-        assert final is None
-        snaps = [s.snapshot for s in trace.steps]
+        steps = derive_steps(depth_fan(2, F(1, 2)), F(1, 2), 5)
+        assert steps[-1].snapshot is None
+        snaps = [s.snapshot for s in steps]
         assert snaps == [depth_fan(2, F(1, 2)), F1, Sing(), None]
-        assert [s.apex_count for s in trace.steps] == [3, 1, 0, 0]
-        assert [s.diam_q for s in trace.steps] == [F(2), F(1), F(0), F(0)]
+        assert [s.apex_count for s in steps] == [3, 1, 0, 0]
+        assert [s.diam_q for s in steps] == [F(2), F(1), F(0), F(0)]
 
     def test_zero_steps(self):
-        final, trace = derive_steps(F1, F(1, 2), 0)
-        assert final == F1
-        assert len(trace.steps) == 1
+        steps = derive_steps(F1, F(1, 2), 0)
+        assert steps[-1].snapshot == F1
+        assert len(steps) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidParams):
@@ -971,11 +971,11 @@ class TestSharedStructure:
         ref = [f]
         while ref[-1] is not None:
             ref.append(unshared_derive(ref[-1], eps_q))
-        final, trace = derive_steps(f, eps_q, len(ref) + 1)
-        assert final is None
-        assert [s.snapshot for s in trace.steps] == ref
-        assert [s.apex_count for s in trace.steps] == [count_apexes(r) for r in ref]
-        assert [s.diam_q for s in trace.steps] == [
+        steps = derive_steps(f, eps_q, len(ref) + 1)
+        assert steps[-1].snapshot is None
+        assert [s.snapshot for s in steps] == ref
+        assert [s.apex_count for s in steps] == [count_apexes(r) for r in ref]
+        assert [s.diam_q for s in steps] == [
             diam_q(r) if r is not None else F(0) for r in ref
         ]
         assert sz_eps(f, eps_q) == fin(len(ref) - 1)
@@ -996,10 +996,10 @@ class TestSharedStructure:
             eps_q,
             lambda a, e: iterate_set(a, model, 0, e, 1),
         )
-        _, trace = derive_steps(f, eps_q, len(stages))
-        assert len(trace.steps) == len(stages) and trace.steps[-1].snapshot is None
+        steps = derive_steps(f, eps_q, len(stages))
+        assert len(steps) == len(stages) and steps[-1].snapshot is None
         norms, weights = model.norms[0], model.weights[0]
-        for step, stage in zip(trace.steps, stages):
+        for step, stage in zip(steps, stages):
             snap = step.snapshot
             got = Counter()
             for p in reference_materialize(snap) if snap is not None else ():
@@ -1021,12 +1021,12 @@ class TestSharedStructure:
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_chain_steps_are_the_input_subtrees(self, n):
         chain = depth_fan(n, F(1, 2))
-        _, trace = derive_steps(chain, F(1, 2), n + 1)
+        steps = derive_steps(chain, F(1, 2), n + 1)
         sub = chain
-        for step in trace.steps[:-1]:
+        for step in steps[:-1]:
             assert step.snapshot is sub
             sub = getattr(sub, "tail", None)
-        assert trace.steps[-1].snapshot is None
+        assert steps[-1].snapshot is None
 
 
 class TestSweep:
@@ -1040,7 +1040,7 @@ class TestSweep:
 
     def test_trace_of_depth_400_chain(self):
         start = time.perf_counter()
-        final, trace = derive_steps(depth_fan(400, F(1, 2)), F(1, 2), 401)
+        steps = derive_steps(depth_fan(400, F(1, 2)), F(1, 2), 401)
         assert time.perf_counter() - start < 1.0
-        assert final is None
-        assert [s.apex_count for s in trace.steps[-3:]] == [1, 0, 0]
+        assert steps[-1].snapshot is None
+        assert [s.apex_count for s in steps[-3:]] == [1, 0, 0]
