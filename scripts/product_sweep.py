@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `product_sz`, the kernel-only loop and the `cover` command on chains.
+"""Time `product_sz`, the kernel-only loop, the `cover` command and verify suites.
 
 For each product of equal chains (`depth_fan(d, 1/2)`, scale 1, at
 eps_q = 1/2) it times `products.product_sz`, which derives the staircase's
@@ -15,16 +15,20 @@ report included, and gives the cover's tuple and run counts and the
 report's bytes.  For each depth d of --derives it times the in-process
 command `set derive f --eps-q 1/2 --steps d+1`, f the document of
 `depth_fan(d, 1/2)` at q = 2, report included, through the whole trace to
-sz = d + 1, and gives the report's bytes.  Prints one JSON line.
+sz = d + 1, and gives the report's bytes.  For each suite of --suites it
+times `checks.run_suite` in process at the suite's A7 sample count
+(`run_verify_all.FULL_SAMPLES`) on seeds 1 and 2, and gives its failed
+cases.  Prints one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
         [--ones 64 128 256 512 1000] [--covers 8 16 32 52] [--derives 16 64 256]
+        [--suites techlem1 techlem2]
 
 Three chains at each of --depths (add 24 for the deep end), four chains
 of depth --four (0 leaves them out), one chain at each of --ones, one
-cover at each of --covers and one derivation at each of --derives (none of
-the last three by default).
+cover at each of --covers, one derivation at each of --derives and one
+row for each suite of --suites (none of the last four by default).
 """
 import argparse
 import contextlib
@@ -39,6 +43,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from run_verify_all import FULL_SAMPLES  # noqa: E402
+from szlenk.checks import SUITES, run_suite  # noqa: E402
 from szlenk.cli import main as cli_main  # noqa: E402
 from szlenk.documents import dumps_canonical, fanset_to_doc  # noqa: E402
 from szlenk.fansets import depth_fan  # noqa: E402
@@ -155,6 +161,23 @@ def derive_row(depth: int, path: Path, repeats: int) -> dict:
     }
 
 
+def suite_row(name: str, repeats: int) -> dict:
+    """The least in-process time of the suite's A7 run on seeds 1 and 2,
+    and its failed cases."""
+    samples = FULL_SAMPLES[name]
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        reports = [run_suite(name, samples, seed) for seed in (1, 2)]
+        best = min(best, time.perf_counter() - start)
+    return {
+        "suite": name,
+        "samples": samples,
+        "failed": sum(r.failed for r in reports),
+        "suite_s": round(best, 4),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depths", type=int, nargs="*", default=[8, 12, 16], help="depths of the 3-chain products")
@@ -163,6 +186,7 @@ def main() -> int:
     ap.add_argument("--ones", type=int, nargs="*", default=[], help="depths of one-factor chains")
     ap.add_argument("--covers", type=int, nargs="*", default=[], help="L of the 3-chain covers")
     ap.add_argument("--derives", type=int, nargs="*", default=[], help="depths of the derived chains")
+    ap.add_argument("--suites", nargs="*", default=[], choices=list(SUITES), help="verify suites to time")
     ns = ap.parse_args()
     sizes = [(3, d) for d in ns.depths] + ([(4, ns.four)] if ns.four else [])
     rows = [row(n, d, ns.repeats) for n, d in sizes]
@@ -172,9 +196,11 @@ def main() -> int:
         path.write_text(dumps_canonical(fanset_to_doc(depth_fan(2, HALF), Fraction(2))), encoding="utf-8")
         covers = [cover_row(l, str(path), ns.repeats) for l in ns.covers]
         derives = [derive_row(d, Path(tmp) / f"d{d}.json", ns.repeats) for d in ns.derives]
-    print(json.dumps(
-        {"w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers, "derives": derives}
-    ))
+    suites = [suite_row(name, ns.repeats) for name in ns.suites]
+    print(json.dumps({
+        "w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers, "derives": derives,
+        "suites": suites,
+    }))
     return 0
 
 

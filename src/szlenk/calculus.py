@@ -29,6 +29,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _cut,
     add,
     brief,
     is_power_of_omega,
@@ -130,7 +131,7 @@ class EpsProfile:
             if prev_t is not None and t >= prev_t:
                 raise MalformedExpr("profile thresholds must strictly decrease")
             if not v.is_successor():
-                raise MalformedExpr(f"profile value {v} is not a successor")
+                raise MalformedExpr(f"profile value {_cut(str(v))} is not a successor")
             if prev_v is not None and v < prev_v:
                 raise MalformedExpr("profile values must not decrease as eps shrinks")
             prev_t, prev_v = t, v

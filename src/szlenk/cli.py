@@ -221,7 +221,7 @@ def _parse_frac(text: str, what: str) -> Fraction:
     try:
         return frac_from_str(text)
     except ValueError:
-        raise InvalidParams(f"{what} must be a fraction like 3/4, got {text!r}") from None
+        raise InvalidParams(f"{what} must be a fraction like 3/4, got {ordinal.brief(text)}") from None
 
 
 def _read_json(path: str) -> object:
@@ -262,7 +262,7 @@ def _setup_logging(flag: Optional[str]) -> None:
     name = flag if flag is not None else os.environ.get("SZLENK_LOG", "warning")
     level = getattr(logging, str(name).upper(), None)
     if not isinstance(level, int):
-        raise InvalidParams(f"unknown log level {name!r}")
+        raise InvalidParams(f"unknown log level {ordinal.brief(name)}")
     _szlenk_logger().setLevel(level)
 
 

@@ -76,6 +76,7 @@ some member of its sequence.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -801,7 +802,14 @@ def reference_bq_member(scales, den, nonzero, cover) -> bool:
     least = tuple(
         max(1, -(-k * cover.l // den)) if nz else 1 for k, nz in zip(scales, nonzero)
     )
-    return least in frozenset(cover.tuples)
+    return least in _cover_set(cover)
+
+
+@functools.lru_cache(maxsize=4)
+def _cover_set(cover) -> frozenset:
+    """The cover's tuples as a set, kept for the few covers a test scans
+    point by point."""
+    return frozenset(cover.tuples)
 
 
 def reference_norms_in_c0(e: DirectSum) -> bool:

@@ -1,5 +1,6 @@
 """Tests for the containment checks and the verification suites."""
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -46,7 +47,14 @@ from szlenk.fansets import (
 )
 from szlenk.generators import case_rng
 from szlenk.pointmodel import ProductModel, model_sz
-from szlenk.products import _as_factor, a_eps_minimal, derive_product_step, union_count
+from szlenk.products import (
+    BqCover,
+    _as_factor,
+    a_eps_minimal,
+    bq_cover,
+    derive_product_step,
+    union_count,
+)
 
 F = Fraction
 F1 = Fan(F(1, 2), (), Sing())
@@ -320,7 +328,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_small_run_all_pass(self, name):
-        samples = 3 if name == "lecondsast" else 6
+        samples = 6
         rep = run_suite(name, samples, seed=7)
         assert rep.suite == name
         assert rep.samples == samples
@@ -417,3 +425,82 @@ def test_bq_sample_draws_as_the_fraction_loop(n, iq):
             ks, nonzero = _bq_sample(fast, n, powers)
             assert (tuple(F(k, 16) for k in ks), nonzero) == _fraction_bq_sample(slow, n, iq)
             assert fast.getstate() == slow.getstate()
+
+
+def _cut_cover(cover, cuts) -> BqCover:
+    """The cover without every tuple at or above one of the cuts: a
+    down-closed sub-cover, its runs lowered or dropped."""
+    ends = {
+        t[:-1]: t[-1]
+        for t in cover.tuples
+        if not any(all(a >= b for a, b in zip(t, c)) for c in cuts)
+    }
+    return BqCover(cover.l, cover.q, cover.n, tuple(ends.items()), cover.scales)
+
+
+class TestLecondsastGrid:
+    """`_bq_grid_covered`, which decides the lecondsast suite without
+    drawing, against the sampled loop it stands in for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.sampled_from([1, 2, 3]), st.data())
+    def test_grid_answer_is_the_exhaustive_scan(self, n, l, iq, data):
+        """On whole covers and on down-closed sub-covers, the answer is
+        whether the reference lookup covers every 1/16 grid point of the
+        ball under every mask of nonzero x_i."""
+        cover = bq_cover([F1] * n, l, F(iq))
+        cuts = data.draw(st.lists(st.sampled_from(cover.tuples), max_size=3), label="cuts")
+        sub = _cut_cover(cover, cuts)
+        powers = [k**iq for k in range(17)]
+        points = [
+            k for k in itertools.product(range(17), repeat=n)
+            if sum(powers[x] for x in k) <= powers[16]
+        ]
+        masks = list(itertools.product((False, True), repeat=n))
+        scan = all(oracle.reference_bq_member(k, 16, nz, sub) for k in points for nz in masks)
+        event(f"covered={scan}")
+        assert checks._bq_grid_covered(sub, powers) == scan
+
+    def test_sampled_loop_gives_the_same_cases(self, monkeypatch):
+        """400 cases: with the grid answer forced to no, every case draws
+        and counts its 500 points, and the reports are the same."""
+        grid = [run_suite("lecondsast", 200, seed) for seed in (1, 2)]
+        monkeypatch.setattr(checks, "_bq_grid_covered", lambda cover, powers: False)
+        assert [run_suite("lecondsast", 200, seed) for seed in (1, 2)] == grid
+
+    def test_cut_cover_counts_as_the_sampled_loop(self, monkeypatch):
+        """With the cover's runs lowered by 1 to 4, the suite's verdict and
+        message are those of the Fraction sampling loop, from the
+        generator's state after the cover, with the reference lookup.
+        Both verdicts occur."""
+        seen, cut = {}, 0
+
+        def cut_cover(factors, l, q):
+            cover = bq_cover(factors, l, q)
+            runs = tuple((p, m - cut) for p, m in cover.runs if m > cut)
+            seen["cover"] = BqCover(cover.l, cover.q, cover.n, runs, cover.scales)
+            seen["state"] = rng.getstate()
+            return seen["cover"]
+
+        monkeypatch.setattr(checks, "bq_cover", cut_cover)
+        verdicts = Counter()
+        for index in range(60):
+            cut, rng = index % 4 + 1, case_rng(5, index)
+            passed, _, message = checks._suite_lecondsast(rng)
+            cover, slow = seen["cover"], random.Random()
+            slow.setstate(seen["state"])
+            points = (_fraction_bq_sample(slow, cover.n, int(cover.q)) for _ in range(500))
+            bad = sum(
+                1 for scales, nz in points
+                if not oracle.reference_bq_member(tuple(int(a * 16) for a in scales), 16, nz, cover)
+            )
+            assert (passed, message) == (bad == 0, f"{bad} sampled points uncovered" if bad else ""), index
+            verdicts[passed] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_a_passing_case_draws_no_sample(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(checks, "_bq_sample", refuse)
+        assert run_suite("lecondsast", 20, seed=1).ok

@@ -865,6 +865,37 @@ class TestPlumbing:
         assert code == EXIT_USAGE
         assert "log level" in err
 
+    @pytest.mark.parametrize("argv, env", [
+        (["sigma", "x" * 100_000, "1", "1/2", "2"], {}),
+        (["frount", "1", "x" * 100_000, "2", "1"], {}),
+        (["set", "derive", "f.json", "--eps-q", "x" * 100_000], {}),
+        (["--log", "y" * 100_000, "ord", "w"], {}),
+        (["ord", "w"], {"SZLENK_LOG": "y" * 100_000}),
+    ])
+    def test_huge_argv_values_give_a_short_error_line(self, capsys, monkeypatch, argv, env):
+        """A 100 000-character fraction or log level, from argv or from
+        SZLENK_LOG, is echoed in brief: exit 2 with one `error:` line under
+        500 bytes."""
+        monkeypatch.delenv("SZLENK_LOG", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err.encode()) < 500
+
+    def test_limit_profile_step_gives_a_short_error_line(self, capsys, tmp_path):
+        """A profile step whose value is a limit ordinal of 2 000 terms is
+        refused with the ordinal's text cut to 160 characters."""
+        doc = space_to_doc(Atom("E", F(1), EpsProfile(((F(1, 2), ONE),), ConstTail(ONE))))
+        limit = ordinal.parse(" + ".join(f"w^{k}" for k in range(2000, 0, -1)))
+        doc["space"]["atom"]["profile"]["steps"][0][1] = ordinal.to_json(limit)
+        code, out, err = run(capsys, "space", "eval", write_doc(tmp_path, "limit.json", doc))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: profile value w^2000 + w^1999")
+        assert err.count("\n") == 1 and "is not a successor" in err
+        assert len(err.encode()) < 500
+
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "sigma", "1", "3", "1", "2")
         monkeypatch.setattr(sys, "argv", ["szlenk", "sigma", "1", "3", "1", "2"])

@@ -1,6 +1,6 @@
 """The scripts write the same reports as the command line, at the sample
 counts of the acceptance gate and the benchmark; the product sweep runs at a
-tiny size."""
+tiny size and times one small suite."""
 import contextlib
 import importlib.util
 import io
@@ -106,3 +106,23 @@ def test_product_sweep_times_a_cover():
         with contextlib.redirect_stdout(out):
             assert main(["set", "derive", str(path), "--eps-q", "1/2", "--steps", "4"]) == EXIT_OK
     assert derive["report_bytes"] == len(out.getvalue().encode("utf-8"))
+
+
+def test_product_sweep_times_a_suite():
+    """scripts/product_sweep.py --suites lecondsast: one row, at the
+    suite's A7 count, with no failed case."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "--four", "0", "--suites",
+         "lecondsast", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert doc["rows"] == doc["ones"] == doc["covers"] == doc["derives"] == []
+    (suite,) = doc["suites"]
+    samples = dict(FULL_SCALE)["lecondsast"]
+    assert (suite["suite"], suite["samples"], suite["failed"]) == ("lecondsast", samples, 0)
+    assert suite["suite_s"] >= 0
