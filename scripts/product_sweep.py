@@ -18,22 +18,28 @@ command `set derive f --eps-q 1/2 --steps d+1`, f the document of
 sz = d + 1, and gives the report's bytes.  For each suite of --suites it
 times `checks.run_suite` in process at the suite's A7 sample count
 (`run_verify_all.FULL_SAMPLES`) on seeds 1 and 2, and gives its failed
-cases.  Prints one JSON line.
+cases.  For each command of --startup it times a fresh `szlenk` process
+that runs one small instance of the command (`STARTUP`), and `python -c
+pass` as the base, each the best wall time of --repeats processes.  Prints
+one JSON line.
 
 Usage:
     python3 scripts/product_sweep.py [--depths 8 12 16] [--four 6] [--repeats 1]
         [--ones 64 128 256 512 1000] [--covers 8 16 32 52] [--derives 16 64 256]
-        [--suites techlem1 techlem2]
+        [--suites techlem1 techlem2] [--startup ord sigma set]
 
 Three chains at each of --depths (add 24 for the deep end), four chains
 of depth --four (0 leaves them out), one chain at each of --ones, one
-cover at each of --covers, one derivation at each of --derives and one
-row for each suite of --suites (none of the last four by default).
+cover at each of --covers, one derivation at each of --derives, one row
+for each suite of --suites and one for each command of --startup, plus
+the base (none of the last five by default).
 """
 import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -41,7 +47,8 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from run_verify_all import FULL_SAMPLES  # noqa: E402
 from szlenk.checks import SUITES, run_suite  # noqa: E402
@@ -52,6 +59,19 @@ from szlenk.pointmodel import ProductModel, derive_set, sz_product_set  # noqa: 
 from szlenk.products import bq_cover, product_sz  # noqa: E402
 
 HALF = Fraction(1, 2)
+
+# one small instance of each command, by its first word; CHAIN is the
+# depth-2 chain document at q = 2
+STARTUP = {
+    "ord": ["ord", "w^2 + 1"],
+    "sigma": ["sigma", "1", "3", "1", "2"],
+    "frount": ["frount", "1", "1/2", "2", "2"],
+    "set": ["set", "derive", "CHAIN", "--eps-q", "1/2"],
+    "verify": ["verify", "tvl", "--samples", "1"],
+    "cover": ["cover", "2", "CHAIN"],
+}
+# a fresh process that runs the command line as the `szlenk` entry point does
+ENTRY = "import sys; from szlenk.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def kernel_sz(chains: list) -> int:
@@ -178,6 +198,20 @@ def suite_row(name: str, repeats: int) -> dict:
     }
 
 
+def startup_row(name: str, argv: list, repeats: int) -> dict:
+    """The least wall time of a fresh interpreter running argv (after
+    `python`) over the repeats."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+        best = min(best, time.perf_counter() - start)
+        if proc.returncode != 0:
+            raise SystemExit(f"startup {name}: exit {proc.returncode}")
+    return {"command": name, "best_s": round(best, 4)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depths", type=int, nargs="*", default=[8, 12, 16], help="depths of the 3-chain products")
@@ -187,6 +221,9 @@ def main() -> int:
     ap.add_argument("--covers", type=int, nargs="*", default=[], help="L of the 3-chain covers")
     ap.add_argument("--derives", type=int, nargs="*", default=[], help="depths of the derived chains")
     ap.add_argument("--suites", nargs="*", default=[], choices=list(SUITES), help="verify suites to time")
+    ap.add_argument(
+        "--startup", nargs="*", default=[], choices=list(STARTUP), help="commands to time in fresh processes"
+    )
     ns = ap.parse_args()
     sizes = [(3, d) for d in ns.depths] + ([(4, ns.four)] if ns.four else [])
     rows = [row(n, d, ns.repeats) for n, d in sizes]
@@ -196,10 +233,14 @@ def main() -> int:
         path.write_text(dumps_canonical(fanset_to_doc(depth_fan(2, HALF), Fraction(2))), encoding="utf-8")
         covers = [cover_row(l, str(path), ns.repeats) for l in ns.covers]
         derives = [derive_row(d, Path(tmp) / f"d{d}.json", ns.repeats) for d in ns.derives]
+        startup = [startup_row("base", ["-c", "pass"], ns.repeats)] if ns.startup else []
+        for name in ns.startup:
+            argv = [str(path) if a == "CHAIN" else a for a in STARTUP[name]]
+            startup.append(startup_row(name, ["-c", ENTRY, *argv], ns.repeats))
     suites = [suite_row(name, ns.repeats) for name in ns.suites]
     print(json.dumps({
         "w_q": "1/2", "eps_q": "1/2", "rows": rows, "ones": ones, "covers": covers, "derives": derives,
-        "suites": suites,
+        "suites": suites, "startup": startup,
     }))
     return 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactmath import ceil_frac, pow_bounds, power_bits
+from .exactmath import as_frac, ceil_frac, pow_bounds, power_bits
 from .ordinal import (
     ONE,
     ZERO,
@@ -520,8 +520,8 @@ def sigma_qpow(a_q: Fraction, b: Fraction, c: Fraction, q: Fraction) -> int:
     first term is (2a/(b-c))**q = 2**q * a_q / (b-c)**q, rational for integer
     q, so no root of a_q is ever needed.
     """
-    a_q, b, c, q = Fraction(a_q), Fraction(b), Fraction(c), Fraction(q)
-    if a_q < 0 or not b > c > 0 or q < 1:
+    a_q, b, c, q = as_frac(a_q), as_frac(b), as_frac(c), as_frac(q)
+    if a_q.numerator < 0 or not b > c > 0 or q < 1:
         raise InvalidParams("sigma_qpow needs a_q >= 0, b > c > 0, q >= 1")
     _, hi_2q = pow_bounds(Fraction(2), q)
     lo_bq, _ = pow_bounds(b, q)
@@ -549,12 +549,12 @@ def frount_M(d: Fraction, eps_q: Fraction, q: Fraction, m: int) -> int:
 
 def frount_M_qpow(d_q: Fraction, eps_q: Fraction, q: Fraction, m: int) -> int:
     """frount_M with the diameter supplied as its q-th power d_q = d**q >= 0."""
-    d_q, eps_q, q = Fraction(d_q), Fraction(eps_q), Fraction(q)
+    d_q, eps_q, q = as_frac(d_q), as_frac(eps_q), as_frac(q)
     if not isinstance(m, int) or m < 2:
         raise InvalidParams("frount_M needs an integer m >= 2")
-    if d_q < 0 or eps_q <= 0 or q < 1:
+    if d_q.numerator < 0 or eps_q.numerator <= 0 or q < 1:
         raise InvalidParams("frount_M needs d_q >= 0, eps_q > 0, q >= 1")
-    if d_q == 0:
+    if not d_q:
         return m
     _, hi_8q = pow_bounds(Fraction(8), q)
     lo_2q, _ = pow_bounds(Fraction(2), q)

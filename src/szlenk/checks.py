@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .calculus import InvalidParams, frount_M_qpow, sigma_qpow
-from .exactmath import pow_bounds
-from . import fansets, pointmodel
+from .exactmath import as_frac, pow_bounds
+from . import fansets, ordinal, pointmodel
 from .fansets import (
     DisjUnion,
     Fan,
@@ -120,12 +120,12 @@ def union_lemma_check(
     * for offset unions, one derivation step distributes over components
       exactly.
     """
-    eps_q, q = Fraction(eps_q), Fraction(q)
+    eps_q, q = as_frac(eps_q), as_frac(q)
     if n != len(Ks) or n < 1:
         raise InvalidParams("n must equal the number of sets")
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    if eps_q <= 0:
+    if eps_q.numerator <= 0:
         raise InvalidParams("eps_q must be positive")
     if q < 1:
         raise InvalidParams("q must be >= 1")
@@ -147,13 +147,13 @@ def union_lemma_check(
     else:
         raise InvalidParams("mode must be apex or disjoint")
     model = ProductModel.of([U])
-    weights = model.weights[0]
-    whole = frozenset(range(len(weights)))
+    tails = model.tails[0]
+    whole = frozenset(range(len(tails)))
     ends = list(itertools.accumulate(runs, initial=len(shared)))
     pieces = [frozenset((*shared, *range(a, b))) for a, b in zip(ends, ends[1:])]
 
     def count(positions: Iterable[int]) -> int:
-        return sum(map(weights.__getitem__, positions))
+        return sum([1 << tails[x] for x in positions])
 
     _, hi2 = pow_bounds(Fraction(2), q)
     half_q = eps_q / hi2
@@ -163,10 +163,11 @@ def union_lemma_check(
     # eps, each piece at eps/2 with ranks capped past the union's last
     # stage, each piece at eps capped past m steps; stage k of a sequence
     # is its points of rank > k
-    ranks = derive_set(whole, model, 0, eps_q)
+    bar, half_bar = model.scaled_bar(eps_q), model.scaled_bar(half_q)
+    ranks = derive_set(whole, model, 0, bar)
     last = max(ranks.values())
-    halves = [derive_set(p, model, 0, half_q, last) for p in pieces]
-    fulls = [derive_set(p, model, 0, eps_q, m) for p in pieces]
+    halves = [derive_set(p, model, 0, half_bar, last) for p in pieces]
+    fulls = [derive_set(p, model, 0, bar, m) for p in pieces]
 
     def best(seqs: list) -> dict[int, int]:
         """By point, the largest rank over the pieces (0 outside them)."""
@@ -248,7 +249,7 @@ def tvl_check(
     model: the projection maps a mirror orbit into one, so every member of
     an orbit behaves as its representative, which counts once per member.
     """
-    eps, delta, q = Fraction(eps), Fraction(delta), Fraction(q)
+    eps, delta, q = as_frac(eps), as_frac(delta), as_frac(q)
     if q.denominator != 1 or q < 1:
         raise InvalidParams("this check needs integer q >= 1")
     if not 0 < delta < eps:
@@ -275,7 +276,7 @@ def tvl_check(
         # the projection keeps the selected factors: their sub-model
         sub = ProductModel(
             model.den,
-            *(tuple(t[i] for i in sel) for t in (model.norms, model.parents, model.weights)),
+            *(tuple(t[i] for i in sel) for t in (model.norms, model.parents, model.tails)),
         )
         B = iterate_product_set(sub.tuples(), sub, delta_q, alpha)
         norm_q = sub.norm_q
@@ -288,7 +289,7 @@ def tvl_check(
         # the projection's derivation is the kept positions' own
         runs = _component_runs(K)
         kept = frozenset(j for i in sel for j in runs[i])
-        B = {(j,) for j in iterate_set(kept, model, 0, delta_q, alpha)}
+        B = {(j,) for j in iterate_set(kept, model, 0, model.scaled_bar(delta_q), alpha)}
         norm_q = model.norm_q
         # a kept point projects to itself, a dropped one to the origin: the
         # kept point of norm 0 (the root of a kept zero-offset component)
@@ -398,7 +399,9 @@ def _grid_steps(
     Grid columns hold integer multipliers j_i of the grid step.  The grid
     is up-closed in its box, and derivation is monotone in its threshold,
     so step(i, state, j) shrinks as j grows: whatever some column covers,
-    each minimal column below it (`a_eps_minimal`) covers too.
+    each minimal column below it (`a_eps_minimal`) covers too.  With
+    a_q_i * step^q * D = num_i / den_i, the bar (`scaled_bar`) at j is
+    num_i * j^q // den_i.
     """
     iq = int(q)
     g = AEpsGrid(
@@ -409,13 +412,15 @@ def _grid_steps(
         q,
     )
     grid = a_eps_grid(g)
-    step_q = g.step**iq
+    unit = g.step**iq * model.den
+    bars = [(x.numerator, x.denominator) for x in (a * unit for a, _ in factors)]
 
     @functools.cache
     def step(i: int, state: frozenset, j: int) -> frozenset:
         if j == 0:
             return state
-        return iterate_set(state, model, i, factors[i][0] * step_q * j**iq, 1)
+        num, den = bars[i]
+        return iterate_set(state, model, i, num * j**iq // den, 1)
 
     return g, grid, step, tuple(frozenset(range(len(n))) for n in model.norms)
 
@@ -551,9 +556,9 @@ def _suite_postdoc2(rng: random.Random) -> tuple:
     # component step at the root passes no parent on), so a point's rank on
     # any union of runs is its rank on all positions; the subset of every
     # component is one of them, so eta is the largest rank of one pass
-    eta = max(derive_set(every, model, 0, delta**iq).values())
+    eta = max(derive_set(every, model, 0, model.scaled_bar(delta**iq)).values())
     sig = sigma_qpow(radius_q(K), eps, delta, q)
-    sz = max(derive_set(every, model, 0, eps**iq).values())
+    sz = max(derive_set(every, model, 0, model.scaled_bar(eps**iq)).values())
     passed = sz <= eta * sig
     detail = (
         f"n={len(K.components)} q={q} eps={eps} delta={delta} "
@@ -682,7 +687,7 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteReport:
     (`case_rng` of the seed and i)."""
     if name not in SUITES:
         raise UnknownSuite(
-            f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
+            f"unknown suite {ordinal.brief(name)}; choose from {', '.join(SUITES)}"
         )
     if samples < 1:
         raise InvalidParams("samples must be >= 1")

@@ -108,13 +108,20 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Cuts each usage error, which may echo any argv value, to 160 characters."""
+
+    def error(self, message: str):
+        super().error(ordinal._cut(message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command in `COMMANDS`.
 
     Built on the first call and shared after it: ``parse_args`` leaves the
     parser as it was and answers each call with a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="szlenk",
         description="exact Szlenk-style index computations on documents",
     )
@@ -362,7 +369,7 @@ def _derive_product(
     # the first step's model holds the undivided product; build it only
     # when that step did not run
     model = ProductModel.of(F.factors) if pu is None else pu.model
-    points = math.prod(map(sum, model.weights))
+    points = math.prod(sum(1 << t for t in tails) for tails in model.tails)
     doc = {
         "v": SCHEMA_VERSION,
         "command": args.cmd,

@@ -14,8 +14,13 @@ from fractions import Fraction
 ROOT_BITS = 96
 
 
+def as_frac(x) -> Fraction:
+    """x as a Fraction: x itself when it is one, so that none is rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def ceil_frac(x: Fraction) -> int:
-    x = Fraction(x)
+    x = as_frac(x)
     return -((-x.numerator) // x.denominator)
 
 
@@ -56,8 +61,8 @@ def int_nth_root_floor(n: int, m: int) -> int:
 
 def nth_root_bounds(x: Fraction, m: int) -> tuple[Fraction, Fraction]:
     """Rationals (lo, hi) with lo <= x**(1/m) <= hi and hi - lo <= 2**-ROOT_BITS."""
-    x = Fraction(x)
-    if x < 0:
+    x = as_frac(x)
+    if x.numerator < 0:
         raise ValueError("root of a negative rational")
     if m == 1:
         return x, x
@@ -72,7 +77,7 @@ def power_bits(x: Fraction, e: Fraction) -> int:
     `pow_bounds(x, e)` works at: e = u/v needs x**u, whose numerator and
     denominator have at most u * ceil(log2 .) + 1 bits each, and a
     fractional e also scales x**u by 2**(ROOT_BITS * v) for its v-th root."""
-    x, e = Fraction(x), Fraction(e)
+    x, e = as_frac(x), as_frac(e)
     log2_ceil = (x.numerator - 1).bit_length() + (x.denominator - 1).bit_length()
     bits = e.numerator * log2_ceil + 2
     if e.denominator > 1:
@@ -85,8 +90,8 @@ def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
 
     Requires x >= 0 and e >= 0 (with 0**0 taken as 1).
     """
-    x, e = Fraction(x), Fraction(e)
-    if x < 0 or e < 0:
+    x, e = as_frac(x), as_frac(e)
+    if x.numerator < 0 or e.numerator < 0:
         raise ValueError("pow_bounds needs x >= 0 and e >= 0")
     if e.denominator == 1:
         v = x ** e.numerator if x or e.numerator else Fraction(1)

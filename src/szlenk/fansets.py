@@ -95,7 +95,7 @@ class Fan:
             object.__setattr__(self, "w_q", Fraction(self.w_q))
         if type(self.prefix) is not tuple:
             object.__setattr__(self, "prefix", tuple(self.prefix))
-        if self.w_q <= 0:
+        if self.w_q.numerator <= 0:
             raise MalformedFanSet("fan width w_q must be positive")
         for c in self.prefix:
             _no_prod(c, "a fan prefix")
@@ -123,7 +123,7 @@ class Scale:
     def __post_init__(self) -> None:
         if type(self.a_q) is not Fraction:
             object.__setattr__(self, "a_q", Fraction(self.a_q))
-        if self.a_q <= 0:
+        if self.a_q.numerator <= 0:
             raise MalformedFanSet("scale factor a_q must be positive")
         _no_prod(self.body, "a scale")
 
@@ -153,9 +153,9 @@ class DisjUnion:
             raise MalformedFanSet("DisjUnion needs at least one component")
         zero = 0
         for off, body in comps:
-            if off < 0:
+            if off.numerator < 0:
                 raise MalformedFanSet("component offsets must be >= 0")
-            if off == 0:
+            if not off.numerator:
                 zero += 1
             _no_prod(body, "a DisjUnion component")
         if zero > 1:

@@ -7,12 +7,16 @@ are independent of evaluation order.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 from .fansets import DisjUnion, Fan, FanSet, Scale, Sing, UnionApex
 
 MAX_DEN = 16
+
+# Fraction(n, d), built on the first draw of (n, d) and shared after it
+_frac = functools.cache(Fraction)
 
 
 def case_rng(seed: int, index: int) -> random.Random:
@@ -22,11 +26,11 @@ def case_rng(seed: int, index: int) -> random.Random:
 def rand_frac(
     rng: random.Random, max_num: int = 8, max_den: int = MAX_DEN
 ) -> Fraction:
-    return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+    return _frac(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
 def rand_q(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([1, 2, 3]))
+    return _frac(rng.choice([1, 2, 3]))
 
 
 def rand_fan(rng: random.Random, depth: int) -> Fan:

@@ -12,9 +12,10 @@ steps down the walk to it, with kinds "t" (tail copy: cluster-continuing),
 neighborhood) and "f" (transparent: a fan selector inside a shared apex, or
 a zero-offset component).  Paths are the language of the proofs, not data:
 the model keeps, by position, each point's norm^q N, its nearest cluster
-parent and its orbit size, which is all a derivation reads.  Each copy step
-(a "t" or "p" step) shifts the copy on a fresh axis of its own, so it adds
-its weight to the parent's N on the way down the walk.
+parent and the number t of tail steps on its path, which is all a
+derivation reads.  Each copy step (a "t" or "p" step) shifts the copy on a
+fresh axis of its own, so it adds its weight to the parent's N on the way
+down the walk.
 
 The cluster of x is the set of points present in every w*-neighborhood of
 x: those whose path extends x's and whose first non-transparent step beyond
@@ -47,8 +48,8 @@ step, x is no candidate, and every shorter one meets the same first
 non-"f" step on x's path as on y's, so y's candidates are x's and so is
 the nearest of them.  A component step is never the first non-"f" step
 beyond a point, so it changes no candidate.  Positions are in pre-order,
-so p < y.  The same walk hands out each point's orbit size (below) and
-adds each fan's width once per fan, not once per copy.
+so p < y.  The same walk hands out each point's t (below) and adds each
+fan's width once per fan, not once per copy.
 
 Pre-order also makes every subtree of the walk one contiguous run of
 positions, whose length `count_points` gives: the points below the root's
@@ -90,8 +91,21 @@ of the quotient, and each stage of the quotient is the fold of the
 two-copy stage.  The size of a two-copy set is the orbit-weighted count of
 its quotient (`ProductModel.count`).  tests/oracle.py keeps the two-copy
 model with explicit coordinates as the independent slow check, and a
-path-carrying walk with the cluster relation read off the paths as the
-reference for this one.
+path-carrying walk with the cluster relation read off the paths, and the
+walk on Fractions (`reference_walk`), as the references for this one.
+
+The model holds integers only.  It keeps t, not the orbit size 2^t, whose
+bits grow with depth, so a count shifts (`ProductModel.weight`) and a
+chain's memory is linear in its points.  It keeps N times a common
+denominator D.  A pre-pass that also counts the points (`_scan`) takes D
+as the lcm, over each width and offset the walk adds, of its denominator
+times the denominators of the scales above it.  So wherever the walk adds
+a value, the scale times D is an integer and a multiple of the value's
+denominator: the walk carries it, changes it only at `Scale` nodes, and
+adds the value as its numerator times that integer // its denominator,
+exactly.  D can exceed the norms' least common denominator (1/6 + 1/6 =
+1/3, over D = 6), so `ProductModel.of` divides D and the norms by their
+gcd.
 
 One model serves sets and products: a set is the one-factor product
 ``ProductModel.of([F])``, whose points are 1-tuples.  A product point is a
@@ -129,16 +143,11 @@ wrong value comes back.  tests/oracle.py keeps the walk kernel that serves
 any subset (`walk_local_diams`) as the reference.
 
 The kernel derives closed subsets of the product (`derive_product_set`,
-every axis) and gives `products` its per-factor local diameters.  Inside
-the kernel a point is one integer, its mixed-radix code
-sum_n j_n * stride_n (`_strides`), so a step adds (p - y) * stride to a
-code instead of building a tuple.  A one-axis code is the position itself,
-so the staircase passes positions straight in.  A product derivation
-sequence is one call: `derive_product_set` returns the stages alive, its
-derivation, and so on, for m steps or up to the first empty stage.  The
-call takes the bar once, encodes the position tuples once and decodes each
-stage.  `ProductModel.of` takes the common denominator once, over every
-factor.
+every axis) and gives `products` its per-factor local diameters.  In it a
+point is one integer, its mixed-radix code sum_n j_n * stride_n
+(`_strides`), so a step adds (p - y) * stride to a code; a one-axis code
+is the position itself.  `derive_product_set` derives a whole sequence in
+one call, with one bar, one encoding, and one decoding per stage.
 
 The rank recursion.  On one factor a whole derivation sequence is one pass
 (`derive_set`).  Fix an alive set S of positions, any set at all (cluster-
@@ -185,17 +194,13 @@ up to m + 1, the cap.  Every one-factor sequence reads ranks: `iterate_set`
 keeps the points of rank > m, and `iterate_product_set` and
 `sz_product_set` take the pass on a one-axis model.
 
-Products of two or more factors keep the staged kernel.  The same
-recursion holds on a product,
-but its descendants form a DAG: the points whose clusters hold y are the
-tuples of ancestors-or-selves of y's positions, so a product point has up
-to one parent per axis, and one child per axis and per forest child.  The
-subtrees of two children then overlap, so no parent can adopt a child's
-list in place while another parent still needs it: each list is copied
-once per parent, and the long-path bound above fails.  The merges then cost
-about what the stages cost, one kernel run per step.  tests/oracle.py keeps
-the stage loop (`reference_stages`, one step of its walk kernel at a
-time) as the slow check on the ranks, on any subset.
+Products of two or more factors keep the staged kernel.  The recursion
+holds there too, but the descendants form a DAG (a product point has up to
+one parent per axis), so two children's subtrees overlap, no parent can
+adopt a child's list in place, and the merges cost about what the stages
+cost.  tests/oracle.py keeps the stage loop (`reference_stages`, one step
+of its walk kernel at a time) as the slow check on the ranks, on any
+subset.
 """
 from __future__ import annotations
 
@@ -207,6 +212,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .calculus import InvalidParams
+from .exactmath import as_frac
 from .fansets import (
     DisjUnion,
     Fan,
@@ -219,31 +225,16 @@ from .fansets import (
     UnionApex,
 )
 
-# the walk's starting N and scale; a sum or product with one of these
-# objects (identity, not value) is skipped
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
-
-def materialize(
-    F: FanSet, parents: Optional[list[int]] = None, weights: Optional[list[int]] = None
-) -> list[Fraction]:
-    """One point per mirror orbit of a non-product fan set, in pre-order:
-    every omega-tail is walked once, as its copy ("t", 0).  Returns each
-    point's norm^q by position, and appends to `parents` its nearest
-    cluster parent (itself for a root) and to `weights` its orbit size; it
-    keeps its own stack, so depth costs no recursion."""
-    if isinstance(F, ProdQ):
-        raise OutsideExactFragment("materialize products factor by factor")
-    norms: list[Fraction] = []
-    parents = [] if parents is None else parents
-    weights = [] if weights is None else weights
-    # a frame: node, N, scale, the parent a point here gets (None: none, a
-    # root) and the orbit size of a point here; frames are pushed in
-    # reverse, so they pop in pre-order
-    stack: list[tuple] = [(F, _ZERO, _ONE, None, 1)]
+def _scan(F: FanSet) -> tuple[int, int]:
+    """(the number of points `materialize` emits for F, the common
+    denominator D of its walk: the module docstring's pre-pass).  A frame
+    holds a node and the product of the denominators of the scales above
+    it."""
+    n, D, stack = 0, 1, [(F, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        node, norm, s, up, w = pop()
+        node, sd = pop()
         if isinstance(node, Fan):
             fans: Sequence[Fan] = (node,)
         elif isinstance(node, Sing):
@@ -251,62 +242,80 @@ def materialize(
         elif isinstance(node, UnionApex):
             fans = node.fans
         elif isinstance(node, Scale):
-            push((node.body, norm, s * node.a_q, up, w))
+            push((node.body, sd * node.a_q.denominator))
+            continue
+        elif isinstance(node, DisjUnion):
+            for off, b in node.components:
+                D = math.lcm(D, off.denominator * sd)
+                push((b, sd))
+            continue
+        elif isinstance(node, ProdQ):
+            raise OutsideExactFragment("materialize products factor by factor")
+        else:
+            raise MalformedFanSet(f"not a fan set: {node!r}")
+        n += 1
+        for f in fans:
+            D = math.lcm(D, f.w_q.denominator * sd)
+            for c in f.prefix:
+                push((c, sd))
+            push((f.tail, sd))
+    return n, D
+
+
+def count_points(F: FanSet) -> int:
+    """len(materialize(F)), by `_scan`."""
+    return _scan(F)[0]
+
+
+def materialize(F: FanSet, D: int, parents: list[int], tails: list[int]) -> list[int]:
+    """One point per mirror orbit of a non-product fan set, in pre-order:
+    every omega-tail is walked once, as its copy ("t", 0).  Returns each
+    point's norm^q times D (from `_scan`) by position, and appends to
+    `parents` its nearest cluster parent (itself for a root) and to `tails`
+    its t.  It adds integers only, and keeps its own stack, so depth costs
+    no recursion."""
+    norms: list[int] = []
+    # a frame: node, N, the scale times D, the parent a point here gets
+    # (None: none, a root) and t of a point here; frames are pushed in
+    # reverse, so they pop in pre-order
+    stack: list[tuple] = [(F, 0, D, None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, norm, m, up, t = pop()
+        if isinstance(node, Fan):
+            fans: Sequence[Fan] = (node,)
+        elif isinstance(node, Sing):
+            fans = ()
+        elif isinstance(node, UnionApex):
+            fans = node.fans
+        elif isinstance(node, Scale):
+            a = node.a_q
+            push((node.body, norm, m * a.numerator // a.denominator, up, t))
             continue
         elif isinstance(node, DisjUnion):
             for off, b in reversed(node.components):
-                if off > 0:
-                    shift = off if s is _ONE else off * s
-                    if norm is not _ZERO:
-                        shift += norm
-                    push((b, shift, s, up, w))
-                else:
-                    push((b, norm, s, up, w))
+                push((b, norm + off.numerator * m // off.denominator, m, up, t))
             continue
         else:
             raise MalformedFanSet(f"not a fan set: {node!r}")
         j = len(norms)
         norms.append(norm)
         parents.append(j if up is None else up)
-        weights.append(w)
+        tails.append(t)
         for f in reversed(fans):
             # every copy of the fan sits at N plus its width, each on an
             # axis of its own: one sum per fan
-            nw = f.w_q if s is _ONE else f.w_q * s
-            if norm is not _ZERO:
-                nw += norm
-            push((f.tail, nw, s, j, 2 * w))
+            w = f.w_q
+            nw = norm + w.numerator * m // w.denominator
+            push((f.tail, nw, m, j, t + 1))
             for c in reversed(f.prefix):
-                push((c, nw, s, up, w))
+                push((c, nw, m, up, t))
     return norms
 
 
 # Largest number of tuples a product model (of orbits), a grid or a cover may
 # enumerate (InvalidParams beyond).
 ENUMERATION_LIMIT = 200_000
-
-
-def count_points(F: FanSet) -> int:
-    """len(materialize(F)), by the same walk without the norms."""
-    n, stack = 0, [F]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sing):
-            n += 1
-        elif isinstance(node, (Fan, UnionApex)):
-            n += 1
-            for f in (node,) if isinstance(node, Fan) else node.fans:
-                stack += f.prefix
-                stack.append(f.tail)
-        elif isinstance(node, Scale):
-            stack.append(node.body)
-        elif isinstance(node, DisjUnion):
-            stack += (b for _, b in node.components)
-        elif isinstance(node, ProdQ):
-            raise OutsideExactFragment("materialize products factor by factor")
-        else:
-            raise MalformedFanSet(f"not a fan set: {node!r}")
-    return n
 
 
 def cluster_map(
@@ -334,41 +343,43 @@ class ProductModel:
     """The materialized factors of a product: by factor and position, each
     point's norm^q, nearest cluster parent and orbit size; a set is the
     one-factor product.  Points are orbit representatives, and a count of
-    points means the two-copy model's count (`count`)."""
+    points means the two-copy model's count (`count`).  Every entry is an
+    integer, and an orbit size 2^t is kept as its t."""
 
-    # a common denominator D of the points' norms^q
+    # D, the least common denominator of the points' norms^q
     den: int
-    # per factor, by position: the point's norm^q times D (an integer)
+    # per factor, by position: the point's norm^q times D
     norms: tuple[tuple[int, ...], ...]
     # per factor, by position: the nearest cluster parent (itself for a root)
     parents: tuple[tuple[int, ...], ...]
-    # per factor, by position: the size of the point's mirror orbit
-    weights: tuple[tuple[int, ...], ...]
+    # per factor, by position: t, the tail steps on the point's path; its
+    # mirror orbit has 2^t points
+    tails: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def of(factors: Sequence[FanSet]) -> "ProductModel":
-        size = math.prod(count_points(f) for f in factors)
+        scans = [_scan(f) for f in factors]
+        size = math.prod(n for n, _ in scans)
         if size > ENUMERATION_LIMIT:
             raise InvalidParams(
                 f"product enumeration too large ({size} orbits, limit {ENUMERATION_LIMIT})"
             )
-        norms, parents, weights = [], [], []
-        for f in factors:
-            up: list[int] = []
-            w: list[int] = []
-            norms.append(materialize(f, up, w))
-            parents.append(tuple(up))
-            weights.append(tuple(w))
-        D = math.lcm(*(n.denominator for ns in norms for n in ns))
-        scaled = tuple(tuple(n.numerator * (D // n.denominator) for n in ns) for ns in norms)
-        return ProductModel(D, scaled, tuple(parents), tuple(weights))
+        D = math.lcm(*(d for _, d in scans))
+        parents, tails = [[] for _ in factors], [[] for _ in factors]
+        norms = [materialize(f, D, up, t) for f, up, t in zip(factors, parents, tails)]
+        # the norms^q over D have least common denominator D // g
+        g = math.gcd(D, *itertools.chain.from_iterable(norms))
+        if g > 1:
+            D, norms = D // g, [[n // g for n in ns] for ns in norms]
+        return ProductModel(D, *(tuple(map(tuple, c)) for c in (norms, parents, tails)))
 
     def tuples(self) -> frozenset[PPoint]:
         return frozenset(itertools.product(*(range(len(n)) for n in self.norms)))
 
     def weight(self, x: PPoint) -> int:
-        """The size of x's mirror orbit: the product of its factors'."""
-        return math.prod([w[j] for w, j in zip(self.weights, x)])
+        """The size of x's mirror orbit, the product of its factors':
+        2 to the sum of their t."""
+        return 1 << sum([t[j] for t, j in zip(self.tails, x)])
 
     def count(self, alive: Iterable[PPoint]) -> int:
         """The number of two-copy points whose orbits `alive` holds."""
@@ -380,11 +391,8 @@ class ProductModel:
     def scaled_bar(self, eps_q: Fraction) -> int:
         """floor(eps_q * D): an integer count of 1/D exceeds eps_q iff it
         exceeds this.  Every derivation turns its threshold into a bar
-        here, so a non-positive one (no point would ever die) stops here.
-        An int or a Fraction is read as its numerator and denominator;
-        anything else goes through Fraction first."""
-        if not isinstance(eps_q, (int, Fraction)):
-            eps_q = Fraction(eps_q)
+        here, so a non-positive one (no point would ever die) stops here."""
+        eps_q = as_frac(eps_q)
         num = eps_q.numerator
         if num <= 0:
             raise InvalidParams("eps_q must be positive")
@@ -466,14 +474,15 @@ def derive_product_set(
 
 
 def derive_set(
-    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: Optional[int] = None
+    alive: frozenset[int], model: ProductModel, i: int, bar: int, m: Optional[int] = None
 ) -> dict[int, int]:
-    """The rank of each point of a set of factor i's positions: the least k
+    """The rank of each point of a set of factor i's positions at the
+    integer bar (`ProductModel.scaled_bar` of the threshold): the least k
     with the point outside the k-th derivation of `alive`, capped at m + 1
     (m = None: no cap).  Stage k is {x : rank > k}.  One pass over the
     cluster forest (the module docstring's rank recursion): `held` keeps, by
     position, the negated list handed up to it so far."""
-    half = model.scaled_bar(eps_q) // 2
+    half = bar // 2
     norm, parent = model.norms[i], model.parents[i]
     cap = len(norm) if m is None else m
     ranks: dict[int, int] = {}
@@ -501,11 +510,11 @@ def derive_set(
 
 
 def iterate_set(
-    alive: frozenset[int], model: ProductModel, i: int, eps_q: Fraction, m: int
+    alive: frozenset[int], model: ProductModel, i: int, bar: int, m: int
 ) -> frozenset[int]:
-    """The m-fold derivation of a set of factor i's positions: its points
-    of rank > m."""
-    return frozenset(x for x, d in derive_set(alive, model, i, eps_q, m).items() if d > m)
+    """The m-fold derivation of a set of factor i's positions at the
+    integer bar: its points of rank > m."""
+    return frozenset(x for x, d in derive_set(alive, model, i, bar, m).items() if d > m)
 
 
 def iterate_product_set(
@@ -514,7 +523,7 @@ def iterate_product_set(
     """The m-fold derivation of an alive subset of the product: on one axis
     any subset, by the rank pass; on more, a closed one."""
     if len(model.norms) == 1:
-        kept = iterate_set(frozenset(x for (x,) in alive), model, 0, eps_q, m)
+        kept = iterate_set(frozenset(x for (x,) in alive), model, 0, model.scaled_bar(eps_q), m)
         return frozenset((x,) for x in kept)
     return derive_product_set(alive, model, eps_q, m)[-1]
 
@@ -525,7 +534,7 @@ def sz_product_set(
     """Least m with the m-fold derivation empty (1 for a nonempty dead set):
     on one axis the largest rank, of any subset; on more, of a closed one."""
     if len(model.norms) == 1:
-        ranks = derive_set(frozenset(x for (x,) in alive), model, 0, eps_q)
+        ranks = derive_set(frozenset(x for (x,) in alive), model, 0, model.scaled_bar(eps_q))
         return max(ranks.values(), default=1)
     return max(len(derive_product_set(alive, model, eps_q, None)) - 1, 1)
 
@@ -533,4 +542,5 @@ def sz_product_set(
 def model_sz(F: FanSet, eps_q: Fraction) -> int:
     """sz_eps of a non-product fan set on its one-factor model."""
     model = ProductModel.of([F])
-    return max(derive_set(frozenset(range(len(model.norms[0]))), model, 0, eps_q).values())
+    every = frozenset(range(len(model.norms[0])))
+    return max(derive_set(every, model, 0, model.scaled_bar(eps_q)).values())

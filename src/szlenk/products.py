@@ -90,7 +90,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .calculus import InvalidParams, check_power, frount_M_qpow
-from .exactmath import ROOT_BITS, int_nth_root_floor, pow_bounds
+from .exactmath import ROOT_BITS, as_frac, int_nth_root_floor, pow_bounds
 from .fansets import DerivationMemo, FanSet, ProdQ, OutsideExactFragment, derive, diam_q, scaled
 from . import pointmodel
 from .pointmodel import ENUMERATION_LIMIT, ProductModel, _local_diams
@@ -123,20 +123,20 @@ class AEpsGrid:
     q: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_q", tuple(Fraction(a) for a in self.a_q))
-        object.__setattr__(self, "diam_q", tuple(Fraction(d) for d in self.diam_q))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "a_q", tuple(map(as_frac, self.a_q)))
+        object.__setattr__(self, "diam_q", tuple(map(as_frac, self.diam_q)))
+        object.__setattr__(self, "eps", as_frac(self.eps))
+        object.__setattr__(self, "delta", as_frac(self.delta))
+        object.__setattr__(self, "q", as_frac(self.q))
         if not self.a_q or len(self.a_q) != len(self.diam_q):
             raise InvalidParams("need matching nonempty a_q and diam_q tuples")
-        if any(a <= 0 for a in self.a_q):
+        if any(a.numerator <= 0 for a in self.a_q):
             raise InvalidParams("scale factors must be positive")
-        if any(d < 0 for d in self.diam_q):
+        if any(d.numerator < 0 for d in self.diam_q):
             raise InvalidParams("diameters must be >= 0")
-        if not 0 < self.delta < self.eps:
+        if not (self.delta.numerator > 0 and self.delta < self.eps):
             raise InvalidParams("need 0 < delta < eps")
-        if self.q < 1:
+        if self.q.numerator < self.q.denominator:
             raise InvalidParams("q must be >= 1")
         # `levels` takes q-th powers of delta/2 and of the multiples of
         # the step up to the first one past every diameter
@@ -144,7 +144,7 @@ class AEpsGrid:
         check_power(top * self.step, self.q, "q")
         check_power(self.delta / 2, self.q, "q")
 
-    @property
+    @cached_property
     def step(self) -> Fraction:
         return (self.eps - self.delta) / 4
 
@@ -330,7 +330,7 @@ def union_count(model: ProductModel, boxes: Sequence[tuple[frozenset[int], ...]]
     if not boxes:
         return 0
     level = {(1 << len(boxes)) - 1: 1}
-    for column, weight in zip(zip(*boxes), model.weights):
+    for column, tails in zip(zip(*boxes), model.tails):
         by_set: dict[frozenset[int], int] = {}
         for b, G in enumerate(column):
             by_set[G] = by_set.get(G, 0) | 1 << b
@@ -340,7 +340,7 @@ def union_count(model: ProductModel, boxes: Sequence[tuple[frozenset[int], ...]]
                 holders[x] = holders.get(x, 0) | mask
         atoms: dict[int, int] = {}
         for x, mask in holders.items():
-            atoms[mask] = atoms.get(mask, 0) + weight[x]
+            atoms[mask] = atoms.get(mask, 0) + (1 << tails[x])
         nxt: dict[int, int] = {}
         for mask, acc in level.items():
             for held, w in atoms.items():
@@ -405,8 +405,8 @@ def _staircase(
 def _as_factor(a_q: Fraction, K: FanSet) -> FanSet:
     if isinstance(K, ProdQ):
         raise OutsideExactFragment("factors must come from the exact fragment")
-    a_q = Fraction(a_q)
-    if a_q <= 0:
+    a_q = as_frac(a_q)
+    if a_q.numerator <= 0:
         raise InvalidParams("scale factors must be positive")
     out = scaled(a_q, K)
     assert out is not None
@@ -478,19 +478,19 @@ def bound_product_derivation(
     q, m) steps and the verdict is "empty"; otherwise "unknown".  Requires
     m >= 2 and sum_i a_q_i <= 1.
     """
-    eps_q, q = Fraction(eps_q), Fraction(q)
+    eps_q, q = as_frac(eps_q), as_frac(q)
     if not isinstance(m, int) or m < 2:
         raise InvalidParams("m must be an integer >= 2")
     if not factors:
         raise InvalidParams("need at least one factor")
-    if eps_q <= 0:
+    if eps_q.numerator <= 0:
         raise InvalidParams("eps_q must be positive")
     if q < 1:
         raise InvalidParams("q must be >= 1")
     total = Fraction(0)
     for a_q, K in factors:
-        a_q = Fraction(a_q)
-        if a_q <= 0:
+        a_q = as_frac(a_q)
+        if a_q.numerator <= 0:
             raise InvalidParams("scale factors must be positive")
         if isinstance(K, ProdQ):
             raise OutsideExactFragment("factors must come from the exact fragment")

@@ -42,7 +42,9 @@ derivation sequences, `union_lemma_check` and `bq_member` were before each
 became one walk or one call, or lost its paths: a recursive materializer
 whose points carry their paths, parents from the paths' prefix scan
 (`reference_cluster_map`, also the reference for `tvl_check`'s projected
-forest) and weights counted off the paths, one `walk_local_diams` call per
+forest) and weights counted off the paths, the one walk on Fractions with
+weights 2^t as ints (`reference_walk`, before the walk added integers over
+one denominator and kept t), one `walk_local_diams` call per
 step on any subset (`reference_stages`, the reference for the closed-set
 `derive_product_set` and, as `reference_ranks`, for the one-factor ranks
 of any subset), a union's pieces read off the first path step, the union
@@ -621,6 +623,48 @@ def project(F, groups):
     raise GroupNotFound("only products and disjoint unions carry axis groups")
 
 
+def reference_walk(F, parents: list, weights: list) -> list[Fraction]:
+    """The model build's walk as it was before it ran on integers: one
+    pre-order walk with its own stack that adds Fraction widths and offsets
+    times a Fraction scale, and hands out each point's norm^q (returned by
+    position), its nearest cluster parent (appended to `parents`, itself
+    for a root) and its orbit size 2^t (appended to `weights`)."""
+    if isinstance(F, ProdQ):
+        raise OutsideExactFragment("materialize products factor by factor")
+    norms: list[Fraction] = []
+    # a frame: node, N, scale, the parent a point here gets (None: a root)
+    # and the orbit size of a point here; pushed in reverse, popped in
+    # pre-order
+    stack: list[tuple] = [(F, Fraction(0), Fraction(1), None, 1)]
+    while stack:
+        node, norm, s, up, w = stack.pop()
+        if isinstance(node, Fan):
+            fans = (node,)
+        elif isinstance(node, Sing):
+            fans = ()
+        elif isinstance(node, UnionApex):
+            fans = node.fans
+        elif isinstance(node, Scale):
+            stack.append((node.body, norm, s * node.a_q, up, w))
+            continue
+        elif isinstance(node, DisjUnion):
+            for off, b in reversed(node.components):
+                stack.append((b, norm + off * s, s, up, w))
+            continue
+        else:
+            raise MalformedFanSet(f"not a fan set: {node!r}")
+        j = len(norms)
+        norms.append(norm)
+        parents.append(j if up is None else up)
+        weights.append(w)
+        for f in reversed(fans):
+            nw = norm + f.w_q * s
+            stack.append((f.tail, nw, s, j, 2 * w))
+            for c in reversed(f.prefix):
+                stack.append((c, nw, s, up, w))
+    return norms
+
+
 def reference_weights(points) -> list[int]:
     """Orbit sizes counted off the paths: 2 ** (the number of "t" steps)."""
     return [1 << sum(1 for kind, _ in p.path if kind == "t") for p in points]
@@ -696,11 +740,14 @@ def reference_stages(alive, model, eps_q, m=None) -> list:
     return stages
 
 
-def reference_ranks(alive, model, i, eps_q, m=None) -> dict[int, int]:
+def reference_ranks(alive, model, i, bar, m=None) -> dict[int, int]:
     """`pointmodel.derive_set`'s ranks read off the stage loop: by point of
     `alive` (positions of factor i), the number of stages of
-    `reference_stages` on factor i alone that hold it, so m + 1 at most."""
-    one = ProductModel(model.den, (model.norms[i],), (model.parents[i],), (model.weights[i],))
+    `reference_stages` on factor i alone that hold it, so m + 1 at most.
+    The stages run at (bar + 1/2) / D, a positive threshold whose
+    `scaled_bar` is the integer bar, 0 included."""
+    one = ProductModel(model.den, (model.norms[i],), (model.parents[i],), (model.tails[i],))
+    eps_q = Fraction(2 * bar + 1, 2 * model.den)
     stages = reference_stages(frozenset((x,) for x in alive), one, eps_q, m)
     return {x: sum((x,) in s for s in stages) for x in alive}
 

@@ -81,6 +81,24 @@ def fan_sets(max_depth: int = 2) -> st.SearchStrategy:
     return st.one_of(st.just(Sing()), fan, apex, scale, disj)
 
 
+def nested_sets(max_depth: int = 3) -> st.SearchStrategy:
+    """Fan sets whose disjoint unions and scales nest directly: a component
+    is any set, a disjoint union at its own positive offset included, and
+    a scale holds any set, another scale or a point included."""
+    if max_depth == 0:
+        return st.just(Sing())
+    sub = nested_sets(max_depth - 1)
+    fan = st.builds(Fan, fracs(), st.lists(sub, max_size=2).map(tuple), sub)
+    scale = st.builds(Scale, fracs(max_num=4), sub)
+    union = st.builds(
+        lambda first, rest: DisjUnion((first, *rest)),
+        st.tuples(st.one_of(st.just(Fraction(0)), fracs()), sub),
+        st.lists(st.tuples(fracs(), sub), max_size=1),
+    )
+    apex = st.builds(UnionApex, st.lists(fan, min_size=1, max_size=2).map(tuple))
+    return st.one_of(st.just(Sing()), fan, scale, union, apex)
+
+
 def measured_sets(max_depth: int = 3) -> st.SearchStrategy:
     """Sets of every node kind for the measures: `fan_sets`, with nested
     scales, unions with a zero and positive offsets, apexes of two or three

@@ -45,8 +45,8 @@ from szlenk.fansets import (
     depth_fan,
     radius_q,
 )
-from szlenk.generators import case_rng
-from szlenk.pointmodel import ProductModel, model_sz
+from szlenk.generators import case_rng, rand_frac, rand_q
+from szlenk.pointmodel import ProductModel, iterate_set, model_sz
 from szlenk.products import (
     BqCover,
     _as_factor,
@@ -88,10 +88,12 @@ class TestUnionLemmaCheck:
         clean = union_lemma_check(Ks, F(1, 2), 2, 2, F(1), "disjoint")
         real = checks.derive_set
 
-        def starved(alive, model, i, eps_q, m=None):
+        def starved(alive, model, i, bar, m=None):
             # the (eps/2)-side empties after one step (every rank is 1), so
             # stage 1 of the union escapes
-            return dict.fromkeys(alive, 1) if eps_q < F(1, 2) else real(alive, model, i, eps_q, m)
+            if bar < model.scaled_bar(F(1, 2)):
+                return dict.fromkeys(alive, 1)
+            return real(alive, model, i, bar, m)
 
         monkeypatch.setattr(checks, "derive_set", starved)
         rep = union_lemma_check(Ks, F(1, 2), 2, 2, F(1), "disjoint")
@@ -177,9 +179,9 @@ class TestUnionAgainstReference:
         derived = []
         real = reference_ranks if broken else checks.derive_set
 
-        def spy(alive, model, i, eps_q, m=None):
+        def spy(alive, model, i, bar, m=None):
             derived.append(alive)
-            return real(alive, model, i, eps_q, m)
+            return real(alive, model, i, bar, m)
 
         with mock.patch.object(oracle, "walk_local_diams", kernel):
             with mock.patch.object(checks, "derive_set", spy):
@@ -425,6 +427,36 @@ def test_bq_sample_draws_as_the_fraction_loop(n, iq):
             ks, nonzero = _bq_sample(fast, n, powers)
             assert (tuple(F(k, 16) for k in ks), nonzero) == _fraction_bq_sample(slow, n, iq)
             assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("max_num, max_den", [(8, 16), (2, 16), (4, 16), (2, 4)])
+def test_rand_frac_and_rand_q_draw_as_the_fraction_calls(max_num, max_den):
+    """The prebuilt Fractions of `rand_frac` and `rand_q` against building
+    them from the draws, on the bounds the suites use: the same values and
+    the same generator state after every draw, on 20 case streams."""
+    for index in range(20):
+        fast, slow = case_rng(5, index), case_rng(5, index)
+        for _ in range(50):
+            got = rand_frac(fast, max_num=max_num, max_den=max_den)
+            assert got == Fraction(slow.randint(1, max_num), slow.randint(1, max_den))
+            assert type(got) is Fraction and fast.getstate() == slow.getstate()
+            assert rand_q(fast) == Fraction(slow.choice([1, 2, 3]))
+            assert fast.getstate() == slow.getstate()
+
+
+def test_grid_step_bars_are_the_scaled_thresholds():
+    """`_grid_steps` takes factor i's bar at multiplier j on integers: on
+    the techlem1 and techlem2 instances (cases 0..99 of seed 1), every step
+    it gives equals the derivation at `scaled_bar` of the Fraction
+    threshold a_q_i * (j * step)^q."""
+    for index in range(100):
+        factors, eps, delta, q = _grid_instance(case_rng(1, index))
+        model = ProductModel.of([_as_factor(a, K) for a, K in factors])
+        g, _, step, full = _grid_steps(model, factors, eps, delta, q)
+        for i, (a_q, _) in enumerate(factors):
+            for j in range(1, len(g.levels[0][i])):
+                bar = model.scaled_bar(a_q * (j * g.step) ** int(q))
+                assert step(i, full[i], j) == iterate_set(full[i], model, i, bar, 1), (index, i, j)
 
 
 def _cut_cover(cover, cuts) -> BqCover:

@@ -884,6 +884,27 @@ class TestPlumbing:
         assert err.startswith("error:") and err.count("\n") == 1
         assert len(err.encode()) < 500
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "x" * 100_000],
+        ["verify", "tvl", "--samples", "x" * 100_000],
+        ["ord", "w", "--format", "x" * 100_000],
+        ["x" * 100_000],
+    ])
+    def test_huge_argv_values_give_a_short_usage_error(self, capsys, argv):
+        """A 100 000-character suite name, or a value that argparse itself
+        refuses (an int, a choice, a command), is echoed in brief: exit 2
+        with an error under 500 bytes, usage line included."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error:" in err and len(err.encode()) < 500
+
+    def test_short_usage_errors_stay_argparse_own(self, capsys):
+        """A usage error that is short already is argparse's text, uncut."""
+        code, _, err = run(capsys, "ord", "w", "--format", "yaml")
+        assert code == EXIT_USAGE
+        assert "error: argument --format: invalid choice: 'yaml' (choose from " in err
+        assert "..." not in err
+
     def test_limit_profile_step_gives_a_short_error_line(self, capsys, tmp_path):
         """A profile step whose value is a limit ordinal of 2 000 terms is
         refused with the ordinal's text cut to 160 characters."""

@@ -36,11 +36,12 @@ from oracle import (
     reference_parents,
     reference_projection,
     reference_radius_q,
+    reference_walk,
     reference_weights,
     unfold,
     unshared_derive,
 )
-from strategies import fan_sets, fracs, measured_sets, unions_and_groups
+from strategies import fan_sets, fracs, measured_sets, nested_sets, unions_and_groups
 from szlenk import checks
 from szlenk.calculus import InvalidParams
 from szlenk.checks import tvl_check
@@ -73,7 +74,6 @@ from szlenk.pointmodel import (
     count_points,
     derive_product_set,
     iterate_set,
-    materialize,
     model_sz,
 )
 
@@ -545,7 +545,7 @@ class TestModelFrozen:
         """One apex and one tail orbit per fan: 3 orbits, 5 two-copy points."""
         ua = UnionApex((F1, Fan(F(1, 3))))
         pts = reference_materialize(ua)
-        assert len(pts) == 3 == len(materialize(ua))
+        assert len(pts) == 3 == count_points(ua)
         model = ProductModel.of([ua])
         assert model.count(model.tuples()) == 5 == len(oracle_materialize(ua))
         apex = next(p for p in pts if p.norm_q == 0)
@@ -553,7 +553,7 @@ class TestModelFrozen:
 
     def test_product_model_rejected(self):
         with pytest.raises(OutsideExactFragment):
-            materialize(ProdQ((F1,)))
+            ProductModel.of([ProdQ((F1,))])
         with pytest.raises(OutsideExactFragment):
             count_points(ProdQ((F1,)))
 
@@ -592,10 +592,11 @@ class TestModelFrozen:
         """The oracle's orbit representatives (no tail step takes copy
         ("t", 1)), with the reference walk's paths in the same order, each
         carrying the norm^q that the oracle sums from its explicit
-        coordinates and that `materialize` hands out at its position; every
-        oracle point folds onto one of them."""
+        coordinates and that the model holds at its position; every oracle
+        point folds onto one of them."""
         got = [(p.path, p.norm_q) for p in reference_materialize(K)]
-        assert materialize(K) == [norm_q for _, norm_q in got]
+        model = ProductModel.of([K])
+        assert [model.norm_q((j,)) for j in range(len(got))] == [norm_q for _, norm_q in got]
         opts = oracle_materialize(K)
         assert got == [(p.path, p.norm_q) for p in opts if fold(p.path) == p.path]
         assert {fold(p.path) for p in opts} == {path for path, _ in got}
@@ -683,7 +684,7 @@ class TestClusterMap:
     @settings(max_examples=300, deadline=None)
     @given(fan_sets(3))
     def test_count_points_is_materialized_size(self, K):
-        assert count_points(K) == len(materialize(K))
+        assert count_points(K) == len(ProductModel.of([K]).norms[0])
 
 
 def engine_chain(F0, eps_q):
@@ -707,7 +708,9 @@ def assert_model_is_reference(model: ProductModel, points_by_factor, den=None) -
     projection)."""
     assert tuple(map(len, model.norms)) == tuple(map(len, points_by_factor))
     assert model.parents == tuple(tuple(reference_parents(p)) for p in points_by_factor)
-    assert model.weights == tuple(tuple(reference_weights(p)) for p in points_by_factor)
+    assert tuple(tuple(1 << t for t in tails) for tails in model.tails) == tuple(
+        tuple(reference_weights(p)) for p in points_by_factor
+    )
     D, norms = reference_norms(points_by_factor)
     if den is not None:
         assert den % D == 0
@@ -733,34 +736,51 @@ def projected_models(K, groups) -> list[ProductModel]:
 def kept_model(K, groups) -> tuple[ProductModel, dict, ProductModel]:
     """The model tvl_check derives for a disjoint union, the new position of
     each kept position, and the model the kept positions make: their norms,
-    weights and parents in position order (a parent must be kept too), then
-    an origin (norm 0, weight 1, a root) when a component is dropped and no
+    parents and tails in position order (a parent must be kept too), then
+    an origin (norm 0, a root, t = 0) when a component is dropped and no
     kept point has norm 0."""
     seen = []
     real = checks.iterate_set
 
-    def spy(alive, model, i, eps_q, m):
+    def spy(alive, model, i, bar, m):
         seen.append((model, alive))
-        return real(alive, model, i, eps_q, m)
+        return real(alive, model, i, bar, m)
 
     with mock.patch.object(checks, "iterate_set", spy):
         tvl_check(K, groups, F(1), F(1, 2), F(1), alpha=0)
     ((whole, kept),) = seen
-    norms, parents, weights = whole.norms[0], whole.parents[0], whole.weights[0]
+    norms, parents, tails = whole.norms[0], whole.parents[0], whole.tails[0]
     order = sorted(kept)
     at = {j: k for k, j in enumerate(order)}
-    sub = ([norms[j] for j in order], [at[parents[j]] for j in order], [weights[j] for j in order])
+    sub = ([norms[j] for j in order], [at[parents[j]] for j in order], [tails[j] for j in order])
     if len(order) < len(norms) and all(sub[0]):
-        for column, value in zip(sub, (0, len(order), 1)):
+        for column, value in zip(sub, (0, len(order), 0)):
             column.append(value)
     return whole, at, ProductModel(whole.den, *((tuple(column),) for column in sub))
 
 
+def assert_model_is_walk(model: ProductModel, factors) -> None:
+    """The model holds what the Fraction walk (`reference_walk`) hands out
+    for each factor: every point's norm^q, its parent and its orbit size
+    2^t; and its denominator is the least common one of those norms^q."""
+    walked = []
+    for i, f in enumerate(factors):
+        parents: list = []
+        weights: list = []
+        norms = reference_walk(f, parents, weights)
+        walked += norms
+        assert [F(n, model.den) for n in model.norms[i]] == norms
+        assert model.parents[i] == tuple(parents)
+        assert [1 << t for t in model.tails[i]] == weights
+    assert model.den == math.lcm(*(n.denominator for n in walked))
+
+
 class TestModelWalk:
-    """The model build's one walk (norms, parents and weights handed down,
-    widths added once per fan) against the recursive materializer, in the
-    same pre-order, the path scan's parents and the weights counted off the
-    paths (tests/oracle.py)."""
+    """The model build's one walk (norms, parents and tails handed down,
+    widths added once per fan, on integers over one denominator) against
+    the recursive materializer, in the same pre-order, the path scan's
+    parents and the weights counted off the paths, and against the walk on
+    Fractions that it replaced (tests/oracle.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(fan_sets(3), min_size=1, max_size=2))
@@ -768,8 +788,30 @@ class TestModelWalk:
         assume(math.prod(map(count_points, factors)) <= 4000)
         model = ProductModel.of(factors)
         assert_model_is_reference(model, [reference_materialize(f) for f in factors])
-        got = [[F(n, model.den) for n in norms] for norms in model.norms]
-        assert [materialize(f) for f in factors] == got
+        assert_model_is_walk(model, factors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(nested_sets(3), min_size=1, max_size=2))
+    # the increments' lcm, 6, exceeds the norms' least denominator, 3
+    @example([DisjUnion(((F(1, 6), DisjUnion(((F(1, 6), Sing()),))),))])
+    # the scale 1/3 has no width below it before the scale 3
+    @example([Scale(F(1, 3), Scale(F(3), Fan(F(1, 2))))])
+    def test_matches_the_fraction_walk_on_nested_sets(self, factors):
+        """Disjoint unions nested at positive offsets and scales of any
+        set, scales included: the integer walk against the Fraction walk
+        on every point's norm^q, the least denominator, the parents and
+        the orbit sizes 1 << t, which are also the ones counted off the
+        paths."""
+        assume(math.prod(map(count_points, factors)) <= 4000)
+        model = ProductModel.of(factors)
+        assert_model_is_walk(model, factors)
+        assert_model_is_reference(model, [reference_materialize(f) for f in factors])
+
+    def test_nested_offsets_keep_the_least_denominator(self):
+        """One point at 1/6 + 1/6: the model's denominator is 3, not the
+        lcm 6 of the offsets the walk adds."""
+        model = ProductModel.of([DisjUnion(((F(1, 6), DisjUnion(((F(1, 6), Sing()),))),))])
+        assert (model.den, model.norms, model.tails) == (3, ((1,),), ((0,),))
 
     @settings(max_examples=150, deadline=None)
     @given(unions_and_groups())
@@ -812,6 +854,23 @@ class TestModelWalk:
         assert model_sz(depth_fan(10**4, F(1, 2)), F(1, 2)) == 10**4 + 1
         assert time.perf_counter() - start < 2
 
+    def test_depth_hundred_thousand_chain(self):
+        """Orbit sizes are kept as their exponents t, so the model is linear
+        in depth: a chain of depth 10^5 builds and derives to sz 10^5 + 1
+        in under 5 s, and doing so peaks below 64 MiB (orbit sizes 2^t as
+        ints took 657 MiB for the build alone)."""
+        chain = depth_fan(10**5, F(1, 2))
+        start = time.perf_counter()
+        assert model_sz(chain, F(1, 2)) == 10**5 + 1
+        assert time.perf_counter() - start < 5
+        tracemalloc.start()
+        try:
+            model_sz(chain, F(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_depth_eight_thousand_chain_memory(self):
         """The model keeps no paths: building a chain of depth 8000 peaks
         below 32 MiB (every point holding its whole path took 251 MiB)."""
@@ -852,21 +911,21 @@ class TestTvlProjection:
         want = ProductModel.of([project(K, groups)])
         norms = [F(n, want.den) for n in want.norms[0]]
         assert norms[: len(kept)] == [model.norm_q((j,)) for j in kept]
-        assert want.weights[0][: len(kept)] == tuple(model.weights[0][j] for j in kept)
+        assert want.tails[0][: len(kept)] == tuple(model.tails[0][j] for j in kept)
         added = len(kept) < len(model.norms[0]) and 0 not in norms[: len(kept)]
-        assert (norms[len(kept) :], want.weights[0][len(kept) :]) == (
-            ([0], (1,)) if added else ([], ())
+        assert (norms[len(kept) :], want.tails[0][len(kept) :]) == (
+            ([0], (0,)) if added else ([], ())
         )
-        stage = iterate_set(frozenset(range(len(norms))), want, 0, delta, alpha)
+        stage = iterate_set(frozenset(range(len(norms))), want, 0, want.scaled_bar(delta), alpha)
         at = {j: k for k, j in enumerate(kept)}
         origin = norms.index(0) if 0 in norms else None
         want_violations = []
-        for j, w in enumerate(model.weights[0]):
+        for j, t in enumerate(model.tails[0]):
             k = at.get(j, origin)
             if k not in stage:
                 want_violations += [
                     f"survivor with projected norm_q={norms[k]} escapes the projected derivation"
-                ] * w
+                ] * (1 << t)
         with mock.patch.object(checks, "iterate_product_set", lambda alive, *_: alive):
             rep = tvl_check(K, groups, delta + 2 * (radius_q(K) + 1), delta, F(1), alpha)
         assert rep.filtered == model.count(model.tuples())
@@ -909,7 +968,7 @@ class TestEngineVsModel:
         schain = model_chain(
             frozenset(range(len(model.norms[0]))),
             eps_q,
-            lambda a, e: iterate_set(a, model, 0, e, 1),
+            lambda a, e: iterate_set(a, model, 0, model.scaled_bar(e), 1),
         )
         ochain = model_chain(frozenset(oracle_materialize(f)), eps_q, oracle_derive)
         assert [fold_points(orbits, ((p,) for p in a)) for a in ochain] == mchain
@@ -994,11 +1053,11 @@ class TestSharedStructure:
         stages = model_chain(
             frozenset(range(len(model.norms[0]))),
             eps_q,
-            lambda a, e: iterate_set(a, model, 0, e, 1),
+            lambda a, e: iterate_set(a, model, 0, model.scaled_bar(e), 1),
         )
         steps = derive_steps(f, eps_q, len(stages))
         assert len(steps) == len(stages) and steps[-1].snapshot is None
-        norms, weights = model.norms[0], model.weights[0]
+        norms, tails = model.norms[0], model.tails[0]
         for step, stage in zip(steps, stages):
             snap = step.snapshot
             got = Counter()
@@ -1006,7 +1065,7 @@ class TestSharedStructure:
                 got[p.norm_q] += 1 << sum(1 for kind, _ in p.path if kind == "t")
             want = Counter()
             for j in stage:
-                want[F(norms[j], model.den)] += weights[j]
+                want[F(norms[j], model.den)] += 1 << tails[j]
             assert got == want
             clustered = [j for j, d in _local_diams(model, (0,), stage).items() if d > 0]
             assert step.apex_count == model.count((j,) for j in clustered)

@@ -458,14 +458,12 @@ def term_points(pu):
 @st.composite
 def weighted_boxes(draw, factors):
     """A product model whose factors have 1-5 positions with random orbit
-    sizes (the box count reads nothing else of a model), and 0-6 boxes of
-    random position sets, empty ones included: not closed, and
-    overlapping at random."""
+    sizes 2^t, t in 0..3 (the box count reads nothing else of a model), and
+    0-6 boxes of random position sets, empty ones included: not closed,
+    and overlapping at random."""
     sizes = [draw(st.integers(1, 5), label=f"size{i}") for i in range(factors)]
-    weights = tuple(
-        tuple(draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=n, max_size=n))) for n in sizes
-    )
-    model = ProductModel(1, tuple((0,) * n for n in sizes), tuple(tuple(range(n)) for n in sizes), weights)
+    tails = tuple(tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))) for n in sizes)
+    model = ProductModel(1, tuple((0,) * n for n in sizes), tuple(tuple(range(n)) for n in sizes), tails)
     box = st.tuples(*(st.frozensets(st.integers(0, n - 1)) for n in sizes))
     return model, draw(st.lists(box, max_size=6), label="boxes")
 
@@ -699,7 +697,7 @@ class TestDeriveProductSet:
         orbits = oracle_orbits(bodies, model)
         assert fold_points(orbits, oracle_p_derive(unfold(orbits, alive), eps_q)) == got
         first = frozenset(x[:1] for x in some)
-        got = iterate_set(frozenset(j for (j,) in first), model, 0, eps_q, 1)
+        got = iterate_set(frozenset(j for (j,) in first), model, 0, model.scaled_bar(eps_q), 1)
         want = oracle_derive(frozenset(p for (p,) in unfold(orbits[:1], first)), eps_q)
         assert fold_points(orbits[:1], ((p,) for p in want)) == {(j,) for j in got}
 
@@ -718,7 +716,7 @@ class TestDeriveProductSet:
         assert derive_product_set(alive, model, eps_q)[-1] == want
         first = frozenset((x[0],) for x in some)
         want = frozenset(x for (x,) in first if 2 * scan_reach_q((x,), first, opoints) > eps_q)
-        assert iterate_set(frozenset(x for (x,) in first), model, 0, eps_q, 1) == want
+        assert iterate_set(frozenset(x for (x,) in first), model, 0, model.scaled_bar(eps_q), 1) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -734,8 +732,8 @@ class TestDeriveProductSet:
         model = ProductModel.of(bodies)
         assume(model.count(model.tuples()) <= 120)
         orbits = oracle_orbits(bodies, model)
-        for i, w in enumerate(model.weights):
-            assert [len(o) for o in orbits[i]] == list(w)
+        for i, tails in enumerate(model.tails):
+            assert [len(o) for o in orbits[i]] == [1 << t for t in tails]
         alive = model.tuples()
         oalive = frozenset(itertools.product(*map(oracle_materialize, bodies)))
         stages = 0
@@ -848,7 +846,7 @@ class TestIntegerCodeKernel:
         D = model.den
         orbits = oracle_orbits(bodies, model)
         for i in range(1, len(bodies)):
-            assume(sum(model.weights[i]) <= 60)
+            assume(sum(1 << t for t in model.tails[i]) <= 60)
             alive = frozenset(range(len(model.norms[i])))
             while alive:
                 got = _local_diams(model, (i,), alive)
@@ -857,7 +855,7 @@ class TestIntegerCodeKernel:
                 live = frozenset(p for j in alive for p in orbits[i][j])
                 for j, d in got.items():
                     assert d == D * oracle_local_diam_q(orbits[i][j][0], live)
-                alive = iterate_set(alive, model, i, eps_q, 1)
+                alive = iterate_set(alive, model, i, model.scaled_bar(eps_q), 1)
 
 
 def codes(model, axes, alive):
@@ -910,7 +908,7 @@ class TestForestKernel:
         chains = [depth_fan(n, F(1, 2))] * factors
         model = ProductModel.of(chains)
         counted = ProductModel(
-            model.den, model.norms, tuple(map(Counted, model.parents)), model.weights
+            model.den, model.norms, tuple(map(Counted, model.parents)), model.tails
         )
         axes = range(factors)
         alive = codes(model, axes, model.tuples())
@@ -966,13 +964,14 @@ class TestDerivationSequence:
             assert sz_product_set(alive, model, eps_q) == max(len(want) - 1, 1)
         else:
             assert iterate_product_set(alive, model, eps_q, m) == want[-1]
+        bar = model.scaled_bar(eps_q)
         for i in range(len(bodies)):
             seq = [frozenset(x[i] for x in some)]
             for _ in range(len(seq[0]) if m is None else m):
                 if not seq[-1]:
                     break
-                seq.append(iterate_set(seq[-1], model, i, eps_q, 1))
-            ranks = derive_set(seq[0], model, i, eps_q, m)
+                seq.append(iterate_set(seq[-1], model, i, bar, 1))
+            ranks = derive_set(seq[0], model, i, bar, m)
             assert ranks == {x: sum(x in s for s in seq) for x in seq[0]}
 
 

@@ -15,12 +15,14 @@ from szlenk.pointmodel import ProductModel, derive_set
 F = Fraction
 
 
-def eps_qs(model: ProductModel, i: int = 0):
-    """Small fractions, or a threshold at an attained 2 * distance^q, where
-    the survival test's strict inequality decides."""
+def bars(model: ProductModel, i: int = 0):
+    """The integer bars (`scaled_bar`) of small fractions, or a bar at an
+    attained 2 * distance^q times D, where the survival test's strict
+    inequality decides, or 0, the bar of a threshold below 1/D."""
     norms = sorted(set(model.norms[i]))
-    gaps = sorted({F(2 * (b - a), model.den) for a in norms[:8] for b in norms[-8:] if b > a})
-    return st.one_of(fracs(max_den=4), st.sampled_from(gaps)) if gaps else fracs(max_den=4)
+    gaps = sorted({2 * (b - a) for a in norms[:8] for b in norms[-8:] if b > a})
+    small = st.one_of(st.just(0), fracs(max_den=4).map(model.scaled_bar))
+    return st.one_of(small, st.sampled_from(gaps)) if gaps else small
 
 
 def alive_sets(model: ProductModel, i: int = 0):
@@ -67,11 +69,11 @@ class TestRanksAgainstStageLoop:
         step cap or a cap of 0-4 steps."""
         model = ProductModel.of([K])
         alive = data.draw(alive_sets(model), label="alive")
-        eps_q = data.draw(eps_qs(model), label="eps_q")
+        bar = data.draw(bars(model), label="bar")
         m = data.draw(caps, label="m")
-        want = reference_ranks(alive, model, 0, eps_q, m)
+        want = reference_ranks(alive, model, 0, bar, m)
         event(f"largest rank {max(want.values(), default=0)}")
-        assert derive_set(alive, model, 0, eps_q, m) == want
+        assert derive_set(alive, model, 0, bar, m) == want
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(100, 400), fracs(max_den=4), fracs(max_den=4), caps, st.data())
@@ -79,9 +81,10 @@ class TestRanksAgainstStageLoop:
         """Chains of depth 100-400, whole or a random subset of them."""
         model = ProductModel.of([depth_fan(n, w_q)])
         alive = data.draw(alive_sets(model), label="alive")
-        want = reference_ranks(alive, model, 0, eps_q, m)
+        bar = model.scaled_bar(eps_q)
+        want = reference_ranks(alive, model, 0, bar, m)
         event(f"largest rank {max(want.values(), default=0) // 25 * 25}+")
-        assert derive_set(alive, model, 0, eps_q, m) == want
+        assert derive_set(alive, model, 0, bar, m) == want
 
     @settings(max_examples=12, deadline=None)
     @given(deep_fan_sets(), st.data())
@@ -89,17 +92,18 @@ class TestRanksAgainstStageLoop:
         """Random fan sets past depth 100, whole or a random subset."""
         model = ProductModel.of([K])
         alive = data.draw(alive_sets(model), label="alive")
-        eps_q = data.draw(eps_qs(model), label="eps_q")
+        bar = data.draw(bars(model), label="bar")
         m = data.draw(caps, label="m")
-        want = reference_ranks(alive, model, 0, eps_q, m)
+        want = reference_ranks(alive, model, 0, bar, m)
         event(f"largest rank {max(want.values(), default=0) // 25 * 25}+")
-        assert derive_set(alive, model, 0, eps_q, m) == want
+        assert derive_set(alive, model, 0, bar, m) == want
 
     def test_later_factor_of_a_product(self):
         """Factor i > 0 of a product model: its own positions, norms and
         parents."""
         model = ProductModel.of([Fan(F(1, 2)), depth_fan(5, F(1, 3)), Sing()])
         alive = frozenset(range(len(model.norms[1])))
-        ranks = derive_set(alive, model, 1, F(1, 3))
-        assert ranks == reference_ranks(alive, model, 1, F(1, 3))
+        bar = model.scaled_bar(F(1, 3))
+        ranks = derive_set(alive, model, 1, bar)
+        assert ranks == reference_ranks(alive, model, 1, bar)
         assert ranks == {j: 6 - j for j in range(6)}

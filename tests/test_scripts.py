@@ -1,6 +1,6 @@
 """The scripts write the same reports as the command line, at the sample
 counts of the acceptance gate and the benchmark; the product sweep runs at a
-tiny size and times one small suite."""
+tiny size, times one small suite and times fresh processes."""
 import contextlib
 import importlib.util
 import io
@@ -126,3 +126,22 @@ def test_product_sweep_times_a_suite():
     samples = dict(FULL_SCALE)["lecondsast"]
     assert (suite["suite"], suite["samples"], suite["failed"]) == ("lecondsast", samples, 0)
     assert suite["suite_s"] >= 0
+
+
+def test_product_sweep_times_fresh_processes():
+    """scripts/product_sweep.py --startup ord set: the base row (`python -c
+    pass`), then one row per command, each a best wall time of two fresh
+    processes; every command ran to exit 0."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "product_sweep.py"), "--depths", "--four", "0", "--startup",
+         "ord", "set", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert doc["rows"] == doc["suites"] == []
+    assert [r["command"] for r in doc["startup"]] == ["base", "ord", "set"]
+    assert all(r["best_s"] > 0 for r in doc["startup"])
